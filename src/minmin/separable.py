@@ -46,6 +46,9 @@ class XProfile:
 
     kind is one of affine (p + q u), quadratic (p + q u + r u^2), exponential
     (q e^u + r e^-u) or custom.  params keeps (p, q, r) as applicable.
+    value() also takes a numpy array: the three closed kinds evaluate it with
+    numpy, custom profiles one element at a time, so scalar-only callables
+    keep working.
     """
 
     kind: str
@@ -53,8 +56,13 @@ class XProfile:
     _eval: object = field(repr=False)
     _deriv: object = field(repr=False)
     _deriv2: object = field(repr=False)
+    _eval_array: object = field(default=None, repr=False)
 
-    def value(self, u: float) -> float:
+    def value(self, u):
+        if isinstance(u, np.ndarray):
+            if self._eval_array is not None:
+                return self._eval_array(u)
+            return np.array([float(self._eval(v)) for v in u.flat]).reshape(u.shape)
         return float(self._eval(u))
 
     def deriv(self, u: float) -> float:
@@ -65,26 +73,30 @@ class XProfile:
 
     @classmethod
     def affine(cls, p: float, q: float) -> "XProfile":
-        return cls("affine", (p, q), lambda u: p + q * u, lambda u: q, lambda u: 0.0)
+        def ev(u):
+            return p + q * u
+
+        return cls("affine", (p, q), ev, lambda u: q, lambda u: 0.0, ev)
 
     @classmethod
     def quadratic(cls, p: float, q: float, r: float) -> "XProfile":
+        def ev(u):
+            return p + q * u + r * u * u
+
         return cls(
-            "quadratic",
-            (p, q, r),
-            lambda u: p + q * u + r * u * u,
-            lambda u: q + 2 * r * u,
-            lambda u: 2 * r,
+            "quadratic", (p, q, r), ev, lambda u: q + 2 * r * u, lambda u: 2 * r, ev
         )
 
     @classmethod
     def exponential(cls, q: float, r: float) -> "XProfile":
+        # math.exp on scalars keeps scalar values as they were; np.exp on arrays
         return cls(
             "exponential",
             (q, r),
             lambda u: q * math.exp(u) + r * math.exp(-u),
             lambda u: q * math.exp(u) - r * math.exp(-u),
             lambda u: q * math.exp(u) + r * math.exp(-u),
+            lambda u: q * np.exp(u) + r * np.exp(-u),
         )
 
     @classmethod
@@ -418,18 +430,62 @@ def admissible_domain(xs, tol: float = 1e-12) -> AdmissibleDomain:
     return AdmissibleDomain(intervals=tuple(intervals), feasible=feasible)
 
 
-def composite_simpson(fn, a: float, b: float, panels: int = 256) -> float:
-    """Composite Simpson rule with a fixed even panel count (4th order)."""
-    if a == b:
-        return 0.0
+# Simpson rules by panel count: node offsets 0..panels and weights 1 4 2 ... 4 1.
+# Read-only, so every caller can share them.
+_SIMPSON_RULES: dict = {}
+
+# Batched quadratures evaluate at most about this many integrand nodes per
+# numpy call, so that peak memory does not grow with a patch grid.
+_CHUNK_POINTS = 4096
+
+
+def _simpson_rule(panels: int) -> tuple:
+    rule = _SIMPSON_RULES.get(panels)
+    if rule is None:
+        k = np.arange(panels + 1, dtype=float)
+        w = np.ones(panels + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        k.flags.writeable = False
+        w.flags.writeable = False
+        rule = _SIMPSON_RULES[panels] = (k, w)
+    return rule
+
+
+def composite_simpson(fn, a, b, panels: int = 256):
+    """Composite Simpson rule with a fixed even panel count (4th order).
+
+    fn is called once, on the array of all nodes, so it must accept arrays.
+    a and b may be arrays that broadcast: fn then sees their broadcast shape
+    plus a trailing node axis, and one integral per element is returned.
+    """
     if panels % 2:
         panels += 1
-    t = np.linspace(a, b, panels + 1)
-    w = np.ones(panels + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    vals = np.array([fn(v) for v in t])
-    return float((b - a) / (3.0 * panels) * np.dot(w, vals))
+    k, w = _simpson_rule(panels)
+    if np.ndim(a) == 0 and np.ndim(b) == 0:
+        if a == b:
+            return 0.0
+        t = k * ((b - a) / panels) + a  # the nodes of np.linspace(a, b, panels + 1)
+        t[-1] = b
+        return float((b - a) / (3.0 * panels) * np.dot(fn(t), w))
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    t = k * ((b - a) / panels)[..., None] + a[..., None]
+    t[..., -1] = b
+    total = (b - a) / (3.0 * panels) * (fn(t) @ w)
+    return np.where(a == b, 0.0, total)
+
+
+def _simpson_batched(fn, a: float, bs, panels: int) -> np.ndarray:
+    """composite_simpson from a to every element of bs, in chunks of about
+    _CHUNK_POINTS nodes per call."""
+    bs = np.asarray(bs, dtype=float)
+    out = np.empty(bs.shape)
+    flat_b, flat_out = bs.reshape(-1), out.reshape(-1)
+    per_call = max(1, _CHUNK_POINTS // (panels + 1))
+    for start in range(0, flat_b.size, per_call):
+        stop = start + per_call
+        flat_out[start:stop] = composite_simpson(fn, a, flat_b[start:stop], panels)
+    return out
 
 
 def _x_antiderivative(xp: XProfile, u: float, m: int) -> float | None:
@@ -449,12 +505,13 @@ def _x_antiderivative(xp: XProfile, u: float, m: int) -> float | None:
     return None
 
 
-def _x_coordinate(xp: XProfile, sign: float, u: float, u0: float, m: int,
-                  panels: int = 256) -> float:
+def _x_coordinates(xp: XProfile, sign: float, us, u0: float, m: int,
+                   panels: int = 256) -> np.ndarray:
+    """sign * (anchor + integral from u0 of X^(-(2m-1)/(2m))) at every element of us."""
     g = (2 * m - 1) / (2 * m)
     anchor = _x_antiderivative(xp, u0, m)
     base = anchor if anchor is not None else 0.0
-    integral = composite_simpson(lambda t: xp.value(t) ** (-g), u0, u, panels)
+    integral = _simpson_batched(lambda t: xp.value(t) ** (-g), u0, us, panels)
     return sign * (base + integral)
 
 
@@ -503,14 +560,14 @@ def patch_from_xprofiles(xs, signs, axes, p: NormParams,
     if not dom.feasible:
         raise EmptyDomainError("admissible domain is empty")
     for i, a in enumerate(axes):
-        bad = [v for v in a if xs[i].value(v) <= 0.0]
-        if bad:
+        bad = a[xs[i].value(a) <= 0.0]
+        if bad.size:
             raise NonpositiveProfileError(
-                f"X_{i + 1} not positive at axis values {bad[:3]}"
+                f"X_{i + 1} not positive at axis values {bad[:3].tolist()}"
             )
     mesh = np.meshgrid(*axes, indexing="ij")
     u_last = -sum(mesh)
-    if np.any([xs[n].value(v) <= 0.0 for v in u_last.ravel()]):
+    if np.any(xs[n].value(u_last) <= 0.0):
         raise NonpositiveProfileError("X_{n+1} not positive over the grid")
     shape = u_last.shape
     us = np.empty(shape + (n + 1,))
@@ -520,20 +577,12 @@ def patch_from_xprofiles(xs, signs, axes, p: NormParams,
 
     points = np.empty(shape + (p.dim,))
     for i in range(n):
-        u0 = float(axes[i][0])
-        table = {
-            float(v): _x_coordinate(xs[i], signs[i], float(v), u0, p.m, panels)
-            for v in axes[i]
-        }
-        points[..., i] = np.vectorize(lambda v: table[float(v)])(mesh[i])
-    u0_last = float(u_last.ravel()[0])
-    flat_last = np.array(
-        [
-            _x_coordinate(xs[n], signs[n], float(v), u0_last, p.m, panels)
-            for v in u_last.ravel()
-        ]
+        along_i = [-1 if j == i else 1 for j in range(n)]
+        xi = _x_coordinates(xs[i], signs[i], axes[i], float(axes[i][0]), p.m, panels)
+        points[..., i] = xi.reshape(along_i)
+    points[..., n] = _x_coordinates(
+        xs[n], signs[n], u_last, float(u_last.flat[0]), p.m, panels
     )
-    points[..., n] = flat_last.reshape(shape)
     return SeparableMinimalPatch(
         xprofiles=tuple(xs), signs=tuple(signs), p=p, us=us, points=points
     )
@@ -690,14 +739,27 @@ def _powersum_surface(name: str, a, b, m: int) -> SeparableSurface:
     )
 
 
+# The inverse table of a quadrature chart spans u in [-_TABLE_REACH, _TABLE_REACH]
+# (clipped halfway to any root of X) with _TABLE_NODES nodes.
+_TABLE_REACH = 6.0
+_TABLE_NODES = 193
+_NEWTON_ITERS = 80
+
+
 class _QuadratureProfile(C3Function):
     """f(x) = u(x) for x(u) = sign * integral of X^(-(2m-1)/(2m)) from 0.
 
-    The inverse is computed by Newton iteration on the same quadrature, with
-    derivatives taken analytically from X at the recovered parameter.
+    The inverse is computed by safeguarded Newton iteration on the same
+    quadrature.  Newton starts from a cubic Hermite interpolant of u(x) on a
+    node table built once here, using du/dx = sign X^gamma at the nodes; x
+    beyond the table is bracketed by a doubling search instead.  u_of_x(x)
+    depends on x alone, so the memo never changes a result.  Derivatives are
+    taken analytically from X at the recovered parameter.
     """
 
     def __init__(self, xp: XProfile, sign: float, m: int, panels: int = 128):
+        if sign not in (1, -1):
+            raise DomainError(f"quadrature chart sign must be +1 or -1, got {sign}")
         self.xp = xp
         self.sign = float(sign)
         self.m = m
@@ -705,46 +767,102 @@ class _QuadratureProfile(C3Function):
         self._gamma = (2 * m - 1) / (2 * m)
         self._memo: dict[float, float] = {}
         super().__init__(self._eval, d1=self._d1f, d2=self._d2f, d3=self._d3f)
+        self._table = self._inverse_table()
 
-    def x_of_u(self, u: float) -> float:
-        return self.sign * composite_simpson(
-            lambda t: self.xp.value(t) ** (-self._gamma), 0.0, u, self.panels
-        )
+    def _integrand(self, t):
+        return self.xp.value(t) ** (-self._gamma)
+
+    def x_of_u(self, u):
+        """The coordinate quadrature; u may be an array of parameters."""
+        return self.sign * composite_simpson(self._integrand, 0.0, u, self.panels)
+
+    def _inverse_table(self):
+        """(x, u, du/dx) at the table nodes ordered by increasing x, or None
+        when X is not positive at 0 or the quadrature breaks down on the range."""
+        lo, hi = self.xp.positive_interval() or (0.0, 0.0)
+        if not lo < 0.0 < hi:
+            return None
+        u = np.linspace(max(-_TABLE_REACH, 0.5 * lo), min(_TABLE_REACH, 0.5 * hi),
+                        _TABLE_NODES)
+        with np.errstate(all="ignore"):
+            x = self.sign * _simpson_batched(self._integrand, 0.0, u, self.panels)
+            dudx = self.sign * self.xp.value(u) ** self._gamma
+        if self.sign < 0:
+            x, u, dudx = x[::-1], u[::-1], dudx[::-1]
+        if not (np.all(np.isfinite(dudx)) and np.all(np.diff(x) > 0.0)):
+            return None
+        return x, u, dudx
 
     def u_of_x(self, x: float) -> float:
         """Safeguarded Newton inversion of the (monotone) coordinate quadrature."""
         key = float(x)
-        if key in self._memo:
-            return self._memo[key]
+        u = self._memo.get(key)
+        if u is None:
+            u = self._invert(key)
+            if len(self._memo) > 4096:
+                self._memo.clear()
+            self._memo[key] = u
+        return u
+
+    def _start(self, x: float) -> tuple:
+        """(Newton start, lo, hi) with the root of x_of_u(u) = x in [lo, hi]."""
+        if self._table is not None:
+            tx, tu, td = self._table
+            k = int(np.searchsorted(tx, x, side="right")) - 1
+            # tx[k] <= x < tx[k+1]; the bracket takes one more node on each
+            # side, so rounding in the table cannot leave the root outside it
+            if 1 <= k <= len(tx) - 3:
+                h = tx[k + 1] - tx[k]
+                s = (x - tx[k]) / h
+                r = 1.0 - s
+                u = float(
+                    (1.0 + 2.0 * s) * r * r * tu[k] + s * r * r * h * td[k]
+                    + s * s * (3.0 - 2.0 * s) * tu[k + 1] - s * s * r * h * td[k + 1]
+                )
+                lo, hi = sorted((float(tu[k - 1]), float(tu[k + 2])))
+                return u, lo, hi
         lo, hi = -1.0, 1.0
         for _ in range(80):
-            if (self.x_of_u(lo) - x) * (self.x_of_u(hi) - x) <= 0:
-                break
+            ends = np.array([lo, hi])
+            with np.errstate(all="ignore"):
+                X = self.xp.value(ends)
+                x_lo, x_hi = self.x_of_u(ends)
+            if not (np.all(np.isfinite(X) & (X > 0.0))
+                    and math.isfinite(x_lo) and math.isfinite(x_hi)):
+                break  # X overflows or stops being positive before x is reached
+            if (x_lo - x) * (x_hi - x) <= 0:
+                return 0.5 * (lo + hi), lo, hi
             lo *= 2.0
             hi *= 2.0
-        else:
+        raise DomainError(f"x = {x} outside the reach of the quadrature chart")
+
+    def _invert(self, x: float) -> float:
+        if not math.isfinite(x):
             raise DomainError(f"x = {x} outside the reach of the quadrature chart")
-        if self.x_of_u(lo) > self.x_of_u(hi):
-            lo, hi = hi, lo  # orient so that x_of_u is increasing lo -> hi
-        u = 0.5 * (lo + hi)
-        for _ in range(80):
+        u, lo, hi = self._start(x)
+        for _ in range(_NEWTON_ITERS):
             res = self.x_of_u(u) - x
-            if res > 0:
+            if res == 0.0:
+                return u
+            if not math.isfinite(res):
+                raise DomainError(f"coordinate quadrature not finite at u = {u}")
+            if res * self.sign > 0:
                 hi = u
             else:
                 lo = u
-            step = res * self.sign * self.xp.value(u) ** self._gamma
-            u_new = u - step
-            if not (min(lo, hi) <= u_new <= max(lo, hi)):
+            u_new = u - res * self.sign * self.xp.value(u) ** self._gamma
+            tol = 1e-15 * (1.0 + abs(u_new))
+            if abs(u_new - u) <= tol:
+                return u_new
+            if hi - lo <= tol:
+                return u  # the bracket has closed around the root to rounding level
+            if not lo < u_new < hi:
                 u_new = 0.5 * (lo + hi)
-            if abs(u_new - u) <= 1e-15 * (1.0 + abs(u_new)):
-                u = u_new
-                break
             u = u_new
-        if len(self._memo) > 4096:
-            self._memo.clear()
-        self._memo[key] = u
-        return u
+        raise DomainError(
+            f"quadrature chart inversion at x = {x} did not converge in "
+            f"{_NEWTON_ITERS} Newton steps"
+        )
 
     def _eval(self, x):
         return self.u_of_x(x)

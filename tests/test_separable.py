@@ -1,15 +1,21 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 import minmin as mm
 from minmin.curvature import separable_residual_sum
+from minmin import separable
 from minmin.errors import (
     ConstraintViolationError,
+    DomainError,
     EmptyDomainError,
     NonpositiveProfileError,
 )
 from minmin.separable import (
     _QuadratureProfile,
+    _x_antiderivative,
     composite_simpson,
     perturbed_example_surface,
     quadratic_case_verdict,
@@ -386,6 +392,76 @@ def test_patch_empty_domain_raises():
                                 mm.NormParams(1, 4))
 
 
+@pytest.mark.parametrize("ex,dim,span", (("6.1", 4, 0.7), ("6.3", 5, 1.0)))
+def test_patch_matches_closed_form_antiderivative(ex, dim, span):
+    # x_i(u) - x_i(u0) is the closed-form antiderivative difference, and the
+    # patch anchors x_i(u0) at the antiderivative itself
+    xs, signs = mm.example_xprofiles(ex)
+    for m in (1, 2, 3):
+        p = mm.NormParams(m, dim)
+        axes = mm.feasible_axes(xs, 5, span=span)
+        patch = mm.patch_from_xprofiles(xs, signs, axes, p)
+        us = patch.us.reshape(-1, dim)
+        pts = patch.flat_points()
+        for i in range(dim):
+            want = [signs[i] * _x_antiderivative(xs[i], u, m) for u in us[:, i]]
+            assert np.max(np.abs(pts[:, i] - want)) <= 1e-9, (ex, m, i)
+
+
+def test_patch_from_scalar_only_custom_profiles():
+    # math-only callables reject arrays; value() falls back to one element at a time
+    xs = [
+        mm.XProfile.custom(lambda u: 2.0 + math.sin(u), lambda u: math.cos(u)),
+        mm.XProfile.custom(lambda u: 2.0 + math.cos(u), lambda u: -math.sin(u)),
+        mm.XProfile.exponential(1.0, 1.0),
+    ]
+    with pytest.raises(TypeError):
+        math.sin(np.zeros(3))
+    signs = (1, -1, 1)
+    m = 2
+    axes = [np.linspace(-0.5, 0.5, 4)] * 2
+    patch = mm.patch_from_xprofiles(xs, signs, axes, mm.NormParams(m, 3))
+    g = (2 * m - 1) / (2 * m)
+
+    def simpson_loop(xp, a, b, panels=256):
+        # the element-by-element rule the batched quadrature replaces
+        t = np.linspace(a, b, panels + 1)
+        w = np.ones(panels + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        vals = np.array([xp.value(float(v)) ** (-g) for v in t])
+        return (b - a) / (3.0 * panels) * np.dot(w, vals)
+
+    us = patch.us.reshape(-1, 3)
+    pts = patch.flat_points()
+    for i in range(3):
+        u0 = us[0, i]
+        base = _x_antiderivative(xs[i], u0, m) or 0.0
+        want = [signs[i] * (base + simpson_loop(xs[i], u0, u)) for u in us[:, i]]
+        assert np.max(np.abs(pts[:, i] - want)) <= 1e-13
+
+
+def test_xprofile_value_arrays_match_scalars():
+    u = np.linspace(-2.0, 2.0, 9)
+    for xp in (mm.XProfile.affine(1.5, -0.5), mm.XProfile.quadratic(1.0, 0.3, 0.2),
+               mm.XProfile.exponential(0.7, 1.3)):
+        got = xp.value(u.reshape(3, 3))
+        assert got.shape == (3, 3)
+        want = np.array([xp.value(float(v)) for v in u]).reshape(3, 3)
+        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(want)
+        assert isinstance(xp.value(0.25), float)
+
+
+def test_composite_simpson_array_endpoints():
+    b = np.array([[0.5, 1.0], [-1.0, 0.0]])
+    got = composite_simpson(np.exp, 0.0, b, 64)
+    assert got.shape == (2, 2)
+    for idx in np.ndindex(b.shape):
+        assert got[idx] == pytest.approx(composite_simpson(np.exp, 0.0, b[idx], 64),
+                                         rel=1e-14, abs=1e-15)
+    assert got[1, 1] == 0.0
+
+
 def test_composite_simpson_accuracy():
     val = composite_simpson(np.exp, 0.0, 1.0, 64)
     assert val == pytest.approx(np.e - 1.0, rel=1e-8)
@@ -497,3 +573,60 @@ def test_quadrature_profile_roundtrip():
             x = f.x_of_u(u)
             assert f.u_of_x(x) == pytest.approx(u, abs=1e-12)
         assert f.validate_derivatives([-0.4, 0.1, 0.45]) <= 1e-5
+
+
+def test_quadrature_profile_negative_sign_roundtrip():
+    for m in (1, 2, 3):
+        f = _QuadratureProfile(mm.XProfile.exponential(1.0, 1.0), -1.0, m)
+        for u in (-3.5, -1.2, -0.3, 0.0, 0.4, 1.7, 3.5):
+            x = f.x_of_u(u)
+            assert (x < 0) == (u > 0) or u == 0.0
+            assert f.u_of_x(x) == pytest.approx(u, abs=1e-12)
+        # beyond the inverse table the bracket search takes over
+        x = f.x_of_u(7.0)
+        assert f.u_of_x(x) == pytest.approx(7.0, abs=1e-10)
+        assert f.d1(f.x_of_u(0.5)) < 0
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_quadrature_x_of_u_matches_fine_reference(m):
+    # |u| <= 3.6 is the reach of the 6.5 sampler (three draws of |u| <= 1.2)
+    f = _QuadratureProfile(mm.XProfile.exponential(1.0, 1.0), 1.0, m)
+    g = (2 * m - 1) / (2 * m)
+    for u in np.linspace(-3.6, 3.6, 25):
+        ref = composite_simpson(lambda t: (2.0 * np.cosh(t)) ** (-g), 0.0, u, 4096)
+        assert abs(f.x_of_u(u) - ref) <= 1e-10
+
+
+def test_quadrature_u_of_x_independent_of_call_history():
+    xp = mm.XProfile.exponential(1.0, 1.0)
+    rng = np.random.default_rng(61)
+    xs = list(rng.uniform(-1.1, 1.1, 40)) + [0.0, 1.13, -1.13]
+    fresh = [_QuadratureProfile(xp, 1.0, 2).u_of_x(x) for x in xs]
+    warm = _QuadratureProfile(xp, 1.0, 2)
+    for x in rng.uniform(-1.1, 1.1, 300):
+        warm.u_of_x(x)
+    order = rng.permutation(len(xs))
+    got = {}
+    for k in order:
+        got[k] = warm.u_of_x(xs[k])
+    for k in order[::-1]:
+        assert warm.u_of_x(xs[k]) == got[k]
+    assert [got[k] for k in range(len(xs))] == fresh
+
+
+def test_quadrature_u_of_x_out_of_reach_is_domain_error():
+    f = _QuadratureProfile(mm.XProfile.exponential(1.0, 1.0), 1.0, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="outside the reach"):
+            f.u_of_x(5.0)
+        with pytest.raises(DomainError):
+            f.u_of_x(float("nan"))
+
+
+def test_quadrature_u_of_x_raises_at_newton_cap(monkeypatch):
+    monkeypatch.setattr(separable, "_NEWTON_ITERS", 1)
+    f = _QuadratureProfile(mm.XProfile.exponential(1.0, 1.0), 1.0, 2)
+    with pytest.raises(DomainError, match="did not converge"):
+        f.u_of_x(0.7)
