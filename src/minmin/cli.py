@@ -8,21 +8,17 @@ reports are byte-identical across runs with the same seed and configuration.
 """
 
 import argparse
+import functools
 import json
 import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import meshes, reporting, sampling
-from .curvature import (
-    mean_curvature_translation,
-    report_separable,
-    report_translation,
-)
+from .curvature import report_separable, report_separable_batch, report_translation
 from .errors import EmptyDomainError, IntegrationError, MinminError
 from .norms import NormParams
 from .separable import (
@@ -61,13 +57,6 @@ def _setup_logging():
     )
 
 
-def _run_points(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -78,22 +67,20 @@ def cmd_verify(args) -> int:
         print(f"unknown example id {args.example!r}", file=sys.stderr)
         return EXIT_CONFIG
     t0 = time.perf_counter()
-    if args.perturb is not None:
-        surface = perturbed_example_surface(
-            args.example, args.m, args.r, factor=args.perturb
-        )
-    else:
-        surface = example_surface(args.example, args.m, args.r)
-    rng = sampling.counter_rng(args.seed)
-    points = surface.sample(rng, args.points)
-
-    def one(idx):
-        return report_separable(
-            surface.fs, points[idx], surface.p,
-            tol=args.oracle_tol, on_surface_tol=1e-6,
-        )
-
-    results = _run_points(one, range(len(points)), args.workers)
+    stats = reporting.RunStats()
+    with stats.stage("sample"):
+        if args.perturb is not None:
+            surface = perturbed_example_surface(
+                args.example, args.m, args.r, factor=args.perturb
+            )
+        else:
+            surface = example_surface(args.example, args.m, args.r)
+        rng = sampling.counter_rng(args.seed)
+        points = surface.sample(rng, args.points)
+    results = report_separable_batch(
+        surface.fs, points, surface.p, tol=args.oracle_tol, on_surface_tol=1e-6,
+        stats=stats,
+    )
     config = {
         "command": "verify",
         "example": args.example,
@@ -103,19 +90,20 @@ def cmd_verify(args) -> int:
         "tol": args.tol,
         "oracle_tol": args.oracle_tol,
         "seed": args.seed,
-        "workers": args.workers,
         "perturb": "none" if args.perturb is None else args.perturb,
     }
-    report = reporting.VerificationReport(
-        command="verify", config=config, reports=results, h_tol=args.tol,
-        wall_time=time.perf_counter() - t0,
-    )
+    with stats.stage("render"):
+        report = reporting.VerificationReport(
+            command="verify", config=config, reports=results, h_tol=args.tol,
+            wall_time=time.perf_counter() - t0,
+        )
+        if args.out:
+            report.write(args.out)
+        if args.csv:
+            report.write_points_csv(args.csv)
+        sys.stdout.write(report.render())
+    stats.log(log, "verify")
     log.info("verify wall time %.3fs", report.wall_time)
-    if args.out:
-        report.write(args.out)
-    if args.csv:
-        report.write_points_csv(args.csv)
-    sys.stdout.write(report.render())
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -318,25 +306,26 @@ def cmd_mesh(args) -> int:
 
 def cmd_oracle_compare(args) -> int:
     t0 = time.perf_counter()
-    rng = sampling.counter_rng(args.seed)
-    jobs = []
-    kinds = ("translation", "separable") if args.kind == "both" else (args.kind,)
-    for kind in kinds:
-        for _ in range(args.points):
-            m = int(rng.integers(1, 4))
-            n = int(rng.integers(2, 5)) if args.n is None else args.n
-            if kind == "translation":
-                jobs.append((kind,) + sampling.random_translation_config(rng, m, n))
-            else:
-                jobs.append((kind,) + sampling.random_separable_config(rng, m, n))
-
-    def one(job):
-        kind, fs, at, p = job
-        if kind == "translation":
-            return report_translation(fs, at, p, tol=args.tol)
-        return report_separable(fs, at, p, tol=args.tol)
-
-    results = _run_points(one, jobs, args.workers)
+    stats = reporting.RunStats()
+    with stats.stage("sample"):
+        rng = sampling.counter_rng(args.seed)
+        jobs = []
+        kinds = ("translation", "separable") if args.kind == "both" else (args.kind,)
+        for kind in kinds:
+            for _ in range(args.points):
+                m = int(rng.integers(1, 4))
+                n = int(rng.integers(2, 5)) if args.n is None else args.n
+                if kind == "translation":
+                    jobs.append((kind,) + sampling.random_translation_config(rng, m, n))
+                else:
+                    jobs.append((kind,) + sampling.random_separable_config(rng, m, n))
+    # every configuration has its own profiles: each is a batch of one
+    results = [
+        (report_translation if kind == "translation" else report_separable)(
+            fs, at, p, tol=args.tol, stats=stats
+        )
+        for kind, fs, at, p in jobs
+    ]
     config = {
         "command": "oracle-compare",
         "kind": args.kind,
@@ -344,16 +333,17 @@ def cmd_oracle_compare(args) -> int:
         "n": "random" if args.n is None else args.n,
         "tol": args.tol,
         "seed": args.seed,
-        "workers": args.workers,
     }
-    report = reporting.VerificationReport(
-        command="oracle-compare", config=config, reports=results,
-        wall_time=time.perf_counter() - t0,
-    )
+    with stats.stage("render"):
+        report = reporting.VerificationReport(
+            command="oracle-compare", config=config, reports=results,
+            wall_time=time.perf_counter() - t0,
+        )
+        if args.out:
+            report.write(args.out)
+        sys.stdout.write(report.render())
+    stats.log(log, "oracle-compare")
     log.info("oracle-compare wall time %.3fs", report.wall_time)
-    if args.out:
-        report.write(args.out)
-    sys.stdout.write(report.render())
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
@@ -362,7 +352,10 @@ def cmd_oracle_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps no
+    state between calls, and building it costs about a millisecond."""
     parser = argparse.ArgumentParser(
         prog="minmin",
         description="Minimal hypersurfaces in (n+1)-space with 2m-norm: "
@@ -378,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--tol", type=float, default=1e-8, help="|H| tolerance")
     pv.add_argument("--oracle-tol", type=float, default=1e-6)
     pv.add_argument("--seed", type=int, default=20250101)
-    pv.add_argument("--workers", type=int, default=1)
     pv.add_argument("--perturb", type=float, default=None,
                     help="scale the leading coefficient block (sanity check)")
     pv.add_argument("--out", default=None, help="report file")
@@ -439,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fix the parameter count (default: random 2..4)")
     pc.add_argument("--tol", type=float, default=1e-6)
     pc.add_argument("--seed", type=int, default=20250101)
-    pc.add_argument("--workers", type=int, default=1)
     pc.add_argument("--out", default=None)
     pc.set_defaults(fn=cmd_oracle_compare)
 

@@ -6,12 +6,19 @@ recovers the mean curvature from its definition H = trace(d eta)/n by central
 differencing the Birkhoff normal along a chart and expanding the derivative in
 the tangent basis.
 
+The separable routines work on stacks of points: separable_closed_form,
+mean_curvature_oracle and report_separable_batch evaluate N points as arrays
+of shape (N, dim), with one Newton solve of the chart for all 2n stencil
+points of all of them and one batched linear solve.  The single-point
+functions are batches of one.
+
 Orientation follows the normal branches of the norms module: upward for graphs,
 aligned with the defining gradient for implicit surfaces.  At m = 1 the graph
 value is minus the textbook Euclidean mean curvature computed with respect to
 the upward normal and the shape operator -dN.
 """
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +30,7 @@ from .errors import (
 )
 from .norms import (
     NormParams,
+    _sum_last,
     birkhoff_normal_graph,
     birkhoff_normal_implicit,
     signed_pow,
@@ -71,16 +79,36 @@ class CurvatureReport:
 
 def _slope_guard(d1, m: int, label: str):
     """Negative fractional powers of the slopes appear only for m >= 2."""
-    if m >= 2 and np.any(d1 == 0.0):
+    if m >= 2 and (d1 == 0.0).any():
         raise SingularConfigurationError(
             f"{label}: a profile slope vanishes and m = {m} needs its negative power"
         )
 
 
-def _derivs(fs, at):
-    d1 = np.array([f.d1(t) for f, t in zip(fs, at)])
-    d2 = np.array([f.d2(t) for f, t in zip(fs, at)])
-    return d1, d2
+def _columns(fns, x: np.ndarray) -> np.ndarray:
+    """fns[i](x[..., i]) for every i, as the columns of one array shaped like x."""
+    out = np.empty(x.shape)
+    for i, fn in enumerate(fns):
+        out[..., i] = fn(x[..., i])
+    return out
+
+
+def _derivs(fs, x):
+    """f_i' and f_i'' at the coordinates x[..., i], each of shape x.shape."""
+    return _columns([f.d1 for f in fs], x), _columns([f.d2 for f in fs], x)
+
+
+def _slope_terms(d1, d2, m: int, a0: float = 0.0):
+    """X_j = (f_j')^(2m/(2m-1)), A = a0 + sum X, G_j = (f_j')^(-(2m-2)/(2m-1)) f_j''
+    and the residual sum_j G_j (A - X_j), all over the last axis."""
+    X = signed_pow(d1, 2 * m, 2 * m - 1)
+    A = a0 + _sum_last(X)
+    G = signed_pow(d1, -(2 * m - 2), 2 * m - 1) * d2
+    return X, A, G, _sum_last(G * (A[..., None] - X))
+
+
+def _stage(stats, name: str):
+    return nullcontext() if stats is None else stats.stage(name)
 
 
 # ---------------------------------------------------------------------------
@@ -95,34 +123,27 @@ def translation_residual_sum(d1, d2, m: int) -> float:
     the mean curvature does, and stays polynomial in the slopes at m = 1.
     """
     d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
     _slope_guard(d1, m, "translation residual")
-    X = np.array([signed_pow(v, 2 * m, 2 * m - 1) for v in d1])
-    A = 1.0 + X.sum()
-    terms = [
-        signed_pow(d1[j], -(2 * m - 2), 2 * m - 1) * d2[j] * (A - X[j])
-        for j in range(len(d1))
-    ]
-    return float(sum(terms))
+    return float(_slope_terms(d1, np.asarray(d2, dtype=float), m, 1.0)[3])
 
 
-def mean_curvature_translation(fs, u, p: NormParams) -> float:
-    """Closed-form mean curvature of the translation graph sum f_i(u_i)."""
+def _translation_terms(fs, u, p: NormParams, label: str):
     u = np.asarray(u, dtype=float)
     if len(fs) != p.n or u.shape != (p.n,):
         raise DimensionMismatchError(
             f"expected {p.n} profiles and parameters, got {len(fs)} and {u.shape}"
         )
-    m = p.m
     d1, d2 = _derivs(fs, u)
-    _slope_guard(d1, m, "translation mean curvature")
-    X = np.array([signed_pow(v, 2 * m, 2 * m - 1) for v in d1])
-    A = 1.0 + X.sum()
-    total = sum(
-        signed_pow(d1[j], -(2 * m - 2), 2 * m - 1) * d2[j] * (A - X[j])
-        for j in range(p.n)
-    )
-    return float(-(A ** (-(2 * m + 1) / (2 * m))) / (p.n * (2 * m - 1)) * total)
+    _slope_guard(d1, p.m, label)
+    return (d1, d2) + _slope_terms(d1, d2, p.m, 1.0)
+
+
+def mean_curvature_translation(fs, u, p: NormParams) -> float:
+    """Closed-form mean curvature of the translation graph sum f_i(u_i)."""
+    m = p.m
+    *_, A, _, total = _translation_terms(fs, u, p, "translation mean curvature")
+    return float(-(np.float_power(A, -(2 * m + 1) / (2 * m))) / (p.n * (2 * m - 1))
+                 * total)
 
 
 def weingarten_translation(fs, u, p: NormParams) -> WeingartenMatrix:
@@ -133,31 +154,12 @@ def weingarten_translation(fs, u, p: NormParams) -> WeingartenMatrix:
     Off-diag:  eta_j^k = +A^(-(2m+1)/(2m))/(2m-1) (f_j')^(1/(2m-1)) f_j''
                          (f_k')^(1/(2m-1))
     """
-    u = np.asarray(u, dtype=float)
-    if len(fs) != p.n or u.shape != (p.n,):
-        raise DimensionMismatchError(
-            f"expected {p.n} profiles and parameters, got {len(fs)} and {u.shape}"
-        )
     m = p.m
-    n = p.n
-    d1, d2 = _derivs(fs, u)
-    _slope_guard(d1, m, "translation Weingarten")
-    X = np.array([signed_pow(v, 2 * m, 2 * m - 1) for v in d1])
-    A = 1.0 + X.sum()
-    pref = A ** (-(2 * m + 1) / (2 * m)) / (2 * m - 1)
-    root = np.array([signed_pow(v, 1, 2 * m - 1) for v in d1])
-    W = np.empty((n, n))
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                W[j, j] = (
-                    -pref
-                    * signed_pow(d1[j], -(2 * m - 2), 2 * m - 1)
-                    * d2[j]
-                    * (A - X[j])
-                )
-            else:
-                W[j, k] = pref * root[j] * d2[j] * root[k]
+    d1, d2, X, A, G, _ = _translation_terms(fs, u, p, "translation Weingarten")
+    pref = np.float_power(A, -(2 * m + 1) / (2 * m)) / (2 * m - 1)
+    root = signed_pow(d1, 1, 2 * m - 1)
+    W = pref * root[:, None] * d2[:, None] * root[None, :]
+    np.fill_diagonal(W, -pref * G * (A - X))
     return WeingartenMatrix(entries=W)
 
 
@@ -173,82 +175,79 @@ def separable_residual_sum(d1, d2, m: int) -> float:
     positive factor n(2m-1) A^((2m+1)/(2m)).
     """
     d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
     _slope_guard(d1, m, "separable residual")
-    X = np.array([signed_pow(v, 2 * m, 2 * m - 1) for v in d1])
-    A = X.sum()
-    return float(
-        sum(
-            signed_pow(d1[j], -(2 * m - 2), 2 * m - 1) * d2[j] * (A - X[j])
-            for j in range(len(d1))
-        )
-    )
+    return float(_slope_terms(d1, np.asarray(d2, dtype=float), m)[3])
 
 
-def _check_separable_point(fs, x, p: NormParams, on_surface_tol: float):
-    x = np.asarray(x, dtype=float)
-    if len(fs) != p.dim or x.shape != (p.dim,):
+def separable_closed_form(fs, points, p: NormParams, on_surface_tol: float = 1e-6):
+    """Closed-form mean curvature, Weingarten matrices and Birkhoff normals of
+    the separable surface sum f_i(x_i) = 0.
+
+    points is a stack (N, dim) of on-surface points; returns H with shape (N,),
+    the Weingarten entries with shape (N, n, n), in the chart that solves the
+    last coordinate in terms of the others (so its slope must not vanish), and
+    the normals eta with shape (N, dim), aligned with (f_1', ..., f_{n+1}').
+
+    Diagonal:  eta_j^j = A^(-(2m+1)/(2m))/(2m-1) (X_j G_{n+1} + G_j (A - X_j))
+    Off-diag:  eta_j^k = A^(-(2m+1)/(2m))/(2m-1) (f_k')^(1/(2m-1))
+                         (f_j' G_{n+1} - (f_j')^(1/(2m-1)) f_j'')
+    with X_j = (f_j')^(2m/(2m-1)), A = sum X and
+    G_j = (f_j')^(-(2m-2)/(2m-1)) f_j''.
+    """
+    x = np.asarray(points, dtype=float)
+    if len(fs) != p.dim or x.ndim != 2 or x.shape[1] != p.dim:
         raise DimensionMismatchError(
-            f"expected {p.dim} profiles and coordinates, got {len(fs)} and {x.shape}"
+            f"expected {p.dim} profiles and (N, {p.dim}) points, "
+            f"got {len(fs)} and {x.shape}"
         )
-    value = sum(f(t) for f, t in zip(fs, x))
-    if abs(value) > on_surface_tol:
+    value = _sum_last(_columns(fs, x))
+    off = np.abs(value) > on_surface_tol
+    if off.any():
         raise OffSurfaceError(
-            f"sum f_i(x_i) = {value:.3e} exceeds tolerance {on_surface_tol:.1e}"
+            f"sum f_i(x_i) = {value[off][0]:.3e} exceeds tolerance {on_surface_tol:.1e}"
         )
-    return x
+    m, n = p.m, p.n
+    d1, d2 = _derivs(fs, x)
+    if (d1[:, -1] == 0.0).any():
+        raise SingularConfigurationError("chart slope f_{n+1}' vanishes")
+    _slope_guard(d1, m, "separable mean curvature")
+    X, A, G, total = _slope_terms(d1, d2, m)
+    power = np.float_power(A, -(2 * m + 1) / (2 * m))
+    H = power / (n * (2 * m - 1)) * total
+    pref = (power / (2 * m - 1))[:, None, None]
+    root = signed_pow(d1, 1, 2 * m - 1)[:, :n]
+    g_last = G[:, n, None, None]
+    W = pref * root[:, None, :] * (
+        d1[:, :n, None] * g_last - root[:, :, None] * d2[:, :n, None]
+    )
+    j = np.arange(n)
+    W[:, j, j] = pref[:, :, 0] * (X[:, :n] * g_last[:, :, 0]
+                                  + G[:, :n] * (A[:, None] - X[:, :n]))
+    return H, W, birkhoff_normal_implicit(d1, p).eta
+
+
+def _one_point(x, p: NormParams) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (p.dim,):
+        raise DimensionMismatchError(
+            f"expected a point with {p.dim} coordinates, got shape {x.shape}"
+        )
+    return x[None]
 
 
 def mean_curvature_separable(
     fs, x, p: NormParams, on_surface_tol: float = 1e-6
 ) -> float:
-    """Closed-form mean curvature of the separable surface sum f_i(x_i) = 0.
-
-    The chart solves the last coordinate in terms of the others, so its slope
-    must not vanish; orientation is aligned with (f_1', ..., f_{n+1}').
-    """
-    x = _check_separable_point(fs, x, p, on_surface_tol)
-    m = p.m
-    d1, d2 = _derivs(fs, x)
-    if d1[-1] == 0.0:
-        raise SingularConfigurationError("chart slope f_{n+1}' vanishes")
-    _slope_guard(d1, m, "separable mean curvature")
-    X = np.array([signed_pow(v, 2 * m, 2 * m - 1) for v in d1])
-    A = X.sum()
-    total = sum(
-        signed_pow(d1[j], -(2 * m - 2), 2 * m - 1) * d2[j] * (A - X[j])
-        for j in range(p.dim)
-    )
-    return float(A ** (-(2 * m + 1) / (2 * m)) / (p.n * (2 * m - 1)) * total)
+    """Closed-form mean curvature at one point: separable_closed_form of a batch of one."""
+    return float(separable_closed_form(fs, _one_point(x, p), p, on_surface_tol)[0][0])
 
 
 def weingarten_separable(
     fs, x, p: NormParams, on_surface_tol: float = 1e-6
 ) -> WeingartenMatrix:
-    """Weingarten coefficients of a separable surface in the last-coordinate chart."""
-    x = _check_separable_point(fs, x, p, on_surface_tol)
-    m = p.m
-    n = p.n
-    d1, d2 = _derivs(fs, x)
-    if d1[-1] == 0.0:
-        raise SingularConfigurationError("chart slope f_{n+1}' vanishes")
-    _slope_guard(d1, m, "separable Weingarten")
-    X = np.array([signed_pow(v, 2 * m, 2 * m - 1) for v in d1])
-    A = X.sum()
-    pref = A ** (-(2 * m + 1) / (2 * m)) / (2 * m - 1)
-    root = np.array([signed_pow(v, 1, 2 * m - 1) for v in d1])
-    g_last = signed_pow(d1[n], -(2 * m - 2), 2 * m - 1) * d2[n]
-    W = np.empty((n, n))
-    for j in range(n):
-        for k in range(n):
-            if j == k:
-                W[j, j] = pref * (
-                    X[j] * g_last
-                    + signed_pow(d1[j], -(2 * m - 2), 2 * m - 1) * d2[j] * (A - X[j])
-                )
-            else:
-                W[j, k] = pref * root[k] * (d1[j] * g_last - root[j] * d2[j])
-    return WeingartenMatrix(entries=W)
+    """Weingarten coefficients at one point, in the last-coordinate chart."""
+    W = separable_closed_form(fs, _one_point(x, p), p, on_surface_tol)[1]
+    return WeingartenMatrix(entries=W[0])
 
 
 # ---------------------------------------------------------------------------
@@ -256,85 +255,120 @@ def weingarten_separable(
 # ---------------------------------------------------------------------------
 
 
+def _graph_tangents(nu: np.ndarray) -> np.ndarray:
+    """Tangent vectors (..., dim, n) of a chart that is a graph over the first n
+    coordinates: e_j + (d x_{n+1} / d t_j) e_{n+1}, where the slope is
+    -nu_j / nu_{n+1} for the chart's normal direction nu (..., dim)."""
+    n = nu.shape[-1] - 1
+    T = np.zeros(nu.shape[:-1] + (n + 1, n))
+    T[..., :n, :] = np.eye(n)
+    T[..., n, :] = -nu[..., :n] / nu[..., n:]
+    return T
+
+
 class GraphChart:
-    """Graph hypersurface (u, f(u)) with a gradient evaluator."""
+    """Graph hypersurface (u, f(u)) with a gradient evaluator.
+
+    value_fn and grad_fn take one parameter vector.  The chart methods take a
+    parameter vector or a stack (..., n) of them, calling the two functions
+    once per vector.
+    """
 
     def __init__(self, value_fn, grad_fn, p: NormParams):
         self.value_fn = value_fn
         self.grad_fn = grad_fn
         self.p = p
 
+    @staticmethod
+    def _per_vector(fn, t: np.ndarray, tail: tuple) -> np.ndarray:
+        rows = [fn(row) for row in t.reshape(-1, t.shape[-1])]
+        return np.asarray(rows, dtype=float).reshape(t.shape[:-1] + tail)
+
+    def _grad(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return self._per_vector(self.grad_fn, t, (self.p.n,))
+
     def point(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        return np.append(t, self.value_fn(t))
+        return np.concatenate([t, self._per_vector(self.value_fn, t, (1,))], axis=-1)
 
     def tangents(self, t) -> np.ndarray:
-        g = np.asarray(self.grad_fn(t), dtype=float)
-        n = self.p.n
-        T = np.zeros((self.p.dim, n))
-        T[:n, :] = np.eye(n)
-        T[n, :] = g
-        return T
+        return _graph_tangents(self.nu(t))
 
     def nu(self, t) -> np.ndarray:
-        g = np.asarray(self.grad_fn(t), dtype=float)
-        return np.append(-g, 1.0)
+        g = self._grad(t)
+        return np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1)
 
     def eta(self, t) -> np.ndarray:
-        return birkhoff_normal_graph(self.grad_fn(t), self.p).eta
+        return birkhoff_normal_graph(self._grad(t), self.p).eta
+
+
+# Newton steps of the separable chart before it returns its last iterate.
+_CHART_NEWTON_ITERS = 80
 
 
 class SeparableChart:
     """Separable surface sum f_i(x_i) = 0 charted over the first n coordinates.
 
     The last coordinate is recovered by Newton iteration seeded at the base
-    point's value, staying on the branch through the base point.
+    point's value, staying on the branch through the base point.  base_point
+    may be a stack (N, dim): parameter arrays (..., N, n) are then seeded row
+    by row from their own base point.  newton_iterations counts the Newton
+    steps taken, one per solved coordinate and step; newton_capped counts the
+    solves that stopped at the step cap and returned their last iterate.
     """
 
     def __init__(self, fs, p: NormParams, base_point):
         self.fs = list(fs)
         self.p = p
         base_point = np.asarray(base_point, dtype=float)
-        if base_point.shape != (p.dim,):
+        if base_point.ndim not in (1, 2) or base_point.shape[-1] != p.dim:
             raise DimensionMismatchError("base point must be an ambient point")
-        self.base_last = float(base_point[-1])
+        self.base_last = base_point[..., -1]
+        self.newton_iterations = 0
+        self.newton_capped = 0
 
-    def _solve_last(self, t) -> float:
+    def _solve_last(self, t: np.ndarray) -> np.ndarray:
+        """The last coordinate at every parameter vector of t (..., n).
+
+        Each coordinate steps until its own step is below 1e-15 (1 + |x|), so
+        a solve does not depend on the other coordinates solved with it.
+        """
         f_last = self.fs[-1]
-        rhs = -sum(f(ti) for f, ti in zip(self.fs[:-1], t))
-        x = self.base_last
-        for _ in range(80):
-            val = f_last(x) - rhs
-            der = f_last.d1(x)
-            if der == 0.0:
+        rhs = -_sum_last(_columns(self.fs[:-1], t))
+        shape = rhs.shape
+        rhs = rhs.reshape(-1)
+        x = np.broadcast_to(self.base_last, shape).reshape(-1).copy()
+        live = np.arange(x.size)
+        for _ in range(_CHART_NEWTON_ITERS):
+            if live.size == 0:
+                break
+            xl = x[live]
+            val = f_last(xl) - rhs[live]
+            der = f_last.d1(xl)
+            if (der == 0.0).any():
                 raise SingularConfigurationError("chart slope f_{n+1}' vanishes")
             step = val / der
-            x -= step
-            if abs(step) <= 1e-15 * (1.0 + abs(x)):
-                break
-        return x
+            xl -= step
+            x[live] = xl
+            self.newton_iterations += live.size
+            live = live[~(np.abs(step) <= 1e-15 * (1.0 + np.abs(xl)))]
+        self.newton_capped += live.size
+        return x.reshape(shape)
 
     def point(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        return np.append(t, self._solve_last(t))
-
-    def tangents(self, t) -> np.ndarray:
-        x = self.point(t)
-        d1 = np.array([f.d1(v) for f, v in zip(self.fs, x)])
-        n = self.p.n
-        T = np.zeros((self.p.dim, n))
-        T[:n, :] = np.eye(n)
-        T[n, :] = -d1[:n] / d1[n]
-        return T
+        return np.concatenate([t, self._solve_last(t)[..., None]], axis=-1)
 
     def nu(self, t) -> np.ndarray:
         x = self.point(t)
-        return np.array([f.d1(v) for f, v in zip(self.fs, x)])
+        return _columns([f.d1 for f in self.fs], x)
+
+    def tangents(self, t) -> np.ndarray:
+        return _graph_tangents(self.nu(t))
 
     def eta(self, t) -> np.ndarray:
-        x = self.point(t)
-        grad = np.array([f.d1(v) for f, v in zip(self.fs, x)])
-        return birkhoff_normal_implicit(grad, self.p).eta
+        return birkhoff_normal_implicit(self.nu(t), self.p).eta
 
 
 def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
@@ -345,71 +379,130 @@ def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
     coefficients is the oracle value and the largest normal coefficient is the
     tangency defect, which vanishes in exact arithmetic.
 
-    Returns (h_oracle, tangency_defect).
+    point is one parameter vector (n,) or a stack (N, n) of them.  The chart
+    evaluates all 2n stencil points of all of them in one call, as an array
+    (2, n, N, n), and the N * n expansions are one batched solve.
+
+    Returns (h_oracle, tangency_defect): floats for one vector, arrays of shape
+    (N,) for a stack.
     """
     t0 = np.asarray(point, dtype=float)
     n = p.n
-    if t0.shape != (n,):
+    if t0.ndim not in (1, 2) or t0.shape[-1] != n:
         raise DimensionMismatchError(f"point must have {n} parameters")
-    T = chart.tangents(t0)
+    single = t0.ndim == 1
+    t0 = np.atleast_2d(t0)
+    # both chart kinds are graphs over their first n parameters, so one
+    # evaluation of nu gives the tangents too
     nu = chart.nu(t0)
-    nu_hat = nu / np.linalg.norm(nu)
-    basis = np.column_stack([T, nu_hat])
-    diag_sum = 0.0
-    defect = 0.0
+    nu_hat = nu / np.sqrt(_sum_last(nu * nu))[:, None]
+    basis = np.concatenate([_graph_tangents(nu), nu_hat[:, :, None]], axis=-1)
+    steps = ORACLE_STEP_FACTOR * (1.0 + np.abs(t0)) if h is None \
+        else np.full(t0.shape, float(h))
+    # shift[j, i] = steps[i, j] e_j: the j-th stencil offset of the i-th point
+    shift = np.eye(n)[:, None, :] * steps.T[:, :, None]
+    eta = chart.eta(np.stack([t0 + shift, t0 - shift]))
+    if not np.all(np.isfinite(eta)):
+        raise SingularConfigurationError("non-finite normal at stencil point")
+    deta = (eta[0] - eta[1]) / (2 * steps.T[:, :, None])
+    coef = np.linalg.solve(basis, deta[..., None])[..., 0]
+    diag_sum = np.zeros(len(t0))
     for j in range(n):
-        hj = ORACLE_STEP_FACTOR * (1.0 + abs(t0[j])) if h is None else h
-        tp = t0.copy()
-        tp[j] += hj
-        tm = t0.copy()
-        tm[j] -= hj
-        ep = chart.eta(tp)
-        em = chart.eta(tm)
-        if not (np.all(np.isfinite(ep)) and np.all(np.isfinite(em))):
-            raise SingularConfigurationError("non-finite normal at stencil point")
-        deta = (ep - em) / (2 * hj)
-        coef = np.linalg.solve(basis, deta)
-        diag_sum += coef[j]
-        defect = max(defect, abs(coef[n]))
-    return float(diag_sum / n), float(defect)
+        diag_sum += coef[j, :, j]
+    h_oracle = diag_sum / n
+    defect = np.max(np.abs(coef[:, :, n]), axis=0)
+    if single:
+        return float(h_oracle[0]), float(defect[0])
+    return h_oracle, defect
 
 
 def report_translation(
-    fs, u, p: NormParams, tol: float = 1e-6, h: float | None = None
+    fs, u, p: NormParams, tol: float = 1e-6, h: float | None = None, stats=None,
 ) -> CurvatureReport:
-    """Closed-form vs oracle comparison at one translation-graph point."""
+    """Closed-form vs oracle comparison at one translation-graph point.
+
+    stats, when given, times the "analytic" and "oracle" stages (see
+    reporting.RunStats).
+    """
     u = np.asarray(u, dtype=float)
-    chart = GraphChart(
-        value_fn=lambda t: sum(f(ti) for f, ti in zip(fs, t)),
-        grad_fn=lambda t: np.array([f.d1(ti) for f, ti in zip(fs, t)]),
-        p=p,
-    )
-    h_oracle, defect = mean_curvature_oracle(chart, u, p, h=h)
+    with _stage(stats, "analytic"):
+        weingarten = weingarten_translation(fs, u, p)
+        h_analytic = mean_curvature_translation(fs, u, p)
+    with _stage(stats, "oracle"):
+        chart = GraphChart(
+            value_fn=lambda t: sum(f(ti) for f, ti in zip(fs, t)),
+            grad_fn=lambda t: np.array([f.d1(ti) for f, ti in zip(fs, t)]),
+            p=p,
+        )
+        h_oracle, defect = mean_curvature_oracle(chart, u, p, h=h)
+        eta = chart.eta(u)
     return CurvatureReport(
         point=u,
-        eta=chart.eta(u),
-        weingarten=weingarten_translation(fs, u, p),
-        h_analytic=mean_curvature_translation(fs, u, p),
+        eta=eta,
+        weingarten=weingarten,
+        h_analytic=h_analytic,
         h_oracle=h_oracle,
         tangency_defect=defect,
         tol=tol,
     )
+
+
+# Points per numpy call of report_separable_batch.  Each point adds 2n stencil
+# points to the chart's arrays, so this bounds their size for any --points.
+_CHUNK_POINTS = 4096
+
+
+def report_separable_batch(
+    fs, points, p: NormParams, tol: float = 1e-6, h: float | None = None,
+    on_surface_tol: float = 1e-6, stats=None,
+) -> list:
+    """Closed-form vs oracle comparison at a stack (N, dim) of surface points.
+
+    Every point is evaluated in array passes (separable_closed_form and
+    mean_curvature_oracle on a SeparableChart over all of them), in chunks of
+    at most _CHUNK_POINTS points.  A point's report does not depend on the
+    other points of the batch.  stats, when given, times the "analytic" and
+    "oracle" stages and counts the chart's Newton work (see
+    reporting.RunStats).
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != p.dim:
+        raise DimensionMismatchError(
+            f"expected (N, {p.dim}) points, got shape {points.shape}"
+        )
+    reports = []
+    for start in range(0, len(points), _CHUNK_POINTS):
+        x = points[start:start + _CHUNK_POINTS]
+        with _stage(stats, "analytic"):
+            H, W, eta = separable_closed_form(fs, x, p, on_surface_tol=on_surface_tol)
+        with _stage(stats, "oracle"):
+            chart = SeparableChart(fs, p, x)
+            h_oracle, defect = mean_curvature_oracle(chart, x[:, :-1], p, h=h)
+        if stats is not None:
+            stats.count("chart Newton steps", chart.newton_iterations)
+            stats.count("chart Newton solves at the step cap", chart.newton_capped)
+        reports += [
+            CurvatureReport(
+                point=x[i],
+                eta=eta[i],
+                weingarten=WeingartenMatrix(entries=W[i]),
+                h_analytic=float(H[i]),
+                h_oracle=float(h_oracle[i]),
+                tangency_defect=float(defect[i]),
+                tol=tol,
+            )
+            for i in range(len(x))
+        ]
+    return reports
 
 
 def report_separable(
     fs, x, p: NormParams, tol: float = 1e-6, h: float | None = None,
-    on_surface_tol: float = 1e-6,
+    on_surface_tol: float = 1e-6, stats=None,
 ) -> CurvatureReport:
-    """Closed-form vs oracle comparison at one separable-surface point."""
-    x = np.asarray(x, dtype=float)
-    chart = SeparableChart(fs, p, x)
-    h_oracle, defect = mean_curvature_oracle(chart, x[:-1], p, h=h)
-    return CurvatureReport(
-        point=x,
-        eta=chart.eta(x[:-1]),
-        weingarten=weingarten_separable(fs, x, p, on_surface_tol=on_surface_tol),
-        h_analytic=mean_curvature_separable(fs, x, p, on_surface_tol=on_surface_tol),
-        h_oracle=h_oracle,
-        tangency_defect=defect,
-        tol=tol,
-    )
+    """Closed-form vs oracle comparison at one separable-surface point: a
+    report_separable_batch of one."""
+    return report_separable_batch(
+        fs, _one_point(x, p), p, tol=tol, h=h, on_surface_tol=on_surface_tol,
+        stats=stats,
+    )[0]

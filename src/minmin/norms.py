@@ -41,7 +41,7 @@ class BirkhoffNormal:
     """Unit Birkhoff normal eta together with the normalizer A^(-1/(2m))."""
 
     eta: np.ndarray
-    scale: float
+    scale: float | np.ndarray
 
 
 def _check_dim(x: np.ndarray, expected: int, what: str = "vector"):
@@ -51,6 +51,25 @@ def _check_dim(x: np.ndarray, expected: int, what: str = "vector"):
         )
     if not np.all(np.isfinite(x)):
         raise DomainError(f"{what} has non-finite entries")
+
+
+def _check_stack(x: np.ndarray, expected: int, what: str):
+    """Like _check_dim for a stack of vectors along the last axis."""
+    if x.ndim == 0 or x.shape[-1] != expected:
+        raise DimensionMismatchError(
+            f"{what} has shape {x.shape}, expected (..., {expected})"
+        )
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"{what} has non-finite entries")
+
+
+def _sum_last(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, left to right, so every stacked vector sees the
+    same rounding as a Python sum over it, whatever the batch around it."""
+    total = x[..., 0].copy()
+    for k in range(1, x.shape[-1]):
+        total += x[..., k]
+    return total
 
 
 def phi(x, p: NormParams) -> float:
@@ -72,14 +91,22 @@ def grad_phi(x, p: NormParams) -> np.ndarray:
     return 2 * p.m * x ** (2 * p.m - 1)
 
 
-def signed_pow(x: float, num: int, den: int) -> float:
+def signed_pow(x, num: int, den: int):
     """Real power x^(num/den) with odd den, through the signed real root.
 
     Returns sign(x)^num * |x|^(num/den).  Continuous at 0 for num > 0; num = 0
-    gives 1; a zero base with num < 0 is a domain error.
+    gives 1; a zero base with num < 0 is a domain error.  x may be a numpy
+    array: the power is then taken elementwise with the C library's pow (as
+    np.float_power does), so every element is bitwise what a scalar call gives.
     """
     if den <= 0 or den % 2 == 0:
         raise DomainError(f"denominator must be an odd positive integer, got {den}")
+    if isinstance(x, np.ndarray):
+        x = x.astype(float, copy=False)
+        if num < 0 and np.any(x == 0.0):
+            raise DomainError("zero base with negative exponent")
+        mag = np.float_power(np.abs(x), num / den)
+        return np.where(x < 0.0, -mag, mag) if num % 2 else mag
     if x == 0.0:
         if num > 0:
             return 0.0
@@ -88,12 +115,6 @@ def signed_pow(x: float, num: int, den: int) -> float:
         raise DomainError("zero base with negative exponent")
     s = -1.0 if (x < 0.0 and num % 2 != 0) else 1.0
     return s * abs(x) ** (num / den)
-
-
-def signed_pow_vec(x: np.ndarray, num: int, den: int) -> np.ndarray:
-    """Elementwise signed_pow over an array."""
-    x = np.asarray(x, dtype=float)
-    return np.array([signed_pow(v, num, den) for v in x.ravel()]).reshape(x.shape)
 
 
 def signed_pow_deriv(x: float, num: int, den: int) -> float:
@@ -108,15 +129,18 @@ def birkhoff_normal_graph(grad_f, p: NormParams) -> BirkhoffNormal:
         eta = A^(-1/(2m)) * (-(f_u1)^(1/(2m-1)), ..., -(f_un)^(1/(2m-1)), 1)
     with A = 1 + sum_i (f_ui)^(2m/(2m-1)).  The last coordinate of eta is
     positive (upward orientation); grad(Phi) at eta is a positive multiple of
-    (-grad_f, 1).
+    (-grad_f, 1).  A stack of gradients (..., n) gives a stack of normals, and
+    scale is then an array.
     """
     g = np.asarray(grad_f, dtype=float)
-    _check_dim(g, p.dim - 1, "grad_f")
+    _check_stack(g, p.dim - 1, "grad_f")
     m = p.m
-    A = 1.0 + sum(signed_pow(v, 2 * m, 2 * m - 1) for v in g)
-    scale = A ** (-1.0 / (2 * m))
-    comps = [-signed_pow(v, 1, 2 * m - 1) for v in g] + [1.0]
-    return BirkhoffNormal(eta=scale * np.array(comps), scale=scale)
+    A = 1.0 + _sum_last(signed_pow(g, 2 * m, 2 * m - 1))
+    scale = np.float_power(A, -1.0 / (2 * m))
+    comps = np.concatenate(
+        [-signed_pow(g, 1, 2 * m - 1), np.ones(g.shape[:-1] + (1,))], axis=-1
+    )
+    return _normal(comps, scale)
 
 
 def birkhoff_normal_implicit(grad_F, p: NormParams) -> BirkhoffNormal:
@@ -124,14 +148,18 @@ def birkhoff_normal_implicit(grad_F, p: NormParams) -> BirkhoffNormal:
 
     eta = A^(-1/(2m)) * ((F_1)^(1/(2m-1)), ..., (F_dim)^(1/(2m-1))) with
     A = sum_i (F_i)^(2m/(2m-1)); grad(Phi) at eta is a positive multiple of
-    grad_F.  A zero gradient has no normal direction.
+    grad_F.  A zero gradient has no normal direction.  A stack of gradients
+    (..., dim) gives a stack of normals, and scale is then an array.
     """
     g = np.asarray(grad_F, dtype=float)
-    _check_dim(g, p.dim, "grad_F")
+    _check_stack(g, p.dim, "grad_F")
     m = p.m
-    A = sum(signed_pow(v, 2 * m, 2 * m - 1) for v in g)
-    if A == 0.0:
+    A = _sum_last(signed_pow(g, 2 * m, 2 * m - 1))
+    if np.any(A == 0.0):
         raise DegeneratePointError("zero gradient: degenerate point")
-    scale = A ** (-1.0 / (2 * m))
-    comps = [signed_pow(v, 1, 2 * m - 1) for v in g]
-    return BirkhoffNormal(eta=scale * np.array(comps), scale=scale)
+    return _normal(signed_pow(g, 1, 2 * m - 1), np.float_power(A, -1.0 / (2 * m)))
+
+
+def _normal(comps: np.ndarray, scale: np.ndarray) -> BirkhoffNormal:
+    eta = scale[..., None] * comps
+    return BirkhoffNormal(eta=eta, scale=float(scale) if scale.ndim == 0 else scale)

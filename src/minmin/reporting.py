@@ -1,10 +1,12 @@
 """Deterministic text reports for verification runs.
 
 Reports with the same configuration and seed are byte-identical: every float is
-rendered with a fixed format and wall time is kept out of the document (it goes
-to the log instead).
+rendered with a fixed format, and wall time, stage timings and work counters
+are kept out of the document (they go to the log instead).
 """
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,3 +95,34 @@ class VerificationReport:
                     f"{i},{r.h_analytic:.17g},{r.h_oracle:.17g},"
                     f"{r.tangency_defect:.17g},{int(self._point_passed(r))}\n"
                 )
+
+
+class RunStats:
+    """CPU and wall seconds per stage, and work counters, of one run.
+
+    For the log only: nothing here is rendered into a report.
+    """
+
+    def __init__(self):
+        self.seconds = {}  # stage -> [cpu, wall]
+        self.counts = {}
+
+    @contextmanager
+    def stage(self, name: str):
+        cpu, wall = time.process_time(), time.perf_counter()
+        try:
+            yield
+        finally:
+            cell = self.seconds.setdefault(name, [0.0, 0.0])
+            cell[0] += time.process_time() - cpu
+            cell[1] += time.perf_counter() - wall
+
+    def count(self, name: str, k: int):
+        self.counts[name] = self.counts.get(name, 0) + k
+
+    def log(self, logger, command: str):
+        """Stage times at info, counters at debug."""
+        for name, (cpu, wall) in self.seconds.items():
+            logger.info("%s stage %s: cpu %.3fs wall %.3fs", command, name, cpu, wall)
+        for name, k in self.counts.items():
+            logger.debug("%s %s: %d", command, name, k)

@@ -145,16 +145,25 @@ class XProfile:
         # custom: probe around 0
         if self.value(0.0) <= 0:
             return None
-        lo, hi = -1.0, 1.0
+        return (self._probe_end(-1.0), self._probe_end(1.0))
+
+    def _probe_end(self, t: float) -> float:
+        """Double t until X(t) <= 0 or |t| > 1e8.  Where X overflows, or stops
+        being a finite number, the last probe with a finite positive X (or 0)
+        ends the interval instead."""
+        last = 0.0
         for _ in range(60):
-            if self.value(lo) <= 0 or lo < -1e8:
+            try:
+                v = self.value(t)
+            except OverflowError:
+                return last
+            if not math.isfinite(v):
+                return last
+            if v <= 0 or abs(t) > 1e8:
                 break
-            lo *= 2
-        for _ in range(60):
-            if self.value(hi) <= 0 or hi > 1e8:
-                break
-            hi *= 2
-        return (lo, hi)
+            last = t
+            t *= 2
+        return t
 
 
 def minimality_identity_residual(xs, u) -> float:
@@ -668,6 +677,8 @@ def _bisect_root(g, lo: float, hi: float, iters: int = 200) -> float | None:
         return None
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # lo and hi are adjacent floats: no later step changes mid
         gm = g(mid)
         if gm == 0.0:
             return mid
@@ -722,18 +733,10 @@ def _powersum_surface(name: str, a, b, m: int) -> SeparableSurface:
     b = np.asarray(b, dtype=float)
     if abs(b.sum()) > 1e-12 * max(1.0, np.max(np.abs(b))):
         raise ConstraintViolationError("constant terms must sum to zero")
-    fs = []
-    for ai, bi in zip(a, b):
-        pw = C3Function.power_even(ai, m)
-        fs.append(
-            C3Function(
-                (lambda f, c: lambda x: f(x) + c)(pw.f, bi),
-                d1=pw._d1, d2=pw._d2, d3=pw._d3,
-            )
-        )
+    fs = tuple(C3Function.power_even(ai, m).shifted(bi) for ai, bi in zip(a, b))
     return SeparableSurface(
         name=name,
-        fs=tuple(fs),
+        fs=fs,
         p=NormParams(m=m, dim=len(a)),
         _sampler=_powersum_sampler(a, b, m),
     )

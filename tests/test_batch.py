@@ -1,0 +1,185 @@
+"""The batched separable path against a frozen copy of the per-point code it replaced.
+
+The reference below is the per-point closed form, chart Newton solve and
+finite-difference oracle as they were before the comparison was evaluated as
+one array pass.  It is kept here, unchanged, as the reference the batched code
+must reproduce up to rounding.
+"""
+
+import numpy as np
+import pytest
+
+import minmin as mm
+from minmin.cli import EXAMPLE_IDS, main
+from minmin.curvature import ORACLE_STEP_FACTOR, SeparableChart, report_separable_batch
+from minmin.errors import SingularConfigurationError
+from minmin.functions import C3Function
+from minmin.norms import birkhoff_normal_implicit, signed_pow
+from minmin.sampling import counter_rng, random_separable_config
+from minmin.separable import _QuadratureProfile, example_surface
+
+# ---------------------------------------------------------------------------
+# frozen per-point reference
+# ---------------------------------------------------------------------------
+
+
+def _ref_mean_curvature(fs, x, p):
+    m = p.m
+    d1 = np.array([f.d1(t) for f, t in zip(fs, x)])
+    d2 = np.array([f.d2(t) for f, t in zip(fs, x)])
+    X = np.array([signed_pow(v, 2 * m, 2 * m - 1) for v in d1])
+    A = X.sum()
+    total = sum(
+        signed_pow(d1[j], -(2 * m - 2), 2 * m - 1) * d2[j] * (A - X[j])
+        for j in range(p.dim)
+    )
+    return float(A ** (-(2 * m + 1) / (2 * m)) / (p.n * (2 * m - 1)) * total)
+
+
+class _RefChart:
+    def __init__(self, fs, p, base_point):
+        self.fs = list(fs)
+        self.p = p
+        self.base_last = float(base_point[-1])
+
+    def _solve_last(self, t):
+        f_last = self.fs[-1]
+        rhs = -sum(f(ti) for f, ti in zip(self.fs[:-1], t))
+        x = self.base_last
+        for _ in range(80):
+            val = f_last(x) - rhs
+            der = f_last.d1(x)
+            if der == 0.0:
+                raise SingularConfigurationError("chart slope f_{n+1}' vanishes")
+            step = val / der
+            x -= step
+            if abs(step) <= 1e-15 * (1.0 + abs(x)):
+                break
+        return x
+
+    def point(self, t):
+        return np.append(t, self._solve_last(t))
+
+    def tangents(self, t):
+        x = self.point(t)
+        d1 = np.array([f.d1(v) for f, v in zip(self.fs, x)])
+        n = self.p.n
+        T = np.zeros((self.p.dim, n))
+        T[:n, :] = np.eye(n)
+        T[n, :] = -d1[:n] / d1[n]
+        return T
+
+    def nu(self, t):
+        x = self.point(t)
+        return np.array([f.d1(v) for f, v in zip(self.fs, x)])
+
+    def eta(self, t):
+        x = self.point(t)
+        grad = np.array([f.d1(v) for f, v in zip(self.fs, x)])
+        return birkhoff_normal_implicit(grad, self.p).eta
+
+
+def _ref_oracle(chart, t0, p):
+    n = p.n
+    T = chart.tangents(t0)
+    nu = chart.nu(t0)
+    basis = np.column_stack([T, nu / np.linalg.norm(nu)])
+    diag_sum = 0.0
+    defect = 0.0
+    for j in range(n):
+        hj = ORACLE_STEP_FACTOR * (1.0 + abs(t0[j]))
+        tp = t0.copy()
+        tp[j] += hj
+        tm = t0.copy()
+        tm[j] -= hj
+        deta = (chart.eta(tp) - chart.eta(tm)) / (2 * hj)
+        coef = np.linalg.solve(basis, deta)
+        diag_sum += coef[j]
+        defect = max(defect, abs(coef[n]))
+    return float(diag_sum / n), float(defect)
+
+
+def _ref_report(fs, x, p, tol=1e-6):
+    h_oracle, defect = _ref_oracle(_RefChart(fs, p, x), x[:-1].copy(), p)
+    return mm.CurvatureReport(
+        point=x, eta=None, weingarten=None, h_analytic=_ref_mean_curvature(fs, x, p),
+        h_oracle=h_oracle, tangency_defect=defect, tol=tol,
+    )
+
+
+# ---------------------------------------------------------------------------
+# equivalence
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("example", EXAMPLE_IDS)
+def test_batch_matches_per_point_reference(example, m):
+    surface = example_surface(example, m)
+    points = surface.sample(counter_rng(7), 30)
+    batch = report_separable_batch(surface.fs, points, surface.p)
+    for x, got in zip(points, batch):
+        ref = _ref_report(surface.fs, x, surface.p)
+        assert abs(got.h_analytic - ref.h_analytic) <= 1e-15
+        assert abs(got.h_oracle - ref.h_oracle) <= 1e-9
+        assert abs(got.tangency_defect - ref.tangency_defect) <= 1e-9
+        assert got.passed == ref.passed
+        assert (abs(got.h_analytic) <= 1e-8) == (abs(ref.h_analytic) <= 1e-8)
+
+
+def test_batch_weingarten_rows_match_single_points():
+    rng = np.random.default_rng(41)
+    for m in (1, 2, 3):
+        fs, x, p = random_separable_config(rng, m, 3)
+        H, W, eta = mm.separable_closed_form(fs, np.stack([x, x]), p)
+        assert H[0] == H[1] == mm.mean_curvature_separable(fs, x, p)
+        assert np.array_equal(W[1], mm.weingarten_separable(fs, x, p).entries)
+        assert np.array_equal(eta[0], birkhoff_normal_implicit(
+            [f.d1(t) for f, t in zip(fs, x)], p).eta)
+
+
+def test_zero_chart_slope_still_raises():
+    # unit sphere: f_3'(0) = 0 at the equator, in a batch with a good point
+    p = mm.NormParams(1, 3)
+    fs = (
+        C3Function.polynomial([0, 0, 1.0]),
+        C3Function.polynomial([0, 0, 1.0]),
+        C3Function.polynomial([-1.0, 0, 1.0]),
+    )
+    good = [0.3, 0.4, np.sqrt(0.75)]
+    with pytest.raises(SingularConfigurationError):
+        report_separable_batch(fs, [good, [0.6, 0.8, 0.0]], p)
+    # the chart's Newton step meets the zero slope at its seed
+    chart = SeparableChart(fs, p, [good, [0.6, 0.8, 0.0]])
+    with pytest.raises(SingularConfigurationError):
+        chart.point(np.array([[0.3, 0.4], [0.5, 0.8]]))
+    # m >= 2 needs negative powers of every slope
+    p2 = mm.NormParams(2, 3)
+    with pytest.raises(SingularConfigurationError):
+        report_separable_batch(fs, [good, [0.0, 0.6, 0.8]], p2)
+
+
+def test_chart_counts_newton_work():
+    surface = example_surface("6.1", 2)
+    points = surface.sample(counter_rng(3), 5)
+    chart = SeparableChart(surface.fs, surface.p, points)
+    x = chart.point(points[:, :-1])
+    assert np.allclose(x, points, rtol=0, atol=1e-12)
+    assert chart.newton_iterations >= len(points)
+    assert chart.newton_capped == 0
+
+
+def test_65_verify_evaluates_profiles_one_element_at_a_time(monkeypatch, capsys):
+    seen = []
+    real = _QuadratureProfile.u_of_x
+
+    def u_of_x(self, x):
+        seen.append(type(x))
+        return real(self, x)
+
+    monkeypatch.setattr(_QuadratureProfile, "u_of_x", u_of_x)
+    code = main(["verify", "--example", "6.5", "--m", "2", "--points", "4",
+                 "--seed", "5"])
+    out = capsys.readouterr().out
+    assert code == 0 and "status: PASS" in out
+    assert seen and not any(issubclass(t, np.ndarray) for t in seen)

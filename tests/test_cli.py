@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
-from minmin.cli import main
+from minmin.cli import build_parser, main
+from minmin.curvature import report_separable, report_separable_batch
+from minmin.reporting import VerificationReport
+from minmin.sampling import counter_rng
+from minmin.separable import example_surface
 
 
 def run(argv, capsys):
@@ -62,19 +70,23 @@ def test_verify_deterministic_reports(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def test_verify_workers_deterministic(tmp_path, capsys):
-    outs = []
-    for workers, name in ((1, "w1.txt"), (3, "w3.txt")):
-        out = tmp_path / name
-        code, _, _ = run(
-            ["verify", "--example", "6.2", "--m", "2", "--points", "12",
-             "--seed", "5", "--workers", str(workers), "--out", str(out)], capsys,
-        )
-        assert code == 0
-        text = out.read_text()
-        outs.append(text[text.index("index"):])  # everything below the config echo
-    # worker count must not change the evaluated results
-    assert outs[0] == outs[1]
+def test_verify_rows_independent_of_batch():
+    # a point's report row has the same bits in a batch of 12 and alone
+    surface = example_surface("6.2", 2, 2)
+    points = surface.sample(counter_rng(5), 12)
+    batch = report_separable_batch(surface.fs, points, surface.p)
+    alone = [report_separable(surface.fs, x, surface.p) for x in points]
+    for a, b in zip(batch, alone):
+        assert (a.h_analytic, a.h_oracle, a.tangency_defect) == (
+            b.h_analytic, b.h_oracle, b.tangency_defect)
+        assert a.eta.tobytes() == b.eta.tobytes()
+        assert a.weingarten.entries.tobytes() == b.weingarten.entries.tobytes()
+
+    def rows(reports):
+        text = VerificationReport("verify", {}, reports, h_tol=1e-8).render()
+        return text[text.index("index"):]
+
+    assert rows(batch) == rows(alone)
 
 
 def test_verify_csv_sidecar(tmp_path, capsys):
@@ -280,6 +292,51 @@ def test_minmin_log_env(tmp_path):
     )
     assert proc.returncode == 0
     assert "wall time" in proc.stderr  # info-level log line
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "6.2", "--m", "2", "--points", "6", "--seed", "3"],
+    ["oracle-compare", "--points", "4", "--seed", "3"],
+])
+def test_stage_log_keeps_reports_byte_identical(tmp_path, argv):
+    runs = {}
+    for level in (None, "info", "debug"):
+        env = {k: v for k, v in os.environ.items() if k != "MINMIN_LOG"}
+        if level:
+            env["MINMIN_LOG"] = level
+        out = tmp_path / f"{level}.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "minmin.cli", *argv, "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[level] = (proc.stdout, out.read_bytes(), proc.stderr)
+    assert runs[None][:2] == runs["info"][:2] == runs["debug"][:2]
+    assert runs[None][2] == ""
+    for stage in ("sample", "analytic", "oracle", "render"):
+        assert f"{argv[0]} stage {stage}: cpu " in runs["info"][2]
+    assert "Newton" not in runs["info"][2]
+    assert f"{argv[0]} chart Newton steps: " in runs["debug"][2]
+    assert f"{argv[0]} chart Newton solves at the step cap: " in runs["debug"][2]
+
+
+def test_main_calls_share_one_parser_without_leaking_state(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    out = tmp_path / "perturbed.txt"
+    code, _, _ = run(
+        ["verify", "--example", "6.1", "--m", "1", "--points", "3", "--seed", "2",
+         "--perturb", "1.1", "--out", str(out)], capsys,
+    )
+    assert code == 1
+    code, stdout, _ = run(
+        ["verify", "--example", "6.1", "--m", "1", "--points", "3", "--seed", "2"],
+        capsys,
+    )
+    assert code == 0
+    assert "perturb: none" in stdout and "status: PASS" in stdout
+    code, stdout, _ = run(["oracle-compare", "--points", "2", "--seed", "2"], capsys)
+    assert code == 0 and "example" not in stdout
+    assert out.read_text().count("status: FAIL") == 1
 
 
 def test_exit_code_config_error(capsys):

@@ -7,7 +7,7 @@ from minmin.errors import (
     DimensionMismatchError,
     DomainError,
 )
-from minmin.norms import signed_pow_deriv, signed_pow_vec
+from minmin.norms import signed_pow_deriv
 
 
 def test_phi_values():
@@ -229,5 +229,24 @@ def test_errors():
 
 
 def test_signed_pow_vec():
-    out = signed_pow_vec(np.array([-8.0, 8.0, 0.0]), 1, 3)
+    out = mm.signed_pow(np.array([-8.0, 8.0, 0.0]), 1, 3)
     assert np.allclose(out, [-2.0, 2.0, 0.0])
+
+
+def test_signed_pow_array_bitwise_equals_scalar():
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(40, 7)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 7))
+    x[0, :3] = [0.0, -0.0, 1.0]
+    for m in (1, 2, 3, 4):
+        for num, den in ((2 * m, 2 * m - 1), (1, 2 * m - 1), (-(2 * m - 2), 2 * m - 1),
+                         (0, 2 * m - 1), (3, 5)):
+            base = x if num >= 0 else x[1:]  # a zero base needs num >= 0
+            out = mm.signed_pow(base, num, den)
+            assert out.shape == base.shape
+            scalar = np.array([mm.signed_pow(float(v), num, den) for v in base.flat])
+            assert out.tobytes() == scalar.tobytes(), (num, den)
+            # a strided view gives the same bits as the contiguous array
+            column = mm.signed_pow(base[:, 1], num, den)
+            assert column.tobytes() == scalar[1::base.shape[1]].tobytes()
+    with pytest.raises(DomainError):
+        mm.signed_pow(np.array([1.0, 0.0]), -2, 3)

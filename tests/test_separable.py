@@ -311,6 +311,54 @@ def test_positive_intervals():
     assert (lo, hi) == (pytest.approx(-1.0), pytest.approx(1.0))
 
 
+def test_custom_positive_interval_stops_before_overflow():
+    # math.exp overflows at 1024; exp(-1024) underflows to 0, which ends the
+    # interval like any non-positive value
+    xp = mm.XProfile.custom(math.exp, math.exp)
+    assert xp.positive_interval() == (-1024.0, 512.0)
+    assert mm.admissible_domain([xp] * 4).feasible
+    # a value that stops being finite ends the interval at the last finite probe
+    xp = mm.XProfile.custom(lambda u: 1.0 if u < 40 else math.inf, lambda u: 0.0)
+    assert xp.positive_interval() == (-2.0 ** 27, 32.0)
+
+
+def _bisect_root_without_early_exit(g, lo, hi, iters=200):
+    glo, ghi = g(lo), g(hi)
+    if glo == 0.0:
+        return lo
+    if ghi == 0.0:
+        return hi
+    if glo * ghi > 0:
+        return None
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if gm == 0.0:
+            return mid
+        if glo * gm < 0:
+            hi, ghi = mid, gm
+        else:
+            lo, glo = mid, gm
+        if hi - lo <= 1e-16 * (1.0 + abs(mid)):
+            break
+    return 0.5 * (lo + hi)
+
+
+def test_bisect_root_early_exit_returns_the_same_bits():
+    rng = np.random.default_rng(51)
+    for _ in range(300):
+        k = 2 * int(rng.integers(1, 4))
+        a = float(rng.uniform(0.1, 3.0)) * float(rng.choice([-1.0, 1.0]))
+        rest = -a * float(rng.uniform(1e-3, 30.0)) ** k * float(rng.uniform(0.5, 1.5))
+
+        def g(t):
+            return a * t ** k + rest
+
+        lo, hi = (0.0, 20.0) if rng.random() < 0.8 else (1e-8, 1e8)
+        assert separable._bisect_root(g, lo, hi) == _bisect_root_without_early_exit(
+            g, lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # patches
 # ---------------------------------------------------------------------------
