@@ -50,11 +50,18 @@ EXAMPLE_IDS = ("6.1", "6.2", "6.3", "6.4", "6.5", "6.6", "i-2", "iii-2")
 
 
 def _setup_logging():
+    """Set the minmin logger's level from MINMIN_LOG and give it one handler on
+    the current sys.stderr, afresh on every call, so that each in-process
+    main() call honours the environment and stream it runs with."""
     level = os.environ.get("MINMIN_LOG", "warning").upper()
-    logging.basicConfig(
-        stream=sys.stderr, level=getattr(logging, level, logging.WARNING),
-        format="minmin %(levelname)s: %(message)s",
-    )
+    for old in [h for h in log.handlers if h.get_name() == "minmin.cli"]:
+        log.removeHandler(old)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.set_name("minmin.cli")
+    handler.setFormatter(logging.Formatter("minmin %(levelname)s: %(message)s"))
+    log.addHandler(handler)
+    log.setLevel(getattr(logging, level, logging.WARNING))
+    log.propagate = False
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +119,12 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _stop_text(curve) -> str:
+    return ", ".join(f"{way} {why}" for way, why in curve.stop_reasons.items())
+
+
 def cmd_ode(args) -> int:
+    stats = reporting.RunStats()
     if args.n is not None:
         if args.n < 2:
             print("--n must be at least 2", file=sys.stderr)
@@ -124,41 +136,49 @@ def cmd_ode(args) -> int:
             )
             return EXIT_CONFIG
         try:
-            ts = assemble_separated_surface(
-                m=args.m, n=args.n, c0=args.c0,
-                inits=[(args.y0, args.u0)] * args.n,
-                step=args.step, max_steps=args.max_steps,
-            )
+            with stats.stage("integrate"):
+                ts = assemble_separated_surface(
+                    m=args.m, n=args.n, c0=args.c0,
+                    inits=[(args.y0, args.u0)] * args.n,
+                    step=args.step, max_steps=args.max_steps, stats=stats,
+                )
         except IntegrationError as exc:
             print(f"integration failed: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
-        axes = ts.domain_axes(args.grid)
-        grid = residual_grid(ts, axes)
-        print(f"assembled {args.n}-profile surface, m={args.m}, c0={args.c0:.12g}")
-        for i, f in enumerate(ts.profiles):
-            lo, hi = f.domain
-            print(f"profile {i + 1}: domain [{lo:.12g}, {hi:.12g}]")
-            if args.out:
-                root, ext = os.path.splitext(args.out)
-                f.curve.write_csv(f"{root}_{i + 1}{ext or '.csv'}")
-        print(f"grid residual max |.|: {np.max(np.abs(grid)):.12e}")
-        print(f"grid residual min |.|: {np.min(np.abs(grid)):.12e}")
+        with stats.stage("grid"):
+            grid = residual_grid(ts, ts.domain_axes(args.grid))
+        with stats.stage("write"):
+            print(f"assembled {args.n}-profile surface, m={args.m}, c0={args.c0:.12g}")
+            for i, f in enumerate(ts.profiles):
+                lo, hi = f.domain
+                print(f"profile {i + 1}: domain [{lo:.12g}, {hi:.12g}]")
+                print(f"profile {i + 1} stop: {_stop_text(f.curve)}")
+                if args.out:
+                    root, ext = os.path.splitext(args.out)
+                    f.curve.write_csv(f"{root}_{i + 1}{ext or '.csv'}")
+            print(f"grid residual max |.|: {np.max(np.abs(grid)):.12e}")
+            print(f"grid residual min |.|: {np.min(np.abs(grid)):.12e}")
+        stats.log(log, "ode")
         return EXIT_PASS
     params = ProfileODEParams(
         c0=args.c0, k=args.k if args.k is not None else 1, m=args.m,
         y0=args.y0, u0=args.u0, step=args.step, max_steps=args.max_steps,
     )
     try:
-        curve = integrate_profile(params)
+        with stats.stage("integrate"):
+            curve = integrate_profile(params, stats)
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    if args.out:
-        curve.write_csv(args.out)
-    print(f"profile ODE m={params.m} k={params.k} c0={params.c0:.12g}")
-    print(f"domain: [{curve.domain[0]:.12g}, {curve.domain[1]:.12g}]")
-    print(f"samples: {len(curve.u)}")
-    print(f"ode residual (5-point audit): {curve.ode_residual_max:.12e}")
+    with stats.stage("write"):
+        if args.out:
+            curve.write_csv(args.out)
+        print(f"profile ODE m={params.m} k={params.k} c0={params.c0:.12g}")
+        print(f"domain: [{curve.domain[0]:.12g}, {curve.domain[1]:.12g}]")
+        print(f"samples: {len(curve.u)}")
+        print(f"ode residual (5-point audit): {curve.ode_residual_max:.12e}")
+        print(f"stop: {_stop_text(curve)}")
+    stats.log(log, "ode")
     return EXIT_PASS
 
 
@@ -225,22 +245,23 @@ def cmd_mesh(args) -> int:
     grid = args.grid
     try:
         if args.kind == "translation":
-            ts = assemble_separated_surface(
-                m=args.m, n=2, c0=args.c0, inits=[(args.y0, args.u0)] * 2,
-                step=args.step, max_steps=args.max_steps,
-            )
-            axes = ts.domain_axes(grid)
-            verts = meshes.translation_vertices(ts, axes)
-            if args.out.endswith(".csv"):
-                rows = [
-                    list(verts[i, j])
-                    for i in range(verts.shape[0])
-                    for j in range(verts.shape[1])
-                ]
-                meshes.write_points_csv(args.out, ["u1", "u2", "x3"], rows)
-            else:
-                meshes.write_obj(args.out, verts)
-            print(f"wrote {verts.shape[0] * verts.shape[1]} vertices to {args.out}")
+            stats = reporting.RunStats()
+            with stats.stage("integrate"):
+                ts = assemble_separated_surface(
+                    m=args.m, n=2, c0=args.c0, inits=[(args.y0, args.u0)] * 2,
+                    step=args.step, max_steps=args.max_steps, stats=stats,
+                )
+            with stats.stage("grid"):
+                verts = meshes.translation_vertices(ts, ts.domain_axes(grid))
+            with stats.stage("write"):
+                if args.out.endswith(".csv"):
+                    meshes.write_points_csv(
+                        args.out, ["u1", "u2", "x3"], verts.reshape(-1, 3)
+                    )
+                else:
+                    meshes.write_obj(args.out, verts)
+                print(f"wrote {verts.shape[0] * verts.shape[1]} vertices to {args.out}")
+            stats.log(log, "mesh")
             return EXIT_PASS
         # separable patch
         if args.params_file:

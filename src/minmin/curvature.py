@@ -116,15 +116,17 @@ def _stage(stats, name: str):
 # ---------------------------------------------------------------------------
 
 
-def translation_residual_sum(d1, d2, m: int) -> float:
+def translation_residual_sum(d1, d2, m: int):
     """sum_j (f_j')^(-(2m-2)/(2m-1)) f_j'' (1 + sum_{i!=j} (f_i')^(2m/(2m-1))).
 
     The minimality residual of a translation graph: it vanishes exactly where
     the mean curvature does, and stays polynomial in the slopes at m = 1.
+    Slopes of one point give a float, stacks (..., n) an array of residuals.
     """
     d1 = np.asarray(d1, dtype=float)
     _slope_guard(d1, m, "translation residual")
-    return float(_slope_terms(d1, np.asarray(d2, dtype=float), m, 1.0)[3])
+    res = _slope_terms(d1, np.asarray(d2, dtype=float), m, 1.0)[3]
+    return float(res) if res.ndim == 0 else res
 
 
 def _translation_terms(fs, u, p: NormParams, label: str):

@@ -37,12 +37,8 @@ def translation_vertices(ts, axes) -> np.ndarray:
     """(G1, G2, 3) vertex grid (u1, u2, f) of a two-profile translation graph."""
     if ts.n != 2:
         raise DomainError("OBJ export of a translation graph needs n = 2")
-    u1, u2 = np.asarray(axes[0]), np.asarray(axes[1])
-    verts = np.empty((u1.size, u2.size, 3))
-    for i, a in enumerate(u1):
-        for j, b in enumerate(u2):
-            verts[i, j] = (a, b, ts.value((a, b)))
-    return verts
+    grid = np.stack(np.meshgrid(axes[0], axes[1], indexing="ij"), axis=-1)
+    return np.concatenate([grid, ts.value(grid)[..., None]], axis=-1)
 
 
 def patch_vertices(patch, slice_axes=None, fixed_indices=None,

@@ -149,6 +149,27 @@ def test_ode_assembly_n2_minimal(capsys):
     assert float(line.split(":")[1]) <= 1e-7
 
 
+def test_ode_prints_stop_reasons(capsys):
+    code, stdout, _ = run(
+        ["ode", "--m", "1", "--k", "1", "--c0", "2.0", "--y0", "1.0",
+         "--max-steps", "2000"], capsys,
+    )
+    assert code == 0
+    assert stdout.splitlines()[-1] == "stop: backward sign_change, forward step_doubling"
+    code, stdout, _ = run(
+        ["ode", "--m", "2", "--n", "3", "--c0", "1.0", "--max-steps", "30",
+         "--grid", "3"], capsys,
+    )
+    assert code == 0
+    lines = stdout.splitlines()
+    for i in (1, 2, 3):
+        assert f"profile {i} stop: backward max_steps, forward max_steps" in lines
+    # "profile N: " lines carry the domain alone, as scripts parse them
+    tagged = [ln for ln in lines if ln.startswith("profile ") and ln[8].isdigit()
+              and ln[9:11] == ": "]
+    assert len(tagged) == 3 and all(ln[11:].startswith("domain [") for ln in tagged)
+
+
 def test_ode_k_n_conflict(capsys):
     code, _, err = run(["ode", "--n", "3", "--k", "1"], capsys)
     assert code == 2
@@ -318,6 +339,56 @@ def test_stage_log_keeps_reports_byte_identical(tmp_path, argv):
     assert "Newton" not in runs["info"][2]
     assert f"{argv[0]} chart Newton steps: " in runs["debug"][2]
     assert f"{argv[0]} chart Newton solves at the step cap: " in runs["debug"][2]
+
+
+@pytest.mark.parametrize("argv,stages", [
+    (["ode", "--m", "2", "--k", "2", "--c0", "0.3", "--y0", "0.5",
+      "--max-steps", "200", "--out", "profile.csv"], ("integrate", "write")),
+    (["ode", "--m", "3", "--n", "2", "--c0", "0.4", "--y0", "0.5",
+      "--max-steps", "100", "--grid", "4", "--out", "assembly.csv"],
+     ("integrate", "grid", "write")),
+    (["mesh", "--kind", "translation", "--m", "2", "--c0", "0.4", "--y0", "0.5",
+      "--max-steps", "100", "--grid", "5", "--out", "mesh.obj"],
+     ("integrate", "grid", "write")),
+])
+def test_ode_stage_log_keeps_output_byte_identical(tmp_path, argv, stages):
+    runs = {}
+    for level in (None, "info", "debug"):
+        env = {k: v for k, v in os.environ.items() if k != "MINMIN_LOG"}
+        if level:
+            env["MINMIN_LOG"] = level
+        where = tmp_path / str(level)
+        where.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "minmin.cli", *argv[:-1], str(where / argv[-1])],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        files = {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+        assert files
+        runs[level] = (proc.stdout.replace(str(where), ""), files, proc.stderr)
+    assert runs[None][:2] == runs["info"][:2] == runs["debug"][:2]
+    assert runs[None][2] == ""
+    for stage in stages:
+        assert f"{argv[0]} stage {stage}: cpu " in runs["info"][2]
+    assert "RK4" not in runs["info"][2]
+    assert f"{argv[0]} accepted RK4 steps: " in runs["debug"][2]
+    assert f"{argv[0]} RK4 rhs evaluations: " in runs["debug"][2]
+
+
+def test_second_main_call_honours_changed_minmin_log(monkeypatch, capsys):
+    argv = ["ode", "--m", "1", "--c0", "0.5", "--y0", "0.5", "--max-steps", "20"]
+    monkeypatch.delenv("MINMIN_LOG", raising=False)
+    code, first, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    monkeypatch.setenv("MINMIN_LOG", "info")
+    code, second, err = run(argv, capsys)
+    assert code == 0 and second == first
+    assert "minmin INFO: ode stage integrate: cpu " in err
+    assert err.count("ode stage integrate") == 1  # one handler, however many calls
+    monkeypatch.delenv("MINMIN_LOG")
+    code, _, err = run(argv, capsys)
+    assert code == 0 and err == ""
 
 
 def test_main_calls_share_one_parser_without_leaking_state(tmp_path, capsys):

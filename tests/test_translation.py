@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import minmin as mm
+from minmin import translation
 from minmin.errors import DomainError, IntegrationError
 from minmin.functions import C3Function
-from minmin.translation import SampledProfile
+from minmin.reporting import RunStats
+from minmin.translation import STOP_REASONS, SampledProfile
 
 
 def tan_closed_form(params, u):
@@ -162,6 +164,74 @@ def test_integrate_blowup_guard_raises_on_unusable_step():
                                  step=0.5, max_steps=10)
     with pytest.raises(IntegrationError):
         mm.integrate_profile(params)
+
+
+# one case per stop reason: (ODE parameters, stop reasons (backward, forward))
+STOP_CASES = {
+    # y' = 1 + y^2 from tan(0.1005): y crosses 0 at u = 0, half a step past
+    # the last node going back; the blow-up at pi/2 going forward trips the
+    # step-doubling gate first
+    "sign_change": (dict(c0=2.0, k=1, m=1, y0=float(np.tan(0.1005)), u0=0.1005),
+                    ("sign_change", "step_doubling")),
+    # a slope that moves by 5e-4 per step crosses the 1e-6 cap going forward
+    "blowup": (dict(c0=1e-12, k=1, m=1, y0=999999.5, max_steps=3000),
+               ("max_steps", "blowup")),
+    # the first step back takes the slope from 2e-12 to 5e-13, below the floor
+    "slope_floor": (dict(c0=3e-9, k=1, m=1, y0=2e-12, max_steps=50),
+                    ("slope_floor", "max_steps")),
+    # f = y0 u overflows on the 18th step of 1e307 either way
+    "non_finite": (dict(c0=0.0, k=1, m=1, y0=1.0, step=1e307, max_steps=100),
+                   ("non_finite", "non_finite")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STOP_CASES))
+def test_integrate_records_stop_reasons(case):
+    kwargs, (backward, forward) = STOP_CASES[case]
+    curve = mm.integrate_profile(mm.ProfileODEParams(**kwargs))
+    assert curve.stop_reasons == {"backward": backward, "forward": forward}
+    assert set(curve.stop_reasons.values()) <= set(STOP_REASONS)
+    assert np.all(np.isfinite(curve.f)) and np.all(np.isfinite(curve.d1))
+
+
+def test_stop_reason_max_steps_counts_the_work():
+    stats = RunStats()
+    params = mm.ProfileODEParams(c0=0.35, k=1, m=2, y0=0.5, max_steps=40)
+    curve = mm.integrate_profile(params, stats)
+    assert curve.stop_reasons == {"backward": "max_steps", "forward": "max_steps"}
+    assert len(curve.u) == 81
+    # one full step and two half steps, 4 rhs calls each, per accepted step
+    assert stats.counts == {"accepted RK4 steps": 80, "RK4 rhs evaluations": 960}
+
+
+def test_stop_reason_step_doubling_and_unusable_step():
+    params = mm.ProfileODEParams(c0=2.0, k=1, m=1, y0=1.0, max_steps=2000)
+    assert mm.integrate_profile(params).stop_reasons["forward"] == "step_doubling"
+    stats = RunStats()
+    with pytest.raises(IntegrationError, match="backward: step_doubling, "
+                                               "forward: step_doubling"):
+        mm.integrate_profile(mm.ProfileODEParams(c0=2.0, k=1, m=1, y0=1e5, step=0.5,
+                                                 max_steps=10), stats)
+    assert stats.counts == {"accepted RK4 steps": 0, "RK4 rhs evaluations": 24}
+
+
+def test_assembly_integrates_equal_profiles_once(monkeypatch):
+    calls = []
+    real = translation.integrate_profile
+
+    def counting(params, stats=None):
+        calls.append(params)
+        return real(params, stats)
+
+    monkeypatch.setattr(translation, "integrate_profile", counting)
+    ts = mm.assemble_separated_surface(m=1, n=3, c0=1.0, inits=[(1.0, 0.0)] * 3,
+                                       step=2e-3, max_steps=50)
+    assert len(calls) == 1
+    assert ts.profiles[0] is ts.profiles[1] is ts.profiles[2]
+    ts = mm.assemble_separated_surface(m=1, n=2, c0=1.0, inits=[(1.0, 0.0)] * 2,
+                                       step=2e-3, max_steps=50)
+    assert len(calls) == 3  # +c0 and -c0 are two profiles
+    assert ts.profiles[0].curve.params.c0 == -ts.profiles[1].curve.params.c0
 
 
 def test_sampled_profile_interpolation_and_domain():
