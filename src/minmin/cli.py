@@ -19,7 +19,7 @@ import numpy as np
 
 from . import meshes, reporting, sampling
 from .curvature import report_separable, report_separable_batch, report_translation
-from .errors import EmptyDomainError, IntegrationError, MinminError
+from .errors import DomainError, EmptyDomainError, IntegrationError, MinminError
 from .norms import NormParams
 from .separable import (
     XProfile,
@@ -125,6 +125,7 @@ def _stop_text(curve) -> str:
 
 def cmd_ode(args) -> int:
     stats = reporting.RunStats()
+    k = 1 if args.k is None else args.k
     if args.n is not None:
         if args.n < 2:
             print("--n must be at least 2", file=sys.stderr)
@@ -135,6 +136,18 @@ def cmd_ode(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_CONFIG
+        k = args.n - 1
+    # built before either path integrates, so that invalid settings are a
+    # configuration error; an assembly builds the same parameters per profile
+    try:
+        params = ProfileODEParams(
+            c0=args.c0, k=k, m=args.m, y0=args.y0, u0=args.u0, step=args.step,
+            max_steps=args.max_steps,
+        )
+    except DomainError as exc:
+        print(f"invalid ODE settings: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.n is not None:
         try:
             with stats.stage("integrate"):
                 ts = assemble_separated_surface(
@@ -160,10 +173,6 @@ def cmd_ode(args) -> int:
             print(f"grid residual min |.|: {np.min(np.abs(grid)):.12e}")
         stats.log(log, "ode")
         return EXIT_PASS
-    params = ProfileODEParams(
-        c0=args.c0, k=args.k if args.k is not None else 1, m=args.m,
-        y0=args.y0, u0=args.u0, step=args.step, max_steps=args.max_steps,
-    )
     try:
         with stats.stage("integrate"):
             curve = integrate_profile(params, stats)
@@ -373,6 +382,14 @@ def cmd_oracle_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args keeps no
@@ -388,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--example", required=True, help=f"one of {EXAMPLE_IDS}")
     pv.add_argument("--m", type=int, default=1)
     pv.add_argument("--r", type=int, default=2, help="block size for 6.2/6.4")
-    pv.add_argument("--points", type=int, default=100)
+    pv.add_argument("--points", type=_positive_int, default=100)
     pv.add_argument("--tol", type=float, default=1e-8, help="|H| tolerance")
     pv.add_argument("--oracle-tol", type=float, default=1e-6)
     pv.add_argument("--seed", type=int, default=20250101)
@@ -410,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--n", type=int, default=None,
                     help="assemble an n-profile surface (k = n-1) and report "
                     "its grid residual")
-    po.add_argument("--grid", type=int, default=12)
+    po.add_argument("--grid", type=_positive_int, default=12)
     po.add_argument("--out", default=None, help="CSV output")
     po.set_defaults(fn=cmd_ode)
 
@@ -432,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--u0", type=float, default=0.0)
     pm.add_argument("--step", type=float, default=1e-3)
     pm.add_argument("--max-steps", type=int, default=5000)
-    pm.add_argument("--grid", type=int, default=20)
+    pm.add_argument("--grid", type=_positive_int, default=20)
     pm.add_argument("--span", type=float, default=1.0,
                     help="working half-width of the u-axes")
     pm.add_argument("--slice", default=None,
@@ -447,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "random configurations")
     pc.add_argument("--kind", choices=("translation", "separable", "both"),
                     default="both")
-    pc.add_argument("--points", type=int, default=100)
+    pc.add_argument("--points", type=_positive_int, default=100)
     pc.add_argument("--n", type=int, default=None,
                     help="fix the parameter count (default: random 2..4)")
     pc.add_argument("--tol", type=float, default=1e-6)

@@ -1,21 +1,26 @@
 """Mean curvature and Weingarten coefficients under the 2m-norm.
 
-Two closed-form routes are implemented: translation graphs x_{n+1} = sum f_i(u_i)
-and separable implicit surfaces sum f_i(x_i) = 0.  An independent oracle
-recovers the mean curvature from its definition H = trace(d eta)/n by central
-differencing the Birkhoff normal along a chart and expanding the derivative in
-the tangent basis.
+One closed form serves both surface kinds: separable_closed_form evaluates the
+separable implicit surface sum f_i(x_i) = 0.  A translation graph
+x_{n+1} = f_1(u_1) + ... + f_n(u_n) is the separable surface
+f_1(x_1) + ... + f_n(x_n) - x_{n+1} = 0, so the translation routines evaluate
+that surface at (u, sum f_i(u_i)).  An independent oracle recovers the mean
+curvature from its definition H = trace(d eta)/n by central differencing the
+Birkhoff normal along a SeparableChart and expanding the derivative in the
+tangent basis.
 
 The separable routines work on stacks of points: separable_closed_form,
 mean_curvature_oracle and report_separable_batch evaluate N points as arrays
-of shape (N, dim), with one Newton solve of the chart for all 2n stencil
-points of all of them and one batched linear solve.  The single-point
+of shape (N, dim), with one Newton solve of the chart for all N points and
+their 2n stencil points and one batched linear solve.  The single-point
 functions are batches of one.
 
-Orientation follows the normal branches of the norms module: upward for graphs,
-aligned with the defining gradient for implicit surfaces.  At m = 1 the graph
-value is minus the textbook Euclidean mean curvature computed with respect to
-the upward normal and the shape operator -dN.
+Orientation follows the normal branches of the norms module: aligned with the
+defining gradient for implicit surfaces, upward for graphs.  The implicit
+normal of a graph lies along (f', -1), so the translation routines change the
+sign of H, W, the oracle value and eta.  At m = 1 the graph value is minus the
+textbook Euclidean mean curvature computed with respect to the upward normal
+and the shape operator -dN.
 """
 
 from contextlib import nullcontext
@@ -28,13 +33,8 @@ from .errors import (
     OffSurfaceError,
     SingularConfigurationError,
 )
-from .norms import (
-    NormParams,
-    _sum_last,
-    birkhoff_normal_graph,
-    birkhoff_normal_implicit,
-    signed_pow,
-)
+from .functions import C3Function
+from .norms import NormParams, _sum_last, birkhoff_normal_implicit, signed_pow
 
 _EPS = np.finfo(float).eps
 
@@ -98,11 +98,11 @@ def _derivs(fs, x):
     return _columns([f.d1 for f in fs], x), _columns([f.d2 for f in fs], x)
 
 
-def _slope_terms(d1, d2, m: int, a0: float = 0.0):
-    """X_j = (f_j')^(2m/(2m-1)), A = a0 + sum X, G_j = (f_j')^(-(2m-2)/(2m-1)) f_j''
+def _slope_terms(d1, d2, m: int):
+    """X_j = (f_j')^(2m/(2m-1)), A = sum X, G_j = (f_j')^(-(2m-2)/(2m-1)) f_j''
     and the residual sum_j G_j (A - X_j), all over the last axis."""
     X = signed_pow(d1, 2 * m, 2 * m - 1)
-    A = a0 + _sum_last(X)
+    A = _sum_last(X)
     G = signed_pow(d1, -(2 * m - 2), 2 * m - 1) * d2
     return X, A, G, _sum_last(G * (A[..., None] - X))
 
@@ -112,73 +112,21 @@ def _stage(stats, name: str):
 
 
 # ---------------------------------------------------------------------------
-# translation graphs
+# the closed form
 # ---------------------------------------------------------------------------
 
 
-def translation_residual_sum(d1, d2, m: int):
-    """sum_j (f_j')^(-(2m-2)/(2m-1)) f_j'' (1 + sum_{i!=j} (f_i')^(2m/(2m-1))).
-
-    The minimality residual of a translation graph: it vanishes exactly where
-    the mean curvature does, and stays polynomial in the slopes at m = 1.
-    Slopes of one point give a float, stacks (..., n) an array of residuals.
-    """
-    d1 = np.asarray(d1, dtype=float)
-    _slope_guard(d1, m, "translation residual")
-    res = _slope_terms(d1, np.asarray(d2, dtype=float), m, 1.0)[3]
-    return float(res) if res.ndim == 0 else res
-
-
-def _translation_terms(fs, u, p: NormParams, label: str):
-    u = np.asarray(u, dtype=float)
-    if len(fs) != p.n or u.shape != (p.n,):
-        raise DimensionMismatchError(
-            f"expected {p.n} profiles and parameters, got {len(fs)} and {u.shape}"
-        )
-    d1, d2 = _derivs(fs, u)
-    _slope_guard(d1, p.m, label)
-    return (d1, d2) + _slope_terms(d1, d2, p.m, 1.0)
-
-
-def mean_curvature_translation(fs, u, p: NormParams) -> float:
-    """Closed-form mean curvature of the translation graph sum f_i(u_i)."""
-    m = p.m
-    *_, A, _, total = _translation_terms(fs, u, p, "translation mean curvature")
-    return float(-(np.float_power(A, -(2 * m + 1) / (2 * m))) / (p.n * (2 * m - 1))
-                 * total)
-
-
-def weingarten_translation(fs, u, p: NormParams) -> WeingartenMatrix:
-    """Weingarten coefficients of a translation graph.
-
-    Diagonal:  eta_j^j = -A^(-(2m+1)/(2m))/(2m-1) (f_j')^(-(2m-2)/(2m-1)) f_j''
-                         (1 + sum_{i!=j} (f_i')^(2m/(2m-1)))
-    Off-diag:  eta_j^k = +A^(-(2m+1)/(2m))/(2m-1) (f_j')^(1/(2m-1)) f_j''
-                         (f_k')^(1/(2m-1))
-    """
-    m = p.m
-    d1, d2, X, A, G, _ = _translation_terms(fs, u, p, "translation Weingarten")
-    pref = np.float_power(A, -(2 * m + 1) / (2 * m)) / (2 * m - 1)
-    root = signed_pow(d1, 1, 2 * m - 1)
-    W = pref * root[:, None] * d2[:, None] * root[None, :]
-    np.fill_diagonal(W, -pref * G * (A - X))
-    return WeingartenMatrix(entries=W)
-
-
-# ---------------------------------------------------------------------------
-# separable implicit surfaces
-# ---------------------------------------------------------------------------
-
-
-def separable_residual_sum(d1, d2, m: int) -> float:
+def separable_residual_sum(d1, d2, m: int):
     """sum_j (f_j')^(-(2m-2)/(2m-1)) f_j'' (A - (f_j')^(2m/(2m-1))), A = sum X_i.
 
     The minimality residual of a separable surface; proportional to H by the
-    positive factor n(2m-1) A^((2m+1)/(2m)).
+    positive factor n(2m-1) A^((2m+1)/(2m)), and polynomial in the slopes at
+    m = 1.  Slopes of one point give a float, stacks (..., dim) an array.
     """
     d1 = np.asarray(d1, dtype=float)
-    _slope_guard(d1, m, "separable residual")
-    return float(_slope_terms(d1, np.asarray(d2, dtype=float), m)[3])
+    _slope_guard(d1, m, "minimality residual")
+    res = _slope_terms(d1, np.asarray(d2, dtype=float), m)[3]
+    return float(res) if res.ndim == 0 else res
 
 
 def separable_closed_form(fs, points, p: NormParams, on_surface_tol: float = 1e-6):
@@ -268,43 +216,6 @@ def _graph_tangents(nu: np.ndarray) -> np.ndarray:
     return T
 
 
-class GraphChart:
-    """Graph hypersurface (u, f(u)) with a gradient evaluator.
-
-    value_fn and grad_fn take one parameter vector.  The chart methods take a
-    parameter vector or a stack (..., n) of them, calling the two functions
-    once per vector.
-    """
-
-    def __init__(self, value_fn, grad_fn, p: NormParams):
-        self.value_fn = value_fn
-        self.grad_fn = grad_fn
-        self.p = p
-
-    @staticmethod
-    def _per_vector(fn, t: np.ndarray, tail: tuple) -> np.ndarray:
-        rows = [fn(row) for row in t.reshape(-1, t.shape[-1])]
-        return np.asarray(rows, dtype=float).reshape(t.shape[:-1] + tail)
-
-    def _grad(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return self._per_vector(self.grad_fn, t, (self.p.n,))
-
-    def point(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.concatenate([t, self._per_vector(self.value_fn, t, (1,))], axis=-1)
-
-    def tangents(self, t) -> np.ndarray:
-        return _graph_tangents(self.nu(t))
-
-    def nu(self, t) -> np.ndarray:
-        g = self._grad(t)
-        return np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1)
-
-    def eta(self, t) -> np.ndarray:
-        return birkhoff_normal_graph(self._grad(t), self.p).eta
-
-
 # Newton steps of the separable chart before it returns its last iterate.
 _CHART_NEWTON_ITERS = 80
 
@@ -322,7 +233,6 @@ class SeparableChart:
 
     def __init__(self, fs, p: NormParams, base_point):
         self.fs = list(fs)
-        self.p = p
         base_point = np.asarray(base_point, dtype=float)
         if base_point.ndim not in (1, 2) or base_point.shape[-1] != p.dim:
             raise DimensionMismatchError("base point must be an ambient point")
@@ -369,9 +279,6 @@ class SeparableChart:
     def tangents(self, t) -> np.ndarray:
         return _graph_tangents(self.nu(t))
 
-    def eta(self, t) -> np.ndarray:
-        return birkhoff_normal_implicit(self.nu(t), self.p).eta
-
 
 def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
     """Mean curvature from the definition trace(d eta)/n by central differences.
@@ -382,8 +289,10 @@ def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
     tangency defect, which vanishes in exact arithmetic.
 
     point is one parameter vector (n,) or a stack (N, n) of them.  The chart
-    evaluates all 2n stencil points of all of them in one call, as an array
-    (2, n, N, n), and the N * n expansions are one batched solve.
+    (a SeparableChart) evaluates its defining gradient nu at the points and
+    their 2n stencil points in one call, on an array (2n + 1, N, n); the
+    stencil normals are the Birkhoff normals of those gradients, and the
+    N * n expansions are one batched solve.
 
     Returns (h_oracle, tangency_defect): floats for one vector, arrays of shape
     (N,) for a stack.
@@ -394,19 +303,20 @@ def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
         raise DimensionMismatchError(f"point must have {n} parameters")
     single = t0.ndim == 1
     t0 = np.atleast_2d(t0)
-    # both chart kinds are graphs over their first n parameters, so one
-    # evaluation of nu gives the tangents too
-    nu = chart.nu(t0)
-    nu_hat = nu / np.sqrt(_sum_last(nu * nu))[:, None]
-    basis = np.concatenate([_graph_tangents(nu), nu_hat[:, :, None]], axis=-1)
     steps = ORACLE_STEP_FACTOR * (1.0 + np.abs(t0)) if h is None \
         else np.full(t0.shape, float(h))
     # shift[j, i] = steps[i, j] e_j: the j-th stencil offset of the i-th point
     shift = np.eye(n)[:, None, :] * steps.T[:, :, None]
-    eta = chart.eta(np.stack([t0 + shift, t0 - shift]))
+    nu = chart.nu(np.concatenate([t0[None], t0 + shift, t0 - shift]))
+    # the chart is a graph over its first n parameters, so nu at the points
+    # gives the tangents too
+    nu0 = nu[0]
+    nu_hat = nu0 / np.sqrt(_sum_last(nu0 * nu0))[:, None]
+    basis = np.concatenate([_graph_tangents(nu0), nu_hat[:, :, None]], axis=-1)
+    eta = birkhoff_normal_implicit(nu[1:], p).eta
     if not np.all(np.isfinite(eta)):
         raise SingularConfigurationError("non-finite normal at stencil point")
-    deta = (eta[0] - eta[1]) / (2 * steps.T[:, :, None])
+    deta = (eta[:n] - eta[n:]) / (2 * steps.T[:, :, None])
     coef = np.linalg.solve(basis, deta[..., None])[..., 0]
     diag_sum = np.zeros(len(t0))
     for j in range(n):
@@ -416,37 +326,6 @@ def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
     if single:
         return float(h_oracle[0]), float(defect[0])
     return h_oracle, defect
-
-
-def report_translation(
-    fs, u, p: NormParams, tol: float = 1e-6, h: float | None = None, stats=None,
-) -> CurvatureReport:
-    """Closed-form vs oracle comparison at one translation-graph point.
-
-    stats, when given, times the "analytic" and "oracle" stages (see
-    reporting.RunStats).
-    """
-    u = np.asarray(u, dtype=float)
-    with _stage(stats, "analytic"):
-        weingarten = weingarten_translation(fs, u, p)
-        h_analytic = mean_curvature_translation(fs, u, p)
-    with _stage(stats, "oracle"):
-        chart = GraphChart(
-            value_fn=lambda t: sum(f(ti) for f, ti in zip(fs, t)),
-            grad_fn=lambda t: np.array([f.d1(ti) for f, ti in zip(fs, t)]),
-            p=p,
-        )
-        h_oracle, defect = mean_curvature_oracle(chart, u, p, h=h)
-        eta = chart.eta(u)
-    return CurvatureReport(
-        point=u,
-        eta=eta,
-        weingarten=weingarten,
-        h_analytic=h_analytic,
-        h_oracle=h_oracle,
-        tangency_defect=defect,
-        tol=tol,
-    )
 
 
 # Points per numpy call of report_separable_batch.  Each point adds 2n stencil
@@ -508,3 +387,74 @@ def report_separable(
         fs, _one_point(x, p), p, tol=tol, h=h, on_surface_tol=on_surface_tol,
         stats=stats,
     )[0]
+
+
+# ---------------------------------------------------------------------------
+# translation graphs
+# ---------------------------------------------------------------------------
+
+# f_{n+1}(x) = -x: the profile that makes x_{n+1} = sum f_i(u_i) separable
+_HEIGHT = C3Function.linear(-1.0)
+
+
+def _as_separable(fs, u, p: NormParams):
+    """The profiles of the translation graph over u as a separable surface,
+    f_1, ..., f_n, -x, and its point (u, sum f_i(u_i))."""
+    u = np.asarray(u, dtype=float)
+    if len(fs) != p.n or u.shape != (p.n,):
+        raise DimensionMismatchError(
+            f"expected {p.n} profiles and parameters, got {len(fs)} and {u.shape}"
+        )
+    height = _sum_last(_columns(fs, u[None]))
+    return tuple(fs) + (_HEIGHT,), np.append(u, height)
+
+
+def translation_residual_sum(d1, d2, m: int):
+    """The separable residual of the slopes (f_1', ..., f_n', -1), with
+    A = 1 + sum_i (f_i')^(2m/(2m-1)): zero exactly where the translation
+    graph's mean curvature is.  Slopes of one point give a float, stacks
+    (..., n) an array."""
+    d1 = np.asarray(d1, dtype=float)
+    last = np.zeros(d1.shape[:-1] + (1,))
+    return separable_residual_sum(
+        np.concatenate([d1, last - 1.0], axis=-1),
+        np.concatenate([np.asarray(d2, dtype=float), last], axis=-1), m,
+    )
+
+
+def mean_curvature_translation(fs, u, p: NormParams) -> float:
+    """Closed-form mean curvature of the translation graph sum f_i(u_i), upward."""
+    return -mean_curvature_separable(*_as_separable(fs, u, p), p)
+
+
+def weingarten_translation(fs, u, p: NormParams) -> WeingartenMatrix:
+    """Weingarten coefficients of a translation graph, upward.
+
+    Diagonal:  eta_j^j = -A^(-(2m+1)/(2m))/(2m-1) (f_j')^(-(2m-2)/(2m-1)) f_j''
+                         (1 + sum_{i!=j} (f_i')^(2m/(2m-1)))
+    Off-diag:  eta_j^k = +A^(-(2m+1)/(2m))/(2m-1) (f_j')^(1/(2m-1)) f_j''
+                         (f_k')^(1/(2m-1))
+    """
+    return WeingartenMatrix(-weingarten_separable(*_as_separable(fs, u, p), p).entries)
+
+
+def report_translation(
+    fs, u, p: NormParams, tol: float = 1e-6, h: float | None = None, stats=None,
+) -> CurvatureReport:
+    """Closed-form vs oracle comparison at one translation-graph point: the
+    report_separable of the graph as a separable surface, turned upward.
+
+    stats, when given, times the "analytic" and "oracle" stages and counts the
+    chart's Newton work (see reporting.RunStats).
+    """
+    u = np.asarray(u, dtype=float)
+    rep = report_separable(*_as_separable(fs, u, p), p, tol=tol, h=h, stats=stats)
+    return CurvatureReport(
+        point=u,
+        eta=-rep.eta,
+        weingarten=WeingartenMatrix(-rep.weingarten.entries),
+        h_analytic=-rep.h_analytic,
+        h_oracle=-rep.h_oracle,
+        tangency_defect=rep.tangency_defect,
+        tol=tol,
+    )

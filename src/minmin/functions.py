@@ -108,7 +108,7 @@ class C3Function:
             return np.array([float(fn(v)) for v in x.flat]).reshape(x.shape)
         value = np.asarray(fn(x), dtype=float)
         # a constant derivative (lambda x: 0.0) still yields one value per element
-        return value if value.shape == x.shape else np.broadcast_to(value, x.shape).copy()
+        return value if value.shape == x.shape else np.full(x.shape, value)
 
     def __call__(self, x):
         if isinstance(x, np.ndarray):

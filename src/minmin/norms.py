@@ -125,22 +125,17 @@ def signed_pow_deriv(x: float, num: int, den: int) -> float:
 def birkhoff_normal_graph(grad_f, p: NormParams) -> BirkhoffNormal:
     """Birkhoff normal of a graph hypersurface from the gradient of its height.
 
-    For the graph (u, f(u)) the normal is
+    The graph (u, f(u)) is the implicit surface f(u) - x_{n+1} = 0 turned
+    upward, so its normal is the implicit one of (-grad_f, 1):
         eta = A^(-1/(2m)) * (-(f_u1)^(1/(2m-1)), ..., -(f_un)^(1/(2m-1)), 1)
-    with A = 1 + sum_i (f_ui)^(2m/(2m-1)).  The last coordinate of eta is
-    positive (upward orientation); grad(Phi) at eta is a positive multiple of
-    (-grad_f, 1).  A stack of gradients (..., n) gives a stack of normals, and
-    scale is then an array.
+    with A = 1 + sum_i (f_ui)^(2m/(2m-1)).  A stack of gradients (..., n)
+    gives a stack of normals, and scale is then an array.
     """
     g = np.asarray(grad_f, dtype=float)
     _check_stack(g, p.dim - 1, "grad_f")
-    m = p.m
-    A = 1.0 + _sum_last(signed_pow(g, 2 * m, 2 * m - 1))
-    scale = np.float_power(A, -1.0 / (2 * m))
-    comps = np.concatenate(
-        [-signed_pow(g, 1, 2 * m - 1), np.ones(g.shape[:-1] + (1,))], axis=-1
+    return birkhoff_normal_implicit(
+        np.concatenate([-g, np.ones(g.shape[:-1] + (1,))], axis=-1), p
     )
-    return _normal(comps, scale)
 
 
 def birkhoff_normal_implicit(grad_F, p: NormParams) -> BirkhoffNormal:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import separable_residual_sum
+from .curvature import _derivs, separable_residual_sum
 from .errors import (
     ConstraintViolationError,
     DimensionMismatchError,
@@ -662,9 +662,8 @@ class SeparableSurface:
 
     def residual(self, x) -> float:
         """The separable minimality residual at an ambient point."""
-        d1 = np.array([f.d1(v) for f, v in zip(self.fs, x)])
-        d2 = np.array([f.d2(v) for f, v in zip(self.fs, x)])
-        return separable_residual_sum(d1, d2, self.p.m)
+        return separable_residual_sum(
+            *_derivs(self.fs, np.asarray(x, dtype=float)), self.p.m)
 
 
 def _bisect_root(g, lo: float, hi: float, iters: int = 200) -> float | None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import GraphChart, _columns, _derivs, translation_residual_sum
+from .curvature import _columns, _derivs, translation_residual_sum
 from .errors import (
     DimensionMismatchError,
     DomainError,
@@ -66,9 +66,6 @@ class TranslationSurface:
     def grad(self, u) -> np.ndarray:
         """(f_1'(u_1), ..., f_n'(u_n)) at a parameter vector or a stack of them."""
         return _columns([f.d1 for f in self.profiles], np.asarray(u, dtype=float))
-
-    def chart(self) -> GraphChart:
-        return GraphChart(self.value, self.grad, self.p)
 
     def domain_axes(self, points_per_axis: int, margin: float = 1e-3,
                     fallback: float = 1.0):

@@ -1,6 +1,7 @@
 import numpy as np
 
 import minmin as mm
+from minmin.functions import C3Function
 
 
 def classical_graph_mean_curvature(grad, hess_diag):
@@ -27,15 +28,18 @@ def fd_weingarten(chart, t0, p, h=1e-5):
         tp[j] += h
         tm = t0.copy()
         tm[j] -= h
-        coef = np.linalg.solve(basis, (chart.eta(tp) - chart.eta(tm)) / (2 * h))
+        deta = mm.birkhoff_normal_implicit(chart.nu(tp), p).eta \
+            - mm.birkhoff_normal_implicit(chart.nu(tm), p).eta
+        coef = np.linalg.solve(basis, deta / (2 * h))
         W[j, :] = coef[:n]
         defect = max(defect, abs(coef[n]))
     return W, defect
 
 
-def translation_chart(fs, p):
-    return mm.GraphChart(
-        value_fn=lambda t: sum(f(ti) for f, ti in zip(fs, t)),
-        grad_fn=lambda t: np.array([f.d1(ti) for f, ti in zip(fs, t)]),
-        p=p,
-    )
+def translation_chart(fs, p, u):
+    """The graph x_{n+1} = sum f_i(u_i) as the separable surface
+    -f_1 - ... - f_n + x_{n+1} = 0, whose gradient points upward, charted
+    through the point over u."""
+    u = np.asarray(u, dtype=float)
+    fs_up = tuple(f.scaled(-1.0) for f in fs) + (C3Function.linear(1.0),)
+    return mm.SeparableChart(fs_up, p, np.append(u, sum(f(t) for f, t in zip(fs, u))))

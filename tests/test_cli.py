@@ -418,3 +418,29 @@ def test_exit_code_config_error(capsys):
 def test_mesh_requires_out(capsys):
     code, _, _ = run(["mesh", "--kind", "translation"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "6.1", "--points", "0"],
+    ["verify", "--example", "6.1", "--points", "-3"],
+    ["oracle-compare", "--points", "0"],
+    ["ode", "--n", "2", "--grid", "0"],
+    ["mesh", "--kind", "translation", "--grid", "0", "--out", "never.obj"],
+])
+def test_nonpositive_counts_are_config_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "expected a positive integer" in err
+    assert not (tmp_path / "never.obj").exists()
+
+
+@pytest.mark.parametrize("assembly", [[], ["--n", "2"]])
+@pytest.mark.parametrize("flag", [["--y0", "0"], ["--m", "0"], ["--k", "0"],
+                                  ["--step", "0"]])
+def test_invalid_ode_settings_are_config_errors(flag, assembly, capsys):
+    code, stdout, err = run(["ode"] + assembly + flag, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "numerical failure" not in err
