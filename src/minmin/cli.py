@@ -76,14 +76,20 @@ def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     stats = reporting.RunStats()
     with stats.stage("sample"):
-        if args.perturb is not None:
-            surface = perturbed_example_surface(
-                args.example, args.m, args.r, factor=args.perturb
-            )
-        else:
-            surface = example_surface(args.example, args.m, args.r)
+        # settings the example factory or NormParams refuses are a
+        # configuration error, not a numerical failure
+        try:
+            if args.perturb is not None:
+                surface = perturbed_example_surface(
+                    args.example, args.m, args.r, factor=args.perturb
+                )
+            else:
+                surface = example_surface(args.example, args.m, args.r)
+        except DomainError as exc:
+            print(f"invalid example settings: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         rng = sampling.counter_rng(args.seed)
-        points = surface.sample(rng, args.points)
+        points = surface.sample(rng, args.points, stats=stats)
     results = report_separable_batch(
         surface.fs, points, surface.p, tol=args.oracle_tol, on_surface_tol=1e-6,
         stats=stats,
@@ -335,6 +341,12 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
+    if args.n is not None:
+        try:
+            NormParams(m=1, dim=args.n + 1)
+        except DomainError as exc:
+            print(f"invalid --n: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     t0 = time.perf_counter()
     stats = reporting.RunStats()
     with stats.stage("sample"):

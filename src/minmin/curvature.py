@@ -13,7 +13,9 @@ The separable routines work on stacks of points: separable_closed_form,
 mean_curvature_oracle and report_separable_batch evaluate N points as arrays
 of shape (N, dim), with one Newton solve of the chart for all N points and
 their 2n stencil points and one batched linear solve.  The single-point
-functions are batches of one.
+functions are batches of one.  report_separable_batch charts a point whose
+last slope is small over the other coordinates instead, with its
+largest-slope coordinate solved for.
 
 Orientation follows the normal branches of the norms module: aligned with the
 defining gradient for implicit surfaces, upward for graphs.  The implicit
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ChartConvergenceError,
     DimensionMismatchError,
     OffSurfaceError,
     SingularConfigurationError,
@@ -216,8 +219,11 @@ def _graph_tangents(nu: np.ndarray) -> np.ndarray:
     return T
 
 
-# Newton steps of the separable chart before it returns its last iterate.
+# Newton steps of the separable chart before it gives up.
 _CHART_NEWTON_ITERS = 80
+# A chart solve also stops once |sum f_i| is within this many ulps of
+# sum |f_i|, the rounding floor of evaluating the sum.
+_CHART_FLOOR_ULPS = 4.0
 
 
 class SeparableChart:
@@ -227,8 +233,7 @@ class SeparableChart:
     point's value, staying on the branch through the base point.  base_point
     may be a stack (N, dim): parameter arrays (..., N, n) are then seeded row
     by row from their own base point.  newton_iterations counts the Newton
-    steps taken, one per solved coordinate and step; newton_capped counts the
-    solves that stopped at the step cap and returned their last iterate.
+    steps taken, one per solved coordinate and step.
     """
 
     def __init__(self, fs, p: NormParams, base_point):
@@ -238,19 +243,27 @@ class SeparableChart:
             raise DimensionMismatchError("base point must be an ambient point")
         self.base_last = base_point[..., -1]
         self.newton_iterations = 0
-        self.newton_capped = 0
 
     def _solve_last(self, t: np.ndarray) -> np.ndarray:
         """The last coordinate at every parameter vector of t (..., n).
 
-        Each coordinate steps until its own step is below 1e-15 (1 + |x|), so
-        a solve does not depend on the other coordinates solved with it.
+        Each coordinate steps until its own step is below 1e-15 (1 + |x|) or
+        its |sum f_i| is at the rounding floor _CHART_FLOOR_ULPS eps sum |f_i|,
+        so a solve does not depend on the other coordinates solved with it.
+        A coordinate still stepping after _CHART_NEWTON_ITERS steps (a NaN
+        step never stops) raises ChartConvergenceError.
         """
         f_last = self.fs[-1]
-        rhs = -_sum_last(_columns(self.fs[:-1], t))
+        rest = _columns(self.fs[:-1], t)
+        rhs = -_sum_last(rest)
         shape = rhs.shape
         rhs = rhs.reshape(-1)
-        x = np.broadcast_to(self.base_last, shape).reshape(-1).copy()
+        # at the root |f_{n+1}| = |rhs|, so this is the floor there
+        floor = (_CHART_FLOOR_ULPS * _EPS) * (
+            np.add.reduce(np.abs(rest), axis=-1).reshape(-1) + np.abs(rhs))
+        x = np.empty(shape)
+        x[...] = self.base_last
+        x = x.reshape(-1)
         live = np.arange(x.size)
         for _ in range(_CHART_NEWTON_ITERS):
             if live.size == 0:
@@ -264,8 +277,13 @@ class SeparableChart:
             xl -= step
             x[live] = xl
             self.newton_iterations += live.size
-            live = live[~(np.abs(step) <= 1e-15 * (1.0 + np.abs(xl)))]
-        self.newton_capped += live.size
+            live = live[~((np.abs(step) <= 1e-15 * (1.0 + np.abs(xl)))
+                          | (np.abs(val) <= floor[live]))]
+        if live.size:
+            raise ChartConvergenceError(
+                f"chart Newton solve of x_{{n+1}} still stepping after "
+                f"{_CHART_NEWTON_ITERS} steps at {live.size} point(s)"
+            )
         return x.reshape(shape)
 
     def point(self, t) -> np.ndarray:
@@ -314,7 +332,7 @@ def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
     nu_hat = nu0 / np.sqrt(_sum_last(nu0 * nu0))[:, None]
     basis = np.concatenate([_graph_tangents(nu0), nu_hat[:, :, None]], axis=-1)
     eta = birkhoff_normal_implicit(nu[1:], p).eta
-    if not np.all(np.isfinite(eta)):
+    if not np.isfinite(eta).all():
         raise SingularConfigurationError("non-finite normal at stencil point")
     deta = (eta[:n] - eta[n:]) / (2 * steps.T[:, :, None])
     coef = np.linalg.solve(basis, deta[..., None])[..., 0]
@@ -333,18 +351,61 @@ def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
 _CHUNK_POINTS = 4096
 
 
+def _chart_oracle(fs, x, p: NormParams, h, stats):
+    """mean_curvature_oracle at the points x (N, dim) on the SeparableChart
+    that solves their last coordinate."""
+    chart = SeparableChart(fs, p, x)
+    h_oracle, defect = mean_curvature_oracle(chart, x[:, :-1], p, h=h)
+    if stats is not None:
+        stats.count("chart Newton steps", chart.newton_iterations)
+    return h_oracle, defect
+
+
+def _largest_slope_oracle(fs, x, eta, p: NormParams, h, stats):
+    """mean_curvature_oracle at the points x (N, dim), with the chart of each
+    point solving for a coordinate of large slope.
+
+    A point keeps the last-coordinate chart unless |f_last'| < max_i |f_i'| / 2.
+    Otherwise its largest-slope coordinate k is moved last, in the profiles
+    and the coordinates alike, and the same chart and oracle run on that
+    ordering; the 2m-norm is symmetric under the permutation, so H is
+    unchanged.  The slopes are read off the normals eta (N, dim), since
+    |eta_i|^(2m-1) is proportional to |f_i'|.
+    """
+    mag = np.abs(eta)
+    # |f_last'| < max |f_i'| / 2, in the normal's magnitudes
+    switch = mag[:, -1] < 0.5 ** (1.0 / (2 * p.m - 1)) * np.maximum.reduce(mag, axis=1)
+    switched = np.count_nonzero(switch)
+    if stats is not None:
+        stats.count("points charted over a switched coordinate", switched)
+    if not switched:
+        return _chart_oracle(fs, x, p, h, stats)
+    # the coordinate each point's chart solves for
+    solved = np.where(switch, np.argmax(mag, axis=1), p.n)
+    keys = sorted(set(solved.tolist()))
+    h_oracle, defect = np.empty(len(x)), np.empty(len(x))
+    for k in keys:
+        rows = np.flatnonzero(solved == k) if len(keys) > 1 else slice(None)
+        order = [i for i in range(p.dim) if i != k] + [k]
+        h_oracle[rows], defect[rows] = _chart_oracle(
+            [fs[i] for i in order], x[rows][:, order], p, h, stats)
+    return h_oracle, defect
+
+
 def report_separable_batch(
     fs, points, p: NormParams, tol: float = 1e-6, h: float | None = None,
     on_surface_tol: float = 1e-6, stats=None,
 ) -> list:
     """Closed-form vs oracle comparison at a stack (N, dim) of surface points.
 
-    Every point is evaluated in array passes (separable_closed_form and
-    mean_curvature_oracle on a SeparableChart over all of them), in chunks of
-    at most _CHUNK_POINTS points.  A point's report does not depend on the
-    other points of the batch.  stats, when given, times the "analytic" and
-    "oracle" stages and counts the chart's Newton work (see
-    reporting.RunStats).
+    Every point is evaluated in array passes (separable_closed_form, then
+    mean_curvature_oracle on a SeparableChart that solves for a coordinate of
+    large slope, see _largest_slope_oracle), in chunks of at most
+    _CHUNK_POINTS points.  A point's report does not depend on the other
+    points of the batch.  The Weingarten matrix stays the one of the
+    last-coordinate chart.  stats, when given, times the "analytic" and
+    "oracle" stages and counts the chart's Newton work and the switched
+    charts (see reporting.RunStats).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != p.dim:
@@ -357,11 +418,7 @@ def report_separable_batch(
         with _stage(stats, "analytic"):
             H, W, eta = separable_closed_form(fs, x, p, on_surface_tol=on_surface_tol)
         with _stage(stats, "oracle"):
-            chart = SeparableChart(fs, p, x)
-            h_oracle, defect = mean_curvature_oracle(chart, x[:, :-1], p, h=h)
-        if stats is not None:
-            stats.count("chart Newton steps", chart.newton_iterations)
-            stats.count("chart Newton solves at the step cap", chart.newton_capped)
+            h_oracle, defect = _largest_slope_oracle(fs, x, eta, p, h, stats)
         reports += [
             CurvatureReport(
                 point=x[i],

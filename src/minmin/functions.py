@@ -106,9 +106,11 @@ class C3Function:
         fn = self._orders[order]
         if not self._vectorized:
             return np.array([float(fn(v)) for v in x.flat]).reshape(x.shape)
-        value = np.asarray(fn(x), dtype=float)
+        value = fn(x)
+        if isinstance(value, np.ndarray) and value.shape == x.shape:
+            return value
         # a constant derivative (lambda x: 0.0) still yields one value per element
-        return value if value.shape == x.shape else np.full(x.shape, value)
+        return np.full(x.shape, value, dtype=float)
 
     def __call__(self, x):
         if isinstance(x, np.ndarray):

@@ -49,7 +49,7 @@ def _check_dim(x: np.ndarray, expected: int, what: str = "vector"):
         raise DimensionMismatchError(
             f"{what} has shape {x.shape}, expected ({expected},)"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError(f"{what} has non-finite entries")
 
 
@@ -59,7 +59,7 @@ def _check_stack(x: np.ndarray, expected: int, what: str):
         raise DimensionMismatchError(
             f"{what} has shape {x.shape}, expected (..., {expected})"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DomainError(f"{what} has non-finite entries")
 
 

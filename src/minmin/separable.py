@@ -32,7 +32,7 @@ from .errors import (
     NonpositiveProfileError,
 )
 from .functions import C3Function
-from .norms import NormParams
+from .norms import NormParams, _sum_last
 
 
 # ---------------------------------------------------------------------------
@@ -647,18 +647,49 @@ def feasible_axes(xs, points_per_axis: int, span: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
+# Candidate slices per block of an on-surface sampler.  A block is drawn whole
+# whatever the count, so the first N points of a larger draw are an N-point draw.
+_SAMPLE_BLOCK = 128
+# A sampler gives up once it has drawn this many slices per requested point.
+_MAX_SLICES_PER_POINT = 200
+
+
 @dataclass(frozen=True)
 class SeparableSurface:
-    """Profiles f_i with sum f_i(x_i) = 0, plus an on-surface point sampler."""
+    """Profiles f_i with sum f_i(x_i) = 0, plus an on-surface point sampler.
+
+    _draw_block(rng, need) draws _SAMPLE_BLOCK candidate slices and returns
+    (points, kept): kept is the number of slices it keeps, and points (k, dim)
+    are the on-surface points of the first k of them in draw order, with
+    min(need, kept) <= k <= kept.  A point must not depend on need.
+    """
 
     name: str
     fs: tuple
     p: NormParams
-    _sampler: object = field(repr=False)
+    _draw_block: object = field(repr=False)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """count on-surface points with all coordinates bounded away from zero."""
-        return self._sampler(rng, count)
+    def sample(self, rng: np.random.Generator, count: int, stats=None) -> np.ndarray:
+        """count on-surface points with all coordinates bounded away from zero.
+
+        Blocks are drawn until count points are kept.  stats, when given,
+        counts the slices drawn and rejected (see reporting.RunStats).
+        """
+        blocks, got, kept, drawn = [], 0, 0, 0
+        while got < count:
+            if drawn >= _MAX_SLICES_PER_POINT * count:
+                raise DomainError("on-surface sampling kept rejecting slices")
+            points, k = self._draw_block(rng, count - got)
+            blocks.append(points)
+            got += len(points)
+            kept += k
+            drawn += _SAMPLE_BLOCK
+        if stats is not None:
+            stats.count("sampler slices drawn", drawn)
+            stats.count("sampler slices rejected", drawn - kept)
+        if not blocks:
+            return np.empty((0, self.p.dim))
+        return np.concatenate(blocks)[:count]
 
     def residual(self, x) -> float:
         """The separable minimality residual at an ambient point."""
@@ -666,65 +697,45 @@ class SeparableSurface:
             *_derivs(self.fs, np.asarray(x, dtype=float)), self.p.m)
 
 
-def _bisect_root(g, lo: float, hi: float, iters: int = 200) -> float | None:
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0:
-        return None
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # lo and hi are adjacent floats: no later step changes mid
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if glo * gm < 0:
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-        if hi - lo <= 1e-16 * (1.0 + abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+def _signed_draws(rng: np.random.Generator, low: float, high: float, shape):
+    """Magnitudes uniform in [low, high) with independent random signs."""
+    return rng.uniform(low, high, shape) * rng.choice([-1.0, 1.0], shape)
+
+
+def _root_sampler(dim: int, last_root, low: float, high: float,
+                  floor: float, ceil: float):
+    """Block sampler for a surface whose last coordinate has an explicit root.
+
+    Each slice fixes the first dim - 1 coordinates at random signed
+    magnitudes in [low, high); last_root maps a block of them (B, dim - 1) to
+    the magnitudes of the last coordinate, which takes a random sign.  Slices
+    whose root is not in [floor, ceil] (or is NaN) are rejected.
+    """
+
+    def draw_block(rng: np.random.Generator, need: int) -> tuple:
+        vals = _signed_draws(rng, low, high, (_SAMPLE_BLOCK, dim - 1))
+        sign = rng.choice([-1.0, 1.0], _SAMPLE_BLOCK)
+        root = last_root(vals)
+        keep = (floor <= root) & (root <= ceil)
+        points = np.column_stack([vals[keep], sign[keep] * root[keep]])
+        return points, len(points)
+
+    return draw_block
 
 
 def _powersum_sampler(a, b, m: int, low: float = 0.3, high: float = 1.5,
                       floor: float = 0.1, ceil: float = 20.0):
-    """Sampler for surfaces sum_i (a_i x_i^(2m) + b_i) = 0.
-
-    Fixes all but the last coordinate at random signed magnitudes and solves
-    the strictly monotone slice for the last one by bisection, rejecting
-    slices without a root or with the solved coordinate too close to zero.
-    """
+    """Block sampler for surfaces sum_i (a_i x_i^(2m) + b_i) = 0: the last
+    coordinate is the root t = (-rest / a_last)^(1/(2m)) of
+    a_last t^(2m) + rest = 0, and a slice with -rest / a_last < 0 has none."""
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    dim = len(a)
+    const = float(np.asarray(b, dtype=float).sum())
 
-    def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        out = np.empty((count, dim))
-        got = 0
-        attempts = 0
-        while got < count:
-            attempts += 1
-            if attempts > 200 * count:
-                raise DomainError("on-surface sampling kept rejecting slices")
-            vals = rng.uniform(low, high, dim - 1) * rng.choice([-1.0, 1.0], dim - 1)
-            rest = float(np.sum(a[:-1] * vals ** (2 * m)) + b.sum())
+    def last_root(vals):
+        rest = _sum_last(a[:-1] * vals ** (2 * m)) + const
+        return np.float_power(np.maximum(-rest / a[-1], 0.0), 1.0 / (2 * m))
 
-            def g(t, rest=rest):
-                return a[-1] * t ** (2 * m) + rest
-
-            root = _bisect_root(g, 0.0, ceil)
-            if root is None or not floor <= root <= ceil:
-                continue
-            out[got, :-1] = vals
-            out[got, -1] = root * rng.choice([-1.0, 1.0])
-            got += 1
-        return out
-
-    return sampler
+    return _root_sampler(len(a), last_root, low, high, floor, ceil)
 
 
 def _powersum_surface(name: str, a, b, m: int) -> SeparableSurface:
@@ -737,7 +748,7 @@ def _powersum_surface(name: str, a, b, m: int) -> SeparableSurface:
         name=name,
         fs=fs,
         p=NormParams(m=m, dim=len(a)),
-        _sampler=_powersum_sampler(a, b, m),
+        _draw_block=_powersum_sampler(a, b, m),
     )
 
 
@@ -889,31 +900,35 @@ class _QuadratureProfile(C3Function):
         return self.sign * g * inner * X ** g
 
 
-def _exponential_sampler(fs, m: int, low: float = 0.3, high: float = 1.2,
+# Rows per coordinate-quadrature call of the 6.5 sampler.  A block maps its
+# kept draws in these fixed groups, and only as many as a sample needs.
+_QUADRATURE_ROWS = 8
+
+
+def _exponential_sampler(fs, low: float = 0.3, high: float = 1.2,
                          floor: float = 0.25):
-    """u-space sampler for the hyperbolic-profile surface: draw zero-sum u with
-    every |u_i| bounded below, then map through the coordinate quadratures."""
+    """u-space block sampler for the hyperbolic-profile surface: draw zero-sum
+    u with every |u_i| bounded below, then map the kept draws to x through the
+    coordinate quadratures, one call per column and group of _QUADRATURE_ROWS
+    rows.  The groups are fixed within the block, so a point does not depend
+    on how many are asked for."""
+    dim = len(fs)
 
-    def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        out = np.empty((count, len(fs)))
-        got = 0
-        attempts = 0
-        while got < count:
-            attempts += 1
-            if attempts > 500 * count:
-                raise DomainError("u-space sampling kept rejecting draws")
-            u = rng.uniform(low, high, len(fs) - 1) * rng.choice(
-                [-1.0, 1.0], len(fs) - 1
-            )
-            u_last = -u.sum()
-            if abs(u_last) < floor:
-                continue
-            uu = np.append(u, u_last)
-            out[got] = [f.x_of_u(v) for f, v in zip(fs, uu)]
-            got += 1
-        return out
+    def draw_block(rng: np.random.Generator, need: int) -> tuple:
+        u = _signed_draws(rng, low, high, (_SAMPLE_BLOCK, dim - 1))
+        u_last = -_sum_last(u)
+        keep = np.abs(u_last) >= floor
+        u = np.column_stack([u[keep], u_last[keep]])
+        groups = -(-min(need, len(u)) // _QUADRATURE_ROWS)
+        u_mapped = u[:groups * _QUADRATURE_ROWS]
+        points = np.empty(u_mapped.shape)
+        for start in range(0, len(u_mapped), _QUADRATURE_ROWS):
+            rows = slice(start, start + _QUADRATURE_ROWS)
+            for i, f in enumerate(fs):
+                points[rows, i] = f.x_of_u(u_mapped[rows, i])
+        return points, len(u)
 
-    return sampler
+    return draw_block
 
 
 def _ratio_surface(m: int) -> SeparableSurface:
@@ -923,26 +938,14 @@ def _ratio_surface(m: int) -> SeparableSurface:
     signs = (-1.0, 1.0, 1.0, -1.0)
     fs = tuple(C3Function.log_abs(s * beta, gamma) for s in signs)
 
-    def sampler(rng: np.random.Generator, count: int) -> np.ndarray:
-        out = np.empty((count, 4))
-        got = 0
-        while got < count:
-            vals = rng.uniform(0.3, 1.5, 3) * rng.choice([-1.0, 1.0], 3)
-            rest = sum(f(v) for f, v in zip(fs[:3], vals))
-
-            def g(t, rest=rest):
-                return fs[3](t) + rest
-
-            root = _bisect_root(g, 1e-8, 1e8)
-            if root is None or not 0.05 <= root <= 20.0:
-                continue
-            out[got, :3] = vals
-            out[got, 3] = root * rng.choice([-1.0, 1.0])
-            got += 1
-        return out
+    def last_root(vals):
+        # f_4(t) = -beta log(gamma |t|) = -(f_1 + f_2 + f_3)
+        rest = fs[0](vals[:, 0]) + fs[1](vals[:, 1]) + fs[2](vals[:, 2])
+        return np.exp(rest / beta) / gamma
 
     return SeparableSurface(
-        name="ratio", fs=fs, p=NormParams(m=m, dim=4), _sampler=sampler
+        name="ratio", fs=fs, p=NormParams(m=m, dim=4),
+        _draw_block=_root_sampler(4, last_root, 0.3, 1.5, 0.05, 20.0),
     )
 
 
@@ -998,7 +1001,7 @@ def example_surface(example_id: str, m: int, r: int = 2,
         fs = tuple(_QuadratureProfile(x, s, m) for x, s in zip(xs, signs))
         return SeparableSurface(
             name="6.5", fs=fs, p=NormParams(m=m, dim=4),
-            _sampler=_exponential_sampler(fs, m),
+            _draw_block=_exponential_sampler(fs),
         )
     if example_id == "6.6":
         return _ratio_surface(m)

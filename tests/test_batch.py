@@ -10,9 +10,15 @@ import numpy as np
 import pytest
 
 import minmin as mm
+from minmin import curvature
 from minmin.cli import EXAMPLE_IDS, main
-from minmin.curvature import ORACLE_STEP_FACTOR, SeparableChart, report_separable_batch
-from minmin.errors import SingularConfigurationError
+from minmin.curvature import (
+    _CHART_NEWTON_ITERS,
+    ORACLE_STEP_FACTOR,
+    SeparableChart,
+    report_separable_batch,
+)
+from minmin.errors import ChartConvergenceError, SingularConfigurationError
 from minmin.functions import C3Function
 from minmin.norms import birkhoff_normal_implicit, signed_pow
 from minmin.sampling import counter_rng, random_separable_config
@@ -112,6 +118,17 @@ def _ref_report(fs, x, p, tol=1e-6):
 # ---------------------------------------------------------------------------
 
 
+def _largest_slope_order(fs, x):
+    """The coordinate order of the chart the batch uses at x: unchanged, or
+    with the largest-slope coordinate moved last when the last slope is below
+    half of it."""
+    slopes = np.abs([f.d1(t) for f, t in zip(fs, x)])
+    k = int(np.argmax(slopes))
+    if not slopes[-1] < 0.5 * slopes[k]:
+        return list(range(len(x)))
+    return [i for i in range(len(x)) if i != k] + [k]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("example", EXAMPLE_IDS)
 def test_batch_matches_per_point_reference(example, m):
@@ -119,7 +136,10 @@ def test_batch_matches_per_point_reference(example, m):
     points = surface.sample(counter_rng(7), 30)
     batch = report_separable_batch(surface.fs, points, surface.p)
     for x, got in zip(points, batch):
-        ref = _ref_report(surface.fs, x, surface.p)
+        # the reference runs on the same chart: profiles and coordinates in
+        # the largest-slope order
+        order = _largest_slope_order(surface.fs, x)
+        ref = _ref_report([surface.fs[i] for i in order], x[order], surface.p)
         assert abs(got.h_analytic - ref.h_analytic) <= 1e-15
         assert abs(got.h_oracle - ref.h_oracle) <= 1e-9
         assert abs(got.tangency_defect - ref.tangency_defect) <= 1e-9
@@ -166,7 +186,31 @@ def test_chart_counts_newton_work():
     x = chart.point(points[:, :-1])
     assert np.allclose(x, points, rtol=0, atol=1e-12)
     assert chart.newton_iterations >= len(points)
-    assert chart.newton_capped == 0
+
+
+def test_chart_newton_raises_at_its_step_cap():
+    # f_3 = cbrt with root x_3 = 0: every Newton step maps x_3 to -2 x_3, so
+    # the solve never settles
+    p = mm.NormParams(1, 3)
+    cbrt = C3Function(np.cbrt, d1=lambda x: 1.0 / (3.0 * np.cbrt(x) ** 2))
+    fs = (C3Function.linear(1.0), C3Function.linear(1.0), cbrt)
+    chart = SeparableChart(fs, p, [[0.5, -0.5, 1.0], [0.2, -0.2, -0.5]])
+    with pytest.raises(ChartConvergenceError):
+        chart.point(np.array([[0.5, -0.5], [0.2, -0.2]]))
+    assert chart.newton_iterations == 2 * _CHART_NEWTON_ITERS
+
+
+def test_chart_newton_stops_at_the_rounding_floor(monkeypatch):
+    # i-2 at m = 2 (profiles c x^4 + b with |b| = 1): at this point the step
+    # test alone keeps stepping on rounding noise until the cap
+    surface = example_surface("i-2", 2)
+    x = np.array([-0.8501151238064995, 1.4055501875836696, 0.8426061125049247,
+                  -1.4039077840710121])
+    rep = report_separable_batch(surface.fs, x[None], surface.p)[0]
+    assert rep.passed and abs(rep.h_analytic) <= 1e-8
+    monkeypatch.setattr(curvature, "_CHART_FLOOR_ULPS", 0.0)
+    with pytest.raises(ChartConvergenceError):
+        report_separable_batch(surface.fs, x[None], surface.p)
 
 
 def test_65_verify_evaluates_profiles_one_element_at_a_time(monkeypatch, capsys):

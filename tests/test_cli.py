@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from minmin.cli import build_parser, main
+from minmin.cli import EXAMPLE_IDS, build_parser, main
 from minmin.curvature import report_separable, report_separable_batch
 from minmin.reporting import VerificationReport
 from minmin.sampling import counter_rng
@@ -87,6 +87,15 @@ def test_verify_rows_independent_of_batch():
         return text[text.index("index"):]
 
     assert rows(batch) == rows(alone)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("example", EXAMPLE_IDS)
+def test_default_verify_passes_on_every_example(example, m, capsys):
+    # default seed and tolerances: the largest-slope chart leaves no point failing
+    code, stdout, _ = run(["verify", "--example", example, "--m", str(m),
+                           "--points", "300"], capsys)
+    assert code == 0, stdout[stdout.index("aggregate"):]
 
 
 def test_verify_csv_sidecar(tmp_path, capsys):
@@ -338,7 +347,10 @@ def test_stage_log_keeps_reports_byte_identical(tmp_path, argv):
         assert f"{argv[0]} stage {stage}: cpu " in runs["info"][2]
     assert "Newton" not in runs["info"][2]
     assert f"{argv[0]} chart Newton steps: " in runs["debug"][2]
-    assert f"{argv[0]} chart Newton solves at the step cap: " in runs["debug"][2]
+    assert f"{argv[0]} points charted over a switched coordinate: " in runs["debug"][2]
+    if argv[0] == "verify":
+        for counter in ("sampler slices drawn", "sampler slices rejected"):
+            assert f"verify {counter}: " in runs["debug"][2]
 
 
 @pytest.mark.parametrize("argv,stages", [
@@ -413,6 +425,26 @@ def test_main_calls_share_one_parser_without_leaking_state(tmp_path, capsys):
 def test_exit_code_config_error(capsys):
     code, _, _ = run(["verify"], capsys)  # missing required --example
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "6.2", "--r", "0"],
+    ["verify", "--example", "6.4", "--r", "1"],
+    ["verify", "--example", "6.1", "--m", "0"],
+    ["verify", "--example", "6.5", "--perturb", "1.1"],
+])
+def test_invalid_example_settings_are_config_errors(argv, capsys):
+    code, stdout, err = run(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "invalid example settings" in err and "numerical failure" not in err
+
+
+def test_oracle_compare_too_few_parameters_is_a_config_error(capsys):
+    code, stdout, err = run(["oracle-compare", "--n", "1"], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert "invalid --n" in err and "numerical failure" not in err
 
 
 def test_mesh_requires_out(capsys):

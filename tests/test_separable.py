@@ -13,6 +13,7 @@ from minmin.errors import (
     EmptyDomainError,
     NonpositiveProfileError,
 )
+from minmin.reporting import RunStats
 from minmin.separable import (
     _QuadratureProfile,
     _x_antiderivative,
@@ -322,43 +323,6 @@ def test_custom_positive_interval_stops_before_overflow():
     assert xp.positive_interval() == (-2.0 ** 27, 32.0)
 
 
-def _bisect_root_without_early_exit(g, lo, hi, iters=200):
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0:
-        return None
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if gm == 0.0:
-            return mid
-        if glo * gm < 0:
-            hi, ghi = mid, gm
-        else:
-            lo, glo = mid, gm
-        if hi - lo <= 1e-16 * (1.0 + abs(mid)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def test_bisect_root_early_exit_returns_the_same_bits():
-    rng = np.random.default_rng(51)
-    for _ in range(300):
-        k = 2 * int(rng.integers(1, 4))
-        a = float(rng.uniform(0.1, 3.0)) * float(rng.choice([-1.0, 1.0]))
-        rest = -a * float(rng.uniform(1e-3, 30.0)) ** k * float(rng.uniform(0.5, 1.5))
-
-        def g(t):
-            return a * t ** k + rest
-
-        lo, hi = (0.0, 20.0) if rng.random() < 0.8 else (1e-8, 1e8)
-        assert separable._bisect_root(g, lo, hi) == _bisect_root_without_early_exit(
-            g, lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # patches
 # ---------------------------------------------------------------------------
@@ -540,6 +504,44 @@ def test_example_surfaces_are_minimal(ex, r):
         assert np.min(np.abs(pts)) >= 0.05
         for x in pts:
             assert abs(mm.mean_curvature_separable(s.fs, x, s.p)) <= 1e-8
+
+
+@pytest.mark.parametrize("ex,r", EXAMPLES)
+def test_sample_is_a_prefix_of_a_larger_sample(ex, r):
+    s = mm.example_surface(ex, 2, r)
+    big = s.sample(np.random.default_rng(60), 200)
+    assert np.array_equal(big[:40], s.sample(np.random.default_rng(60), 40))
+
+
+@pytest.mark.parametrize("ex,r", EXAMPLES)
+def test_samples_lie_on_the_surface(ex, r):
+    for m in (1, 2, 3):
+        s = mm.example_surface(ex, m, r)
+        x = s.sample(np.random.default_rng(61), 200)
+        f = np.column_stack([fi(x[:, i]) for i, fi in enumerate(s.fs)])
+        assert np.all(np.abs(f.sum(axis=1)) <= 1e-10 * (1 + np.abs(f).sum(axis=1)))
+
+
+def test_sampler_counts_slices_and_gives_up():
+    stats = RunStats()
+    s = mm.example_surface("6.1", 2)
+    s.sample(np.random.default_rng(62), 300, stats=stats)
+    drawn = stats.counts["sampler slices drawn"]
+    assert drawn % separable._SAMPLE_BLOCK == 0
+    assert 0 < stats.counts["sampler slices rejected"] <= drawn - 300
+
+    blocks = []
+
+    def rejects_all(rng, need):
+        blocks.append(need)
+        return np.empty((0, 4)), 0
+
+    never = separable.SeparableSurface("never", s.fs, s.p, rejects_all)
+    with pytest.raises(DomainError):
+        never.sample(np.random.default_rng(63), 2)
+    # gives up at the first block boundary past 200 slices per point
+    assert (len(blocks) - 1) * separable._SAMPLE_BLOCK < 400
+    assert len(blocks) * separable._SAMPLE_BLOCK >= 400
 
 
 def test_example_surface_oracle_spot_checks():
