@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import meshes, reporting, sampling
-from .curvature import report_separable, report_separable_batch, report_translation
+from .curvature import report_separable, report_translation
 from .errors import DomainError, EmptyDomainError, IntegrationError, MinminError
 from .norms import NormParams
 from .separable import (
@@ -89,11 +89,7 @@ def cmd_verify(args) -> int:
             print(f"invalid example settings: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         rng = sampling.counter_rng(args.seed)
-        points = surface.sample(rng, args.points, stats=stats)
-    results = report_separable_batch(
-        surface.fs, points, surface.p, tol=args.oracle_tol, on_surface_tol=1e-6,
-        stats=stats,
-    )
+    results = surface.report_sample(rng, args.points, tol=args.oracle_tol, stats=stats)
     config = {
         "command": "verify",
         "example": args.example,

@@ -1,13 +1,14 @@
 """Mean curvature and Weingarten coefficients under the 2m-norm.
 
-One closed form serves both surface kinds: separable_closed_form evaluates the
-separable implicit surface sum f_i(x_i) = 0.  A translation graph
+One closed form serves both surface kinds: closed_form_from_slopes evaluates
+the separable implicit surface sum f_i(x_i) = 0 from the slopes f_i', f_i''
+(separable_closed_form takes them from the profiles at x).  A translation graph
 x_{n+1} = f_1(u_1) + ... + f_n(u_n) is the separable surface
 f_1(x_1) + ... + f_n(x_n) - x_{n+1} = 0, so the translation routines evaluate
 that surface at (u, sum f_i(u_i)).  An independent oracle recovers the mean
 curvature from its definition H = trace(d eta)/n by central differencing the
-Birkhoff normal along a SeparableChart and expanding the derivative in the
-tangent basis.
+Birkhoff normal along a chart and expanding the derivative in its tangent
+basis.
 
 The separable routines work on stacks of points: separable_closed_form,
 mean_curvature_oracle and report_separable_batch evaluate N points as arrays
@@ -73,11 +74,16 @@ class CurvatureReport:
     tol: float
 
     @property
+    def failed_check(self) -> str:
+        """"oracle" or "defect", the first check the point fails, or "-"."""
+        h = self.h_analytic
+        if not abs(h - self.h_oracle) <= self.tol * (1 + abs(h)):
+            return "oracle"
+        return "-" if self.tangency_defect <= self.tol else "defect"
+
+    @property
     def passed(self) -> bool:
-        return (
-            abs(self.h_analytic - self.h_oracle) <= self.tol * (1 + abs(self.h_analytic))
-            and self.tangency_defect <= self.tol
-        )
+        return self.failed_check == "-"
 
 
 def _slope_guard(d1, m: int, label: str):
@@ -132,14 +138,15 @@ def separable_residual_sum(d1, d2, m: int):
     return float(res) if res.ndim == 0 else res
 
 
-def separable_closed_form(fs, points, p: NormParams, on_surface_tol: float = 1e-6):
+def closed_form_from_slopes(d1, d2, p: NormParams):
     """Closed-form mean curvature, Weingarten matrices and Birkhoff normals of
-    the separable surface sum f_i(x_i) = 0.
+    a separable surface sum f_i(x_i) = 0 from its slopes d1 = f_i'(x_i) and
+    d2 = f_i''(x_i), stacks of shape (N, dim).
 
-    points is a stack (N, dim) of on-surface points; returns H with shape (N,),
-    the Weingarten entries with shape (N, n, n), in the chart that solves the
-    last coordinate in terms of the others (so its slope must not vanish), and
-    the normals eta with shape (N, dim), aligned with (f_1', ..., f_{n+1}').
+    Returns H with shape (N,), the Weingarten entries with shape (N, n, n), in
+    the chart that solves the last coordinate in terms of the others (so its
+    slope must not vanish), and the normals eta with shape (N, dim), aligned
+    with (f_1', ..., f_{n+1}').
 
     Diagonal:  eta_j^j = A^(-(2m+1)/(2m))/(2m-1) (X_j G_{n+1} + G_j (A - X_j))
     Off-diag:  eta_j^k = A^(-(2m+1)/(2m))/(2m-1) (f_k')^(1/(2m-1))
@@ -147,20 +154,7 @@ def separable_closed_form(fs, points, p: NormParams, on_surface_tol: float = 1e-
     with X_j = (f_j')^(2m/(2m-1)), A = sum X and
     G_j = (f_j')^(-(2m-2)/(2m-1)) f_j''.
     """
-    x = np.asarray(points, dtype=float)
-    if len(fs) != p.dim or x.ndim != 2 or x.shape[1] != p.dim:
-        raise DimensionMismatchError(
-            f"expected {p.dim} profiles and (N, {p.dim}) points, "
-            f"got {len(fs)} and {x.shape}"
-        )
-    value = _sum_last(_columns(fs, x))
-    off = np.abs(value) > on_surface_tol
-    if off.any():
-        raise OffSurfaceError(
-            f"sum f_i(x_i) = {value[off][0]:.3e} exceeds tolerance {on_surface_tol:.1e}"
-        )
     m, n = p.m, p.n
-    d1, d2 = _derivs(fs, x)
     if (d1[:, -1] == 0.0).any():
         raise SingularConfigurationError("chart slope f_{n+1}' vanishes")
     _slope_guard(d1, m, "separable mean curvature")
@@ -177,6 +171,24 @@ def separable_closed_form(fs, points, p: NormParams, on_surface_tol: float = 1e-
     W[:, j, j] = pref[:, :, 0] * (X[:, :n] * g_last[:, :, 0]
                                   + G[:, :n] * (A[:, None] - X[:, :n]))
     return H, W, birkhoff_normal_implicit(d1, p).eta
+
+
+def separable_closed_form(fs, points, p: NormParams, on_surface_tol: float = 1e-6):
+    """closed_form_from_slopes at a stack (N, dim) of on-surface points of the
+    separable surface sum f_i(x_i) = 0, with the slopes taken from fs."""
+    x = np.asarray(points, dtype=float)
+    if len(fs) != p.dim or x.ndim != 2 or x.shape[1] != p.dim:
+        raise DimensionMismatchError(
+            f"expected {p.dim} profiles and (N, {p.dim}) points, "
+            f"got {len(fs)} and {x.shape}"
+        )
+    value = _sum_last(_columns(fs, x))
+    off = np.abs(value) > on_surface_tol
+    if off.any():
+        raise OffSurfaceError(
+            f"sum f_i(x_i) = {value[off][0]:.3e} exceeds tolerance {on_surface_tol:.1e}"
+        )
+    return closed_form_from_slopes(*_derivs(fs, x), p)
 
 
 def _one_point(x, p: NormParams) -> np.ndarray:
@@ -206,17 +218,6 @@ def weingarten_separable(
 # ---------------------------------------------------------------------------
 # charts and the finite-difference oracle
 # ---------------------------------------------------------------------------
-
-
-def _graph_tangents(nu: np.ndarray) -> np.ndarray:
-    """Tangent vectors (..., dim, n) of a chart that is a graph over the first n
-    coordinates: e_j + (d x_{n+1} / d t_j) e_{n+1}, where the slope is
-    -nu_j / nu_{n+1} for the chart's normal direction nu (..., dim)."""
-    n = nu.shape[-1] - 1
-    T = np.zeros(nu.shape[:-1] + (n + 1, n))
-    T[..., :n, :] = np.eye(n)
-    T[..., n, :] = -nu[..., :n] / nu[..., n:]
-    return T
 
 
 # Newton steps of the separable chart before it gives up.
@@ -294,8 +295,18 @@ class SeparableChart:
         x = self.point(t)
         return _columns([f.d1 for f in self.fs], x)
 
+    @staticmethod
+    def tangents_from_nu(nu: np.ndarray) -> np.ndarray:
+        """Tangent vectors (..., dim, n) e_j - (nu_j / nu_{n+1}) e_{n+1} of the
+        graph over the first n coordinates, where its gradient is nu (..., dim)."""
+        n = nu.shape[-1] - 1
+        T = np.zeros(nu.shape[:-1] + (n + 1, n))
+        T[..., :n, :] = np.eye(n)
+        T[..., n, :] = -nu[..., :n] / nu[..., n:]
+        return T
+
     def tangents(self, t) -> np.ndarray:
-        return _graph_tangents(self.nu(t))
+        return self.tangents_from_nu(self.nu(t))
 
 
 def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
@@ -307,10 +318,11 @@ def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
     tangency defect, which vanishes in exact arithmetic.
 
     point is one parameter vector (n,) or a stack (N, n) of them.  The chart
-    (a SeparableChart) evaluates its defining gradient nu at the points and
-    their 2n stencil points in one call, on an array (2n + 1, N, n); the
-    stencil normals are the Birkhoff normals of those gradients, and the
-    N * n expansions are one batched solve.
+    (a SeparableChart or QuadratureSurface) evaluates its defining gradient nu
+    at the points and their 2n stencil points in one call, on an array
+    (2n + 1, N, n); chart.tangents_from_nu(nu) gives the tangent basis, the
+    stencil normals are the Birkhoff normals, and the N * n expansions are one
+    batched solve.
 
     Returns (h_oracle, tangency_defect): floats for one vector, arrays of shape
     (N,) for a stack.
@@ -326,11 +338,9 @@ def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
     # shift[j, i] = steps[i, j] e_j: the j-th stencil offset of the i-th point
     shift = np.eye(n)[:, None, :] * steps.T[:, :, None]
     nu = chart.nu(np.concatenate([t0[None], t0 + shift, t0 - shift]))
-    # the chart is a graph over its first n parameters, so nu at the points
-    # gives the tangents too
     nu0 = nu[0]
     nu_hat = nu0 / np.sqrt(_sum_last(nu0 * nu0))[:, None]
-    basis = np.concatenate([_graph_tangents(nu0), nu_hat[:, :, None]], axis=-1)
+    basis = np.concatenate([chart.tangents_from_nu(nu0), nu_hat[:, :, None]], axis=-1)
     eta = birkhoff_normal_implicit(nu[1:], p).eta
     if not np.isfinite(eta).all():
         raise SingularConfigurationError("non-finite normal at stencil point")
@@ -392,33 +402,18 @@ def _largest_slope_oracle(fs, x, eta, p: NormParams, h, stats):
     return h_oracle, defect
 
 
-def report_separable_batch(
-    fs, points, p: NormParams, tol: float = 1e-6, h: float | None = None,
-    on_surface_tol: float = 1e-6, stats=None,
-) -> list:
-    """Closed-form vs oracle comparison at a stack (N, dim) of surface points.
-
-    Every point is evaluated in array passes (separable_closed_form, then
-    mean_curvature_oracle on a SeparableChart that solves for a coordinate of
-    large slope, see _largest_slope_oracle), in chunks of at most
-    _CHUNK_POINTS points.  A point's report does not depend on the other
-    points of the batch.  The Weingarten matrix stays the one of the
-    last-coordinate chart.  stats, when given, times the "analytic" and
-    "oracle" stages and counts the chart's Newton work and the switched
-    charts (see reporting.RunStats).
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != p.dim:
-        raise DimensionMismatchError(
-            f"expected (N, {p.dim}) points, got shape {points.shape}"
-        )
+def _report_chunks(points, analytic, oracle, tol: float, stats) -> list:
+    """CurvatureReports at the points (N, dim), in chunks of _CHUNK_POINTS rows:
+    analytic(rows) gives their closed form (H, W, eta), oracle(rows, eta) their
+    (h_oracle, defect), each timed as its stage in stats, when given."""
     reports = []
     for start in range(0, len(points), _CHUNK_POINTS):
-        x = points[start:start + _CHUNK_POINTS]
+        rows = slice(start, start + _CHUNK_POINTS)
+        x = points[rows]
         with _stage(stats, "analytic"):
-            H, W, eta = separable_closed_form(fs, x, p, on_surface_tol=on_surface_tol)
+            H, W, eta = analytic(rows)
         with _stage(stats, "oracle"):
-            h_oracle, defect = _largest_slope_oracle(fs, x, eta, p, h, stats)
+            h_oracle, defect = oracle(rows, eta)
         reports += [
             CurvatureReport(
                 point=x[i],
@@ -432,6 +427,34 @@ def report_separable_batch(
             for i in range(len(x))
         ]
     return reports
+
+
+def report_separable_batch(
+    fs, points, p: NormParams, tol: float = 1e-6, h: float | None = None,
+    on_surface_tol: float = 1e-6, stats=None,
+) -> list:
+    """Closed-form vs oracle comparison at a stack (N, dim) of surface points.
+
+    Every point is evaluated in array passes (separable_closed_form, then
+    mean_curvature_oracle on a SeparableChart that solves for a coordinate of
+    large slope, see _largest_slope_oracle), in the chunks of _report_chunks.
+    A point's report does not depend on the other points of the batch.  The
+    Weingarten matrix stays the one of the last-coordinate chart.  stats, when
+    given, times the "analytic" and "oracle" stages and counts the chart's
+    Newton work and the switched charts (see reporting.RunStats).
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != p.dim:
+        raise DimensionMismatchError(
+            f"expected (N, {p.dim}) points, got shape {points.shape}"
+        )
+    return _report_chunks(
+        points,
+        lambda rows: separable_closed_form(
+            fs, points[rows], p, on_surface_tol=on_surface_tol),
+        lambda rows, eta: _largest_slope_oracle(fs, points[rows], eta, p, h, stats),
+        tol, stats,
+    )
 
 
 def report_separable(

@@ -27,10 +27,12 @@ def write_obj(path, vertices: np.ndarray):
 
 
 def write_points_csv(path, header, rows):
+    """CSV of a header line and the rows (N, k), every value in .17g format;
+    each column is formatted in one pass."""
+    cols = [map("{:.17g}".format, c) for c in np.asarray(rows, dtype=float).T.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
 
 
 def translation_vertices(ts, axes) -> np.ndarray:

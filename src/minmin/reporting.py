@@ -34,11 +34,15 @@ class VerificationReport:
     def __post_init__(self):
         self.aggregate = self._aggregate()
 
+    def _reason(self, r: CurvatureReport) -> str:
+        """The first check a point fails, "h" (|H| > h_tol), "oracle" or
+        "defect", or "-" when it passes."""
+        if self.h_tol is not None and not abs(r.h_analytic) <= self.h_tol:
+            return "h"
+        return r.failed_check
+
     def _point_passed(self, r: CurvatureReport) -> bool:
-        ok = r.passed
-        if self.h_tol is not None:
-            ok = ok and abs(r.h_analytic) <= self.h_tol
-        return ok
+        return self._reason(r) == "-"
 
     def _aggregate(self) -> dict:
         n_pass = sum(1 for r in self.reports if self._point_passed(r))
@@ -88,12 +92,14 @@ class VerificationReport:
 
     def write_points_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            cols = ["index", "h_analytic", "h_oracle", "tangency_defect", "passed"]
+            cols = ["index", "h_analytic", "h_oracle", "tangency_defect", "passed",
+                    "reason"]
             fh.write(",".join(cols) + "\n")
             for i, r in enumerate(self.reports):
+                reason = self._reason(r)
                 fh.write(
                     f"{i},{r.h_analytic:.17g},{r.h_oracle:.17g},"
-                    f"{r.tangency_defect:.17g},{int(self._point_passed(r))}\n"
+                    f"{r.tangency_defect:.17g},{int(reason == '-')},{reason}\n"
                 )
 
 

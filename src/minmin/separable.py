@@ -10,10 +10,11 @@ surface itself is recovered from positive profiles X_i by the quadrature
 x_i = +/- integral of X_i^(-(2m-1)/(2m)).
 
 This module expands the identity for affine, quadratic and exponential profile
-families into canonical coefficient systems, builds surface patches by
-composite quadrature, and provides factories for the catalogue of closed-form
-minimal examples (power sums, mixed-coefficient power sums, the hyperbolic
-exponential surface and the ratio surface x2 x3 = +/- x1 x4).
+families into canonical coefficient systems, builds surface patches by the
+closed-form antiderivative or composite quadrature, and provides factories
+for the catalogue of closed-form minimal examples (power sums,
+mixed-coefficient power sums, the hyperbolic exponential surface, which is
+charted over u, and the ratio surface x2 x3 = +/- x1 x4).
 """
 
 from __future__ import annotations
@@ -23,7 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import _derivs, separable_residual_sum
+from .curvature import (
+    SeparableChart,
+    _columns,
+    _report_chunks,
+    _stage,
+    closed_form_from_slopes,
+    mean_curvature_oracle,
+    report_separable_batch,
+)
 from .errors import (
     ConstraintViolationError,
     DimensionMismatchError,
@@ -32,6 +41,7 @@ from .errors import (
     NonpositiveProfileError,
 )
 from .functions import C3Function
+from .meshes import write_points_csv
 from .norms import NormParams, _sum_last
 
 
@@ -46,9 +56,9 @@ class XProfile:
 
     kind is one of affine (p + q u), quadratic (p + q u + r u^2), exponential
     (q e^u + r e^-u) or custom.  params keeps (p, q, r) as applicable.
-    value() also takes a numpy array: the three closed kinds evaluate it with
-    numpy, custom profiles one element at a time, so scalar-only callables
-    keep working.
+    value(), deriv() and deriv2() take a float or a numpy array: the closed
+    kinds evaluate a whole array, custom profiles one element at a time, so
+    scalar-only callables keep working.
     """
 
     kind: str
@@ -56,48 +66,45 @@ class XProfile:
     _eval: object = field(repr=False)
     _deriv: object = field(repr=False)
     _deriv2: object = field(repr=False)
-    _eval_array: object = field(default=None, repr=False)
+
+    def _at(self, fn, u):
+        if not isinstance(u, np.ndarray):
+            return float(fn(u))
+        if self.kind == "custom":
+            return np.array([float(fn(v)) for v in u.flat]).reshape(u.shape)
+        value = fn(u)
+        if isinstance(value, np.ndarray) and value.shape == u.shape:
+            return value
+        # a constant derivative (lambda u: q) still yields one value per element
+        return np.full(u.shape, value, dtype=float)
 
     def value(self, u):
-        if isinstance(u, np.ndarray):
-            if self._eval_array is not None:
-                return self._eval_array(u)
-            return np.array([float(self._eval(v)) for v in u.flat]).reshape(u.shape)
-        return float(self._eval(u))
+        return self._at(self._eval, u)
 
-    def deriv(self, u: float) -> float:
-        return float(self._deriv(u))
+    def deriv(self, u):
+        return self._at(self._deriv, u)
 
-    def deriv2(self, u: float) -> float:
-        return float(self._deriv2(u))
+    def deriv2(self, u):
+        return self._at(self._deriv2, u)
 
     @classmethod
     def affine(cls, p: float, q: float) -> "XProfile":
-        def ev(u):
-            return p + q * u
-
-        return cls("affine", (p, q), ev, lambda u: q, lambda u: 0.0, ev)
+        return cls("affine", (p, q), lambda u: p + q * u, lambda u: q, lambda u: 0.0)
 
     @classmethod
     def quadratic(cls, p: float, q: float, r: float) -> "XProfile":
-        def ev(u):
-            return p + q * u + r * u * u
-
         return cls(
-            "quadratic", (p, q, r), ev, lambda u: q + 2 * r * u, lambda u: 2 * r, ev
+            "quadratic", (p, q, r), lambda u: p + q * u + r * u * u,
+            lambda u: q + 2 * r * u, lambda u: 2 * r,
         )
 
     @classmethod
     def exponential(cls, q: float, r: float) -> "XProfile":
-        # math.exp on scalars keeps scalar values as they were; np.exp on arrays
-        return cls(
-            "exponential",
-            (q, r),
-            lambda u: q * math.exp(u) + r * math.exp(-u),
-            lambda u: q * math.exp(u) - r * math.exp(-u),
-            lambda u: q * math.exp(u) + r * math.exp(-u),
-            lambda u: q * np.exp(u) + r * np.exp(-u),
-        )
+        def ev(u):  # X'' = X
+            return q * np.exp(u) + r * np.exp(-u)
+
+        return cls("exponential", (q, r), ev,
+                   lambda u: q * np.exp(u) - r * np.exp(-u), ev)
 
     @classmethod
     def custom(cls, eval_fn, deriv_fn, deriv2_fn=None) -> "XProfile":
@@ -439,26 +446,9 @@ def admissible_domain(xs, tol: float = 1e-12) -> AdmissibleDomain:
     return AdmissibleDomain(intervals=tuple(intervals), feasible=feasible)
 
 
-# Simpson rules by panel count: node offsets 0..panels and weights 1 4 2 ... 4 1.
-# Read-only, so every caller can share them.
-_SIMPSON_RULES: dict = {}
-
 # Batched quadratures evaluate at most about this many integrand nodes per
 # numpy call, so that peak memory does not grow with a patch grid.
 _CHUNK_POINTS = 4096
-
-
-def _simpson_rule(panels: int) -> tuple:
-    rule = _SIMPSON_RULES.get(panels)
-    if rule is None:
-        k = np.arange(panels + 1, dtype=float)
-        w = np.ones(panels + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        k.flags.writeable = False
-        w.flags.writeable = False
-        rule = _SIMPSON_RULES[panels] = (k, w)
-    return rule
 
 
 def composite_simpson(fn, a, b, panels: int = 256):
@@ -467,21 +457,22 @@ def composite_simpson(fn, a, b, panels: int = 256):
     fn is called once, on the array of all nodes, so it must accept arrays.
     a and b may be arrays that broadcast: fn then sees their broadcast shape
     plus a trailing node axis, and one integral per element is returned.
+    Each integral is reduced on its own: its bits do not depend on the rest.
     """
     if panels % 2:
         panels += 1
-    k, w = _simpson_rule(panels)
-    if np.ndim(a) == 0 and np.ndim(b) == 0:
-        if a == b:
-            return 0.0
-        t = k * ((b - a) / panels) + a  # the nodes of np.linspace(a, b, panels + 1)
-        t[-1] = b
-        return float((b - a) / (3.0 * panels) * np.dot(fn(t), w))
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    k = np.arange(panels + 1.0)
+    w = np.ones(panels + 1)  # 1 4 2 4 ... 2 4 1
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    # the nodes of np.linspace(a, b, panels + 1)
     t = k * ((b - a) / panels)[..., None] + a[..., None]
     t[..., -1] = b
-    total = (b - a) / (3.0 * panels) * (fn(t) @ w)
-    return np.where(a == b, 0.0, total)
+    total = (b - a) / (3.0 * panels) * np.einsum("...k,k->...", fn(t), w)
+    total = np.where(a == b, 0.0, total)
+    return float(total) if scalar else total
 
 
 def _simpson_batched(fn, a: float, bs, panels: int) -> np.ndarray:
@@ -497,8 +488,9 @@ def _simpson_batched(fn, a: float, bs, panels: int) -> np.ndarray:
     return out
 
 
-def _x_antiderivative(xp: XProfile, u: float, m: int) -> float | None:
-    """Canonical antiderivative of X^(-(2m-1)/(2m)) where a closed form exists."""
+def _x_antiderivative(xp: XProfile, u, m: int):
+    """Canonical antiderivative of X^(-(2m-1)/(2m)) at u (or an array of u)
+    where a closed form exists."""
     g = (2 * m - 1) / (2 * m)
     if xp.kind == "affine":
         p0, q0 = xp.params
@@ -508,20 +500,21 @@ def _x_antiderivative(xp: XProfile, u: float, m: int) -> float | None:
     if xp.kind == "exponential":
         q0, r0 = xp.params
         if r0 == 0.0 and q0 > 0:
-            return -(1.0 / g) * q0 ** (-g) * math.exp(-g * u)
+            return -(1.0 / g) * q0 ** (-g) * np.exp(-g * u)
         if q0 == 0.0 and r0 > 0:
-            return (1.0 / g) * r0 ** (-g) * math.exp(g * u)
+            return (1.0 / g) * r0 ** (-g) * np.exp(g * u)
     return None
 
 
 def _x_coordinates(xp: XProfile, sign: float, us, u0: float, m: int,
                    panels: int = 256) -> np.ndarray:
-    """sign * (anchor + integral from u0 of X^(-(2m-1)/(2m))) at every element of us."""
+    """sign * x(u) at every element of us: the closed-form antiderivative where
+    there is one, else the quadrature of X^(-(2m-1)/(2m)) from u0."""
+    exact = _x_antiderivative(xp, us, m)
+    if exact is not None:
+        return sign * exact
     g = (2 * m - 1) / (2 * m)
-    anchor = _x_antiderivative(xp, u0, m)
-    base = anchor if anchor is not None else 0.0
-    integral = _simpson_batched(lambda t: xp.value(t) ** (-g), u0, us, panels)
-    return sign * (base + integral)
+    return sign * _simpson_batched(lambda t: xp.value(t) ** (-g), u0, us, panels)
 
 
 @dataclass
@@ -542,14 +535,11 @@ class SeparableMinimalPatch:
         return self.points.reshape(-1, self.points.shape[-1])
 
     def write_csv(self, path):
-        n = self.us.shape[-1] - 1
-        dim = self.points.shape[-1]
-        header = [f"u{i + 1}" for i in range(n + 1)] + [f"x{i + 1}" for i in range(dim)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(header) + "\n")
-            for uu, xx in zip(self.us.reshape(-1, n + 1), self.flat_points()):
-                row = list(uu) + list(xx)
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        k = self.us.shape[-1]
+        header = ([f"u{i + 1}" for i in range(k)]
+                  + [f"x{i + 1}" for i in range(self.points.shape[-1])])
+        write_points_csv(path, header, np.concatenate(
+            [self.us.reshape(-1, k), self.flat_points()], axis=1))
 
 
 def patch_from_xprofiles(xs, signs, axes, p: NormParams,
@@ -658,10 +648,8 @@ _MAX_SLICES_PER_POINT = 200
 class SeparableSurface:
     """Profiles f_i with sum f_i(x_i) = 0, plus an on-surface point sampler.
 
-    _draw_block(rng, need) draws _SAMPLE_BLOCK candidate slices and returns
-    (points, kept): kept is the number of slices it keeps, and points (k, dim)
-    are the on-surface points of the first k of them in draw order, with
-    min(need, kept) <= k <= kept.  A point must not depend on need.
+    _draw_block(rng) draws _SAMPLE_BLOCK candidate slices and returns the
+    on-surface points (k, dim) of the k slices it keeps, in draw order.
     """
 
     name: str
@@ -675,26 +663,28 @@ class SeparableSurface:
         Blocks are drawn until count points are kept.  stats, when given,
         counts the slices drawn and rejected (see reporting.RunStats).
         """
-        blocks, got, kept, drawn = [], 0, 0, 0
+        blocks, got, drawn = [], 0, 0
         while got < count:
             if drawn >= _MAX_SLICES_PER_POINT * count:
                 raise DomainError("on-surface sampling kept rejecting slices")
-            points, k = self._draw_block(rng, count - got)
-            blocks.append(points)
-            got += len(points)
-            kept += k
+            rows = self._draw_block(rng)
+            blocks.append(rows)
+            got += len(rows)
             drawn += _SAMPLE_BLOCK
         if stats is not None:
             stats.count("sampler slices drawn", drawn)
-            stats.count("sampler slices rejected", drawn - kept)
+            stats.count("sampler slices rejected", drawn - got)
         if not blocks:
             return np.empty((0, self.p.dim))
         return np.concatenate(blocks)[:count]
 
-    def residual(self, x) -> float:
-        """The separable minimality residual at an ambient point."""
-        return separable_residual_sum(
-            *_derivs(self.fs, np.asarray(x, dtype=float)), self.p.m)
+    def report_sample(self, rng: np.random.Generator, count: int, tol: float = 1e-6,
+                      stats=None) -> list:
+        """report_separable_batch at count sampled points; stats, when given,
+        also times the "sample" stage."""
+        with _stage(stats, "sample"):
+            points = self.sample(rng, count, stats=stats)
+        return report_separable_batch(self.fs, points, self.p, tol=tol, stats=stats)
 
 
 def _signed_draws(rng: np.random.Generator, low: float, high: float, shape):
@@ -712,13 +702,12 @@ def _root_sampler(dim: int, last_root, low: float, high: float,
     whose root is not in [floor, ceil] (or is NaN) are rejected.
     """
 
-    def draw_block(rng: np.random.Generator, need: int) -> tuple:
+    def draw_block(rng: np.random.Generator) -> np.ndarray:
         vals = _signed_draws(rng, low, high, (_SAMPLE_BLOCK, dim - 1))
         sign = rng.choice([-1.0, 1.0], _SAMPLE_BLOCK)
         root = last_root(vals)
         keep = (floor <= root) & (root <= ceil)
-        points = np.column_stack([vals[keep], sign[keep] * root[keep]])
-        return points, len(points)
+        return np.column_stack([vals[keep], sign[keep] * root[keep]])
 
     return draw_block
 
@@ -752,22 +741,15 @@ def _powersum_surface(name: str, a, b, m: int) -> SeparableSurface:
     )
 
 
-# The inverse table of a quadrature chart spans u in [-_TABLE_REACH, _TABLE_REACH]
-# (clipped halfway to any root of X) with _TABLE_NODES nodes.
-_TABLE_REACH = 6.0
-_TABLE_NODES = 193
 _NEWTON_ITERS = 80
 
 
 class _QuadratureProfile(C3Function):
     """f(x) = u(x) for x(u) = sign * integral of X^(-(2m-1)/(2m)) from 0.
 
-    The inverse is computed by safeguarded Newton iteration on the same
-    quadrature.  Newton starts from a cubic Hermite interpolant of u(x) on a
-    node table built once here, using du/dx = sign X^gamma at the nodes; x
-    beyond the table is bracketed by a doubling search instead.  u_of_x(x)
-    depends on x alone, so the memo never changes a result.  Derivatives are
-    taken analytically from X at the recovered parameter.
+    x_of_u, d1_of_u and d2_of_u take the parameter u (scalars or arrays) and
+    invert nothing.  f(x) and its derivatives at x recover u one scalar at a
+    time, by safeguarded Newton iteration inside a doubling-search bracket.
     """
 
     def __init__(self, xp: XProfile, sign: float, m: int, panels: int = 128):
@@ -775,65 +757,28 @@ class _QuadratureProfile(C3Function):
             raise DomainError(f"quadrature chart sign must be +1 or -1, got {sign}")
         self.xp = xp
         self.sign = float(sign)
-        self.m = m
         self.panels = panels
         self._gamma = (2 * m - 1) / (2 * m)
-        self._memo: dict[float, float] = {}
-        super().__init__(self._eval, d1=self._d1f, d2=self._d2f, d3=self._d3f)
-        self._table = self._inverse_table()
-
-    def _integrand(self, t):
-        return self.xp.value(t) ** (-self._gamma)
+        super().__init__(self.u_of_x, d1=lambda x: self.d1_of_u(self.u_of_x(x)),
+                         d2=lambda x: self.d2_of_u(self.u_of_x(x)), d3=self._d3f)
 
     def x_of_u(self, u):
         """The coordinate quadrature; u may be an array of parameters."""
-        return self.sign * composite_simpson(self._integrand, 0.0, u, self.panels)
+        return self.sign * _simpson_batched(
+            lambda t: self.xp.value(t) ** (-self._gamma), 0.0, u, self.panels)
 
-    def _inverse_table(self):
-        """(x, u, du/dx) at the table nodes ordered by increasing x, or None
-        when X is not positive at 0 or the quadrature breaks down on the range."""
-        lo, hi = self.xp.positive_interval() or (0.0, 0.0)
-        if not lo < 0.0 < hi:
-            return None
-        u = np.linspace(max(-_TABLE_REACH, 0.5 * lo), min(_TABLE_REACH, 0.5 * hi),
-                        _TABLE_NODES)
-        with np.errstate(all="ignore"):
-            x = self.sign * _simpson_batched(self._integrand, 0.0, u, self.panels)
-            dudx = self.sign * self.xp.value(u) ** self._gamma
-        if self.sign < 0:
-            x, u, dudx = x[::-1], u[::-1], dudx[::-1]
-        if not (np.all(np.isfinite(dudx)) and np.all(np.diff(x) > 0.0)):
-            return None
-        return x, u, dudx
+    def d1_of_u(self, u):
+        """f' where the parameter is u: sign X(u)^gamma, the inverse of dx/du."""
+        return self.sign * self.xp.value(u) ** self._gamma
 
-    def u_of_x(self, x: float) -> float:
-        """Safeguarded Newton inversion of the (monotone) coordinate quadrature."""
-        key = float(x)
-        u = self._memo.get(key)
-        if u is None:
-            u = self._invert(key)
-            if len(self._memo) > 4096:
-                self._memo.clear()
-            self._memo[key] = u
-        return u
+    def d2_of_u(self, u):
+        """f'' where the parameter is u: gamma X'(u) X(u)^(2 gamma - 1)."""
+        g = self._gamma
+        return g * self.xp.deriv(u) * self.xp.value(u) ** (2 * g - 1.0)
 
-    def _start(self, x: float) -> tuple:
-        """(Newton start, lo, hi) with the root of x_of_u(u) = x in [lo, hi]."""
-        if self._table is not None:
-            tx, tu, td = self._table
-            k = int(np.searchsorted(tx, x, side="right")) - 1
-            # tx[k] <= x < tx[k+1]; the bracket takes one more node on each
-            # side, so rounding in the table cannot leave the root outside it
-            if 1 <= k <= len(tx) - 3:
-                h = tx[k + 1] - tx[k]
-                s = (x - tx[k]) / h
-                r = 1.0 - s
-                u = float(
-                    (1.0 + 2.0 * s) * r * r * tu[k] + s * r * r * h * td[k]
-                    + s * s * (3.0 - 2.0 * s) * tu[k + 1] - s * s * r * h * td[k + 1]
-                )
-                lo, hi = sorted((float(tu[k - 1]), float(tu[k + 2])))
-                return u, lo, hi
+    def _bracket(self, x: float) -> tuple:
+        """(lo, hi, x_of_u(lo), x_of_u(hi)) with the root of x_of_u(u) = x in
+        [lo, hi]."""
         lo, hi = -1.0, 1.0
         for _ in range(80):
             ends = np.array([lo, hi])
@@ -844,17 +789,19 @@ class _QuadratureProfile(C3Function):
                     and math.isfinite(x_lo) and math.isfinite(x_hi)):
                 break  # X overflows or stops being positive before x is reached
             if (x_lo - x) * (x_hi - x) <= 0:
-                return 0.5 * (lo + hi), lo, hi
+                return lo, hi, x_lo, x_hi
             lo *= 2.0
             hi *= 2.0
         raise DomainError(f"x = {x} outside the reach of the quadrature chart")
 
-    def _invert(self, x: float) -> float:
+    def u_of_x(self, x: float) -> float:
+        """Safeguarded Newton inversion of the (monotone) coordinate quadrature."""
         if not math.isfinite(x):
             raise DomainError(f"x = {x} outside the reach of the quadrature chart")
-        u, lo, hi = self._start(x)
+        lo, hi, x_lo, x_hi = self._bracket(x)
+        u = lo + (x - x_lo) * (hi - lo) / (x_hi - x_lo)  # the secant of the bracket
         for _ in range(_NEWTON_ITERS):
-            res = self.x_of_u(u) - x
+            res = float(self.x_of_u(u)) - x
             if res == 0.0:
                 return u
             if not math.isfinite(res):
@@ -863,7 +810,7 @@ class _QuadratureProfile(C3Function):
                 hi = u
             else:
                 lo = u
-            u_new = u - res * self.sign * self.xp.value(u) ** self._gamma
+            u_new = u - res * self.d1_of_u(u)
             tol = 1e-15 * (1.0 + abs(u_new))
             if abs(u_new - u) <= tol:
                 return u_new
@@ -877,18 +824,6 @@ class _QuadratureProfile(C3Function):
             f"{_NEWTON_ITERS} Newton steps"
         )
 
-    def _eval(self, x):
-        return self.u_of_x(x)
-
-    def _d1f(self, x):
-        u = self.u_of_x(x)
-        return self.sign * self.xp.value(u) ** self._gamma
-
-    def _d2f(self, x):
-        u = self.u_of_x(x)
-        X = self.xp.value(u)
-        return self._gamma * self.xp.deriv(u) * X ** (2 * self._gamma - 1.0)
-
     def _d3f(self, x):
         # f'' = gamma X' X^(2 gamma - 1); differentiate in u, then times du/dx
         u = self.u_of_x(x)
@@ -900,35 +835,72 @@ class _QuadratureProfile(C3Function):
         return self.sign * g * inner * X ** g
 
 
-# Rows per coordinate-quadrature call of the 6.5 sampler.  A block maps its
-# kept draws in these fixed groups, and only as many as a sample needs.
-_QUADRATURE_ROWS = 8
+def _zero_sum(t: np.ndarray) -> np.ndarray:
+    """(t, -sum t): the parameters u_1..u_{n+1} of a zero-sum point from its first n."""
+    return np.concatenate([t, -_sum_last(t)[..., None]], axis=-1)
 
 
-def _exponential_sampler(fs, low: float = 0.3, high: float = 1.2,
-                         floor: float = 0.25):
-    """u-space block sampler for the hyperbolic-profile surface: draw zero-sum
-    u with every |u_i| bounded below, then map the kept draws to x through the
-    coordinate quadratures, one call per column and group of _QUADRATURE_ROWS
-    rows.  The groups are fixed within the block, so a point does not depend
-    on how many are asked for."""
-    dim = len(fs)
+def _zero_sum_sampler(dim: int, low: float = 0.3, high: float = 1.2,
+                      floor: float = 0.25):
+    """Block sampler of zero-sum parameters u: u_1..u_{dim-1} are random signed
+    magnitudes in [low, high), and a slice with |u_dim| < floor is rejected."""
 
-    def draw_block(rng: np.random.Generator, need: int) -> tuple:
-        u = _signed_draws(rng, low, high, (_SAMPLE_BLOCK, dim - 1))
-        u_last = -_sum_last(u)
-        keep = np.abs(u_last) >= floor
-        u = np.column_stack([u[keep], u_last[keep]])
-        groups = -(-min(need, len(u)) // _QUADRATURE_ROWS)
-        u_mapped = u[:groups * _QUADRATURE_ROWS]
-        points = np.empty(u_mapped.shape)
-        for start in range(0, len(u_mapped), _QUADRATURE_ROWS):
-            rows = slice(start, start + _QUADRATURE_ROWS)
-            for i, f in enumerate(fs):
-                points[rows, i] = f.x_of_u(u_mapped[rows, i])
-        return points, len(u)
+    def draw_block(rng: np.random.Generator) -> np.ndarray:
+        u = _zero_sum(_signed_draws(rng, low, high, (_SAMPLE_BLOCK, dim - 1)))
+        return u[np.abs(u[:, -1]) >= floor]
 
     return draw_block
+
+
+@dataclass(frozen=True)
+class QuadratureSurface(SeparableSurface):
+    """The separable surface sum u_i = 0 in the coordinates x_i = x_i(u_i) of
+    its quadrature profiles fs (see _QuadratureProfile), and its own chart
+    over t = (u_1, ..., u_n), u_{n+1} = -sum t.
+
+    Its blocks draw zero-sum parameter rows u, which sample() maps to x.  The
+    chart's defining gradient is nu_i = f_i'(x_i) = s_i X_i(u_i)^gamma and its
+    tangents dx/dt_j = s_j X_j^-gamma e_j - s_{n+1} X_{n+1}^-gamma e_{n+1},
+    where s_i X_i^-gamma = dx_i/du_i = 1/nu_i.  report_sample() stays in u:
+    the closed form takes its slopes from X at u and the oracle runs on this
+    chart, so nothing inverts a quadrature or solves for a coordinate.
+    """
+
+    # the block loop of SeparableSurface.sample, which here keeps parameter rows u
+    sample_u = SeparableSurface.sample
+
+    def x_of_u(self, u: np.ndarray) -> np.ndarray:
+        """The points x (N, dim) of the parameter rows u (N, dim)."""
+        return _columns([f.x_of_u for f in self.fs], u)
+
+    def nu(self, t) -> np.ndarray:
+        u = _zero_sum(np.asarray(t, dtype=float))
+        return _columns([f.d1_of_u for f in self.fs], u)
+
+    @staticmethod
+    def tangents_from_nu(nu: np.ndarray) -> np.ndarray:
+        # the tangents over x_1..x_n, e_j - (nu_j / nu_{n+1}) e_{n+1}, times dx_j/du_j
+        return SeparableChart.tangents_from_nu(nu) / nu[..., None, :-1]
+
+    def sample(self, rng: np.random.Generator, count: int, stats=None) -> np.ndarray:
+        return self.x_of_u(self.sample_u(rng, count, stats))
+
+    def report_sample(self, rng: np.random.Generator, count: int, tol: float = 1e-6,
+                      stats=None) -> list:
+        with _stage(stats, "sample"):
+            u = self.sample_u(rng, count, stats)
+            x = self.x_of_u(u)
+
+        def analytic(rows):
+            d1 = _columns([f.d1_of_u for f in self.fs], u[rows])
+            d2 = _columns([f.d2_of_u for f in self.fs], u[rows])
+            return closed_form_from_slopes(d1, d2, self.p)
+
+        return _report_chunks(
+            x, analytic,
+            lambda rows, eta: mean_curvature_oracle(self, u[rows, :-1], self.p),
+            tol, stats,
+        )
 
 
 def _ratio_surface(m: int) -> SeparableSurface:
@@ -999,9 +971,9 @@ def example_surface(example_id: str, m: int, r: int = 2,
     if example_id == "6.5":
         xs, signs = example_xprofiles("6.5")
         fs = tuple(_QuadratureProfile(x, s, m) for x, s in zip(xs, signs))
-        return SeparableSurface(
+        return QuadratureSurface(
             name="6.5", fs=fs, p=NormParams(m=m, dim=4),
-            _draw_block=_exponential_sampler(fs),
+            _draw_block=_zero_sum_sampler(4),
         )
     if example_id == "6.6":
         return _ratio_surface(m)

@@ -25,6 +25,7 @@ from .errors import (
     IntegrationError,
 )
 from .functions import C3Function
+from .meshes import write_points_csv
 from .norms import NormParams, signed_pow
 
 SLOPE_CAP = 1e6          # |f'| beyond this counts as blow-up
@@ -186,10 +187,8 @@ class ProfileCurve:
         return SampledProfile(self)
 
     def write_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("u,f,f_prime,f_double_prime\n")
-            for row in zip(self.u, self.f, self.d1, self.d2):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_points_csv(path, ["u", "f", "f_prime", "f_double_prime"],
+                         np.column_stack([self.u, self.f, self.d1, self.d2]))
 
 
 def _rk4(rhs, f, y, h):

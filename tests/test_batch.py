@@ -22,7 +22,11 @@ from minmin.errors import ChartConvergenceError, SingularConfigurationError
 from minmin.functions import C3Function
 from minmin.norms import birkhoff_normal_implicit, signed_pow
 from minmin.sampling import counter_rng, random_separable_config
-from minmin.separable import _QuadratureProfile, example_surface
+from minmin.separable import (
+    _QuadratureProfile,
+    _zero_sum,
+    example_surface,
+)
 
 # ---------------------------------------------------------------------------
 # frozen per-point reference
@@ -213,17 +217,54 @@ def test_chart_newton_stops_at_the_rounding_floor(monkeypatch):
         report_separable_batch(surface.fs, x[None], surface.p)
 
 
-def test_65_verify_evaluates_profiles_one_element_at_a_time(monkeypatch, capsys):
-    seen = []
+def test_65_verify_never_inverts_the_quadrature(monkeypatch, capsys):
+    calls = []
     real = _QuadratureProfile.u_of_x
 
     def u_of_x(self, x):
-        seen.append(type(x))
+        calls.append(x)
         return real(self, x)
 
     monkeypatch.setattr(_QuadratureProfile, "u_of_x", u_of_x)
-    code = main(["verify", "--example", "6.5", "--m", "2", "--points", "4",
+    code = main(["verify", "--example", "6.5", "--m", "2", "--points", "40",
                  "--seed", "5"])
     out = capsys.readouterr().out
     assert code == 0 and "status: PASS" in out
-    assert seen and not any(issubclass(t, np.ndarray) for t in seen)
+    assert calls == []
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_65_verify_passes_at_3000_points(m, capsys):
+    code = main(["verify", "--example", "6.5", "--m", str(m), "--points", "3000"])
+    out = capsys.readouterr().out
+    assert code == 0 and "status: PASS" in out
+    dev = float(out.split("max_oracle_dev: ")[1].split()[0])
+    assert dev <= 1e-9
+
+
+def test_65_chart_tangents_are_the_derivatives_of_x():
+    surface = example_surface("6.5", 2)
+    u = np.array([[0.4, -1.1, 0.9], [-0.8, 0.3, 1.2]])
+    nu = surface.nu(u)
+    T = surface.tangents_from_nu(nu)
+    h = 1e-5
+    for j in range(3):
+        e = np.eye(3)[j] * h
+        x = [surface.x_of_u(_zero_sum(u + s * e)) for s in (1.0, -1.0)]
+        fd = (x[0] - x[1]) / (2 * h)
+        assert np.max(np.abs(T[:, :, j] - fd)) <= 1e-8
+    # the tangents are orthogonal to the defining gradient
+    assert np.max(np.abs(np.einsum("nd,ndj->nj", nu, T))) <= 1e-14
+
+
+def test_65_u_chart_agrees_with_the_x_chart():
+    surface = example_surface("6.5", 2)
+    reports = surface.report_sample(counter_rng(8), 12)
+    points = np.array([r.point for r in reports])
+    ref = report_separable_batch(surface.fs, points, surface.p)
+    for r, q in zip(reports, ref):
+        assert r.h_analytic == pytest.approx(q.h_analytic, abs=1e-15)
+        assert r.h_oracle == pytest.approx(q.h_oracle, abs=1e-9)
+        assert np.allclose(r.eta, q.eta, rtol=0, atol=1e-14)
+        assert np.allclose(r.weingarten.entries, q.weingarten.entries, rtol=0,
+                           atol=1e-13)

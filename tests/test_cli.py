@@ -107,8 +107,25 @@ def test_verify_csv_sidecar(tmp_path, capsys):
     )
     assert code == 0
     lines = csv.read_text().strip().splitlines()
-    assert lines[0].startswith("index,h_analytic")
+    assert lines[0] == "index,h_analytic,h_oracle,tangency_defect,passed,reason"
     assert len(lines) == 6
+    assert all(line.endswith(",1,-") for line in lines[1:])
+
+
+def test_verify_csv_names_why_a_point_failed(tmp_path, capsys):
+    csv = tmp_path / "r.csv"
+    code, stdout, _ = run(
+        ["verify", "--example", "6.4", "--m", "1", "--r", "2", "--points", "10",
+         "--seed", "11", "--perturb", "1.1", "--csv", str(csv)], capsys,
+    )
+    assert code == 1
+    rows = [line.split(",") for line in csv.read_text().strip().splitlines()[1:]]
+    failed = [r for r in rows if r[4] == "0"]
+    assert failed and all(r[5] == "h" for r in failed)
+    assert all(r[5] == "-" for r in rows if r[4] == "1")
+    # the report rows on stdout keep their five fields
+    table = stdout.split("pass\n")[1].split("\n\n")[0].splitlines()
+    assert len(table) == 10 and all(len(line.split()) == 5 for line in table)
 
 
 def test_ode_single_profile_csv(tmp_path, capsys):

@@ -13,6 +13,7 @@ from minmin.errors import (
     EmptyDomainError,
     NonpositiveProfileError,
 )
+from minmin.meshes import write_points_csv
 from minmin.reporting import RunStats
 from minmin.separable import (
     _QuadratureProfile,
@@ -394,6 +395,30 @@ def test_patch_zero_sum_and_csv(tmp_path):
     assert len(lines) == 1 + 4 ** 3
 
 
+def test_patch_csv_bytes_match_per_value_formatting(tmp_path):
+    xs, signs = mm.example_xprofiles("6.5")
+    patch = mm.patch_from_xprofiles(xs, signs, mm.feasible_axes(xs, 5),
+                                    mm.NormParams(2, 4))
+    out = tmp_path / "patch.csv"
+    patch.write_csv(out)
+    want = "u1,u2,u3,u4,x1,x2,x3,x4\n" + "".join(
+        ",".join(f"{v:.17g}" for v in list(uu) + list(xx)) + "\n"
+        for uu, xx in zip(patch.us.reshape(-1, 4), patch.flat_points()))
+    assert out.read_bytes() == want.encode()
+
+
+def test_points_csv_formats_special_values_like_one_value_at_a_time(tmp_path):
+    rows = np.array([[-0.0, np.inf, np.nan], [3.0, 5e-324, -1e300],
+                     [0.1, -2.5e-17, 123456789.125]])
+    out = tmp_path / "p.csv"
+    write_points_csv(out, ["a", "b", "c"], rows)
+    want = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                for row in rows)
+    assert out.read_text() == want
+    write_points_csv(out, ["a"], np.empty((0, 1)))
+    assert out.read_text() == "a\n"
+
+
 def test_patch_empty_domain_raises():
     p = np.array([0.5, 0.25, 0.25, -1.0])
     xs = [mm.XProfile.affine(pi, 1.0) for pi in p]
@@ -418,6 +443,23 @@ def test_patch_matches_closed_form_antiderivative(ex, dim, span):
         for i in range(dim):
             want = [signs[i] * _x_antiderivative(xs[i], u, m) for u in us[:, i]]
             assert np.max(np.abs(pts[:, i] - want)) <= 1e-9, (ex, m, i)
+
+
+def test_patch_is_the_closed_form_near_a_root_of_x():
+    # X_1 = 1 + u has a root at u = -1, where X^(-gamma) is so steep that a
+    # 256-panel Simpson rule from the axis start misses the antiderivative by
+    # about 1e-4 at u = -0.999
+    xs, signs = mm.example_xprofiles("6.1")
+    m = 3
+    axes = [np.linspace(-0.999, -0.9, 6), np.linspace(-0.2, 0.2, 5),
+            np.linspace(-0.2, 0.2, 5)]
+    patch = mm.patch_from_xprofiles(xs, signs, axes, mm.NormParams(m, 4))
+    us = patch.us.reshape(-1, 4)
+    pts = patch.flat_points()
+    for i in range(4):
+        want = np.array([signs[i] * _x_antiderivative(xs[i], float(u), m)
+                         for u in us[:, i]])
+        assert np.max(np.abs(pts[:, i] - want)) <= 1e-13, i
 
 
 def test_patch_from_scalar_only_custom_profiles():
@@ -456,12 +498,15 @@ def test_patch_from_scalar_only_custom_profiles():
 def test_xprofile_value_arrays_match_scalars():
     u = np.linspace(-2.0, 2.0, 9)
     for xp in (mm.XProfile.affine(1.5, -0.5), mm.XProfile.quadratic(1.0, 0.3, 0.2),
-               mm.XProfile.exponential(0.7, 1.3)):
-        got = xp.value(u.reshape(3, 3))
-        assert got.shape == (3, 3)
-        want = np.array([xp.value(float(v)) for v in u]).reshape(3, 3)
-        assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * np.max(want)
-        assert isinstance(xp.value(0.25), float)
+               mm.XProfile.exponential(0.7, 1.3),
+               mm.XProfile.custom(lambda t: 2.0 + math.sin(t), math.cos)):
+        for ev in (xp.value, xp.deriv, xp.deriv2):
+            got = ev(u.reshape(3, 3))
+            assert got.shape == (3, 3)
+            want = np.array([ev(float(v)) for v in u]).reshape(3, 3)
+            scale = max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= 4 * np.finfo(float).eps * scale
+            assert isinstance(ev(0.25), float)
 
 
 def test_composite_simpson_array_endpoints():
@@ -472,6 +517,25 @@ def test_composite_simpson_array_endpoints():
         assert got[idx] == pytest.approx(composite_simpson(np.exp, 0.0, b[idx], 64),
                                          rel=1e-14, abs=1e-15)
     assert got[1, 1] == 0.0
+
+
+def test_simpson_reduces_each_row_on_its_own():
+    rng = np.random.default_rng(64)
+    b = rng.uniform(-3.6, 3.6, 300)
+    full = composite_simpson(np.exp, 0.0, b, 128)
+    for k in range(1, len(b) + 1):
+        assert np.array_equal(composite_simpson(np.exp, 0.0, b[:k], 128), full[:k])
+    assert all(composite_simpson(np.exp, 0.0, float(v), 128) == full[i]
+               for i, v in enumerate(b[:20]))
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_quadrature_x_of_u_prefixes_are_bit_identical(m):
+    f = _QuadratureProfile(mm.XProfile.exponential(1.0, 1.0), -1.0, m)
+    u = np.random.default_rng(65).uniform(-3.6, 3.6, 300)
+    full = f.x_of_u(u)
+    for k in range(1, len(u) + 1):
+        assert np.array_equal(f.x_of_u(u[:k]), full[:k])
 
 
 def test_composite_simpson_accuracy():
@@ -532,9 +596,9 @@ def test_sampler_counts_slices_and_gives_up():
 
     blocks = []
 
-    def rejects_all(rng, need):
-        blocks.append(need)
-        return np.empty((0, 4)), 0
+    def rejects_all(rng):
+        blocks.append(rng)
+        return np.empty((0, 4))
 
     never = separable.SeparableSurface("never", s.fs, s.p, rejects_all)
     with pytest.raises(DomainError):
@@ -632,7 +696,7 @@ def test_quadrature_profile_negative_sign_roundtrip():
             x = f.x_of_u(u)
             assert (x < 0) == (u > 0) or u == 0.0
             assert f.u_of_x(x) == pytest.approx(u, abs=1e-12)
-        # beyond the inverse table the bracket search takes over
+        # far out, where x(u) flattens
         x = f.x_of_u(7.0)
         assert f.u_of_x(x) == pytest.approx(7.0, abs=1e-10)
         assert f.d1(f.x_of_u(0.5)) < 0

@@ -260,6 +260,17 @@ def test_profile_curve_csv(tmp_path):
     assert row[0] == pytest.approx(curve.u[0])
 
 
+def test_profile_curve_csv_bytes_match_per_value_formatting(tmp_path):
+    curve = mm.integrate_profile(mm.ProfileODEParams(
+        c0=0.7, k=1, m=3, y0=0.4, u0=0.1, step=1e-3, max_steps=300))
+    out = tmp_path / "profile.csv"
+    curve.write_csv(out)
+    want = "u,f,f_prime,f_double_prime\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n"
+        for row in zip(curve.u, curve.f, curve.d1, curve.d2))
+    assert out.read_bytes() == want.encode()
+
+
 # ---------------------------------------------------------------------------
 # separated assembly
 # ---------------------------------------------------------------------------
