@@ -12,11 +12,11 @@ basis.
 
 The separable routines work on stacks of points: separable_closed_form,
 mean_curvature_oracle and report_separable_batch evaluate N points as arrays
-of shape (N, dim), with one Newton solve of the chart for all N points and
-their 2n stencil points and one batched linear solve.  The single-point
-functions are batches of one.  report_separable_batch charts a point whose
-last slope is small over the other coordinates instead, with its
-largest-slope coordinate solved for.
+of shape (N, dim), with one gradient evaluation for all N points and their 2n
+stencil points and one batched linear solve.  The single-point functions are
+batches of one.  The oracle's chart moves along each point's tangent plane,
+spanned over the n coordinates other than the one of largest slope, so
+nothing solves for a coordinate.
 
 Orientation follows the normal branches of the norms module: aligned with the
 defining gradient for implicit surfaces, upward for graphs.  The implicit
@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ChartConvergenceError,
     DimensionMismatchError,
     OffSurfaceError,
     SingularConfigurationError,
@@ -220,93 +219,62 @@ def weingarten_separable(
 # ---------------------------------------------------------------------------
 
 
-# Newton steps of the separable chart before it gives up.
-_CHART_NEWTON_ITERS = 80
-# A chart solve also stops once |sum f_i| is within this many ulps of
-# sum |f_i|, the rounding floor of evaluating the sum.
-_CHART_FLOOR_ULPS = 4.0
+def _other_coordinates(nu):
+    """k (..., 1), the coordinate of largest |nu_k| in each row of nu (..., dim),
+    and above (..., n), true where the j-th of the other n coordinates is
+    j + 1 rather than j."""
+    k = np.argmax(np.abs(nu), axis=-1)[..., None]
+    return k, np.arange(nu.shape[-1] - 1) >= k
 
 
 class SeparableChart:
-    """Separable surface sum f_i(x_i) = 0 charted over the first n coordinates.
+    """Separable surface sum f_i(x_i) = 0 charted along its tangent planes.
 
-    The last coordinate is recovered by Newton iteration seeded at the base
-    point's value, staying on the branch through the base point.  base_point
-    may be a stack (N, dim): parameter arrays (..., N, n) are then seeded row
-    by row from their own base point.  newton_iterations counts the Newton
-    steps taken, one per solved coordinate and step.
+    base_point is one on-surface point x0 (dim,) or a stack (N, dim).  At each
+    base point the chart keeps the n coordinates other than the one of largest
+    |nu0_k|, nu0 = f'(x0), as its parameters t0, and moves along the tangent
+    plane: point(t) = x0 + T (t - t0) with T = tangents_from_nu(nu0), and
+    nu(t) = f'(point(t)).  Parameter arrays (..., N, n) are taken row by row
+    about their own base point.  The normal eta = B(grad F) is defined off the
+    surface too, and along a tangent vector its derivative is the shape
+    operator's, so central differences of eta along x0 +/- h T_j keep their
+    O(h^2) accuracy with no coordinate solved for.  As eta stays on the unit
+    sphere of the norm, d eta stays tangent, and the oracle's tangency defect
+    is still a check.
     """
 
     def __init__(self, fs, p: NormParams, base_point):
         self.fs = list(fs)
-        base_point = np.asarray(base_point, dtype=float)
-        if base_point.ndim not in (1, 2) or base_point.shape[-1] != p.dim:
+        x0 = np.asarray(base_point, dtype=float)
+        if x0.ndim not in (1, 2) or x0.shape[-1] != p.dim:
             raise DimensionMismatchError("base point must be an ambient point")
-        self.base_last = base_point[..., -1]
-        self.newton_iterations = 0
-
-    def _solve_last(self, t: np.ndarray) -> np.ndarray:
-        """The last coordinate at every parameter vector of t (..., n).
-
-        Each coordinate steps until its own step is below 1e-15 (1 + |x|) or
-        its |sum f_i| is at the rounding floor _CHART_FLOOR_ULPS eps sum |f_i|,
-        so a solve does not depend on the other coordinates solved with it.
-        A coordinate still stepping after _CHART_NEWTON_ITERS steps (a NaN
-        step never stops) raises ChartConvergenceError.
-        """
-        f_last = self.fs[-1]
-        rest = _columns(self.fs[:-1], t)
-        rhs = -_sum_last(rest)
-        shape = rhs.shape
-        rhs = rhs.reshape(-1)
-        # at the root |f_{n+1}| = |rhs|, so this is the floor there
-        floor = (_CHART_FLOOR_ULPS * _EPS) * (
-            np.add.reduce(np.abs(rest), axis=-1).reshape(-1) + np.abs(rhs))
-        x = np.empty(shape)
-        x[...] = self.base_last
-        x = x.reshape(-1)
-        live = np.arange(x.size)
-        for _ in range(_CHART_NEWTON_ITERS):
-            if live.size == 0:
-                break
-            xl = x[live]
-            val = f_last(xl) - rhs[live]
-            der = f_last.d1(xl)
-            if (der == 0.0).any():
-                raise SingularConfigurationError("chart slope f_{n+1}' vanishes")
-            step = val / der
-            xl -= step
-            x[live] = xl
-            self.newton_iterations += live.size
-            live = live[~((np.abs(step) <= 1e-15 * (1.0 + np.abs(xl)))
-                          | (np.abs(val) <= floor[live]))]
-        if live.size:
-            raise ChartConvergenceError(
-                f"chart Newton solve of x_{{n+1}} still stepping after "
-                f"{_CHART_NEWTON_ITERS} steps at {live.size} point(s)"
-            )
-        return x.reshape(shape)
+        nu0 = _columns([f.d1 for f in self.fs], x0)
+        if (np.abs(nu0).max(axis=-1) == 0.0).any():
+            raise SingularConfigurationError("the gradient vanishes at a base point")
+        self.x0 = x0
+        above = _other_coordinates(nu0)[1]
+        self.t0 = np.where(above, x0[..., 1:], x0[..., :-1])
+        self.T = self.tangents_from_nu(nu0)
 
     def point(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.concatenate([t, self._solve_last(t)[..., None]], axis=-1)
+        dt = np.asarray(t, dtype=float) - self.t0
+        return self.x0 + (self.T @ dt[..., None])[..., 0]
 
     def nu(self, t) -> np.ndarray:
-        x = self.point(t)
-        return _columns([f.d1 for f in self.fs], x)
+        return _columns([f.d1 for f in self.fs], self.point(t))
 
     @staticmethod
     def tangents_from_nu(nu: np.ndarray) -> np.ndarray:
-        """Tangent vectors (..., dim, n) e_j - (nu_j / nu_{n+1}) e_{n+1} of the
-        graph over the first n coordinates, where its gradient is nu (..., dim)."""
-        n = nu.shape[-1] - 1
-        T = np.zeros(nu.shape[:-1] + (n + 1, n))
-        T[..., :n, :] = np.eye(n)
-        T[..., n, :] = -nu[..., :n] / nu[..., n:]
-        return T
-
-    def tangents(self, t) -> np.ndarray:
-        return self.tangents_from_nu(self.nu(t))
+        """Tangent vectors (..., dim, n) e_j - (nu_j / nu_k) e_k, j != k in
+        increasing order, where the gradient is nu (..., dim) and k is the
+        coordinate of largest |nu_k|."""
+        k, above = _other_coordinates(nu)
+        n = above.shape[-1]
+        nu_k = np.take_along_axis(nu, k, -1)
+        ratio = -np.where(above, nu[..., 1:], nu[..., :-1]) / nu_k
+        rows = np.arange(n + 1)[:, None]
+        return ((rows == np.arange(n) + above[..., None, :])
+                + (rows == k[..., None]) * ratio[..., None, :])
 
 
 def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
@@ -361,45 +329,10 @@ def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
 _CHUNK_POINTS = 4096
 
 
-def _chart_oracle(fs, x, p: NormParams, h, stats):
-    """mean_curvature_oracle at the points x (N, dim) on the SeparableChart
-    that solves their last coordinate."""
+def _chart_oracle(fs, x, p: NormParams, h):
+    """mean_curvature_oracle at the points x (N, dim) on their SeparableChart."""
     chart = SeparableChart(fs, p, x)
-    h_oracle, defect = mean_curvature_oracle(chart, x[:, :-1], p, h=h)
-    if stats is not None:
-        stats.count("chart Newton steps", chart.newton_iterations)
-    return h_oracle, defect
-
-
-def _largest_slope_oracle(fs, x, eta, p: NormParams, h, stats):
-    """mean_curvature_oracle at the points x (N, dim), with the chart of each
-    point solving for a coordinate of large slope.
-
-    A point keeps the last-coordinate chart unless |f_last'| < max_i |f_i'| / 2.
-    Otherwise its largest-slope coordinate k is moved last, in the profiles
-    and the coordinates alike, and the same chart and oracle run on that
-    ordering; the 2m-norm is symmetric under the permutation, so H is
-    unchanged.  The slopes are read off the normals eta (N, dim), since
-    |eta_i|^(2m-1) is proportional to |f_i'|.
-    """
-    mag = np.abs(eta)
-    # |f_last'| < max |f_i'| / 2, in the normal's magnitudes
-    switch = mag[:, -1] < 0.5 ** (1.0 / (2 * p.m - 1)) * np.maximum.reduce(mag, axis=1)
-    switched = np.count_nonzero(switch)
-    if stats is not None:
-        stats.count("points charted over a switched coordinate", switched)
-    if not switched:
-        return _chart_oracle(fs, x, p, h, stats)
-    # the coordinate each point's chart solves for
-    solved = np.where(switch, np.argmax(mag, axis=1), p.n)
-    keys = sorted(set(solved.tolist()))
-    h_oracle, defect = np.empty(len(x)), np.empty(len(x))
-    for k in keys:
-        rows = np.flatnonzero(solved == k) if len(keys) > 1 else slice(None)
-        order = [i for i in range(p.dim) if i != k] + [k]
-        h_oracle[rows], defect[rows] = _chart_oracle(
-            [fs[i] for i in order], x[rows][:, order], p, h, stats)
-    return h_oracle, defect
+    return mean_curvature_oracle(chart, chart.t0, p, h=h)
 
 
 def _report_chunks(points, analytic, oracle, tol: float, stats) -> list:
@@ -436,12 +369,11 @@ def report_separable_batch(
     """Closed-form vs oracle comparison at a stack (N, dim) of surface points.
 
     Every point is evaluated in array passes (separable_closed_form, then
-    mean_curvature_oracle on a SeparableChart that solves for a coordinate of
-    large slope, see _largest_slope_oracle), in the chunks of _report_chunks.
-    A point's report does not depend on the other points of the batch.  The
-    Weingarten matrix stays the one of the last-coordinate chart.  stats, when
-    given, times the "analytic" and "oracle" stages and counts the chart's
-    Newton work and the switched charts (see reporting.RunStats).
+    mean_curvature_oracle on the SeparableChart of the points), in the chunks
+    of _report_chunks.  A point's report does not depend on the other points
+    of the batch.  The Weingarten matrix is the one of the last-coordinate
+    chart.  stats, when given, times the "analytic" and "oracle" stages (see
+    reporting.RunStats).
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != p.dim:
@@ -452,7 +384,7 @@ def report_separable_batch(
         points,
         lambda rows: separable_closed_form(
             fs, points[rows], p, on_surface_tol=on_surface_tol),
-        lambda rows, eta: _largest_slope_oracle(fs, points[rows], eta, p, h, stats),
+        lambda rows, eta: _chart_oracle(fs, points[rows], p, h),
         tol, stats,
     )
 
@@ -524,8 +456,8 @@ def report_translation(
     """Closed-form vs oracle comparison at one translation-graph point: the
     report_separable of the graph as a separable surface, turned upward.
 
-    stats, when given, times the "analytic" and "oracle" stages and counts the
-    chart's Newton work (see reporting.RunStats).
+    stats, when given, times the "analytic" and "oracle" stages (see
+    reporting.RunStats).
     """
     u = np.asarray(u, dtype=float)
     rep = report_separable(*_as_separable(fs, u, p), p, tol=tol, h=h, stats=stats)

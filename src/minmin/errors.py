@@ -39,7 +39,3 @@ class EmptyDomainError(MinminError, ValueError):
 
 class IntegrationError(MinminError, RuntimeError):
     """Profile ODE integration failed (immediate blow-up or unusable step)."""
-
-
-class ChartConvergenceError(MinminError, RuntimeError):
-    """A chart's Newton solve did not converge within its step cap."""

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import (
-    SeparableChart,
     _columns,
     _report_chunks,
     _stage,
@@ -880,7 +879,11 @@ class QuadratureSurface(SeparableSurface):
     @staticmethod
     def tangents_from_nu(nu: np.ndarray) -> np.ndarray:
         # the tangents over x_1..x_n, e_j - (nu_j / nu_{n+1}) e_{n+1}, times dx_j/du_j
-        return SeparableChart.tangents_from_nu(nu) / nu[..., None, :-1]
+        n = nu.shape[-1] - 1
+        T = np.zeros(nu.shape + (n,))
+        T[..., :n, :] = np.eye(n)
+        T[..., n, :] = -nu[..., :n] / nu[..., n:]
+        return T / nu[..., None, :-1]
 
     def sample(self, rng: np.random.Generator, count: int, stats=None) -> np.ndarray:
         return self.x_of_u(self.sample_u(rng, count, stats))

@@ -16,20 +16,24 @@ def classical_graph_mean_curvature(grad, hess_diag):
     return float(np.trace(np.linalg.solve(E, L))) / n
 
 
-def fd_weingarten(chart, t0, p, h=1e-5):
-    """Rows of the Weingarten matrix by central differences of the normal."""
-    t0 = np.asarray(t0, dtype=float)
+def fd_weingarten(chart, p, h=1e-5):
+    """Rows of the Weingarten matrix at the chart's base point by central
+    differences of the normal along the tangents e_j - (nu_j/nu_{n+1}) e_{n+1}
+    of the last-coordinate chart, the basis the closed-form matrix is in."""
+    x0 = chart.x0
     n = p.n
-    basis = np.column_stack([chart.tangents(t0), chart.nu(t0) / np.linalg.norm(chart.nu(t0))])
+
+    def nu(x):
+        return np.array([f.d1(t) for f, t in zip(chart.fs, x)])
+
+    nu0 = nu(x0)
+    T = np.vstack([np.eye(n), -nu0[:n] / nu0[n]])
+    basis = np.column_stack([T, nu0 / np.linalg.norm(nu0)])
     W = np.empty((n, n))
     defect = 0.0
     for j in range(n):
-        tp = t0.copy()
-        tp[j] += h
-        tm = t0.copy()
-        tm[j] -= h
-        deta = mm.birkhoff_normal_implicit(chart.nu(tp), p).eta \
-            - mm.birkhoff_normal_implicit(chart.nu(tm), p).eta
+        deta = mm.birkhoff_normal_implicit(nu(x0 + h * T[:, j]), p).eta \
+            - mm.birkhoff_normal_implicit(nu(x0 - h * T[:, j]), p).eta
         coef = np.linalg.solve(basis, deta / (2 * h))
         W[j, :] = coef[:n]
         defect = max(defect, abs(coef[n]))

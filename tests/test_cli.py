@@ -92,10 +92,28 @@ def test_verify_rows_independent_of_batch():
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("example", EXAMPLE_IDS)
 def test_default_verify_passes_on_every_example(example, m, capsys):
-    # default seed and tolerances: the largest-slope chart leaves no point failing
+    # default seed and tolerances: the tangent-plane oracle leaves no point failing
     code, stdout, _ = run(["verify", "--example", example, "--m", str(m),
                            "--points", "300"], capsys)
     assert code == 0, stdout[stdout.index("aggregate"):]
+
+
+def test_verify_passes_where_every_slope_is_tiny(capsys):
+    # i-2 at m = 3, seed 12: points 73 and 221 have every slope near 1e-6
+    code, stdout, _ = run(["verify", "--example", "i-2", "--m", "3", "--seed", "12",
+                           "--points", "300"], capsys)
+    assert code == 0, stdout[stdout.index("aggregate"):]
+    assert float(stdout.split("max_oracle_dev: ")[1].split()[0]) <= 1e-9
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("example", EXAMPLE_IDS)
+def test_oracle_meets_the_closed_form_on_every_seed(example, m):
+    surface = example_surface(example, m)
+    for seed in (3, 7, 12, 201):
+        for rep in surface.report_sample(counter_rng(seed), 300):
+            H = rep.h_analytic
+            assert abs(rep.h_oracle - H) <= 1e-9 * (1 + abs(H)), (seed, rep.point)
 
 
 def test_verify_csv_sidecar(tmp_path, capsys):
@@ -362,9 +380,7 @@ def test_stage_log_keeps_reports_byte_identical(tmp_path, argv):
     assert runs[None][2] == ""
     for stage in ("sample", "analytic", "oracle", "render"):
         assert f"{argv[0]} stage {stage}: cpu " in runs["info"][2]
-    assert "Newton" not in runs["info"][2]
-    assert f"{argv[0]} chart Newton steps: " in runs["debug"][2]
-    assert f"{argv[0]} points charted over a switched coordinate: " in runs["debug"][2]
+    assert "sampler slices" not in runs["info"][2]
     if argv[0] == "verify":
         for counter in ("sampler slices drawn", "sampler slices rejected"):
             assert f"verify {counter}: " in runs["debug"][2]

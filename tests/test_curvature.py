@@ -44,7 +44,7 @@ def test_weingarten_translation_matches_normal_differencing():
         for n in (2, 3):
             fs, u, p = random_translation_config(rng, m, n)
             W = mm.weingarten_translation(fs, u, p).entries
-            Wfd, defect = fd_weingarten(translation_chart(fs, p, u), u, p)
+            Wfd, defect = fd_weingarten(translation_chart(fs, p, u), p)
             assert np.max(np.abs(W - Wfd)) <= 1e-8
             assert defect <= 1e-8
 
@@ -86,7 +86,8 @@ def test_mean_curvature_paraboloid_value_and_oracle():
     A = 3.0  # 1 + 1^(4/3) + 1^(4/3)
     expected = -(A ** (-5.0 / 4.0)) / (2 * 3) * (1.0 * (A - 1) + 1.0 * (A - 1))
     assert H == pytest.approx(expected, rel=1e-14)
-    h_oracle, defect = mm.mean_curvature_oracle(translation_chart(fs, p, u), u, p)
+    chart = translation_chart(fs, p, u)
+    h_oracle, defect = mm.mean_curvature_oracle(chart, chart.t0, p)
     assert abs(H - h_oracle) <= 1e-8
     assert defect <= 1e-8
 
@@ -173,8 +174,7 @@ def test_weingarten_separable_matches_normal_differencing():
         for n in (2, 3):
             fs, x, p = random_separable_config(rng, m, n)
             W = mm.weingarten_separable(fs, x, p).entries
-            chart = mm.SeparableChart(fs, p, x)
-            Wfd, defect = fd_weingarten(chart, x[:-1], p)
+            Wfd, defect = fd_weingarten(mm.SeparableChart(fs, p, x), p)
             assert np.max(np.abs(W - Wfd)) <= 1e-8
             assert defect <= 1e-8
 
@@ -235,7 +235,7 @@ def test_oracle_hyperplane():
     fs = tuple(C3Function.linear(a) for a in (-0.5, 0.3, -0.9, 1.0))
     t = np.array([0.1, 0.2, -0.4])
     chart = mm.SeparableChart(fs, p, np.append(t, 0.5 * t[0] - 0.3 * t[1] + 0.9 * t[2]))
-    h, defect = mm.mean_curvature_oracle(chart, t, p)
+    h, defect = mm.mean_curvature_oracle(chart, chart.t0, p)
     assert abs(h) <= 1e-10
     assert defect <= 1e-10
 
@@ -251,7 +251,7 @@ def test_oracle_hemisphere_unit_curvature():
         C3Function.polynomial([-1.0, 0, 1.0]),
     )
     chart = mm.SeparableChart(fs, p, [0.1, 0.2, np.sqrt(1.0 - 0.01 - 0.04)])
-    h, defect = mm.mean_curvature_oracle(chart, [0.1, 0.2], p)
+    h, defect = mm.mean_curvature_oracle(chart, chart.t0, p)
     assert abs(abs(h) - 1.0) <= 2e-4
     assert h == pytest.approx(1.0, abs=2e-4)
     assert defect <= 1e-6
@@ -262,7 +262,8 @@ def test_oracle_matches_translation_closed_form():
     fs = tuple(C3Function.polynomial([0, 0, 0, 1.0 / 3.0]) for _ in range(3))
     u = np.array([1.1, 0.7, 1.4])
     H = mm.mean_curvature_translation(fs, u, p)
-    h, defect = mm.mean_curvature_oracle(translation_chart(fs, p, u), u, p)
+    chart = translation_chart(fs, p, u)
+    h, defect = mm.mean_curvature_oracle(chart, chart.t0, p)
     assert abs(H - h) <= 1e-6 * (1 + abs(H))
     assert defect <= 1e-6
 

@@ -7,7 +7,9 @@ parameter vector, and the finite-difference oracle as they were before a
 translation graph became the separable surface f_1 + ... + f_n - x_{n+1} = 0.
 It is kept here, unchanged, as the reference the separable route must
 reproduce: bit for bit, apart from the Weingarten entries, whose products are
-taken in another order.
+taken in another order, and the oracle, which differentiates along the tangent
+plane of the separable surface over the n coordinates other than the one of
+largest slope rather than along the graph over u.
 """
 
 import numpy as np
@@ -122,8 +124,8 @@ def test_report_matches_frozen_graph_code():
         chart = _RefGraphChart(fs, p)
         h_oracle, defect = _ref_oracle(chart, u, p)
         assert rep.h_analytic == _ref_mean_curvature(fs, u, p)
-        assert rep.h_oracle == h_oracle
-        assert rep.tangency_defect == defect
+        assert abs(rep.h_oracle - h_oracle) <= 1e-10
+        assert abs(rep.tangency_defect - defect) <= 1e-10
         assert np.array_equal(rep.eta, chart.eta(u))
         W = _ref_weingarten(fs, u, p)
         assert np.max(np.abs(rep.weingarten.entries - W)) <= 1e-15
