@@ -198,22 +198,47 @@ def cmd_ode(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_ansatz(args) -> int:
+class _Params(dict):
+    """The JSON object of a --params-file; a missing parameter raises DomainError."""
+
+    path = ""
+
+    def __missing__(self, key):
+        raise DomainError(f"missing parameter {key!r} in {self.path}")
+
+
+def _load_params(path) -> _Params:
+    """The parameters of an ansatz or mesh --params-file: a JSON object whose
+    p, q, r and signs, where given, are lists of numbers and whose n, where
+    given, is an integer.  Anything else raises DomainError with a one-line
+    message, which both commands report as a configuration error."""
     try:
-        with open(args.params_file, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        print(f"cannot read {args.params_file}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise DomainError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
-        print(
-            f"{args.params_file}: parse error at line {exc.lineno}, "
-            f"column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    kind = args.kind or data.get("kind")
+        raise DomainError(
+            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    if not isinstance(data, dict):
+        raise DomainError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    for key in ("p", "q", "r", "signs"):
+        # type() rather than isinstance(): JSON true/false are not numbers here
+        if key in data and not (isinstance(data[key], list)
+                                and all(type(v) in (int, float) for v in data[key])):
+            raise DomainError(f"{path}: {key!r} must be a list of numbers")
+    if "n" in data and type(data["n"]) is not int:
+        raise DomainError(f"{path}: 'n' must be an integer")
+    params = _Params(data)
+    params.path = path
+    return params
+
+
+def cmd_ansatz(args) -> int:
     try:
+        data = _load_params(args.params_file)
+        kind = args.kind or data.get("kind")
         if kind == "affine":
             n = int(data.get("n", len(data["p"]) - 1))
             system = extract_affine_system(n, data["p"], data["q"])
@@ -224,9 +249,6 @@ def cmd_ansatz(args) -> int:
         else:
             print(f"unknown ansatz kind {kind!r}", file=sys.stderr)
             return EXIT_CONFIG
-    except KeyError as exc:
-        print(f"missing parameter {exc} in {args.params_file}", file=sys.stderr)
-        return EXIT_CONFIG
     except MinminError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -276,8 +298,7 @@ def cmd_mesh(args) -> int:
             return EXIT_PASS
         # separable patch
         if args.params_file:
-            with open(args.params_file, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = _load_params(args.params_file)
             kind = data.get("kind", "affine")
             if kind == "affine":
                 xs = [
@@ -317,12 +338,6 @@ def cmd_mesh(args) -> int:
         meshes.write_obj(args.out, verts)
         print(f"wrote {verts.shape[0] * verts.shape[1]} vertices to {args.out}")
         return EXIT_PASS
-    except json.JSONDecodeError as exc:
-        print(
-            f"{args.params_file}: parse error at line {exc.lineno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

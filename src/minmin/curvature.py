@@ -12,11 +12,14 @@ basis.
 
 The separable routines work on stacks of points: separable_closed_form,
 mean_curvature_oracle and report_separable_batch evaluate N points as arrays
-of shape (N, dim), with one gradient evaluation for all N points and their 2n
-stencil points and one batched linear solve.  The single-point functions are
-batches of one.  The oracle's chart moves along each point's tangent plane,
-spanned over the n coordinates other than the one of largest slope, so
-nothing solves for a coordinate.
+of shape (N, dim).  The single-point functions are batches of one.  A chart
+holds the base parameters t0, the base gradient nu0, the tangent basis T
+(N, dim, n) and the gradient nu(t), all built once per batch: the closed form
+takes its slopes from nu0, and the oracle evaluates nu only at the 2n stencil
+points of each point, in one call, then makes one batched linear solve.
+SeparableChart moves along each point's tangent plane, spanned over the n
+coordinates other than the one of largest slope, so nothing solves for a
+coordinate.
 
 Orientation follows the normal branches of the norms module: aligned with the
 defining gradient for implicit surfaces, upward for graphs.  The implicit
@@ -43,6 +46,9 @@ _EPS = np.finfo(float).eps
 
 # Default oracle step: optimal for first-order central differences.
 ORACLE_STEP_FACTOR = _EPS ** (1.0 / 3.0)
+
+# Largest |sum f_i(x_i)| at which a point counts as on the surface.
+ON_SURFACE_TOL = 1e-6
 
 
 @dataclass
@@ -172,9 +178,9 @@ def closed_form_from_slopes(d1, d2, p: NormParams):
     return H, W, birkhoff_normal_implicit(d1, p).eta
 
 
-def separable_closed_form(fs, points, p: NormParams, on_surface_tol: float = 1e-6):
-    """closed_form_from_slopes at a stack (N, dim) of on-surface points of the
-    separable surface sum f_i(x_i) = 0, with the slopes taken from fs."""
+def _surface_points(fs, points, p: NormParams) -> np.ndarray:
+    """points as a float stack (N, dim) of points of sum f_i(x_i) = 0; raises
+    unless there are dim profiles and |sum f_i(x_i)| <= ON_SURFACE_TOL."""
     x = np.asarray(points, dtype=float)
     if len(fs) != p.dim or x.ndim != 2 or x.shape[1] != p.dim:
         raise DimensionMismatchError(
@@ -182,11 +188,18 @@ def separable_closed_form(fs, points, p: NormParams, on_surface_tol: float = 1e-
             f"got {len(fs)} and {x.shape}"
         )
     value = _sum_last(_columns(fs, x))
-    off = np.abs(value) > on_surface_tol
+    off = np.abs(value) > ON_SURFACE_TOL
     if off.any():
         raise OffSurfaceError(
-            f"sum f_i(x_i) = {value[off][0]:.3e} exceeds tolerance {on_surface_tol:.1e}"
+            f"sum f_i(x_i) = {value[off][0]:.3e} exceeds tolerance {ON_SURFACE_TOL:.1e}"
         )
+    return x
+
+
+def separable_closed_form(fs, points, p: NormParams):
+    """closed_form_from_slopes at a stack (N, dim) of on-surface points of the
+    separable surface sum f_i(x_i) = 0, with the slopes taken from fs."""
+    x = _surface_points(fs, points, p)
     return closed_form_from_slopes(*_derivs(fs, x), p)
 
 
@@ -199,18 +212,14 @@ def _one_point(x, p: NormParams) -> np.ndarray:
     return x[None]
 
 
-def mean_curvature_separable(
-    fs, x, p: NormParams, on_surface_tol: float = 1e-6
-) -> float:
+def mean_curvature_separable(fs, x, p: NormParams) -> float:
     """Closed-form mean curvature at one point: separable_closed_form of a batch of one."""
-    return float(separable_closed_form(fs, _one_point(x, p), p, on_surface_tol)[0][0])
+    return float(separable_closed_form(fs, _one_point(x, p), p)[0][0])
 
 
-def weingarten_separable(
-    fs, x, p: NormParams, on_surface_tol: float = 1e-6
-) -> WeingartenMatrix:
+def weingarten_separable(fs, x, p: NormParams) -> WeingartenMatrix:
     """Weingarten coefficients at one point, in the last-coordinate chart."""
-    W = separable_closed_form(fs, _one_point(x, p), p, on_surface_tol)[1]
+    W = separable_closed_form(fs, _one_point(x, p), p)[1]
     return WeingartenMatrix(entries=W[0])
 
 
@@ -219,28 +228,22 @@ def weingarten_separable(
 # ---------------------------------------------------------------------------
 
 
-def _other_coordinates(nu):
-    """k (..., 1), the coordinate of largest |nu_k| in each row of nu (..., dim),
-    and above (..., n), true where the j-th of the other n coordinates is
-    j + 1 rather than j."""
-    k = np.argmax(np.abs(nu), axis=-1)[..., None]
-    return k, np.arange(nu.shape[-1] - 1) >= k
-
-
 class SeparableChart:
     """Separable surface sum f_i(x_i) = 0 charted along its tangent planes.
 
-    base_point is one on-surface point x0 (dim,) or a stack (N, dim).  At each
-    base point the chart keeps the n coordinates other than the one of largest
-    |nu0_k|, nu0 = f'(x0), as its parameters t0, and moves along the tangent
-    plane: point(t) = x0 + T (t - t0) with T = tangents_from_nu(nu0), and
-    nu(t) = f'(point(t)).  Parameter arrays (..., N, n) are taken row by row
-    about their own base point.  The normal eta = B(grad F) is defined off the
-    surface too, and along a tangent vector its derivative is the shape
-    operator's, so central differences of eta along x0 +/- h T_j keep their
-    O(h^2) accuracy with no coordinate solved for.  As eta stays on the unit
-    sphere of the norm, d eta stays tangent, and the oracle's tangency defect
-    is still a check.
+    base_point is one on-surface point x0 (dim,) or a stack (N, dim).  A chart
+    holds what the oracle reads: the base gradient nu0 = f'(x0), the base
+    parameters t0, the tangent basis T (..., dim, n) and the gradient nu(t).
+    At each base point the parameters are the n coordinates other than the
+    one k of largest |nu0_k|, the columns of T are e_j - (nu0_j / nu0_k) e_k
+    for j != k in increasing order, and the chart moves along the tangent
+    plane: point(t) = x0 + T (t - t0) and nu(t) = f'(point(t)).  Parameter
+    arrays (..., N, n) are taken row by row about their own base point.  The
+    normal eta = B(grad F) is defined off the surface too, and along a tangent
+    vector its derivative is the shape operator's, so central differences of
+    eta along x0 +/- h T_j keep their O(h^2) accuracy with no coordinate
+    solved for.  As eta stays on the unit sphere of the norm, d eta stays
+    tangent, and the oracle's tangency defect is still a check.
     """
 
     def __init__(self, fs, p: NormParams, base_point):
@@ -251,10 +254,16 @@ class SeparableChart:
         nu0 = _columns([f.d1 for f in self.fs], x0)
         if (np.abs(nu0).max(axis=-1) == 0.0).any():
             raise SingularConfigurationError("the gradient vanishes at a base point")
-        self.x0 = x0
-        above = _other_coordinates(nu0)[1]
+        n = p.n
+        k = np.argmax(np.abs(nu0), axis=-1)[..., None]
+        above = np.arange(n) >= k  # the j-th parameter is coordinate j + 1, not j
+        ratio = -np.where(above, nu0[..., 1:], nu0[..., :-1]) \
+            / np.take_along_axis(nu0, k, -1)
+        rows = np.arange(n + 1)[:, None]
+        self.x0, self.nu0 = x0, nu0
         self.t0 = np.where(above, x0[..., 1:], x0[..., :-1])
-        self.T = self.tangents_from_nu(nu0)
+        self.T = ((rows == np.arange(n) + above[..., None, :])
+                  + (rows == k[..., None]) * ratio[..., None, :])
 
     def point(self, t) -> np.ndarray:
         dt = np.asarray(t, dtype=float) - self.t0
@@ -263,21 +272,8 @@ class SeparableChart:
     def nu(self, t) -> np.ndarray:
         return _columns([f.d1 for f in self.fs], self.point(t))
 
-    @staticmethod
-    def tangents_from_nu(nu: np.ndarray) -> np.ndarray:
-        """Tangent vectors (..., dim, n) e_j - (nu_j / nu_k) e_k, j != k in
-        increasing order, where the gradient is nu (..., dim) and k is the
-        coordinate of largest |nu_k|."""
-        k, above = _other_coordinates(nu)
-        n = above.shape[-1]
-        nu_k = np.take_along_axis(nu, k, -1)
-        ratio = -np.where(above, nu[..., 1:], nu[..., :-1]) / nu_k
-        rows = np.arange(n + 1)[:, None]
-        return ((rows == np.arange(n) + above[..., None, :])
-                + (rows == k[..., None]) * ratio[..., None, :])
 
-
-def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
+def mean_curvature_oracle(chart, p: NormParams):
     """Mean curvature from the definition trace(d eta)/n by central differences.
 
     The normal's derivative along each parameter is expanded in the basis
@@ -285,31 +281,30 @@ def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
     coefficients is the oracle value and the largest normal coefficient is the
     tangency defect, which vanishes in exact arithmetic.
 
-    point is one parameter vector (n,) or a stack (N, n) of them.  The chart
-    (a SeparableChart or QuadratureSurface) evaluates its defining gradient nu
-    at the points and their 2n stencil points in one call, on an array
-    (2n + 1, N, n); chart.tangents_from_nu(nu) gives the tangent basis, the
-    stencil normals are the Birkhoff normals, and the N * n expansions are one
-    batched solve.
+    The chart (a SeparableChart, or the 6.5 QuadratureChart) holds the base
+    parameters t0, one vector (n,) or a stack (N, n), the base gradient nu0,
+    the tangent basis T (..., dim, n) and the gradient nu(t).  The oracle
+    evaluates nu only at the 2n stencil points of each base point, in one call
+    on an array (2n, N, n); the stencil normals are the Birkhoff normals of
+    those gradients, and the N * n expansions are one batched solve.
 
-    Returns (h_oracle, tangency_defect): floats for one vector, arrays of shape
-    (N,) for a stack.
+    Returns (h_oracle, tangency_defect): floats for one base point, arrays of
+    shape (N,) for a stack.
     """
-    t0 = np.asarray(point, dtype=float)
     n = p.n
-    if t0.ndim not in (1, 2) or t0.shape[-1] != n:
-        raise DimensionMismatchError(f"point must have {n} parameters")
-    single = t0.ndim == 1
-    t0 = np.atleast_2d(t0)
-    steps = ORACLE_STEP_FACTOR * (1.0 + np.abs(t0)) if h is None \
-        else np.full(t0.shape, float(h))
+    single = np.ndim(chart.t0) == 1
+    t0 = np.atleast_2d(chart.t0)
+    if t0.ndim != 2 or t0.shape[-1] != n:
+        raise DimensionMismatchError(f"the chart must have {n} parameters")
+    nu0 = np.atleast_2d(chart.nu0)
+    steps = ORACLE_STEP_FACTOR * (1.0 + np.abs(t0))
     # shift[j, i] = steps[i, j] e_j: the j-th stencil offset of the i-th point
     shift = np.eye(n)[:, None, :] * steps.T[:, :, None]
-    nu = chart.nu(np.concatenate([t0[None], t0 + shift, t0 - shift]))
-    nu0 = nu[0]
+    nu = chart.nu(np.concatenate([t0 + shift, t0 - shift]))
     nu_hat = nu0 / np.sqrt(_sum_last(nu0 * nu0))[:, None]
-    basis = np.concatenate([chart.tangents_from_nu(nu0), nu_hat[:, :, None]], axis=-1)
-    eta = birkhoff_normal_implicit(nu[1:], p).eta
+    T = np.reshape(chart.T, nu0.shape + (n,))
+    basis = np.concatenate([T, nu_hat[:, :, None]], axis=-1)
+    eta = birkhoff_normal_implicit(nu, p).eta
     if not np.isfinite(eta).all():
         raise SingularConfigurationError("non-finite normal at stencil point")
     deta = (eta[:n] - eta[n:]) / (2 * steps.T[:, :, None])
@@ -329,24 +324,23 @@ def mean_curvature_oracle(chart, point, p: NormParams, h: float | None = None):
 _CHUNK_POINTS = 4096
 
 
-def _chart_oracle(fs, x, p: NormParams, h):
-    """mean_curvature_oracle at the points x (N, dim) on their SeparableChart."""
-    chart = SeparableChart(fs, p, x)
-    return mean_curvature_oracle(chart, chart.t0, p, h=h)
+def _report_chunks(points, chunk, p: NormParams, tol: float, stats) -> list:
+    """CurvatureReports at the points (N, dim), in chunks of _CHUNK_POINTS rows.
 
-
-def _report_chunks(points, analytic, oracle, tol: float, stats) -> list:
-    """CurvatureReports at the points (N, dim), in chunks of _CHUNK_POINTS rows:
-    analytic(rows) gives their closed form (H, W, eta), oracle(rows, eta) their
-    (h_oracle, defect), each timed as its stage in stats, when given."""
+    chunk(rows) gives the chart of those rows and their second derivatives
+    f_i'' (N, dim); the closed form takes the slopes f_i' from chart.nu0 and
+    the oracle runs on the chart.  stats, when given, times the "analytic"
+    and "oracle" stages.
+    """
     reports = []
     for start in range(0, len(points), _CHUNK_POINTS):
         rows = slice(start, start + _CHUNK_POINTS)
         x = points[rows]
         with _stage(stats, "analytic"):
-            H, W, eta = analytic(rows)
+            chart, d2 = chunk(rows)
+            H, W, eta = closed_form_from_slopes(chart.nu0, d2, p)
         with _stage(stats, "oracle"):
-            h_oracle, defect = oracle(rows, eta)
+            h_oracle, defect = mean_curvature_oracle(chart, p)
         reports += [
             CurvatureReport(
                 point=x[i],
@@ -362,43 +356,31 @@ def _report_chunks(points, analytic, oracle, tol: float, stats) -> list:
     return reports
 
 
-def report_separable_batch(
-    fs, points, p: NormParams, tol: float = 1e-6, h: float | None = None,
-    on_surface_tol: float = 1e-6, stats=None,
-) -> list:
+def report_separable_batch(fs, points, p: NormParams, tol: float = 1e-6,
+                           stats=None) -> list:
     """Closed-form vs oracle comparison at a stack (N, dim) of surface points.
 
-    Every point is evaluated in array passes (separable_closed_form, then
-    mean_curvature_oracle on the SeparableChart of the points), in the chunks
-    of _report_chunks.  A point's report does not depend on the other points
-    of the batch.  The Weingarten matrix is the one of the last-coordinate
-    chart.  stats, when given, times the "analytic" and "oracle" stages (see
+    Every chunk of _report_chunks is one SeparableChart of its points, whose
+    base gradients feed the closed form and whose tangent planes carry the
+    oracle.  A point's report does not depend on the other points of the
+    batch.  The Weingarten matrix is the one of the last-coordinate chart.
+    stats, when given, times the "analytic" and "oracle" stages (see
     reporting.RunStats).
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2 or points.shape[1] != p.dim:
-        raise DimensionMismatchError(
-            f"expected (N, {p.dim}) points, got shape {points.shape}"
-        )
-    return _report_chunks(
-        points,
-        lambda rows: separable_closed_form(
-            fs, points[rows], p, on_surface_tol=on_surface_tol),
-        lambda rows, eta: _chart_oracle(fs, points[rows], p, h),
-        tol, stats,
-    )
+    points = _surface_points(fs, points, p)
+
+    def chunk(rows):
+        x = points[rows]
+        return SeparableChart(fs, p, x), _columns([f.d2 for f in fs], x)
+
+    return _report_chunks(points, chunk, p, tol, stats)
 
 
-def report_separable(
-    fs, x, p: NormParams, tol: float = 1e-6, h: float | None = None,
-    on_surface_tol: float = 1e-6, stats=None,
-) -> CurvatureReport:
+def report_separable(fs, x, p: NormParams, tol: float = 1e-6,
+                     stats=None) -> CurvatureReport:
     """Closed-form vs oracle comparison at one separable-surface point: a
     report_separable_batch of one."""
-    return report_separable_batch(
-        fs, _one_point(x, p), p, tol=tol, h=h, on_surface_tol=on_surface_tol,
-        stats=stats,
-    )[0]
+    return report_separable_batch(fs, _one_point(x, p), p, tol=tol, stats=stats)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -450,9 +432,8 @@ def weingarten_translation(fs, u, p: NormParams) -> WeingartenMatrix:
     return WeingartenMatrix(-weingarten_separable(*_as_separable(fs, u, p), p).entries)
 
 
-def report_translation(
-    fs, u, p: NormParams, tol: float = 1e-6, h: float | None = None, stats=None,
-) -> CurvatureReport:
+def report_translation(fs, u, p: NormParams, tol: float = 1e-6,
+                       stats=None) -> CurvatureReport:
     """Closed-form vs oracle comparison at one translation-graph point: the
     report_separable of the graph as a separable surface, turned upward.
 
@@ -460,7 +441,7 @@ def report_translation(
     reporting.RunStats).
     """
     u = np.asarray(u, dtype=float)
-    rep = report_separable(*_as_separable(fs, u, p), p, tol=tol, h=h, stats=stats)
+    rep = report_separable(*_as_separable(fs, u, p), p, tol=tol, stats=stats)
     return CurvatureReport(
         point=u,
         eta=-rep.eta,

@@ -157,7 +157,7 @@ class C3Function:
         """A plain C3Function that takes arrays the way this one does."""
         return _taking_arrays(C3Function(f, **kwargs), self._vectorized)
 
-    def validate_derivatives(self, points, rel_tol: float = 1e-5) -> float:
+    def validate_derivatives(self, points) -> float:
         """Largest relative deviation of d1..d3 from finite differences of f.
 
         Returns the worst deviation over the sampled points; raises nothing.

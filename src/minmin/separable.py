@@ -28,8 +28,6 @@ from .curvature import (
     _columns,
     _report_chunks,
     _stage,
-    closed_form_from_slopes,
-    mean_curvature_oracle,
     report_separable_batch,
 )
 from .errors import (
@@ -448,6 +446,8 @@ def admissible_domain(xs, tol: float = 1e-12) -> AdmissibleDomain:
 # Batched quadratures evaluate at most about this many integrand nodes per
 # numpy call, so that peak memory does not grow with a patch grid.
 _CHUNK_POINTS = 4096
+_PATCH_PANELS = 256  # Simpson panels of a patch coordinate with no closed form
+_PROFILE_PANELS = 128  # Simpson panels of a 6.5 profile's x(u)
 
 
 def composite_simpson(fn, a, b, panels: int = 256):
@@ -505,15 +505,14 @@ def _x_antiderivative(xp: XProfile, u, m: int):
     return None
 
 
-def _x_coordinates(xp: XProfile, sign: float, us, u0: float, m: int,
-                   panels: int = 256) -> np.ndarray:
+def _x_coordinates(xp: XProfile, sign: float, us, u0: float, m: int) -> np.ndarray:
     """sign * x(u) at every element of us: the closed-form antiderivative where
     there is one, else the quadrature of X^(-(2m-1)/(2m)) from u0."""
     exact = _x_antiderivative(xp, us, m)
     if exact is not None:
         return sign * exact
     g = (2 * m - 1) / (2 * m)
-    return sign * _simpson_batched(lambda t: xp.value(t) ** (-g), u0, us, panels)
+    return sign * _simpson_batched(lambda t: xp.value(t) ** (-g), u0, us, _PATCH_PANELS)
 
 
 @dataclass
@@ -541,8 +540,7 @@ class SeparableMinimalPatch:
             [self.us.reshape(-1, k), self.flat_points()], axis=1))
 
 
-def patch_from_xprofiles(xs, signs, axes, p: NormParams,
-                         panels: int = 256) -> SeparableMinimalPatch:
+def patch_from_xprofiles(xs, signs, axes, p: NormParams) -> SeparableMinimalPatch:
     """Integrate the profile quadratures over a product grid of u-axes.
 
     axes is a sequence of n strictly-increasing 1-D arrays for u_1..u_n; the
@@ -576,11 +574,9 @@ def patch_from_xprofiles(xs, signs, axes, p: NormParams,
     points = np.empty(shape + (p.dim,))
     for i in range(n):
         along_i = [-1 if j == i else 1 for j in range(n)]
-        xi = _x_coordinates(xs[i], signs[i], axes[i], float(axes[i][0]), p.m, panels)
+        xi = _x_coordinates(xs[i], signs[i], axes[i], float(axes[i][0]), p.m)
         points[..., i] = xi.reshape(along_i)
-    points[..., n] = _x_coordinates(
-        xs[n], signs[n], u_last, float(u_last.flat[0]), p.m, panels
-    )
+    points[..., n] = _x_coordinates(xs[n], signs[n], u_last, float(u_last.flat[0]), p.m)
     return SeparableMinimalPatch(
         xprofiles=tuple(xs), signs=tuple(signs), p=p, us=us, points=points
     )
@@ -751,12 +747,11 @@ class _QuadratureProfile(C3Function):
     time, by safeguarded Newton iteration inside a doubling-search bracket.
     """
 
-    def __init__(self, xp: XProfile, sign: float, m: int, panels: int = 128):
+    def __init__(self, xp: XProfile, sign: float, m: int):
         if sign not in (1, -1):
             raise DomainError(f"quadrature chart sign must be +1 or -1, got {sign}")
         self.xp = xp
         self.sign = float(sign)
-        self.panels = panels
         self._gamma = (2 * m - 1) / (2 * m)
         super().__init__(self.u_of_x, d1=lambda x: self.d1_of_u(self.u_of_x(x)),
                          d2=lambda x: self.d2_of_u(self.u_of_x(x)), d3=self._d3f)
@@ -764,7 +759,7 @@ class _QuadratureProfile(C3Function):
     def x_of_u(self, u):
         """The coordinate quadrature; u may be an array of parameters."""
         return self.sign * _simpson_batched(
-            lambda t: self.xp.value(t) ** (-self._gamma), 0.0, u, self.panels)
+            lambda t: self.xp.value(t) ** (-self._gamma), 0.0, u, _PROFILE_PANELS)
 
     def d1_of_u(self, u):
         """f' where the parameter is u: sign X(u)^gamma, the inverse of dx/du."""
@@ -851,18 +846,35 @@ def _zero_sum_sampler(dim: int, low: float = 0.3, high: float = 1.2,
     return draw_block
 
 
+class QuadratureChart:
+    """The chart t = (u_1, ..., u_n), u_{n+1} = -sum t, of a QuadratureSurface
+    at its zero-sum parameter rows u (N, dim): nu_i = f_i'(x_i) = s_i X_i^gamma,
+    and T_j = dx/dt_j = s_j X_j^-gamma e_j - s_{n+1} X_{n+1}^-gamma e_{n+1},
+    as s_i X_i^-gamma = dx_i/du_i = 1/nu_i."""
+
+    def __init__(self, fs, u: np.ndarray):
+        self._d1 = [f.d1_of_u for f in fs]
+        self.t0 = u[:, :-1]
+        self.nu0 = nu0 = _columns(self._d1, u)
+        n = u.shape[-1] - 1
+        T = np.zeros(nu0.shape + (n,))
+        T[..., :n, :] = np.eye(n)
+        T[..., n, :] = -nu0[..., :n] / nu0[..., n:]
+        self.T = T / nu0[..., None, :-1]
+
+    def nu(self, t) -> np.ndarray:
+        return _columns(self._d1, _zero_sum(t))
+
+
 @dataclass(frozen=True)
 class QuadratureSurface(SeparableSurface):
     """The separable surface sum u_i = 0 in the coordinates x_i = x_i(u_i) of
-    its quadrature profiles fs (see _QuadratureProfile), and its own chart
-    over t = (u_1, ..., u_n), u_{n+1} = -sum t.
+    its quadrature profiles fs (see _QuadratureProfile).
 
-    Its blocks draw zero-sum parameter rows u, which sample() maps to x.  The
-    chart's defining gradient is nu_i = f_i'(x_i) = s_i X_i(u_i)^gamma and its
-    tangents dx/dt_j = s_j X_j^-gamma e_j - s_{n+1} X_{n+1}^-gamma e_{n+1},
-    where s_i X_i^-gamma = dx_i/du_i = 1/nu_i.  report_sample() stays in u:
-    the closed form takes its slopes from X at u and the oracle runs on this
-    chart, so nothing inverts a quadrature or solves for a coordinate.
+    Its blocks draw zero-sum parameter rows u, which sample() maps to x.
+    report_sample() stays in u: the closed form takes its slopes from X at u
+    and the oracle runs on the QuadratureChart of the rows, so nothing inverts
+    a quadrature or solves for a coordinate.
     """
 
     # the block loop of SeparableSurface.sample, which here keeps parameter rows u
@@ -871,19 +883,6 @@ class QuadratureSurface(SeparableSurface):
     def x_of_u(self, u: np.ndarray) -> np.ndarray:
         """The points x (N, dim) of the parameter rows u (N, dim)."""
         return _columns([f.x_of_u for f in self.fs], u)
-
-    def nu(self, t) -> np.ndarray:
-        u = _zero_sum(np.asarray(t, dtype=float))
-        return _columns([f.d1_of_u for f in self.fs], u)
-
-    @staticmethod
-    def tangents_from_nu(nu: np.ndarray) -> np.ndarray:
-        # the tangents over x_1..x_n, e_j - (nu_j / nu_{n+1}) e_{n+1}, times dx_j/du_j
-        n = nu.shape[-1] - 1
-        T = np.zeros(nu.shape + (n,))
-        T[..., :n, :] = np.eye(n)
-        T[..., n, :] = -nu[..., :n] / nu[..., n:]
-        return T / nu[..., None, :-1]
 
     def sample(self, rng: np.random.Generator, count: int, stats=None) -> np.ndarray:
         return self.x_of_u(self.sample_u(rng, count, stats))
@@ -894,16 +893,11 @@ class QuadratureSurface(SeparableSurface):
             u = self.sample_u(rng, count, stats)
             x = self.x_of_u(u)
 
-        def analytic(rows):
-            d1 = _columns([f.d1_of_u for f in self.fs], u[rows])
-            d2 = _columns([f.d2_of_u for f in self.fs], u[rows])
-            return closed_form_from_slopes(d1, d2, self.p)
+        def chunk(rows):
+            return (QuadratureChart(self.fs, u[rows]),
+                    _columns([f.d2_of_u for f in self.fs], u[rows]))
 
-        return _report_chunks(
-            x, analytic,
-            lambda rows, eta: mean_curvature_oracle(self, u[rows, :-1], self.p),
-            tol, stats,
-        )
+        return _report_chunks(x, chunk, self.p, tol, stats)
 
 
 def _ratio_surface(m: int) -> SeparableSurface:

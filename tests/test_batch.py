@@ -23,6 +23,7 @@ from minmin.functions import C3Function
 from minmin.norms import birkhoff_normal_implicit, signed_pow
 from minmin.sampling import counter_rng, random_separable_config
 from minmin.separable import (
+    QuadratureChart,
     _QuadratureProfile,
     _zero_sum,
     example_surface,
@@ -199,6 +200,48 @@ def test_chart_raises_where_the_whole_gradient_vanishes():
     assert np.array_equal(chart.point(chart.t0), [0.6, 0.8, 0.0])
 
 
+class _CountingProfile:
+    """A profile that records the shape of every array its d1 is called on."""
+
+    def __init__(self, f, calls):
+        self.f, self.calls = f, calls
+
+    def __call__(self, x):
+        return self.f(x)
+
+    def d1(self, x):
+        self.calls.append((id(self), np.shape(x)))
+        return self.f.d1(x)
+
+    def d2(self, x):
+        return self.f.d2(x)
+
+
+def test_batch_evaluates_the_base_slopes_once(monkeypatch):
+    # the unit sphere at 5 points: f' at the base points once per profile, in
+    # the chart, and one chart.nu call on the 2n stencil points of each
+    p = mm.NormParams(1, 3)
+    calls = []
+    fs = tuple(
+        _CountingProfile(C3Function.polynomial(c), calls)
+        for c in ([0, 0, 1.0], [0, 0, 1.0], [-1.0, 0, 1.0])
+    )
+    x = np.random.default_rng(3).uniform(0.2, 1.0, (5, 3))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    nu_shapes = []
+    real_nu = SeparableChart.nu
+
+    def nu(self, t):
+        nu_shapes.append(np.shape(t))
+        return real_nu(self, t)
+
+    monkeypatch.setattr(SeparableChart, "nu", nu)
+    report_separable_batch(fs, x, p)
+    assert nu_shapes == [(2 * p.n, 5, p.n)]
+    for f in fs:
+        assert [shape for who, shape in calls if who == id(f)] == [(5,), (2 * p.n, 5)]
+
+
 def test_65_verify_never_inverts_the_quadrature(monkeypatch, capsys):
     calls = []
     real = _QuadratureProfile.u_of_x
@@ -227,8 +270,8 @@ def test_65_verify_passes_at_3000_points(m, capsys):
 def test_65_chart_tangents_are_the_derivatives_of_x():
     surface = example_surface("6.5", 2)
     u = np.array([[0.4, -1.1, 0.9], [-0.8, 0.3, 1.2]])
-    nu = surface.nu(u)
-    T = surface.tangents_from_nu(nu)
+    chart = QuadratureChart(surface.fs, _zero_sum(u))
+    nu, T = chart.nu0, chart.T
     h = 1e-5
     for j in range(3):
         e = np.eye(3)[j] * h

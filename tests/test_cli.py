@@ -266,6 +266,26 @@ def test_ansatz_parse_error_has_line_number(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("command", ("ansatz", "mesh"))
+@pytest.mark.parametrize("text, message", (
+    pytest.param("[1, 2]", "expected a JSON object", id="list"),
+    pytest.param('{"kind": "affine", "p": ["a", 1, 1, 1], "q": [1, -1, -1, 1]}',
+                 "'p' must be a list of numbers", id="string-in-p"),
+    pytest.param('{"kind": "affine", "q": [1, -1, -1, 1]}', "missing parameter 'p'",
+                 id="missing-p"),
+))
+def test_malformed_params_file_exits_2(command, text, message, tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    argv = [command, "--params-file", str(f)]
+    if command == "mesh":
+        argv += ["--out", str(tmp_path / "never.obj")]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "never.obj").exists()
+
+
 def test_mesh_translation_obj(tmp_path, capsys):
     out = tmp_path / "scherk.obj"
     code, stdout, _ = run(
