@@ -300,18 +300,15 @@ def cmd_mesh(args) -> int:
         if args.params_file:
             data = _load_params(args.params_file)
             kind = data.get("kind", "affine")
-            if kind == "affine":
-                xs = [
-                    XProfile.affine(pi, qi) for pi, qi in zip(data["p"], data["q"])
-                ]
-            elif kind == "exponential":
-                xs = [
-                    XProfile.exponential(qi, ri)
-                    for qi, ri in zip(data["q"], data["r"])
-                ]
-            else:
+            keys = {"affine": ("p", "q"), "exponential": ("q", "r")}.get(kind)
+            if keys is None:
                 print(f"unsupported X-profile kind {kind!r}", file=sys.stderr)
                 return EXIT_CONFIG
+            a, b = data[keys[0]], data[keys[1]]
+            if len(a) != len(b):
+                raise DomainError(f"{args.params_file}: {keys[0]!r} and {keys[1]!r} "
+                                  f"differ in length ({len(a)} and {len(b)})")
+            xs = [getattr(XProfile, kind)(ai, bi) for ai, bi in zip(a, b)]
             signs = tuple(data.get("signs", [1] * len(xs)))
         else:
             xs, signs = example_xprofiles(args.example)

@@ -1,37 +1,31 @@
-"""Scalar profile functions with derivatives up to order three.
+"""Scalar profile functions with two analytic derivatives.
 
-Surfaces in this library are assembled from single-variable profiles; curvature
-formulas need their first and second derivatives and the separation analysis
-occasionally the third.  C3Function bundles a value callable with d1, d2, d3,
-filling any missing derivative with 5-point central finite differences.
+Surfaces in this library are assembled from single-variable profiles, and
+every curvature formula reads their first and second derivatives and nothing
+higher.  C3Function bundles a value callable with its analytic d1 and d2.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_EPS = np.finfo(float).eps
 
+def evaluate(fn, x, whole_arrays: bool):
+    """fn at x: a float for a float, an array of x's shape for a numpy array.
 
-def _fd1(f, x, h):
-    return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
-
-
-def _fd2(f, x, h):
-    return (
-        -f(x + 2 * h) + 16 * f(x + h) - 30 * f(x) + 16 * f(x - h) - f(x - 2 * h)
-    ) / (12 * h * h)
-
-
-def _fd3(f, x, h):
-    return (
-        -f(x + 3 * h)
-        + 8 * f(x + 2 * h)
-        - 13 * f(x + h)
-        + 13 * f(x - h)
-        - 8 * f(x - 2 * h)
-        + f(x - 3 * h)
-    ) / (8 * h**3)
+    With whole_arrays, fn takes the whole array in one call, and a constant
+    result (lambda x: 0.0) is broadcast to one value per element.  Otherwise fn
+    may be scalar-only (math.exp, a Newton inversion) and is called once per
+    element, so it sees exactly the scalars it would see without arrays.
+    """
+    if not isinstance(x, np.ndarray):
+        return float(fn(x))
+    if not whole_arrays:
+        return np.array([float(fn(v)) for v in x.flat]).reshape(x.shape)
+    value = fn(x)
+    if isinstance(value, np.ndarray) and value.shape == x.shape:
+        return value
+    return np.full(x.shape, value, dtype=float)
 
 
 def _horner(c: list, x0: float):
@@ -49,88 +43,44 @@ def _horner(c: list, x0: float):
 
 
 def _horner_chain(coeffs, x0: float = 0.0) -> list:
-    """Horner evaluators of sum_k coeffs[k] (x - x0)^k and its first three
+    """Horner evaluators of sum_k coeffs[k] (x - x0)^k and its first two
     derivatives; the derivative coefficients k c_k are those of numpy's polyder."""
     fns = []
     c = [float(v) for v in coeffs]
     x0 = float(x0)
-    for _ in range(4):
+    for _ in range(3):
         fns.append(_horner(c, x0))
         c = [k * c[k] for k in range(1, len(c))] or [0.0]
     return fns
 
 
-# central-difference rule and step exponent by the number of orders it adds
-_FD_RULES = {1: (_fd1, 0.2), 2: (_fd2, 1.0 / 6.0), 3: (_fd3, 1.0 / 7.0)}
-
-
-def _order(known, k: int):
-    """The k-th derivative from known = (f, d1, d2, d3): its own callable, or a
-    central difference of the highest analytic order below it."""
-    base = k
-    while known[base] is None:
-        base -= 1
-    if base == k:
-        return known[k]
-    rule, power = _FD_RULES[k - base]
-    g = known[base]
-    return lambda x: rule(g, x, _EPS ** power * (1.0 + abs(x)))
-
-
 class C3Function:
-    """A scalar function of one variable with derivatives of orders 1-3.
-
-    Analytic derivatives are used where supplied; missing ones fall back to
-    5-point central stencils on the highest available analytic order.
+    """A scalar function of one variable with analytic first and second
+    derivatives d1 and d2.
 
     Every evaluation also takes a numpy array and returns an array of its
-    shape.  The callables of the built-in constructors (and of scaled and
-    shifted copies of them) take the whole array; any other callable, which
-    may be scalar-only (math.exp, a Newton inversion), is called once per
-    element, so it sees exactly the scalars it would see without arrays.
+    shape (see evaluate).  The callables of the built-in constructors (and of
+    scaled and shifted copies of them) take the whole array; any other
+    callable is called once per element.
     """
 
     # set by the built-in constructors, whose callables are numpy expressions
     _vectorized = False
 
-    def __init__(self, f, d1=None, d2=None, d3=None, domain=None):
+    def __init__(self, f, d1, d2, domain=None):
         self.f = f
         self._d1 = d1
         self._d2 = d2
-        self._d3 = d3
         self.domain = (-np.inf, np.inf) if domain is None else tuple(domain)
-        known = (f, d1, d2, d3)
-        self._orders = [_order(known, k) for k in range(4)]
-
-    def _on_array(self, order: int, x: np.ndarray) -> np.ndarray:
-        fn = self._orders[order]
-        if not self._vectorized:
-            return np.array([float(fn(v)) for v in x.flat]).reshape(x.shape)
-        value = fn(x)
-        if isinstance(value, np.ndarray) and value.shape == x.shape:
-            return value
-        # a constant derivative (lambda x: 0.0) still yields one value per element
-        return np.full(x.shape, value, dtype=float)
 
     def __call__(self, x):
-        if isinstance(x, np.ndarray):
-            return self._on_array(0, x)
-        return float(self.f(x))
+        return evaluate(self.f, x, self._vectorized)
 
     def d1(self, x):
-        if isinstance(x, np.ndarray):
-            return self._on_array(1, x)
-        return float(self._orders[1](x))
+        return evaluate(self._d1, x, self._vectorized)
 
     def d2(self, x):
-        if isinstance(x, np.ndarray):
-            return self._on_array(2, x)
-        return float(self._orders[2](x))
-
-    def d3(self, x):
-        if isinstance(x, np.ndarray):
-            return self._on_array(3, x)
-        return float(self._orders[3](x))
+        return evaluate(self._d2, x, self._vectorized)
 
     def scaled(self, lam: float, mu: float = 1.0) -> "C3Function":
         """The rescaled profile x -> lam * f(mu * x)."""
@@ -139,46 +89,26 @@ class C3Function:
         dom = tuple(sorted((lo / mu, hi / mu))) if mu != 0 else (-np.inf, np.inf)
         return self._like(
             lambda x: lam * f(mu * x),
-            d1=lambda x: lam * mu * self.d1(mu * x),
-            d2=lambda x: lam * mu * mu * self.d2(mu * x),
-            d3=lambda x: lam * mu**3 * self.d3(mu * x),
-            domain=dom,
+            lambda x: lam * mu * self.d1(mu * x),
+            lambda x: lam * mu * mu * self.d2(mu * x),
+            dom,
         )
 
     def shifted(self, c: float) -> "C3Function":
         """The profile x -> f(x) + c, with the same derivative callables."""
         f = self.f
-        return self._like(
-            lambda x: f(x) + c, d1=self._d1, d2=self._d2, d3=self._d3,
-            domain=self.domain,
-        )
+        return self._like(lambda x: f(x) + c, self._d1, self._d2, self.domain)
 
-    def _like(self, f, **kwargs) -> "C3Function":
+    def _like(self, f, d1, d2, domain) -> "C3Function":
         """A plain C3Function that takes arrays the way this one does."""
-        return _taking_arrays(C3Function(f, **kwargs), self._vectorized)
-
-    def validate_derivatives(self, points) -> float:
-        """Largest relative deviation of d1..d3 from finite differences of f.
-
-        Returns the worst deviation over the sampled points; raises nothing.
-        """
-        worst = 0.0
-        for x in points:
-            for order, val, fd in (
-                (1, self.d1(x), _fd1(self.f, x, _EPS ** 0.2 * (1 + abs(x)))),
-                (2, self.d2(x), _fd2(self.f, x, _EPS ** (1 / 6.0) * (1 + abs(x)))),
-                (3, self.d3(x), _fd3(self.f, x, _EPS ** (1 / 7.0) * (1 + abs(x)))),
-            ):
-                worst = max(worst, abs(val - fd) / (1.0 + abs(fd)))
-        return worst
+        return _taking_arrays(C3Function(f, d1, d2, domain), self._vectorized)
 
     # ---- constructors ----------------------------------------------------
 
     @classmethod
     def polynomial(cls, coeffs) -> "C3Function":
         """Polynomial sum_k coeffs[k] * x^k with analytic derivatives."""
-        f, d1, d2, d3 = _horner_chain(np.asarray(coeffs, dtype=float))
-        return _taking_arrays(cls(f, d1=d1, d2=d2, d3=d3))
+        return _taking_arrays(cls(*_horner_chain(np.asarray(coeffs, dtype=float))))
 
     @classmethod
     def taylor(cls, x0: float, derivs) -> "C3Function":
@@ -189,8 +119,7 @@ class C3Function:
         """
         d = np.asarray(derivs, dtype=float)
         fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, len(d)))))
-        f, d1, d2, d3 = _horner_chain(d / fact, x0)
-        return _taking_arrays(cls(f, d1=d1, d2=d2, d3=d3))
+        return _taking_arrays(cls(*_horner_chain(d / fact, x0)))
 
     @classmethod
     def linear(cls, a: float, b: float = 0.0) -> "C3Function":
@@ -203,11 +132,8 @@ class C3Function:
         k = 2 * m
         return _taking_arrays(cls(
             lambda x: coeff * x**k,
-            d1=lambda x: coeff * k * x ** (k - 1),
-            d2=lambda x: coeff * k * (k - 1) * x ** (k - 2),
-            d3=lambda x: coeff * k * (k - 1) * (k - 2) * x ** (k - 3)
-            if k >= 3
-            else 0.0,
+            lambda x: coeff * k * x ** (k - 1),
+            lambda x: coeff * k * (k - 1) * x ** (k - 2),
         ))
 
     @classmethod
@@ -215,9 +141,8 @@ class C3Function:
         """sign * (-log cos x): slope sign*tan x, the classical saddle profile."""
         return _taking_arrays(cls(
             lambda x: -sign * np.log(np.cos(x)),
-            d1=lambda x: sign * np.tan(x),
-            d2=lambda x: sign / np.cos(x) ** 2,
-            d3=lambda x: 2 * sign * np.tan(x) / np.cos(x) ** 2,
+            lambda x: sign * np.tan(x),
+            lambda x: sign / np.cos(x) ** 2,
         ))
 
     @classmethod
@@ -225,9 +150,8 @@ class C3Function:
         """coeff * log(inner * |x|), defined away from x = 0."""
         return _taking_arrays(cls(
             lambda x: coeff * np.log(inner * abs(x)),
-            d1=lambda x: coeff / x,
-            d2=lambda x: -coeff / x**2,
-            d3=lambda x: 2 * coeff / x**3,
+            lambda x: coeff / x,
+            lambda x: -coeff / x**2,
         ))
 
 

@@ -117,11 +117,6 @@ def signed_pow(x, num: int, den: int):
     return s * abs(x) ** (num / den)
 
 
-def signed_pow_deriv(x: float, num: int, den: int) -> float:
-    """d/dx of signed_pow(x, num, den) = (num/den) * signed_pow(x, num - den, den)."""
-    return (num / den) * signed_pow(x, num - den, den)
-
-
 def birkhoff_normal_graph(grad_f, p: NormParams) -> BirkhoffNormal:
     """Birkhoff normal of a graph hypersurface from the gradient of its height.
 

@@ -37,7 +37,7 @@ from .errors import (
     EmptyDomainError,
     NonpositiveProfileError,
 )
-from .functions import C3Function
+from .functions import C3Function, evaluate
 from .meshes import write_points_csv
 from .norms import NormParams, _sum_last
 
@@ -53,60 +53,39 @@ class XProfile:
 
     kind is one of affine (p + q u), quadratic (p + q u + r u^2), exponential
     (q e^u + r e^-u) or custom.  params keeps (p, q, r) as applicable.
-    value(), deriv() and deriv2() take a float or a numpy array: the closed
-    kinds evaluate a whole array, custom profiles one element at a time, so
-    scalar-only callables keep working.
+    value() and deriv() take a float or a numpy array (see functions.evaluate):
+    the closed kinds evaluate a whole array, custom profiles one element at a
+    time, so scalar-only callables keep working.
     """
 
     kind: str
     params: tuple
     _eval: object = field(repr=False)
     _deriv: object = field(repr=False)
-    _deriv2: object = field(repr=False)
-
-    def _at(self, fn, u):
-        if not isinstance(u, np.ndarray):
-            return float(fn(u))
-        if self.kind == "custom":
-            return np.array([float(fn(v)) for v in u.flat]).reshape(u.shape)
-        value = fn(u)
-        if isinstance(value, np.ndarray) and value.shape == u.shape:
-            return value
-        # a constant derivative (lambda u: q) still yields one value per element
-        return np.full(u.shape, value, dtype=float)
 
     def value(self, u):
-        return self._at(self._eval, u)
+        return evaluate(self._eval, u, self.kind != "custom")
 
     def deriv(self, u):
-        return self._at(self._deriv, u)
-
-    def deriv2(self, u):
-        return self._at(self._deriv2, u)
+        return evaluate(self._deriv, u, self.kind != "custom")
 
     @classmethod
     def affine(cls, p: float, q: float) -> "XProfile":
-        return cls("affine", (p, q), lambda u: p + q * u, lambda u: q, lambda u: 0.0)
+        return cls("affine", (p, q), lambda u: p + q * u, lambda u: q)
 
     @classmethod
     def quadratic(cls, p: float, q: float, r: float) -> "XProfile":
-        return cls(
-            "quadratic", (p, q, r), lambda u: p + q * u + r * u * u,
-            lambda u: q + 2 * r * u, lambda u: 2 * r,
-        )
+        return cls("quadratic", (p, q, r), lambda u: p + q * u + r * u * u,
+                   lambda u: q + 2 * r * u)
 
     @classmethod
     def exponential(cls, q: float, r: float) -> "XProfile":
-        def ev(u):  # X'' = X
-            return q * np.exp(u) + r * np.exp(-u)
-
-        return cls("exponential", (q, r), ev,
-                   lambda u: q * np.exp(u) - r * np.exp(-u), ev)
+        return cls("exponential", (q, r), lambda u: q * np.exp(u) + r * np.exp(-u),
+                   lambda u: q * np.exp(u) - r * np.exp(-u))
 
     @classmethod
-    def custom(cls, eval_fn, deriv_fn, deriv2_fn=None) -> "XProfile":
-        d2 = deriv2_fn if deriv2_fn is not None else lambda u: 0.0
-        return cls("custom", (), eval_fn, deriv_fn, d2)
+    def custom(cls, eval_fn, deriv_fn) -> "XProfile":
+        return cls("custom", (), eval_fn, deriv_fn)
 
     def positive_interval(self) -> tuple | None:
         """Largest open interval where X > 0, or None when X is never positive.
@@ -206,6 +185,18 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
+def _identity_terms(X, Xp, scale: float) -> dict:
+    """sum_j Xp_j (A - X_j) with A = sum_i X_i, for X_i and X_i' given as term
+    dicts; terms of magnitude at most 1e-13 * scale are dropped."""
+    A = {}
+    for Xi in X:
+        A = _poly_add(A, Xi)
+    total = {}
+    for Xi, Xpi in zip(X, Xp):
+        total = _poly_add(total, _poly_mul(Xpi, _poly_add(A, Xi, -1.0)))
+    return {k: v for k, v in total.items() if abs(v) > 1e-13 * scale}
+
+
 def _expand_polynomial_identity(pqr, n: int) -> dict:
     """Expand the minimality identity for polynomial X_i over u_1..u_n.
 
@@ -228,14 +219,7 @@ def _expand_polynomial_identity(pqr, n: int) -> dict:
         Xi = _poly_add(Xi, _poly_mul(ui, ui), r0)
         X.append(Xi)
         Xp.append(_poly_add({zero: q0}, ui, 2 * r0))
-    A = {}
-    for Xi in X:
-        A = _poly_add(A, Xi)
-    total = {}
-    for j in range(len(pqr)):
-        total = _poly_add(total, _poly_mul(Xp[j], _poly_add(A, X[j], -1.0)))
-    scale = max(1.0, max(abs(v) for c in pqr for v in c)) ** 2
-    return {k: v for k, v in total.items() if abs(v) > 1e-13 * scale}
+    return _identity_terms(X, Xp, max(1.0, max(abs(v) for c in pqr for v in c)) ** 2)
 
 
 def _expand_exponential_identity(q, r, n: int = 3) -> dict:
@@ -251,14 +235,8 @@ def _expand_exponential_identity(q, r, n: int = 3) -> dict:
     for i in range(n + 1):
         X.append({term(i, +1): q[i], term(i, -1): r[i]})
         Xp.append({term(i, +1): q[i], term(i, -1): -r[i]})
-    A = {}
-    for Xi in X:
-        A = _poly_add(A, Xi)
-    total = {}
-    for j in range(n + 1):
-        total = _poly_add(total, _poly_mul(Xp[j], _poly_add(A, X[j], -1.0)))
-    scale = max(1.0, max(abs(v) for v in q), max(abs(v) for v in r)) ** 2
-    return {k: v for k, v in total.items() if abs(v) > 1e-13 * scale}
+    return _identity_terms(
+        X, Xp, max(1.0, max(abs(v) for v in q), max(abs(v) for v in r)) ** 2)
 
 
 @dataclass
@@ -549,6 +527,8 @@ def patch_from_xprofiles(xs, signs, axes, p: NormParams) -> SeparableMinimalPatc
     n = p.n
     if len(xs) != n + 1 or len(signs) != n + 1:
         raise DimensionMismatchError(f"need {n + 1} profiles and signs")
+    if any(s not in (1, -1) for s in signs):
+        raise DomainError(f"patch signs must be +1 or -1, got {list(signs)}")
     axes = [np.asarray(a, dtype=float) for a in axes]
     if len(axes) != n or any(a.size == 0 for a in axes):
         raise EmptyDomainError("grid must provide a non-empty axis per parameter")
@@ -753,8 +733,8 @@ class _QuadratureProfile(C3Function):
         self.xp = xp
         self.sign = float(sign)
         self._gamma = (2 * m - 1) / (2 * m)
-        super().__init__(self.u_of_x, d1=lambda x: self.d1_of_u(self.u_of_x(x)),
-                         d2=lambda x: self.d2_of_u(self.u_of_x(x)), d3=self._d3f)
+        super().__init__(self.u_of_x, lambda x: self.d1_of_u(self.u_of_x(x)),
+                         lambda x: self.d2_of_u(self.u_of_x(x)))
 
     def x_of_u(self, u):
         """The coordinate quadrature; u may be an array of parameters."""
@@ -817,16 +797,6 @@ class _QuadratureProfile(C3Function):
             f"quadrature chart inversion at x = {x} did not converge in "
             f"{_NEWTON_ITERS} Newton steps"
         )
-
-    def _d3f(self, x):
-        # f'' = gamma X' X^(2 gamma - 1); differentiate in u, then times du/dx
-        u = self.u_of_x(x)
-        X = self.xp.value(u)
-        Xp = self.xp.deriv(u)
-        Xpp = self.xp.deriv2(u)
-        g = self._gamma
-        inner = Xpp * X ** (2 * g - 1.0) + (2 * g - 1.0) * Xp * Xp * X ** (2 * g - 2.0)
-        return self.sign * g * inner * X ** g
 
 
 def _zero_sum(t: np.ndarray) -> np.ndarray:

@@ -145,11 +145,6 @@ class ProfileODEParams:
         return (self.c0 / (2 * m)) * (abs(y) ** ((2 * m - 2) / (2 * m - 1))
                                       + self.k * y * y)
 
-    def rhs_deriv(self, y: float) -> float:
-        m = self.m
-        d = (2 * m - 2) / (2 * m - 1) * signed_pow(y, 2 * m - 2 - (2 * m - 1), 2 * m - 1)
-        return (self.c0 / (2 * m)) * (d + 2 * self.k * y)
-
 
 @dataclass
 class ProfileCurve:
@@ -270,16 +265,13 @@ def integrate_profile(params: ProfileODEParams, stats=None) -> ProfileCurve:
 
 
 class SampledProfile(C3Function):
-    """C3 view of a ProfileCurve: cubic Hermite between nodes, ODE for f'' and f'''."""
+    """C3 view of a ProfileCurve: cubic Hermite between nodes, ODE for f''."""
 
     _vectorized = True
 
     def __init__(self, curve: ProfileCurve):
         self.curve = curve
-        super().__init__(
-            self._eval, d1=self._d1_eval, d2=self._d2_eval, d3=self._d3_eval,
-            domain=curve.domain,
-        )
+        super().__init__(self._eval, self._d1_eval, self._d2_eval, curve.domain)
 
     def _locate(self, x):
         """Node index i and offset t in [0, 1] of x (a float or an array)."""
@@ -319,10 +311,6 @@ class SampledProfile(C3Function):
 
     def _d2_eval(self, x):
         return self.curve.params.rhs(self._d1_eval(x))
-
-    def _d3_eval(self, x):
-        y = self._d1_eval(x)
-        return self.curve.params.rhs_deriv(y) * self.curve.params.rhs(y)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,24 @@ import numpy as np
 import minmin as mm
 from minmin.functions import C3Function
 
+_EPS = np.finfo(float).eps
+
+
+def fd_derivative_error(f, points) -> float:
+    """Largest deviation of f.d1 and f.d2 from 5-point central differences of
+    f (steps eps^(1/5) and eps^(1/6), times 1 + |x|) over the points, each
+    relative to 1 + |difference|."""
+    worst = 0.0
+    for x in points:
+        h = _EPS ** 0.2 * (1 + abs(x))
+        fd1 = (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
+        h = _EPS ** (1 / 6.0) * (1 + abs(x))
+        fd2 = (-f(x + 2 * h) + 16 * f(x + h) - 30 * f(x) + 16 * f(x - h)
+               - f(x - 2 * h)) / (12 * h * h)
+        for val, fd in ((f.d1(x), fd1), (f.d2(x), fd2)):
+            worst = max(worst, abs(val - fd) / (1.0 + abs(fd)))
+    return worst
+
 
 def classical_graph_mean_curvature(grad, hess_diag):
     """Euclidean graph mean curvature tr(E^-1 L)/n with upward normal.

@@ -286,6 +286,25 @@ def test_malformed_params_file_exits_2(command, text, message, tmp_path, capsys)
     assert not (tmp_path / "never.obj").exists()
 
 
+@pytest.mark.parametrize("text, message", (
+    pytest.param('{"kind": "affine", "p": [1, 1, 1, 1], "q": [1, -1, -1]}',
+                 "'p' and 'q' differ in length (4 and 3)", id="short-q"),
+    pytest.param('{"kind": "exponential", "q": [1, 0, 1], "r": [0, 1, 0, 1]}',
+                 "'q' and 'r' differ in length (3 and 4)", id="short-q-exp"),
+    pytest.param('{"kind": "affine", "p": [1, 1, 1, 1], "q": [1, -1, -1, 1],'
+                 ' "signs": [2, 0, 1, 1]}', "signs must be +1 or -1", id="signs"),
+))
+def test_mesh_refuses_inconsistent_params_file(text, message, tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    out = tmp_path / "never.csv"
+    code, _, err = run(["mesh", "--params-file", str(f), "--m", "1", "--grid", "4",
+                        "--out", str(out)], capsys)
+    assert code == 2
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_mesh_translation_obj(tmp_path, capsys):
     out = tmp_path / "scherk.obj"
     code, stdout, _ = run(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import fd_derivative_error
 
 from minmin.functions import C3Function
 
@@ -10,7 +11,6 @@ def test_polynomial_derivatives():
     assert f(x) == pytest.approx(1 - 2 * x + 0.5 * x**2 + 3 * x**3, rel=1e-15)
     assert f.d1(x) == pytest.approx(-2 + x + 9 * x**2, rel=1e-15)
     assert f.d2(x) == pytest.approx(1 + 18 * x, rel=1e-15)
-    assert f.d3(x) == pytest.approx(18.0, rel=1e-15)
 
 
 def test_taylor_pins_derivatives():
@@ -22,20 +22,6 @@ def test_taylor_pins_derivatives():
         assert f(x0) == pytest.approx(d[0], abs=1e-14)
         assert f.d1(x0) == pytest.approx(d[1], abs=1e-14)
         assert f.d2(x0) == pytest.approx(d[2], abs=1e-14)
-        assert f.d3(x0) == pytest.approx(d[3], abs=1e-14)
-
-
-def test_fd_fallback_accuracy():
-    f = C3Function(lambda x: np.exp(0.6 * x) * np.cos(x))
-    assert f.validate_derivatives([-0.8, 0.0, 0.4, 1.2]) <= 1e-5
-
-
-def test_partial_analytic_fallback():
-    # analytic d1 only; d2, d3 fall back to stencils on d1
-    f = C3Function(lambda x: np.sin(2 * x), d1=lambda x: 2 * np.cos(2 * x))
-    x = 0.3
-    assert f.d2(x) == pytest.approx(-4 * np.sin(2 * x), rel=1e-9)
-    assert f.d3(x) == pytest.approx(-8 * np.cos(2 * x), rel=1e-6)
 
 
 def test_scaled_chain_rule():
@@ -46,7 +32,6 @@ def test_scaled_chain_rule():
     assert g(x) == pytest.approx(lam * f(mu * x), rel=1e-14)
     assert g.d1(x) == pytest.approx(lam * mu * f.d1(mu * x), rel=1e-14)
     assert g.d2(x) == pytest.approx(lam * mu**2 * f.d2(mu * x), rel=1e-14)
-    assert g.d3(x) == pytest.approx(lam * mu**3 * f.d3(mu * x), rel=1e-14)
 
 
 def test_scaled_domain():
@@ -63,7 +48,7 @@ def test_neg_log_cos():
     x = 0.45
     assert f.d1(x) == pytest.approx(np.tan(x), rel=1e-15)
     assert f.d2(x) == pytest.approx(1 + np.tan(x) ** 2, rel=1e-14)
-    assert f.validate_derivatives([0.1, -0.7, 1.1]) <= 1e-5
+    assert fd_derivative_error(f, [0.1, -0.7, 1.1]) <= 1e-5
 
 
 def test_power_even_and_log_abs():
@@ -71,11 +56,11 @@ def test_power_even_and_log_abs():
         f = C3Function.power_even(-1.5, m)
         x = 0.8
         assert f(x) == pytest.approx(-1.5 * x ** (2 * m), rel=1e-15)
-        assert f.validate_derivatives([0.5, -1.2]) <= 1e-6
+        assert fd_derivative_error(f, [0.5, -1.2]) <= 1e-6
     g = C3Function.log_abs(2.0, 0.5)
     assert g(-2.0) == pytest.approx(2.0 * np.log(1.0), abs=1e-15)
     assert g.d1(-2.0) == pytest.approx(-1.0, rel=1e-15)
-    assert g.validate_derivatives([0.4, -0.9, 2.0]) <= 1e-5
+    assert fd_derivative_error(g, [0.4, -0.9, 2.0]) <= 1e-5
 
 
 def test_linear():
@@ -83,4 +68,3 @@ def test_linear():
     assert f(2.0) == 4.0
     assert f.d1(0.3) == 2.5
     assert f.d2(0.3) == 0.0
-    assert f.d3(0.3) == 0.0

@@ -7,7 +7,6 @@ from minmin.errors import (
     DimensionMismatchError,
     DomainError,
 )
-from minmin.norms import signed_pow_deriv
 
 
 def test_phi_values():
@@ -114,17 +113,6 @@ def test_signed_pow_positive_base_matches_pow():
         assert mm.signed_pow(x, num, den) == pytest.approx(
             x ** (num / den), rel=1e-13
         )
-
-
-def test_signed_pow_deriv():
-    rng = np.random.default_rng(16)
-    for _ in range(50):
-        x = float(rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0]))
-        num = int(rng.integers(-4, 6))
-        den = int(rng.choice([1, 3, 5]))
-        h = 1e-6
-        fd = (mm.signed_pow(x + h, num, den) - mm.signed_pow(x - h, num, den)) / (2 * h)
-        assert signed_pow_deriv(x, num, den) == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
 def test_birkhoff_graph_flat():

@@ -171,7 +171,7 @@ def test_sampled_profile_array_matches_scalar_calls(m):
     rng = np.random.default_rng(5)
     # random points, the nodes themselves and both ends of the domain
     x = np.concatenate([rng.uniform(lo, hi, 300), curve.u[::37], [lo, hi]])
-    for method in (prof.__call__, prof.d1, prof.d2, prof.d3):
+    for method in (prof.__call__, prof.d1, prof.d2):
         arr = method(x)
         assert arr.shape == x.shape
         np.testing.assert_array_equal(arr, [method(float(v)) for v in x])

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import fd_derivative_error
 
 import minmin as mm
 from minmin.curvature import separable_residual_sum
@@ -429,6 +430,14 @@ def test_patch_empty_domain_raises():
                                 mm.NormParams(1, 4))
 
 
+@pytest.mark.parametrize("signs", ((2, 0, 1, 1), (1, -1, 1, 0.5)))
+def test_patch_refuses_signs_other_than_plus_minus_one(signs):
+    xs, _ = mm.example_xprofiles("6.1")
+    axes = mm.feasible_axes(xs, 3)
+    with pytest.raises(DomainError, match="signs must be"):
+        mm.patch_from_xprofiles(xs, signs, axes, mm.NormParams(1, 4))
+
+
 @pytest.mark.parametrize("ex,dim,span", (("6.1", 4, 0.7), ("6.3", 5, 1.0)))
 def test_patch_matches_closed_form_antiderivative(ex, dim, span):
     # x_i(u) - x_i(u0) is the closed-form antiderivative difference, and the
@@ -500,7 +509,7 @@ def test_xprofile_value_arrays_match_scalars():
     for xp in (mm.XProfile.affine(1.5, -0.5), mm.XProfile.quadratic(1.0, 0.3, 0.2),
                mm.XProfile.exponential(0.7, 1.3),
                mm.XProfile.custom(lambda t: 2.0 + math.sin(t), math.cos)):
-        for ev in (xp.value, xp.deriv, xp.deriv2):
+        for ev in (xp.value, xp.deriv):
             got = ev(u.reshape(3, 3))
             assert got.shape == (3, 3)
             want = np.array([ev(float(v)) for v in u]).reshape(3, 3)
@@ -686,7 +695,7 @@ def test_quadrature_profile_roundtrip():
         for u in (-1.2, -0.3, 0.0, 0.4, 1.7):
             x = f.x_of_u(u)
             assert f.u_of_x(x) == pytest.approx(u, abs=1e-12)
-        assert f.validate_derivatives([-0.4, 0.1, 0.45]) <= 1e-5
+        assert fd_derivative_error(f, [-0.4, 0.1, 0.45]) <= 1e-5
 
 
 def test_quadrature_profile_negative_sign_roundtrip():

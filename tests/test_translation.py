@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import fd_derivative_error
 
 import minmin as mm
 from minmin import translation
@@ -369,4 +370,4 @@ def test_sampled_profile_is_valid_c3():
     assert isinstance(prof, SampledProfile)
     lo, hi = prof.domain
     pts = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 5)
-    assert prof.validate_derivatives(pts) <= 1e-5
+    assert fd_derivative_error(prof, pts) <= 1e-5
