@@ -23,6 +23,7 @@ from .errors import DomainError, EmptyDomainError, IntegrationError, MinminError
 from .norms import NormParams
 from .separable import (
     XProfile,
+    check_patch_profiles,
     example_surface,
     example_xprofiles,
     extract_affine_system,
@@ -313,6 +314,7 @@ def cmd_mesh(args) -> int:
         else:
             xs, signs = example_xprofiles(args.example)
         p = NormParams(m=args.m, dim=len(xs))
+        check_patch_profiles(xs, signs, p)  # before the domain, which may be empty
         try:
             axes = feasible_axes(xs, grid, span=args.span)
         except EmptyDomainError:

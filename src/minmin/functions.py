@@ -1,4 +1,4 @@
-"""Scalar profile functions with two analytic derivatives.
+"""Profile functions of one variable with two analytic derivatives.
 
 Surfaces in this library are assembled from single-variable profiles, and
 every curvature formula reads their first and second derivatives and nothing
@@ -10,18 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def evaluate(fn, x, whole_arrays: bool):
+def evaluate(fn, x):
     """fn at x: a float for a float, an array of x's shape for a numpy array.
 
-    With whole_arrays, fn takes the whole array in one call, and a constant
-    result (lambda x: 0.0) is broadcast to one value per element.  Otherwise fn
-    may be scalar-only (math.exp, a Newton inversion) and is called once per
-    element, so it sees exactly the scalars it would see without arrays.
+    fn takes the whole array in one call, and a constant result (lambda x: 0.0)
+    is broadcast to one value per element.
     """
     if not isinstance(x, np.ndarray):
         return float(fn(x))
-    if not whole_arrays:
-        return np.array([float(fn(v)) for v in x.flat]).reshape(x.shape)
     value = fn(x)
     if isinstance(value, np.ndarray) and value.shape == x.shape:
         return value
@@ -55,17 +51,11 @@ def _horner_chain(coeffs, x0: float = 0.0) -> list:
 
 
 class C3Function:
-    """A scalar function of one variable with analytic first and second
-    derivatives d1 and d2.
+    """A function of one variable with its analytic derivatives d1 and d2.
 
-    Every evaluation also takes a numpy array and returns an array of its
-    shape (see evaluate).  The callables of the built-in constructors (and of
-    scaled and shifted copies of them) take the whole array; any other
-    callable is called once per element.
+    Its callables take a float or a whole numpy array, and every evaluation
+    returns a float or an array of the argument's shape (see evaluate).
     """
-
-    # set by the built-in constructors, whose callables are numpy expressions
-    _vectorized = False
 
     def __init__(self, f, d1, d2, domain=None):
         self.f = f
@@ -74,20 +64,20 @@ class C3Function:
         self.domain = (-np.inf, np.inf) if domain is None else tuple(domain)
 
     def __call__(self, x):
-        return evaluate(self.f, x, self._vectorized)
+        return evaluate(self.f, x)
 
     def d1(self, x):
-        return evaluate(self._d1, x, self._vectorized)
+        return evaluate(self._d1, x)
 
     def d2(self, x):
-        return evaluate(self._d2, x, self._vectorized)
+        return evaluate(self._d2, x)
 
     def scaled(self, lam: float, mu: float = 1.0) -> "C3Function":
         """The rescaled profile x -> lam * f(mu * x)."""
         f = self.f
         lo, hi = self.domain
         dom = tuple(sorted((lo / mu, hi / mu))) if mu != 0 else (-np.inf, np.inf)
-        return self._like(
+        return C3Function(
             lambda x: lam * f(mu * x),
             lambda x: lam * mu * self.d1(mu * x),
             lambda x: lam * mu * mu * self.d2(mu * x),
@@ -97,18 +87,14 @@ class C3Function:
     def shifted(self, c: float) -> "C3Function":
         """The profile x -> f(x) + c, with the same derivative callables."""
         f = self.f
-        return self._like(lambda x: f(x) + c, self._d1, self._d2, self.domain)
-
-    def _like(self, f, d1, d2, domain) -> "C3Function":
-        """A plain C3Function that takes arrays the way this one does."""
-        return _taking_arrays(C3Function(f, d1, d2, domain), self._vectorized)
+        return C3Function(lambda x: f(x) + c, self._d1, self._d2, self.domain)
 
     # ---- constructors ----------------------------------------------------
 
     @classmethod
     def polynomial(cls, coeffs) -> "C3Function":
         """Polynomial sum_k coeffs[k] * x^k with analytic derivatives."""
-        return _taking_arrays(cls(*_horner_chain(np.asarray(coeffs, dtype=float))))
+        return cls(*_horner_chain(np.asarray(coeffs, dtype=float)))
 
     @classmethod
     def taylor(cls, x0: float, derivs) -> "C3Function":
@@ -119,7 +105,7 @@ class C3Function:
         """
         d = np.asarray(derivs, dtype=float)
         fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, len(d)))))
-        return _taking_arrays(cls(*_horner_chain(d / fact, x0)))
+        return cls(*_horner_chain(d / fact, x0))
 
     @classmethod
     def linear(cls, a: float, b: float = 0.0) -> "C3Function":
@@ -130,32 +116,26 @@ class C3Function:
     def power_even(cls, coeff: float, m: int) -> "C3Function":
         """coeff * x^(2m), the separable building block."""
         k = 2 * m
-        return _taking_arrays(cls(
+        return cls(
             lambda x: coeff * x**k,
             lambda x: coeff * k * x ** (k - 1),
             lambda x: coeff * k * (k - 1) * x ** (k - 2),
-        ))
+        )
 
     @classmethod
     def neg_log_cos(cls, sign: float = 1.0) -> "C3Function":
         """sign * (-log cos x): slope sign*tan x, the classical saddle profile."""
-        return _taking_arrays(cls(
+        return cls(
             lambda x: -sign * np.log(np.cos(x)),
             lambda x: sign * np.tan(x),
             lambda x: sign / np.cos(x) ** 2,
-        ))
+        )
 
     @classmethod
     def log_abs(cls, coeff: float, inner: float = 1.0) -> "C3Function":
         """coeff * log(inner * |x|), defined away from x = 0."""
-        return _taking_arrays(cls(
+        return cls(
             lambda x: coeff * np.log(inner * abs(x)),
             lambda x: coeff / x,
             lambda x: -coeff / x**2,
-        ))
-
-
-def _taking_arrays(fn: C3Function, vectorized: bool = True) -> C3Function:
-    """fn, marked as evaluating numpy arrays in one call of its callables."""
-    fn._vectorized = vectorized
-    return fn
+        )

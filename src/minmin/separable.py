@@ -51,11 +51,9 @@ from .norms import NormParams, _sum_last
 class XProfile:
     """A substituted slope profile X(u) = (f')^(2m/(2m-1)), positive on its domain.
 
-    kind is one of affine (p + q u), quadratic (p + q u + r u^2), exponential
-    (q e^u + r e^-u) or custom.  params keeps (p, q, r) as applicable.
-    value() and deriv() take a float or a numpy array (see functions.evaluate):
-    the closed kinds evaluate a whole array, custom profiles one element at a
-    time, so scalar-only callables keep working.
+    kind is one of affine (p + q u), quadratic (p + q u + r u^2) or exponential
+    (q e^u + r e^-u).  params keeps (p, q, r) as applicable.  value() and
+    deriv() take a float or a whole numpy array (see functions.evaluate).
     """
 
     kind: str
@@ -64,10 +62,10 @@ class XProfile:
     _deriv: object = field(repr=False)
 
     def value(self, u):
-        return evaluate(self._eval, u, self.kind != "custom")
+        return evaluate(self._eval, u)
 
     def deriv(self, u):
-        return evaluate(self._deriv, u, self.kind != "custom")
+        return evaluate(self._deriv, u)
 
     @classmethod
     def affine(cls, p: float, q: float) -> "XProfile":
@@ -82,10 +80,6 @@ class XProfile:
     def exponential(cls, q: float, r: float) -> "XProfile":
         return cls("exponential", (q, r), lambda u: q * np.exp(u) + r * np.exp(-u),
                    lambda u: q * np.exp(u) - r * np.exp(-u))
-
-    @classmethod
-    def custom(cls, eval_fn, deriv_fn) -> "XProfile":
-        return cls("custom", (), eval_fn, deriv_fn)
 
     def positive_interval(self) -> tuple | None:
         """Largest open interval where X > 0, or None when X is never positive.
@@ -110,43 +104,20 @@ class XProfile:
             if q < 0 and r > 0:
                 return (-inf, 0.5 * math.log(r / -q))
             return None
-        if self.kind == "quadratic":
-            p, q, r = self.params
-            if r == 0:
-                return XProfile.affine(p, q).positive_interval()
-            disc = q * q - 4 * r * p
-            if disc < 0:
-                return (-inf, inf) if r > 0 else None
-            s = math.sqrt(disc)
-            lo, hi = sorted(((-q - s) / (2 * r), (-q + s) / (2 * r)))
-            if r < 0:
-                return (lo, hi)
-            # positive outside [lo, hi]: pick the component containing 0
-            if self.value(0.0) > 0:
-                return (-inf, lo) if 0.0 < lo else (hi, inf)
-            return (hi, inf)
-        # custom: probe around 0
-        if self.value(0.0) <= 0:
-            return None
-        return (self._probe_end(-1.0), self._probe_end(1.0))
-
-    def _probe_end(self, t: float) -> float:
-        """Double t until X(t) <= 0 or |t| > 1e8.  Where X overflows, or stops
-        being a finite number, the last probe with a finite positive X (or 0)
-        ends the interval instead."""
-        last = 0.0
-        for _ in range(60):
-            try:
-                v = self.value(t)
-            except OverflowError:
-                return last
-            if not math.isfinite(v):
-                return last
-            if v <= 0 or abs(t) > 1e8:
-                break
-            last = t
-            t *= 2
-        return t
+        p, q, r = self.params  # quadratic
+        if r == 0:
+            return XProfile.affine(p, q).positive_interval()
+        disc = q * q - 4 * r * p
+        if disc < 0:
+            return (-inf, inf) if r > 0 else None
+        s = math.sqrt(disc)
+        lo, hi = sorted(((-q - s) / (2 * r), (-q + s) / (2 * r)))
+        if r < 0:
+            return (lo, hi)
+        # positive outside [lo, hi]: pick the component containing 0
+        if self.value(0.0) > 0:
+            return (-inf, lo) if 0.0 < lo else (hi, inf)
+        return (hi, inf)
 
 
 def minimality_identity_residual(xs, u) -> float:
@@ -518,17 +489,22 @@ class SeparableMinimalPatch:
             [self.us.reshape(-1, k), self.flat_points()], axis=1))
 
 
+def check_patch_profiles(xs, signs, p: NormParams) -> None:
+    """Refuse patch data unless it has n + 1 profiles and signs of +1 or -1."""
+    if len(xs) != p.n + 1 or len(signs) != p.n + 1:
+        raise DimensionMismatchError(f"need {p.n + 1} profiles and signs")
+    if any(s not in (1, -1) for s in signs):
+        raise DomainError(f"patch signs must be +1 or -1, got {list(signs)}")
+
+
 def patch_from_xprofiles(xs, signs, axes, p: NormParams) -> SeparableMinimalPatch:
     """Integrate the profile quadratures over a product grid of u-axes.
 
     axes is a sequence of n strictly-increasing 1-D arrays for u_1..u_n; the
     last parameter is the negative sum.  Every node must keep all X_i positive.
     """
+    check_patch_profiles(xs, signs, p)
     n = p.n
-    if len(xs) != n + 1 or len(signs) != n + 1:
-        raise DimensionMismatchError(f"need {n + 1} profiles and signs")
-    if any(s not in (1, -1) for s in signs):
-        raise DomainError(f"patch signs must be +1 or -1, got {list(signs)}")
     axes = [np.asarray(a, dtype=float) for a in axes]
     if len(axes) != n or any(a.size == 0 for a in axes):
         raise EmptyDomainError("grid must provide a non-empty axis per parameter")
@@ -723,8 +699,8 @@ class _QuadratureProfile(C3Function):
     """f(x) = u(x) for x(u) = sign * integral of X^(-(2m-1)/(2m)) from 0.
 
     x_of_u, d1_of_u and d2_of_u take the parameter u (scalars or arrays) and
-    invert nothing.  f(x) and its derivatives at x recover u one scalar at a
-    time, by safeguarded Newton iteration inside a doubling-search bracket.
+    invert nothing.  f(x) and its derivatives at x recover u (u_of_x) by
+    safeguarded Newton iteration inside a doubling-search bracket.
     """
 
     def __init__(self, xp: XProfile, sign: float, m: int):
@@ -750,53 +726,57 @@ class _QuadratureProfile(C3Function):
         g = self._gamma
         return g * self.xp.deriv(u) * self.xp.value(u) ** (2 * g - 1.0)
 
-    def _bracket(self, x: float) -> tuple:
-        """(lo, hi, x_of_u(lo), x_of_u(hi)) with the root of x_of_u(u) = x in
-        [lo, hi]."""
-        lo, hi = -1.0, 1.0
-        for _ in range(80):
-            ends = np.array([lo, hi])
+    def u_of_x(self, x):
+        """Safeguarded Newton inversion of the (monotone) coordinate quadrature
+        inside a doubling-search bracket, at a float or at every element of an
+        array; each element stops at the step where the float iteration would."""
+        xa = np.asarray(x, dtype=float)[()]  # a float iterates on numpy scalars
+        # the first bracket [-2^k, 2^k] whose ends straddle each element (a
+        # non-finite x has none)
+        half = x_lo = x_hi = np.zeros(np.shape(xa))  # 0 where not bracketed yet
+        for k in range(80):
+            if half.all():
+                break
+            ends = np.array([-(2.0**k), 2.0**k])
             with np.errstate(all="ignore"):
                 X = self.xp.value(ends)
-                x_lo, x_hi = self.x_of_u(ends)
-            if not (np.all(np.isfinite(X) & (X > 0.0))
-                    and math.isfinite(x_lo) and math.isfinite(x_hi)):
+                x_ends = self.x_of_u(ends)
+            if not (np.isfinite(X) & (X > 0.0) & np.isfinite(x_ends)).all():
                 break  # X overflows or stops being positive before x is reached
-            if (x_lo - x) * (x_hi - x) <= 0:
-                return lo, hi, x_lo, x_hi
-            lo *= 2.0
-            hi *= 2.0
-        raise DomainError(f"x = {x} outside the reach of the quadrature chart")
-
-    def u_of_x(self, x: float) -> float:
-        """Safeguarded Newton inversion of the (monotone) coordinate quadrature."""
-        if not math.isfinite(x):
-            raise DomainError(f"x = {x} outside the reach of the quadrature chart")
-        lo, hi, x_lo, x_hi = self._bracket(x)
-        u = lo + (x - x_lo) * (hi - lo) / (x_hi - x_lo)  # the secant of the bracket
+            new = (half == 0.0) & ((x_ends[0] - xa) * (x_ends[1] - xa) <= 0)
+            half = np.where(new, ends[1], half)
+            x_lo = np.where(new, x_ends[0], x_lo)
+            x_hi = np.where(new, x_ends[1], x_hi)
+        _refuse(half > 0.0, xa, "x = {} outside the reach of the quadrature chart")
+        lo, hi = -half, half
+        u = lo + (xa - x_lo) * (hi - lo) / (x_hi - x_lo)  # the secant of the bracket
+        done = np.zeros(np.shape(xa), dtype=bool)
         for _ in range(_NEWTON_ITERS):
-            res = float(self.x_of_u(u)) - x
-            if res == 0.0:
-                return u
-            if not math.isfinite(res):
-                raise DomainError(f"coordinate quadrature not finite at u = {u}")
-            if res * self.sign > 0:
-                hi = u
-            else:
-                lo = u
+            res = self.x_of_u(u) - xa
+            _refuse(np.isfinite(res), u, "coordinate quadrature not finite at u = {}")
+            above = res * self.sign > 0
+            hi = np.where(above, u, hi)
+            lo = np.where(above, lo, u)
             u_new = u - res * self.d1_of_u(u)
-            tol = 1e-15 * (1.0 + abs(u_new))
-            if abs(u_new - u) <= tol:
-                return u_new
-            if hi - lo <= tol:
-                return u  # the bracket has closed around the root to rounding level
-            if not lo < u_new < hi:
-                u_new = 0.5 * (lo + hi)
-            u = u_new
-        raise DomainError(
-            f"quadrature chart inversion at x = {x} did not converge in "
-            f"{_NEWTON_ITERS} Newton steps"
-        )
+            tol = 1e-15 * (1.0 + np.abs(u_new))
+            # an element stops at u_new where the step is below tol (u_new = u
+            # where res = 0), else at u where the bracket has closed to rounding
+            step_ok = np.abs(u_new - u) <= tol
+            keep = done | (hi - lo <= tol) & ~step_ok
+            inside = (lo < u_new) & (u_new < hi)
+            step = np.where(step_ok | inside, u_new, 0.5 * (lo + hi))
+            u = np.where(keep, u, step)[()]
+            done = keep | step_ok
+            if done.all():
+                return u if isinstance(x, np.ndarray) else float(u)
+        _refuse(done, xa, "quadrature chart inversion at x = {} did not converge in "
+                f"{_NEWTON_ITERS} Newton steps")
+
+
+def _refuse(ok, values, message: str) -> None:
+    """DomainError naming the first of values where ok fails, if any does."""
+    if not ok.all():
+        raise DomainError(message.format(float(values[~ok][0])))
 
 
 def _zero_sum(t: np.ndarray) -> np.ndarray:

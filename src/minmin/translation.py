@@ -267,8 +267,6 @@ def integrate_profile(params: ProfileODEParams, stats=None) -> ProfileCurve:
 class SampledProfile(C3Function):
     """C3 view of a ProfileCurve: cubic Hermite between nodes, ODE for f''."""
 
-    _vectorized = True
-
     def __init__(self, curve: ProfileCurve):
         self.curve = curve
         super().__init__(self._eval, self._d1_eval, self._d2_eval, curve.domain)

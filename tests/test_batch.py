@@ -242,6 +242,27 @@ def test_batch_evaluates_the_base_slopes_once(monkeypatch):
         assert [shape for who, shape in calls if who == id(f)] == [(5,), (2 * p.n, 5)]
 
 
+def test_batch_inverts_the_65_quadrature_on_arrays_only(monkeypatch):
+    # 6.5's fs in x recover u through u_of_x: a batch calls it once per
+    # array of coordinates, never one element at a time
+    calls = []
+    real = _QuadratureProfile.u_of_x
+
+    def u_of_x(self, x):
+        calls.append((id(self), np.shape(x) if isinstance(x, np.ndarray) else None))
+        return real(self, x)
+
+    monkeypatch.setattr(_QuadratureProfile, "u_of_x", u_of_x)
+    surface = example_surface("6.5", 2)
+    x = surface.sample(counter_rng(4), 20)
+    report_separable_batch(surface.fs, x, surface.p)
+    n = surface.p.n
+    for f in surface.fs:
+        # f, f' and f'' at the points, then f' at the oracle's stencil
+        assert [shape for who, shape in calls if who == id(f)] == [
+            (20,), (20,), (20,), (2 * n, 20)]
+
+
 def test_65_verify_never_inverts_the_quadrature(monkeypatch, capsys):
     calls = []
     real = _QuadratureProfile.u_of_x

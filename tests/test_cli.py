@@ -293,6 +293,13 @@ def test_malformed_params_file_exits_2(command, text, message, tmp_path, capsys)
                  "'q' and 'r' differ in length (3 and 4)", id="short-q-exp"),
     pytest.param('{"kind": "affine", "p": [1, 1, 1, 1], "q": [1, -1, -1, 1],'
                  ' "signs": [2, 0, 1, 1]}', "signs must be +1 or -1", id="signs"),
+    # the signs are checked before the admissible domain, which is empty here
+    pytest.param('{"kind": "affine", "p": [0.5, 0.25, 0.25, -1], "q": [1, 1, 1, 1],'
+                 ' "signs": [2, 0, 1, 1]}', "signs must be +1 or -1",
+                 id="signs-empty-domain"),
+    pytest.param('{"kind": "affine", "p": [0.5, 0.25, 0.25, -1], "q": [1, 1, 1, 1],'
+                 ' "signs": [1, 1]}', "need 4 profiles and signs",
+                 id="short-signs-empty-domain"),
 ))
 def test_mesh_refuses_inconsistent_params_file(text, message, tmp_path, capsys):
     f = tmp_path / "bad.json"

@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -314,17 +313,6 @@ def test_positive_intervals():
     assert (lo, hi) == (pytest.approx(-1.0), pytest.approx(1.0))
 
 
-def test_custom_positive_interval_stops_before_overflow():
-    # math.exp overflows at 1024; exp(-1024) underflows to 0, which ends the
-    # interval like any non-positive value
-    xp = mm.XProfile.custom(math.exp, math.exp)
-    assert xp.positive_interval() == (-1024.0, 512.0)
-    assert mm.admissible_domain([xp] * 4).feasible
-    # a value that stops being finite ends the interval at the last finite probe
-    xp = mm.XProfile.custom(lambda u: 1.0 if u < 40 else math.inf, lambda u: 0.0)
-    assert xp.positive_interval() == (-2.0 ** 27, 32.0)
-
-
 # ---------------------------------------------------------------------------
 # patches
 # ---------------------------------------------------------------------------
@@ -471,44 +459,10 @@ def test_patch_is_the_closed_form_near_a_root_of_x():
         assert np.max(np.abs(pts[:, i] - want)) <= 1e-13, i
 
 
-def test_patch_from_scalar_only_custom_profiles():
-    # math-only callables reject arrays; value() falls back to one element at a time
-    xs = [
-        mm.XProfile.custom(lambda u: 2.0 + math.sin(u), lambda u: math.cos(u)),
-        mm.XProfile.custom(lambda u: 2.0 + math.cos(u), lambda u: -math.sin(u)),
-        mm.XProfile.exponential(1.0, 1.0),
-    ]
-    with pytest.raises(TypeError):
-        math.sin(np.zeros(3))
-    signs = (1, -1, 1)
-    m = 2
-    axes = [np.linspace(-0.5, 0.5, 4)] * 2
-    patch = mm.patch_from_xprofiles(xs, signs, axes, mm.NormParams(m, 3))
-    g = (2 * m - 1) / (2 * m)
-
-    def simpson_loop(xp, a, b, panels=256):
-        # the element-by-element rule the batched quadrature replaces
-        t = np.linspace(a, b, panels + 1)
-        w = np.ones(panels + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        vals = np.array([xp.value(float(v)) ** (-g) for v in t])
-        return (b - a) / (3.0 * panels) * np.dot(w, vals)
-
-    us = patch.us.reshape(-1, 3)
-    pts = patch.flat_points()
-    for i in range(3):
-        u0 = us[0, i]
-        base = _x_antiderivative(xs[i], u0, m) or 0.0
-        want = [signs[i] * (base + simpson_loop(xs[i], u0, u)) for u in us[:, i]]
-        assert np.max(np.abs(pts[:, i] - want)) <= 1e-13
-
-
 def test_xprofile_value_arrays_match_scalars():
     u = np.linspace(-2.0, 2.0, 9)
     for xp in (mm.XProfile.affine(1.5, -0.5), mm.XProfile.quadratic(1.0, 0.3, 0.2),
-               mm.XProfile.exponential(0.7, 1.3),
-               mm.XProfile.custom(lambda t: 2.0 + math.sin(t), math.cos)):
+               mm.XProfile.exponential(0.7, 1.3)):
         for ev in (xp.value, xp.deriv):
             got = ev(u.reshape(3, 3))
             assert got.shape == (3, 3)
@@ -736,6 +690,19 @@ def test_quadrature_u_of_x_independent_of_call_history():
     for k in order[::-1]:
         assert warm.u_of_x(xs[k]) == got[k]
     assert [got[k] for k in range(len(xs))] == fresh
+    # one array call: each element's result does not depend on the others (it
+    # stops where it would alone), and it is the float result up to the
+    # rounding of numpy's array exp and pow
+    xs = np.array(xs)
+    at_once = warm.u_of_x(xs)
+    shuffled = np.empty_like(at_once)
+    shuffled[order] = warm.u_of_x(xs[order])
+    assert np.array_equal(shuffled, at_once)
+    assert np.array_equal([warm.u_of_x(xs[k:k + 1])[0] for k in range(len(xs))],
+                          at_once)
+    fresh = np.array(fresh)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(at_once - fresh) <= 32 * eps * np.maximum(1.0, np.abs(fresh)))
 
 
 def test_quadrature_u_of_x_out_of_reach_is_domain_error():
@@ -746,6 +713,11 @@ def test_quadrature_u_of_x_out_of_reach_is_domain_error():
             f.u_of_x(5.0)
         with pytest.raises(DomainError):
             f.u_of_x(float("nan"))
+        # one element out of reach refuses the whole array
+        with pytest.raises(DomainError, match="x = 5.0 outside the reach"):
+            f.u_of_x(np.array([0.2, 5.0, -0.4]))
+        with pytest.raises(DomainError, match="outside the reach"):
+            f.u_of_x(np.array([[0.2, 5.0], [np.nan, -0.4]]))
 
 
 def test_quadrature_u_of_x_raises_at_newton_cap(monkeypatch):
@@ -753,3 +725,5 @@ def test_quadrature_u_of_x_raises_at_newton_cap(monkeypatch):
     f = _QuadratureProfile(mm.XProfile.exponential(1.0, 1.0), 1.0, 2)
     with pytest.raises(DomainError, match="did not converge"):
         f.u_of_x(0.7)
+    with pytest.raises(DomainError, match="did not converge"):
+        f.u_of_x(np.array([0.0, 0.7]))
