@@ -17,8 +17,14 @@ import time
 
 import numpy as np
 
-from . import meshes, reporting, sampling
-from .curvature import report_separable, report_translation
+from . import curvature, meshes, reporting, sampling
+# report_separable is no longer called here, but stays a name of this module:
+# perfbench/test_smoke.py checks that the tracer patches it in minmin.cli
+from .curvature import (  # noqa: F401
+    report_separable,
+    report_separable_batch,
+    report_translation_batch,
+)
 from .errors import DomainError, EmptyDomainError, IntegrationError, MinminError
 from .norms import NormParams
 from .separable import (
@@ -361,23 +367,33 @@ def cmd_oracle_compare(args) -> int:
     stats = reporting.RunStats()
     with stats.stage("sample"):
         rng = sampling.counter_rng(args.seed)
-        jobs = []
+        groups = {}  # (kind, m, n) -> [(index, point, derivs)], in draw order
         kinds = ("translation", "separable") if args.kind == "both" else (args.kind,)
+        index = 0
         for kind in kinds:
+            draw = (sampling.random_translation_draws if kind == "translation"
+                    else sampling.random_separable_draws)
             for _ in range(args.points):
                 m = int(rng.integers(1, 4))
                 n = int(rng.integers(2, 5)) if args.n is None else args.n
-                if kind == "translation":
-                    jobs.append((kind,) + sampling.random_translation_config(rng, m, n))
-                else:
-                    jobs.append((kind,) + sampling.random_separable_config(rng, m, n))
-    # every configuration has its own profiles: each is a batch of one
-    results = [
-        (report_translation if kind == "translation" else report_separable)(
-            fs, at, p, tol=args.tol, stats=stats
-        )
-        for kind, fs, at, p in jobs
-    ]
+                groups.setdefault((kind, m, n), []).append((index,) + draw(rng, n))
+                index += 1
+    # Configurations that share (kind, m, n) are one batch, with profiles
+    # stacked by row.  A batch's chart takes those rows whole, so no batch is
+    # longer than one chunk of report_separable_batch.
+    results = [None] * index
+    size = curvature._CHUNK_POINTS
+    for (kind, m, n), draws in groups.items():
+        batch = (report_translation_batch if kind == "translation"
+                 else report_separable_batch)
+        for start in range(0, len(draws), size):
+            rows, at, derivs = zip(*draws[start:start + size])
+            at = np.stack(at)
+            fs = sampling.taylor_profiles(at, np.stack(derivs, axis=1))
+            reports = batch(fs, at, NormParams(m=m, dim=n + 1), tol=args.tol,
+                            stats=stats)
+            for i, rep in zip(rows, reports):
+                results[i] = rep
     config = {
         "command": "oracle-compare",
         "kind": args.kind,

@@ -12,8 +12,12 @@ basis.
 
 The separable routines work on stacks of points: separable_closed_form,
 mean_curvature_oracle and report_separable_batch evaluate N points as arrays
-of shape (N, dim).  The single-point functions are batches of one.  A chart
-holds the base parameters t0, the base gradient nu0, the tangent basis T
+of shape (N, dim), and report_translation_batch N graph points as parameters
+of shape (N, n).  The single-point functions are batches of one.  A batch's
+profiles may be stacked by row (C3Function.taylor with coefficient arrays), so
+that each point has profiles of its own; such a batch has one row per point
+and at most _CHUNK_POINTS points, as every chunk's chart takes the rows whole.
+A chart holds the base parameters t0, the base gradient nu0, the tangent basis T
 (N, dim, n) and the gradient nu(t), all built once per batch: the closed form
 takes its slopes from nu0, and the oracle evaluates nu only at the 2n stencil
 points of each point, in one call, then makes one batched linear solve.
@@ -203,23 +207,24 @@ def separable_closed_form(fs, points, p: NormParams):
     return closed_form_from_slopes(*_derivs(fs, x), p)
 
 
-def _one_point(x, p: NormParams) -> np.ndarray:
+def _one_point(x, size: int) -> np.ndarray:
+    """x (size,) as a batch of one, (1, size)."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (p.dim,):
+    if x.shape != (size,):
         raise DimensionMismatchError(
-            f"expected a point with {p.dim} coordinates, got shape {x.shape}"
+            f"expected a point with {size} coordinates, got shape {x.shape}"
         )
     return x[None]
 
 
 def mean_curvature_separable(fs, x, p: NormParams) -> float:
     """Closed-form mean curvature at one point: separable_closed_form of a batch of one."""
-    return float(separable_closed_form(fs, _one_point(x, p), p)[0][0])
+    return float(separable_closed_form(fs, _one_point(x, p.dim), p)[0][0])
 
 
 def weingarten_separable(fs, x, p: NormParams) -> WeingartenMatrix:
     """Weingarten coefficients at one point, in the last-coordinate chart."""
-    W = separable_closed_form(fs, _one_point(x, p), p)[1]
+    W = separable_closed_form(fs, _one_point(x, p.dim), p)[1]
     return WeingartenMatrix(entries=W[0])
 
 
@@ -380,7 +385,7 @@ def report_separable(fs, x, p: NormParams, tol: float = 1e-6,
                      stats=None) -> CurvatureReport:
     """Closed-form vs oracle comparison at one separable-surface point: a
     report_separable_batch of one."""
-    return report_separable_batch(fs, _one_point(x, p), p, tol=tol, stats=stats)[0]
+    return report_separable_batch(fs, _one_point(x, p.dim), p, tol=tol, stats=stats)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -391,16 +396,17 @@ def report_separable(fs, x, p: NormParams, tol: float = 1e-6,
 _HEIGHT = C3Function.linear(-1.0)
 
 
-def _as_separable(fs, u, p: NormParams):
-    """The profiles of the translation graph over u as a separable surface,
-    f_1, ..., f_n, -x, and its point (u, sum f_i(u_i))."""
-    u = np.asarray(u, dtype=float)
-    if len(fs) != p.n or u.shape != (p.n,):
+def _as_separable(fs, U, p: NormParams):
+    """The profiles of the translation graph over the stack U (N, n) as a
+    separable surface, f_1, ..., f_n, -x, and its points (u, sum f_i(u_i))."""
+    U = np.asarray(U, dtype=float)
+    if len(fs) != p.n or U.ndim != 2 or U.shape[1] != p.n:
         raise DimensionMismatchError(
-            f"expected {p.n} profiles and parameters, got {len(fs)} and {u.shape}"
+            f"expected {p.n} profiles and (N, {p.n}) parameters, "
+            f"got {len(fs)} and {U.shape}"
         )
-    height = _sum_last(_columns(fs, u[None]))
-    return tuple(fs) + (_HEIGHT,), np.append(u, height)
+    height = _sum_last(_columns(fs, U))
+    return tuple(fs) + (_HEIGHT,), np.column_stack([U, height])
 
 
 def translation_residual_sum(d1, d2, m: int):
@@ -418,7 +424,8 @@ def translation_residual_sum(d1, d2, m: int):
 
 def mean_curvature_translation(fs, u, p: NormParams) -> float:
     """Closed-form mean curvature of the translation graph sum f_i(u_i), upward."""
-    return -mean_curvature_separable(*_as_separable(fs, u, p), p)
+    fs, x = _as_separable(fs, _one_point(u, p.n), p)
+    return -mean_curvature_separable(fs, x[0], p)
 
 
 def weingarten_translation(fs, u, p: NormParams) -> WeingartenMatrix:
@@ -429,25 +436,39 @@ def weingarten_translation(fs, u, p: NormParams) -> WeingartenMatrix:
     Off-diag:  eta_j^k = +A^(-(2m+1)/(2m))/(2m-1) (f_j')^(1/(2m-1)) f_j''
                          (f_k')^(1/(2m-1))
     """
-    return WeingartenMatrix(-weingarten_separable(*_as_separable(fs, u, p), p).entries)
+    fs, x = _as_separable(fs, _one_point(u, p.n), p)
+    return WeingartenMatrix(-weingarten_separable(fs, x[0], p).entries)
 
 
-def report_translation(fs, u, p: NormParams, tol: float = 1e-6,
-                       stats=None) -> CurvatureReport:
-    """Closed-form vs oracle comparison at one translation-graph point: the
-    report_separable of the graph as a separable surface, turned upward.
+def report_translation_batch(fs, U, p: NormParams, tol: float = 1e-6,
+                             stats=None) -> list:
+    """Closed-form vs oracle comparison at a stack U (N, n) of translation-graph
+    parameters: the report_separable_batch of the graph as a separable surface
+    at the points (u, sum f_i(u_i)), turned upward.
 
     stats, when given, times the "analytic" and "oracle" stages (see
     reporting.RunStats).
     """
-    u = np.asarray(u, dtype=float)
-    rep = report_separable(*_as_separable(fs, u, p), p, tol=tol, stats=stats)
-    return CurvatureReport(
-        point=u,
-        eta=-rep.eta,
-        weingarten=WeingartenMatrix(-rep.weingarten.entries),
-        h_analytic=-rep.h_analytic,
-        h_oracle=-rep.h_oracle,
-        tangency_defect=rep.tangency_defect,
-        tol=tol,
-    )
+    U = np.asarray(U, dtype=float)
+    reports = report_separable_batch(*_as_separable(fs, U, p), p, tol=tol,
+                                     stats=stats)
+    return [
+        CurvatureReport(
+            point=u,
+            eta=-rep.eta,
+            weingarten=WeingartenMatrix(-rep.weingarten.entries),
+            h_analytic=-rep.h_analytic,
+            h_oracle=-rep.h_oracle,
+            tangency_defect=rep.tangency_defect,
+            tol=tol,
+        )
+        for u, rep in zip(U, reports)
+    ]
+
+
+def report_translation(fs, u, p: NormParams, tol: float = 1e-6,
+                       stats=None) -> CurvatureReport:
+    """Closed-form vs oracle comparison at one translation-graph point: a
+    report_translation_batch of one."""
+    return report_translation_batch(fs, _one_point(u, p.n), p, tol=tol,
+                                    stats=stats)[0]

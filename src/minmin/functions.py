@@ -24,12 +24,16 @@ def evaluate(fn, x):
     return np.full(x.shape, value, dtype=float)
 
 
-def _horner(c: list, x0: float):
+def _horner(c: list, x0):
     """x -> sum_k c[k] (x - x0)^k by Horner's rule, the steps of numpy's
-    polyval without its per-call set-up, on scalars and arrays."""
+    polyval without its per-call set-up, on scalars and arrays.
+
+    Coefficients and x0 of shape (N,) give N polynomials stacked by row: an x
+    of shape (..., N) is evaluated row by row along its last axis."""
+    shift = np.ndim(x0) > 0 or x0 != 0.0
 
     def value(x):
-        t = x - x0 if x0 else x
+        t = x - x0 if shift else x
         y = c[-1]
         for a in c[-2::-1]:
             y = a + y * t
@@ -38,12 +42,18 @@ def _horner(c: list, x0: float):
     return value
 
 
-def _horner_chain(coeffs, x0: float = 0.0) -> list:
+def _horner_chain(coeffs, x0=0.0) -> list:
     """Horner evaluators of sum_k coeffs[k] (x - x0)^k and its first two
-    derivatives; the derivative coefficients k c_k are those of numpy's polyder."""
+    derivatives; the derivative coefficients k c_k are those of numpy's polyder.
+
+    coeffs of shape (K,) are kept as Python floats; coeffs of shape (K, N)
+    with x0 a float or of shape (N,) stack N polynomials by row."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim == 1:
+        c, x0 = [float(v) for v in coeffs], float(x0)
+    else:
+        c, x0 = list(coeffs), np.asarray(x0, dtype=float)
     fns = []
-    c = [float(v) for v in coeffs]
-    x0 = float(x0)
     for _ in range(3):
         fns.append(_horner(c, x0))
         c = [k * c[k] for k in range(1, len(c))] or [0.0]
@@ -54,7 +64,9 @@ class C3Function:
     """A function of one variable with its analytic derivatives d1 and d2.
 
     Its callables take a float or a whole numpy array, and every evaluation
-    returns a float or an array of the argument's shape (see evaluate).
+    returns a float or an array of the argument's shape (see evaluate).  N
+    profiles stacked by row (see taylor) take arrays whose last axis has N
+    elements, one per row.
     """
 
     def __init__(self, f, d1, d2, domain=None):
@@ -97,15 +109,18 @@ class C3Function:
         return cls(*_horner_chain(np.asarray(coeffs, dtype=float)))
 
     @classmethod
-    def taylor(cls, x0: float, derivs) -> "C3Function":
+    def taylor(cls, x0, derivs) -> "C3Function":
         """Polynomial with prescribed value and derivatives at x0.
 
         derivs = (f(x0), f'(x0), f''(x0), ...); the result is the Taylor
         polynomial around x0, so its derivatives at x0 are exactly derivs.
+        With x0 of shape (N,) and derivs of shape (K, N) it is N polynomials
+        stacked by row: at x of shape (..., N), row i takes the same Horner
+        steps, and so the same bits, as the profile of x0[i] and derivs[:, i].
         """
         d = np.asarray(derivs, dtype=float)
         fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, len(d)))))
-        return cls(*_horner_chain(d / fact, x0))
+        return cls(*_horner_chain((d.T / fact).T, x0))
 
     @classmethod
     def linear(cls, a: float, b: float = 0.0) -> "C3Function":

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import minmin as mm
+from minmin import curvature
 from minmin.cli import EXAMPLE_IDS, main
 from minmin.curvature import (
     ORACLE_STEP_FACTOR,
@@ -21,7 +22,13 @@ from minmin.curvature import (
 from minmin.errors import SingularConfigurationError
 from minmin.functions import C3Function
 from minmin.norms import birkhoff_normal_implicit, signed_pow
-from minmin.sampling import counter_rng, random_separable_config
+from minmin.reporting import VerificationReport
+from minmin.sampling import (
+    counter_rng,
+    random_separable_config,
+    random_translation_config,
+    taylor_profiles,
+)
 from minmin.separable import (
     QuadratureChart,
     _QuadratureProfile,
@@ -314,3 +321,85 @@ def test_65_u_chart_agrees_with_the_x_chart():
         assert np.allclose(r.eta, q.eta, rtol=0, atol=1e-14)
         assert np.allclose(r.weingarten.entries, q.weingarten.entries, rtol=0,
                            atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# oracle-compare: one batch per (kind, m, n) against one report per configuration
+# ---------------------------------------------------------------------------
+
+
+def _command_reports(argv, monkeypatch, capsys):
+    """The CurvatureReports a run of the command renders, in row order."""
+    seen = []
+    real = VerificationReport.render
+
+    def render(self):
+        seen.append(self.reports)
+        return real(self)
+
+    monkeypatch.setattr(VerificationReport, "render", render)
+    code = main(argv)
+    capsys.readouterr()
+    assert code in (0, 1) and len(seen) == 1
+    return seen[0]
+
+
+def _per_configuration_reports(seed, points, n_fixed):
+    """oracle-compare --kind both drawn one configuration at a time and
+    reported by the single-point report_translation / report_separable."""
+    rng = counter_rng(seed)
+    reports = []
+    for kind in ("translation", "separable"):
+        for _ in range(points):
+            m = int(rng.integers(1, 4))
+            n = int(rng.integers(2, 5)) if n_fixed is None else n_fixed
+            if kind == "translation":
+                fs, at, p = random_translation_config(rng, m, n)
+                reports.append(mm.report_translation(fs, at, p, tol=1e-6))
+            else:
+                fs, at, p = random_separable_config(rng, m, n)
+                reports.append(mm.report_separable(fs, at, p, tol=1e-6))
+    return reports
+
+
+def _bits(r):
+    return (r.point.tobytes(), r.eta.tobytes(), r.weingarten.entries.tobytes(),
+            np.float64(r.h_analytic).tobytes(), np.float64(r.h_oracle).tobytes(),
+            np.float64(r.tangency_defect).tobytes())
+
+
+@pytest.mark.parametrize("n", (None, 2, 4))
+@pytest.mark.parametrize("seed", (1, 7, 20250101))
+def test_oracle_compare_batches_equal_single_point_reports(seed, n, monkeypatch,
+                                                          capsys):
+    points = 40
+    argv = ["oracle-compare", "--kind", "both", "--points", str(points),
+            "--seed", str(seed)] + ([] if n is None else ["--n", str(n)])
+    got = _command_reports(argv, monkeypatch, capsys)
+    want = _per_configuration_reports(seed, points, n)
+    assert len(got) == len(want) == 2 * points
+    for g, w in zip(got, want):
+        assert _bits(g) == _bits(w)
+
+
+def test_oracle_compare_batches_longer_than_a_chunk(monkeypatch, capsys):
+    # a group of configurations is split into calls of at most one chunk of
+    # report_separable_batch, whose charts take the stacked profiles whole
+    argv = ["oracle-compare", "--kind", "both", "--points", "30", "--seed", "3"]
+    whole = [_bits(r) for r in _command_reports(argv, monkeypatch, capsys)]
+    monkeypatch.setattr(curvature, "_CHUNK_POINTS", 2)
+    chunked = [_bits(r) for r in _command_reports(argv, monkeypatch, capsys)]
+    assert chunked == whole
+
+
+def test_translation_batch_rows_equal_single_points():
+    rng = counter_rng(19)
+    U = rng.uniform(-1.0, 1.0, (5, 3))
+    derivs = rng.uniform(0.3, 1.5, (4, 5, 3))
+    p = mm.NormParams(2, 4)
+    fs = taylor_profiles(U, derivs)
+    batch = mm.report_translation_batch(fs, U, p)
+    for i, got in enumerate(batch):
+        row = taylor_profiles(U[i], derivs[:, i])
+        assert _bits(got) == _bits(mm.report_translation(row, U[i], p))
+        assert got.h_analytic == mm.mean_curvature_translation(row, U[i], p)

@@ -24,6 +24,27 @@ def test_taylor_pins_derivatives():
         assert f.d2(x0) == pytest.approx(d[2], abs=1e-14)
 
 
+def test_taylor_rows_are_the_scalar_profiles_bit_for_bit():
+    rng = np.random.default_rng(5)
+    N = 7
+    x0 = rng.uniform(-1, 1, N)
+    x0[3] = 0.0  # the scalar profile skips the shift by x0 = 0
+    d = rng.uniform(-2, 2, (4, N))
+    stacked = C3Function.taylor(x0, d)
+    rows = [C3Function.taylor(float(x0[i]), d[:, i]) for i in range(N)]
+    # a float x0 with one column of derivatives is a batch of one
+    one = C3Function.taylor(float(x0[0]), d[:, :1])
+    # the points themselves and the oracle's stencil shape (2n, N), n = 3
+    for x in (x0, x0 + rng.uniform(-0.1, 0.1, (6, N))):
+        for name in ("__call__", "d1", "d2"):
+            got = getattr(stacked, name)(x)
+            assert got.shape == x.shape
+            for i, row in enumerate(rows):
+                assert got[..., i].tobytes() == getattr(row, name)(x[..., i]).tobytes()
+            got = getattr(one, name)(x[..., :1])
+            assert got.tobytes() == getattr(rows[0], name)(x[..., :1]).tobytes()
+
+
 def test_scaled_chain_rule():
     f = C3Function.polynomial([0.0, 1.0, 0.0, 2.0])
     lam, mu = 1.7, -0.6
