@@ -380,8 +380,9 @@ def cmd_oracle_compare(args) -> int:
                 index += 1
     # Configurations that share (kind, m, n) are one batch, with profiles
     # stacked by row.  A batch's chart takes those rows whole, so no batch is
-    # longer than one chunk of report_separable_batch.
-    results = [None] * index
+    # longer than one chunk of report_separable_batch.  Groups differ in
+    # dimension: the run's report has only the comparison columns, in draw order.
+    drawn, columns = [], []
     size = curvature._CHUNK_POINTS
     for (kind, m, n), draws in groups.items():
         batch = (report_translation_batch if kind == "translation"
@@ -390,10 +391,15 @@ def cmd_oracle_compare(args) -> int:
             rows, at, derivs = zip(*draws[start:start + size])
             at = np.stack(at)
             fs = sampling.taylor_profiles(at, np.stack(derivs, axis=1))
-            reports = batch(fs, at, NormParams(m=m, dim=n + 1), tol=args.tol,
-                            stats=stats)
-            for i, rep in zip(rows, reports):
-                results[i] = rep
+            rep = batch(fs, at, NormParams(m=m, dim=n + 1), tol=args.tol,
+                        stats=stats)
+            drawn += rows
+            columns.append((rep.h_analytic, rep.h_oracle, rep.tangency_defect))
+    # argsort(drawn) as a scatter: numpy's first sort adds 0.25 MiB of peak RSS
+    order = np.empty(index, dtype=int)
+    order[drawn] = np.arange(index)
+    results = curvature.CurvatureReport(  # point, eta and weingarten: None
+        None, None, None, *(np.concatenate(c)[order] for c in zip(*columns)), args.tol)
     config = {
         "command": "oracle-compare",
         "kind": args.kind,
@@ -428,6 +434,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of a tolerance: a finite float >= 0."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite tolerance >= 0, got {text!r}")
+    return value
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args keeps no
@@ -444,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--m", type=int, default=1)
     pv.add_argument("--r", type=int, default=2, help="block size for 6.2/6.4")
     pv.add_argument("--points", type=_positive_int, default=100)
-    pv.add_argument("--tol", type=float, default=1e-8, help="|H| tolerance")
-    pv.add_argument("--oracle-tol", type=float, default=1e-6)
+    pv.add_argument("--tol", type=_tolerance, default=1e-8, help="|H| tolerance")
+    pv.add_argument("--oracle-tol", type=_tolerance, default=1e-6)
     pv.add_argument("--seed", type=int, default=20250101)
     pv.add_argument("--perturb", type=float, default=None,
                     help="scale the leading coefficient block (sanity check)")
@@ -473,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--kind", choices=("affine", "quadratic", "exponential"),
                     default=None)
     pa.add_argument("--params-file", required=True, help="JSON with p/q/r arrays")
-    pa.add_argument("--tol", type=float, default=1e-10)
+    pa.add_argument("--tol", type=_tolerance, default=1e-10)
     pa.set_defaults(fn=cmd_ansatz)
 
     pm = sub.add_parser("mesh", help="export a surface mesh or point cloud")
@@ -505,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--points", type=_positive_int, default=100)
     pc.add_argument("--n", type=int, default=None,
                     help="fix the parameter count (default: random 2..4)")
-    pc.add_argument("--tol", type=float, default=1e-6)
+    pc.add_argument("--tol", type=_tolerance, default=1e-6)
     pc.add_argument("--seed", type=int, default=20250101)
     pc.add_argument("--out", default=None)
     pc.set_defaults(fn=cmd_oracle_compare)

@@ -14,6 +14,8 @@ The separable routines work on stacks of points: separable_closed_form,
 mean_curvature_oracle and report_separable_batch evaluate N points as arrays
 of shape (N, dim), and report_translation_batch N graph points as parameters
 of shape (N, n).  The single-point functions are batches of one.  A batch's
+report is one CurvatureReport whose fields are columns over its points, and
+failed_checks is the one pass rule, for one point or a stack.  A batch's
 profiles may be stacked by row (C3Function.taylor with coefficient arrays), so
 that each point has profiles of its own; such a batch has one row per point
 and at most _CHUNK_POINTS points, as every chunk's chart takes the rows whole.
@@ -34,7 +36,7 @@ and the shape operator -dN.
 """
 
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,38 +63,63 @@ class WeingartenMatrix:
 
     entries[j, k] is the coefficient of the k-th tangent vector in the
     derivative of eta along the j-th parameter; trace/n is the mean curvature.
+    A stack of matrices (N, n, n) gives the mean curvatures (N,).
     """
 
     entries: np.ndarray
 
     @property
-    def mean_curvature(self) -> float:
-        return float(np.trace(self.entries)) / self.entries.shape[0]
+    def mean_curvature(self):
+        return np.trace(self.entries, axis1=-2, axis2=-1) / self.entries.shape[-1]
 
 
 @dataclass
 class CurvatureReport:
-    """Per-point comparison of closed-form and oracle mean curvature."""
+    """Closed-form vs oracle mean curvature at one point (float h_analytic,
+    h_oracle and tangency_defect) or at a stack of N, whose fields are columns:
+    (N,) floats, point and eta (N, dim), Weingarten entries (N, n, n).  A stack
+    has a length and report[i] is one point's report.  point, eta and
+    weingarten are None where a report keeps only the comparison."""
 
-    point: np.ndarray
-    eta: np.ndarray
+    point: np.ndarray | None
+    eta: np.ndarray | None
     weingarten: WeingartenMatrix | None
-    h_analytic: float
-    h_oracle: float
-    tangency_defect: float
+    h_analytic: float | np.ndarray
+    h_oracle: float | np.ndarray
+    tangency_defect: float | np.ndarray
     tol: float
 
-    @property
-    def failed_check(self) -> str:
-        """"oracle" or "defect", the first check the point fails, or "-"."""
-        h = self.h_analytic
-        if not abs(h - self.h_oracle) <= self.tol * (1 + abs(h)):
-            return "oracle"
-        return "-" if self.tangency_defect <= self.tol else "defect"
+    def __len__(self) -> int:
+        return len(self.h_analytic)
+
+    def __getitem__(self, i: int) -> "CurvatureReport":
+        def row(a):
+            return None if a is None else a[i]
+
+        w = self.weingarten
+        return CurvatureReport(row(self.point), row(self.eta),
+                               None if w is None else WeingartenMatrix(w.entries[i]),
+                               float(self.h_analytic[i]), float(self.h_oracle[i]),
+                               float(self.tangency_defect[i]), self.tol)
 
     @property
-    def passed(self) -> bool:
-        return self.failed_check == "-"
+    def passed(self):
+        """Whether the point passes at the report's tol; an array for a stack."""
+        return failed_checks(self, self.tol) == "-"
+
+
+def failed_checks(report: CurvatureReport, tol: float, h_tol: float | None = None):
+    """The first check each point fails, "h" (|h_analytic| > h_tol, when
+    h_tol is given), "oracle" (|h_analytic - h_oracle| > tol (1 + |h_analytic|))
+    or "defect" (tangency_defect > tol), or "-" where it passes; a NaN fails
+    the check it enters.  A str for one point, a str array (N,) for a stack."""
+    h = np.asarray(report.h_analytic)
+    reason = np.where(report.tangency_defect <= tol, "-", "defect")
+    reason = np.where(np.abs(h - report.h_oracle) <= tol * (1 + np.abs(h)),
+                      reason, "oracle")
+    if h_tol is not None:
+        reason = np.where(np.abs(h) <= h_tol, reason, "h")
+    return str(reason) if reason.ndim == 0 else reason
 
 
 def _slope_guard(d1, m: int, label: str):
@@ -329,41 +356,31 @@ def mean_curvature_oracle(chart, p: NormParams):
 _CHUNK_POINTS = 4096
 
 
-def _report_chunks(points, chunk, p: NormParams, tol: float, stats) -> list:
-    """CurvatureReports at the points (N, dim), in chunks of _CHUNK_POINTS rows.
+def _report_chunks(points, chunk, p: NormParams, tol: float, stats) -> CurvatureReport:
+    """The CurvatureReport stack of the points (N, dim), in _CHUNK_POINTS chunks.
 
     chunk(rows) gives the chart of those rows and their second derivatives
     f_i'' (N, dim); the closed form takes the slopes f_i' from chart.nu0 and
     the oracle runs on the chart.  stats, when given, times the "analytic"
     and "oracle" stages.
     """
-    reports = []
-    for start in range(0, len(points), _CHUNK_POINTS):
+    columns = []  # per chunk: H, W, eta, h_oracle, defect; one chunk if N = 0
+    for start in range(0, max(len(points), 1), _CHUNK_POINTS):
         rows = slice(start, start + _CHUNK_POINTS)
-        x = points[rows]
         with _stage(stats, "analytic"):
             chart, d2 = chunk(rows)
             H, W, eta = closed_form_from_slopes(chart.nu0, d2, p)
         with _stage(stats, "oracle"):
-            h_oracle, defect = mean_curvature_oracle(chart, p)
-        reports += [
-            CurvatureReport(
-                point=x[i],
-                eta=eta[i],
-                weingarten=WeingartenMatrix(entries=W[i]),
-                h_analytic=float(H[i]),
-                h_oracle=float(h_oracle[i]),
-                tangency_defect=float(defect[i]),
-                tol=tol,
-            )
-            for i in range(len(x))
-        ]
-    return reports
+            columns.append((H, W, eta) + mean_curvature_oracle(chart, p))
+    H, W, eta, h_oracle, defect = (np.concatenate(c) for c in zip(*columns))
+    return CurvatureReport(point=points, eta=eta, weingarten=WeingartenMatrix(W),
+                           h_analytic=H, h_oracle=h_oracle,
+                           tangency_defect=defect, tol=tol)
 
 
 def report_separable_batch(fs, points, p: NormParams, tol: float = 1e-6,
-                           stats=None) -> list:
-    """Closed-form vs oracle comparison at a stack (N, dim) of surface points.
+                           stats=None) -> CurvatureReport:
+    """Closed-form vs oracle comparison at surface points (N, dim), one stack.
 
     Every chunk of _report_chunks is one SeparableChart of its points, whose
     base gradients feed the closed form and whose tangent planes carry the
@@ -441,29 +458,19 @@ def weingarten_translation(fs, u, p: NormParams) -> WeingartenMatrix:
 
 
 def report_translation_batch(fs, U, p: NormParams, tol: float = 1e-6,
-                             stats=None) -> list:
+                             stats=None) -> CurvatureReport:
     """Closed-form vs oracle comparison at a stack U (N, n) of translation-graph
     parameters: the report_separable_batch of the graph as a separable surface
-    at the points (u, sum f_i(u_i)), turned upward.
+    at the points (u, sum f_i(u_i)), turned upward, with point = U.
 
     stats, when given, times the "analytic" and "oracle" stages (see
     reporting.RunStats).
     """
     U = np.asarray(U, dtype=float)
-    reports = report_separable_batch(*_as_separable(fs, U, p), p, tol=tol,
-                                     stats=stats)
-    return [
-        CurvatureReport(
-            point=u,
-            eta=-rep.eta,
-            weingarten=WeingartenMatrix(-rep.weingarten.entries),
-            h_analytic=-rep.h_analytic,
-            h_oracle=-rep.h_oracle,
-            tangency_defect=rep.tangency_defect,
-            tol=tol,
-        )
-        for u, rep in zip(U, reports)
-    ]
+    rep = report_separable_batch(*_as_separable(fs, U, p), p, tol=tol, stats=stats)
+    return replace(rep, point=U, eta=-rep.eta,
+                   weingarten=WeingartenMatrix(-rep.weingarten.entries),
+                   h_analytic=-rep.h_analytic, h_oracle=-rep.h_oracle)
 
 
 def report_translation(fs, u, p: NormParams, tol: float = 1e-6,

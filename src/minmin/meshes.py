@@ -49,8 +49,8 @@ def patch_vertices(patch, slice_axes=None, fixed_indices=None,
 
     For patches with more than two parameters, slice_axes picks the two varying
     parameter axes and fixed_indices the grid index of each remaining one
-    (default: middle).  project selects the three ambient coordinates written
-    to the OBJ when the ambient dimension exceeds three.
+    (default: middle).  project selects the three distinct ambient coordinates,
+    each in 0..dim-1, written to the OBJ.
     """
     pts = patch.points
     n = pts.ndim - 1
@@ -73,6 +73,7 @@ def patch_vertices(patch, slice_axes=None, fixed_indices=None,
     if a > b:
         sliced = np.swapaxes(sliced, 0, 1)
     project = tuple(project)
-    if len(project) != 3 or any(k >= pts.shape[-1] for k in project):
-        raise DomainError(f"projection {project} invalid for dim {pts.shape[-1]}")
+    dim = pts.shape[-1]
+    if len(project) != 3 or len(set(project) & set(range(dim))) != 3:
+        raise DomainError(f"projection {project} invalid for dim {dim}")
     return sliced[..., project]

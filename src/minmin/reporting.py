@@ -11,58 +11,51 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import CurvatureReport
+from .curvature import CurvatureReport, failed_checks
 
 
 def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{v:.12e}"
-    return str(v)
+    return f"{v:.12e}" if isinstance(v, float) else str(v)
 
 
 @dataclass
 class VerificationReport:
-    """Config echo, per-point curvature summaries and aggregate tallies."""
+    """Config echo, per-point rows and aggregate tallies of the CurvatureReport
+    stack reports; given h_tol, a point with |h_analytic| > h_tol fails too."""
 
     command: str
     config: dict
-    reports: list
+    reports: CurvatureReport
     h_tol: float | None = None
     wall_time: float = 0.0  # logged, never serialized
+    reasons: list = field(init=False)  # failed_checks of each point
     aggregate: dict = field(init=False)
 
     def __post_init__(self):
-        self.aggregate = self._aggregate()
-
-    def _reason(self, r: CurvatureReport) -> str:
-        """The first check a point fails, "h" (|H| > h_tol), "oracle" or
-        "defect", or "-" when it passes."""
-        if self.h_tol is not None and not abs(r.h_analytic) <= self.h_tol:
-            return "h"
-        return r.failed_check
-
-    def _point_passed(self, r: CurvatureReport) -> bool:
-        return self._reason(r) == "-"
-
-    def _aggregate(self) -> dict:
-        n_pass = sum(1 for r in self.reports if self._point_passed(r))
-        n_fail = len(self.reports) - n_pass
-        return {
-            "points": len(self.reports),
+        r = self.reports
+        self.reasons = failed_checks(r, r.tol, self.h_tol).tolist()
+        n_pass = self.reasons.count("-")
+        # Python max over the column's floats: like the row loop it replaces,
+        # it skips a NaN after the first element and gives 0.0 for no rows
+        self.aggregate = {
+            "points": len(r),
             "pass": n_pass,
-            "fail": n_fail,
-            "max_abs_h": max((abs(r.h_analytic) for r in self.reports), default=0.0),
-            "max_oracle_dev": max(
-                (abs(r.h_analytic - r.h_oracle) for r in self.reports), default=0.0
-            ),
-            "max_defect": max(
-                (r.tangency_defect for r in self.reports), default=0.0
-            ),
+            "fail": len(r) - n_pass,
+            "max_abs_h": max(np.abs(r.h_analytic).tolist(), default=0.0),
+            "max_oracle_dev": max(np.abs(r.h_analytic - r.h_oracle).tolist(),
+                                  default=0.0),
+            "max_defect": max(r.tangency_defect.tolist(), default=0.0),
         }
 
     @property
     def passed(self) -> bool:
         return self.aggregate["fail"] == 0
+
+    def _rows(self):
+        """(index, h_analytic, h_oracle, tangency_defect, reason) of each point."""
+        r = self.reports
+        return zip(range(len(r)), r.h_analytic.tolist(), r.h_oracle.tolist(),
+                   r.tangency_defect.tolist(), self.reasons)
 
     def render(self) -> str:
         lines = [f"minmin {self.command} report", "=" * (len(self.command) + 14), ""]
@@ -70,12 +63,9 @@ class VerificationReport:
             lines.append(f"{key}: {_fmt(self.config[key])}")
         lines.append("")
         lines.append("index  h_analytic          h_oracle            defect        pass")
-        for i, r in enumerate(self.reports):
-            ok = "yes" if self._point_passed(r) else "NO"
-            lines.append(
-                f"{i:<6d} {r.h_analytic:+.12e} {r.h_oracle:+.12e} "
-                f"{r.tangency_defect:.6e} {ok}"
-            )
+        for i, h, h_oracle, defect, reason in self._rows():
+            ok = "yes" if reason == "-" else "NO"
+            lines.append(f"{i:<6d} {h:+.12e} {h_oracle:+.12e} {defect:.6e} {ok}")
         lines.append("")
         lines.append("aggregate")
         lines.append("---------")
@@ -95,12 +85,9 @@ class VerificationReport:
             cols = ["index", "h_analytic", "h_oracle", "tangency_defect", "passed",
                     "reason"]
             fh.write(",".join(cols) + "\n")
-            for i, r in enumerate(self.reports):
-                reason = self._reason(r)
-                fh.write(
-                    f"{i},{r.h_analytic:.17g},{r.h_oracle:.17g},"
-                    f"{r.tangency_defect:.17g},{int(reason == '-')},{reason}\n"
-                )
+            for i, h, h_oracle, defect, reason in self._rows():
+                fh.write(f"{i},{h:.17g},{h_oracle:.17g},{defect:.17g},"
+                         f"{int(reason == '-')},{reason}\n")
 
 
 class RunStats:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import (
+    CurvatureReport,
     _columns,
     _report_chunks,
     _stage,
@@ -542,7 +543,9 @@ def feasible_axes(xs, points_per_axis: int, span: float = 1.0,
                   margin: float = 0.05):
     """Per-axis sample ranges inside the admissible domain, shrunk until the
     zero-sum image stays admissible.  Raises EmptyDomainError when there is
-    no room at all."""
+    no room at all, and DomainError unless span is positive and finite."""
+    if not 0.0 < span < math.inf:
+        raise DomainError(f"span must be positive and finite, got {span!r}")
     dom = admissible_domain(xs)
     if not dom.feasible:
         raise EmptyDomainError("admissible domain is empty")
@@ -630,7 +633,7 @@ class SeparableSurface:
         return np.concatenate(blocks)[:count]
 
     def report_sample(self, rng: np.random.Generator, count: int, tol: float = 1e-6,
-                      stats=None) -> list:
+                      stats=None) -> CurvatureReport:
         """report_separable_batch at count sampled points; stats, when given,
         also times the "sample" stage."""
         with _stage(stats, "sample"):
@@ -838,7 +841,7 @@ class QuadratureSurface(SeparableSurface):
         return self.x_of_u(self.sample_u(rng, count, stats))
 
     def report_sample(self, rng: np.random.Generator, count: int, tol: float = 1e-6,
-                      stats=None) -> list:
+                      stats=None) -> CurvatureReport:
         with _stage(stats, "sample"):
             u = self.sample_u(rng, count, stats)
             x = self.x_of_u(u)

@@ -124,8 +124,11 @@ class ProfileODEParams:
     max_steps: int = 5000
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise DomainError("step must be positive")
+        if not (all(map(math.isfinite, (self.c0, self.y0, self.u0)))
+                and 0 < self.step < math.inf):
+            raise DomainError("c0, y0 and u0 must be finite, step positive and finite")
+        if self.max_steps < 1:
+            raise DomainError("max_steps must be at least 1")
         if self.y0 == 0.0:
             raise DomainError("initial slope y0 must be nonzero")
         if self.k < 1 or self.m < 1:

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from minmin.cli import EXAMPLE_IDS, build_parser, main
-from minmin.curvature import report_separable, report_separable_batch
+from minmin.curvature import (
+    CurvatureReport,
+    report_separable,
+    report_separable_batch,
+)
 from minmin.reporting import VerificationReport
 from minmin.sampling import counter_rng
 from minmin.separable import example_surface
@@ -86,7 +90,14 @@ def test_verify_rows_independent_of_batch():
         text = VerificationReport("verify", {}, reports, h_tol=1e-8).render()
         return text[text.index("index"):]
 
-    assert rows(batch) == rows(alone)
+    # the single-point reports as one stack of their comparison columns
+    stacked = CurvatureReport(
+        point=None, eta=None, weingarten=None,
+        **{k: np.array([getattr(b, k) for b in alone])
+           for k in ("h_analytic", "h_oracle", "tangency_defect")},
+        tol=batch.tol,
+    )
+    assert rows(batch) == rows(stacked)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -549,9 +560,54 @@ def test_nonpositive_counts_are_config_errors(argv, tmp_path, monkeypatch, capsy
 
 @pytest.mark.parametrize("assembly", [[], ["--n", "2"]])
 @pytest.mark.parametrize("flag", [["--y0", "0"], ["--m", "0"], ["--k", "0"],
-                                  ["--step", "0"]])
+                                  ["--step", "0"], ["--step", "nan"],
+                                  ["--c0", "nan"], ["--y0", "inf"], ["--u0", "nan"],
+                                  ["--max-steps", "0"]])
 def test_invalid_ode_settings_are_config_errors(flag, assembly, capsys):
     code, stdout, err = run(["ode"] + assembly + flag, capsys)
     assert code == 2
     assert stdout == ""
-    assert "numerical failure" not in err
+    assert "numerical failure" not in err and "integration failed" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    # the ODE settings of a translation mesh
+    ["--kind", "translation", "--step", "nan"],
+    ["--kind", "translation", "--c0", "nan"],
+    ["--kind", "translation", "--max-steps", "0"],
+    # a working span is positive and finite, not an empty domain
+    ["--span", "0"], ["--span=-1"], ["--span", "nan"], ["--span", "inf"],
+    # three distinct ambient coordinates in 0..dim-1
+    ["--project=-1,0,1"], ["--project", "0,0,1"], ["--project", "0,1,4"],
+    ["--project", "0,1"],
+])
+def test_invalid_mesh_settings_are_config_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(["mesh", "--example", "6.1", "--out", "never.obj"] + argv,
+                            capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ")
+    assert not (tmp_path / "never.obj").exists()
+
+
+@pytest.mark.parametrize("value, legal", [
+    ("nan", False), ("inf", False), ("-1e-9", False), ("0", True),
+])
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "--example", "6.1", "--points", "3"], "--tol"),
+    (["verify", "--example", "6.1", "--points", "3"], "--oracle-tol"),
+    (["oracle-compare", "--points", "2"], "--tol"),
+    (["ansatz", "--params-file", "affine.json"], "--tol"),
+])
+def test_tolerances_are_finite_and_nonnegative(argv, flag, value, legal, tmp_path,
+                                               monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "affine.json").write_text(json.dumps(
+        {"kind": "affine", "p": [1, 1, 1, 1], "q": [1, -1, -1, 1]}))
+    code, stdout, err = run(argv + [f"{flag}={value}"], capsys)
+    if legal:
+        assert code in (0, 1), err
+    else:
+        assert code == 2 and stdout == ""
+        assert "expected a finite tolerance >= 0" in err

@@ -8,6 +8,7 @@ from conftest import (
 )
 
 import minmin as mm
+from minmin.curvature import failed_checks
 from minmin.errors import OffSurfaceError, SingularConfigurationError
 from minmin.functions import C3Function
 from minmin.sampling import random_separable_config, random_translation_config
@@ -286,22 +287,41 @@ def test_oracle_agreement_random_batches():
         assert rep.passed, (m, n, rep.h_analytic, rep.h_oracle, rep.tangency_defect)
 
 
+# h_analytic, h_oracle, tangency_defect, then the reason at tol = 1e-6 without
+# an |H| bound and with h_tol = 1e-8
+_VERDICT_CASES = [
+    (1.0, 1.0 + 1.5e-6, 0.0, "-", "h"),  # |dH| = 1.5e-6 <= tol * (1 + |H|) = 2e-6
+    (1.0, 1.0 + 3e-6, 0.0, "oracle", "h"),
+    (1.0, 1.0, 2e-6, "defect", "h"),
+    (1e-9, 1e-9, 0.0, "-", "-"),
+    (1e-9, 1e-9, 2e-6, "defect", "defect"),
+    (1e-9, 3e-6, 2e-6, "oracle", "oracle"),
+    # every bound is inclusive
+    (0.0, 1e-6, 1e-6, "-", "-"),
+    (1e-8, 1e-8, 0.0, "-", "-"),
+    # a NaN fails the check it enters
+    (np.nan, 0.0, 0.0, "oracle", "h"),
+    (0.0, np.nan, 0.0, "oracle", "oracle"),
+    (0.0, 0.0, np.nan, "defect", "defect"),
+]
+
+
 def test_curvature_report_verdict_rule():
-    rep = mm.CurvatureReport(
-        point=np.zeros(2), eta=np.zeros(3), weingarten=None,
-        h_analytic=1.0, h_oracle=1.0 + 1.5e-6, tangency_defect=0.0, tol=1e-6,
+    h, h_oracle, defect, want, want_h = zip(*_VERDICT_CASES)
+    stack = mm.CurvatureReport(
+        point=None, eta=None, weingarten=None, h_analytic=np.array(h),
+        h_oracle=np.array(h_oracle), tangency_defect=np.array(defect), tol=1e-6,
     )
-    assert rep.passed  # |dH| = 1.5e-6 <= tol * (1 + |H|) = 2e-6
-    rep2 = mm.CurvatureReport(
-        point=np.zeros(2), eta=np.zeros(3), weingarten=None,
-        h_analytic=1.0, h_oracle=1.0 + 3e-6, tangency_defect=0.0, tol=1e-6,
-    )
-    assert not rep2.passed
-    rep3 = mm.CurvatureReport(
-        point=np.zeros(2), eta=np.zeros(3), weingarten=None,
-        h_analytic=1.0, h_oracle=1.0, tangency_defect=2e-6, tol=1e-6,
-    )
-    assert not rep3.passed
+    assert len(stack) == len(_VERDICT_CASES)
+    # one rule for a stack and for each of its points
+    assert failed_checks(stack, 1e-6).tolist() == list(want)
+    assert failed_checks(stack, 1e-6, h_tol=1e-8).tolist() == list(want_h)
+    assert stack.passed.tolist() == [w == "-" for w in want]
+    for rep, w, w_h in zip(stack, want, want_h):
+        reason = failed_checks(rep, 1e-6)
+        assert isinstance(reason, str) and reason == w
+        assert failed_checks(rep, 1e-6, h_tol=1e-8) == w_h
+        assert rep.passed == (w == "-")
 
 
 def test_c3_instances_validate_against_finite_differences():
