@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -113,11 +114,12 @@ def cmd_verify(args) -> int:
             command="verify", config=config, reports=results, h_tol=args.tol,
             wall_time=time.perf_counter() - t0,
         )
+        text = report.render()  # once, for --out and stdout
         if args.out:
-            report.write(args.out)
+            Path(args.out).write_text(text, encoding="utf-8")
         if args.csv:
             report.write_points_csv(args.csv)
-        sys.stdout.write(report.render())
+        sys.stdout.write(text)
     stats.log(log, "verify")
     log.info("verify wall time %.3fs", report.wall_time)
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -398,8 +400,8 @@ def cmd_oracle_compare(args) -> int:
     # argsort(drawn) as a scatter: numpy's first sort adds 0.25 MiB of peak RSS
     order = np.empty(index, dtype=int)
     order[drawn] = np.arange(index)
-    results = curvature.CurvatureReport(  # point, eta and weingarten: None
-        None, None, None, *(np.concatenate(c)[order] for c in zip(*columns)), args.tol)
+    results = curvature.CurvatureReport(
+        *(np.concatenate(c)[order] for c in zip(*columns)), args.tol)
     config = {
         "command": "oracle-compare",
         "kind": args.kind,
@@ -413,9 +415,10 @@ def cmd_oracle_compare(args) -> int:
             command="oracle-compare", config=config, reports=results,
             wall_time=time.perf_counter() - t0,
         )
+        text = report.render()
         if args.out:
-            report.write(args.out)
-        sys.stdout.write(report.render())
+            Path(args.out).write_text(text, encoding="utf-8")
+        sys.stdout.write(text)
     stats.log(log, "oracle-compare")
     log.info("oracle-compare wall time %.3fs", report.wall_time)
     return EXIT_PASS if report.passed else EXIT_FAIL
@@ -426,12 +429,19 @@ def cmd_oracle_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_type(low: int, high: float, expected: str):
+    """argparse type of an integer low <= value < high, described as expected."""
+    def integer(text: str) -> int:  # argparse names it in "invalid integer value"
+        value = int(text)
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return integer
+
+
+_positive_int = _int_type(1, float("inf"), "a positive integer")  # a count
+_mesh_grid = _int_type(2, float("inf"), "a positive integer >= 2")  # one node: no face
+_seed = _int_type(0, 2**128, "a seed in [0, 2**128)")  # the Philox key
 
 
 def _tolerance(text: str) -> float:
@@ -461,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--points", type=_positive_int, default=100)
     pv.add_argument("--tol", type=_tolerance, default=1e-8, help="|H| tolerance")
     pv.add_argument("--oracle-tol", type=_tolerance, default=1e-6)
-    pv.add_argument("--seed", type=int, default=20250101)
+    pv.add_argument("--seed", type=_seed, default=20250101)
     pv.add_argument("--perturb", type=float, default=None,
                     help="scale the leading coefficient block (sanity check)")
     pv.add_argument("--out", default=None, help="report file")
@@ -502,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--u0", type=float, default=0.0)
     pm.add_argument("--step", type=float, default=1e-3)
     pm.add_argument("--max-steps", type=int, default=5000)
-    pm.add_argument("--grid", type=_positive_int, default=20)
+    pm.add_argument("--grid", type=_mesh_grid, default=20)
     pm.add_argument("--span", type=float, default=1.0,
                     help="working half-width of the u-axes")
     pm.add_argument("--slice", default=None,
@@ -521,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--n", type=int, default=None,
                     help="fix the parameter count (default: random 2..4)")
     pc.add_argument("--tol", type=_tolerance, default=1e-6)
-    pc.add_argument("--seed", type=int, default=20250101)
+    pc.add_argument("--seed", type=_seed, default=20250101)
     pc.add_argument("--out", default=None)
     pc.set_defaults(fn=cmd_oracle_compare)
 

@@ -1,8 +1,9 @@
 """Mean curvature and Weingarten coefficients under the 2m-norm.
 
-One closed form serves both surface kinds: closed_form_from_slopes evaluates
-the separable implicit surface sum f_i(x_i) = 0 from the slopes f_i', f_i''
-(separable_closed_form takes them from the profiles at x).  A translation graph
+One closed form serves both surface kinds: mean_curvature_from_slopes gives H
+of the separable implicit surface sum f_i(x_i) = 0 from the slopes f_i', f_i''
+and closed_form_from_slopes adds W and eta (separable_closed_form takes the
+slopes from the profiles at x).  A translation graph
 x_{n+1} = f_1(u_1) + ... + f_n(u_n) is the separable surface
 f_1(x_1) + ... + f_n(x_n) - x_{n+1} = 0, so the translation routines evaluate
 that surface at (u, sum f_i(u_i)).  An independent oracle recovers the mean
@@ -13,11 +14,12 @@ basis.
 The separable routines work on stacks of points: separable_closed_form,
 mean_curvature_oracle and report_separable_batch evaluate N points as arrays
 of shape (N, dim), and report_translation_batch N graph points as parameters
-of shape (N, n).  The single-point functions are batches of one.  A batch's
-report is one CurvatureReport whose fields are columns over its points, and
+of shape (N, n).  The single-point functions are batches of one.  A report is
+the comparison: one CurvatureReport of the columns h_analytic, h_oracle and
+tangency_defect over a batch's points, computed with H alone, and
 failed_checks is the one pass rule, for one point or a stack.  A batch's
-profiles may be stacked by row (C3Function.taylor with coefficient arrays), so
-that each point has profiles of its own; such a batch has one row per point
+profiles may be stacked by row (C3Function.taylor with coefficient arrays),
+so that each point has profiles of its own; such a batch has one row per point
 and at most _CHUNK_POINTS points, as every chunk's chart takes the rows whole.
 A chart holds the base parameters t0, the base gradient nu0, the tangent basis T
 (N, dim, n) and the gradient nu(t), all built once per batch: the closed form
@@ -30,7 +32,7 @@ coordinate.
 Orientation follows the normal branches of the norms module: aligned with the
 defining gradient for implicit surfaces, upward for graphs.  The implicit
 normal of a graph lies along (f', -1), so the translation routines change the
-sign of H, W, the oracle value and eta.  At m = 1 the graph value is minus the
+sign of H, W and the oracle value.  At m = 1 the graph value is minus the
 textbook Euclidean mean curvature computed with respect to the upward normal
 and the shape operator -dN.
 """
@@ -75,15 +77,12 @@ class WeingartenMatrix:
 
 @dataclass
 class CurvatureReport:
-    """Closed-form vs oracle mean curvature at one point (float h_analytic,
-    h_oracle and tangency_defect) or at a stack of N, whose fields are columns:
-    (N,) floats, point and eta (N, dim), Weingarten entries (N, n, n).  A stack
-    has a length and report[i] is one point's report.  point, eta and
-    weingarten are None where a report keeps only the comparison."""
+    """Closed-form vs oracle mean curvature: the comparison a report prints, at
+    one point (floats) or at a stack of N, whose fields are (N,) columns.  A
+    stack has a length and report[i] is one point's report.  The normals and
+    Weingarten matrices of the points come from separable_closed_form,
+    weingarten_* and birkhoff_normal_*."""
 
-    point: np.ndarray | None
-    eta: np.ndarray | None
-    weingarten: WeingartenMatrix | None
     h_analytic: float | np.ndarray
     h_oracle: float | np.ndarray
     tangency_defect: float | np.ndarray
@@ -93,13 +92,7 @@ class CurvatureReport:
         return len(self.h_analytic)
 
     def __getitem__(self, i: int) -> "CurvatureReport":
-        def row(a):
-            return None if a is None else a[i]
-
-        w = self.weingarten
-        return CurvatureReport(row(self.point), row(self.eta),
-                               None if w is None else WeingartenMatrix(w.entries[i]),
-                               float(self.h_analytic[i]), float(self.h_oracle[i]),
+        return CurvatureReport(float(self.h_analytic[i]), float(self.h_oracle[i]),
                                float(self.tangency_defect[i]), self.tol)
 
     @property
@@ -174,15 +167,26 @@ def separable_residual_sum(d1, d2, m: int):
     return float(res) if res.ndim == 0 else res
 
 
+def mean_curvature_from_slopes(d1, d2, p: NormParams) -> np.ndarray:
+    """Closed-form H (N,) of sum f_i(x_i) = 0 from the slopes d1 = f_i'(x_i),
+    d2 = f_i''(x_i) (N, dim): A^(-(2m+1)/(2m)) / (n (2m-1)) sum_j G_j (A - X_j),
+    terms as in closed_form_from_slopes.  Raises where the chart slope f_{n+1}'
+    vanishes or m >= 2 needs the negative power of a vanishing slope."""
+    m = p.m
+    if (d1[:, -1] == 0.0).any():
+        raise SingularConfigurationError("chart slope f_{n+1}' vanishes")
+    _slope_guard(d1, m, "separable mean curvature")
+    _, A, _, total = _slope_terms(d1, d2, m)
+    return np.float_power(A, -(2 * m + 1) / (2 * m)) / (p.n * (2 * m - 1)) * total
+
+
 def closed_form_from_slopes(d1, d2, p: NormParams):
-    """Closed-form mean curvature, Weingarten matrices and Birkhoff normals of
-    a separable surface sum f_i(x_i) = 0 from its slopes d1 = f_i'(x_i) and
-    d2 = f_i''(x_i), stacks of shape (N, dim).
+    """mean_curvature_from_slopes, with the Weingarten matrices and Birkhoff
+    normals of the same slopes.
 
     Returns H with shape (N,), the Weingarten entries with shape (N, n, n), in
-    the chart that solves the last coordinate in terms of the others (so its
-    slope must not vanish), and the normals eta with shape (N, dim), aligned
-    with (f_1', ..., f_{n+1}').
+    the chart that solves the last coordinate in terms of the others, and the
+    normals eta with shape (N, dim), aligned with (f_1', ..., f_{n+1}').
 
     Diagonal:  eta_j^j = A^(-(2m+1)/(2m))/(2m-1) (X_j G_{n+1} + G_j (A - X_j))
     Off-diag:  eta_j^k = A^(-(2m+1)/(2m))/(2m-1) (f_k')^(1/(2m-1))
@@ -191,13 +195,9 @@ def closed_form_from_slopes(d1, d2, p: NormParams):
     G_j = (f_j')^(-(2m-2)/(2m-1)) f_j''.
     """
     m, n = p.m, p.n
-    if (d1[:, -1] == 0.0).any():
-        raise SingularConfigurationError("chart slope f_{n+1}' vanishes")
-    _slope_guard(d1, m, "separable mean curvature")
-    X, A, G, total = _slope_terms(d1, d2, m)
-    power = np.float_power(A, -(2 * m + 1) / (2 * m))
-    H = power / (n * (2 * m - 1)) * total
-    pref = (power / (2 * m - 1))[:, None, None]
+    H = mean_curvature_from_slopes(d1, d2, p)
+    X, A, G, _ = _slope_terms(d1, d2, m)
+    pref = (np.float_power(A, -(2 * m + 1) / (2 * m)) / (2 * m - 1))[:, None, None]
     root = signed_pow(d1, 1, 2 * m - 1)[:, :n]
     g_last = G[:, n, None, None]
     W = pref * root[:, None, :] * (
@@ -356,26 +356,23 @@ def mean_curvature_oracle(chart, p: NormParams):
 _CHUNK_POINTS = 4096
 
 
-def _report_chunks(points, chunk, p: NormParams, tol: float, stats) -> CurvatureReport:
-    """The CurvatureReport stack of the points (N, dim), in _CHUNK_POINTS chunks.
+def _report_chunks(count, chunk, p: NormParams, tol: float, stats) -> CurvatureReport:
+    """The CurvatureReport stack of count points, in _CHUNK_POINTS chunks.
 
     chunk(rows) gives the chart of those rows and their second derivatives
     f_i'' (N, dim); the closed form takes the slopes f_i' from chart.nu0 and
     the oracle runs on the chart.  stats, when given, times the "analytic"
     and "oracle" stages.
     """
-    columns = []  # per chunk: H, W, eta, h_oracle, defect; one chunk if N = 0
-    for start in range(0, max(len(points), 1), _CHUNK_POINTS):
+    columns = []  # per chunk: H, h_oracle, defect; one chunk if count = 0
+    for start in range(0, max(count, 1), _CHUNK_POINTS):
         rows = slice(start, start + _CHUNK_POINTS)
         with _stage(stats, "analytic"):
             chart, d2 = chunk(rows)
-            H, W, eta = closed_form_from_slopes(chart.nu0, d2, p)
+            H = mean_curvature_from_slopes(chart.nu0, d2, p)
         with _stage(stats, "oracle"):
-            columns.append((H, W, eta) + mean_curvature_oracle(chart, p))
-    H, W, eta, h_oracle, defect = (np.concatenate(c) for c in zip(*columns))
-    return CurvatureReport(point=points, eta=eta, weingarten=WeingartenMatrix(W),
-                           h_analytic=H, h_oracle=h_oracle,
-                           tangency_defect=defect, tol=tol)
+            columns.append((H,) + mean_curvature_oracle(chart, p))
+    return CurvatureReport(*(np.concatenate(c) for c in zip(*columns)), tol)
 
 
 def report_separable_batch(fs, points, p: NormParams, tol: float = 1e-6,
@@ -385,8 +382,7 @@ def report_separable_batch(fs, points, p: NormParams, tol: float = 1e-6,
     Every chunk of _report_chunks is one SeparableChart of its points, whose
     base gradients feed the closed form and whose tangent planes carry the
     oracle.  A point's report does not depend on the other points of the
-    batch.  The Weingarten matrix is the one of the last-coordinate chart.
-    stats, when given, times the "analytic" and "oracle" stages (see
+    batch.  stats, when given, times the "analytic" and "oracle" stages (see
     reporting.RunStats).
     """
     points = _surface_points(fs, points, p)
@@ -395,7 +391,7 @@ def report_separable_batch(fs, points, p: NormParams, tol: float = 1e-6,
         x = points[rows]
         return SeparableChart(fs, p, x), _columns([f.d2 for f in fs], x)
 
-    return _report_chunks(points, chunk, p, tol, stats)
+    return _report_chunks(len(points), chunk, p, tol, stats)
 
 
 def report_separable(fs, x, p: NormParams, tol: float = 1e-6,
@@ -461,16 +457,13 @@ def report_translation_batch(fs, U, p: NormParams, tol: float = 1e-6,
                              stats=None) -> CurvatureReport:
     """Closed-form vs oracle comparison at a stack U (N, n) of translation-graph
     parameters: the report_separable_batch of the graph as a separable surface
-    at the points (u, sum f_i(u_i)), turned upward, with point = U.
+    at the points (u, sum f_i(u_i)), turned upward.
 
     stats, when given, times the "analytic" and "oracle" stages (see
     reporting.RunStats).
     """
-    U = np.asarray(U, dtype=float)
     rep = report_separable_batch(*_as_separable(fs, U, p), p, tol=tol, stats=stats)
-    return replace(rep, point=U, eta=-rep.eta,
-                   weingarten=WeingartenMatrix(-rep.weingarten.entries),
-                   h_analytic=-rep.h_analytic, h_oracle=-rep.h_oracle)
+    return replace(rep, h_analytic=-rep.h_analytic, h_oracle=-rep.h_oracle)
 
 
 def report_translation(fs, u, p: NormParams, tol: float = 1e-6,

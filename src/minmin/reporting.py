@@ -76,10 +76,6 @@ class VerificationReport:
         lines.append("")
         return "\n".join(lines)
 
-    def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.render())
-
     def write_points_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
             cols = ["index", "h_analytic", "h_oracle", "tangency_defect", "passed",

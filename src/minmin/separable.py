@@ -826,8 +826,8 @@ class QuadratureSurface(SeparableSurface):
 
     Its blocks draw zero-sum parameter rows u, which sample() maps to x.
     report_sample() stays in u: the closed form takes its slopes from X at u
-    and the oracle runs on the QuadratureChart of the rows, so nothing inverts
-    a quadrature or solves for a coordinate.
+    and the oracle runs on the QuadratureChart of the rows, so it neither
+    evaluates nor inverts a quadrature, and nothing solves for a coordinate.
     """
 
     # the block loop of SeparableSurface.sample, which here keeps parameter rows u
@@ -844,13 +844,12 @@ class QuadratureSurface(SeparableSurface):
                       stats=None) -> CurvatureReport:
         with _stage(stats, "sample"):
             u = self.sample_u(rng, count, stats)
-            x = self.x_of_u(u)
 
         def chunk(rows):
             return (QuadratureChart(self.fs, u[rows]),
                     _columns([f.d2_of_u for f in self.fs], u[rows]))
 
-        return _report_chunks(x, chunk, self.p, tol, stats)
+        return _report_chunks(len(u), chunk, self.p, tol, stats)
 
 
 def _ratio_surface(m: int) -> SeparableSurface:
@@ -960,8 +959,10 @@ def perturbed_example_surface(example_id: str, m: int, r: int = 2,
     """Power-sum example with its leading coefficient block scaled by factor.
 
     Breaking the coefficient balance destroys minimality, which is the sanity
-    check that the on-surface H tests have teeth.
+    check that the on-surface H tests have teeth; factor is positive and finite.
     """
+    if not 0.0 < factor < math.inf:
+        raise DomainError(f"perturbation factor {factor!r} is not positive and finite")
     if example_id == "6.2":
         a = [factor] * r + [-1.0] * r
         b = [0.0] * (2 * r)

@@ -120,8 +120,8 @@ def _ref_oracle(chart, t0, p):
 def _ref_report(fs, x, p, tol=1e-6):
     h_oracle, defect = _ref_oracle(_RefChart(fs, p, x), x[:-1].copy(), p)
     return mm.CurvatureReport(
-        point=x, eta=None, weingarten=None, h_analytic=_ref_mean_curvature(fs, x, p),
-        h_oracle=h_oracle, tangency_defect=defect, tol=tol,
+        h_analytic=_ref_mean_curvature(fs, x, p), h_oracle=h_oracle,
+        tangency_defect=defect, tol=tol,
     )
 
 
@@ -178,7 +178,8 @@ def test_a_batch_of_no_points_is_an_empty_stack():
     surface = example_surface("6.2", 2)
     batch = report_separable_batch(surface.fs, np.empty((0, 4)), surface.p)
     assert len(batch) == 0 and list(batch) == []
-    assert batch.eta.shape == (0, 4) and batch.weingarten.entries.shape == (0, 3, 3)
+    assert batch.h_analytic.shape == batch.h_oracle.shape == (0,)
+    assert batch.tangency_defect.shape == (0,)
     text = VerificationReport("verify", {}, batch, h_tol=1e-8).render()
     assert "points: 0\n" in text and "status: PASS" in text
 
@@ -320,16 +321,16 @@ def test_65_chart_tangents_are_the_derivatives_of_x():
 
 
 def test_65_u_chart_agrees_with_the_x_chart():
+    # report_sample and sample draw the same rows from the same seed
     surface = example_surface("6.5", 2)
     reports = surface.report_sample(counter_rng(8), 12)
-    points = np.array([r.point for r in reports])
+    points = surface.sample(counter_rng(8), 12)
     ref = report_separable_batch(surface.fs, points, surface.p)
+    assert len(reports) == len(ref) == 12
     for r, q in zip(reports, ref):
         assert r.h_analytic == pytest.approx(q.h_analytic, abs=1e-15)
         assert r.h_oracle == pytest.approx(q.h_oracle, abs=1e-9)
-        assert np.allclose(r.eta, q.eta, rtol=0, atol=1e-14)
-        assert np.allclose(r.weingarten.entries, q.weingarten.entries, rtol=0,
-                           atol=1e-13)
+        assert r.tangency_defect <= 1e-9 and q.tangency_defect <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -372,14 +373,8 @@ def _per_configuration_reports(seed, points, n_fixed):
 
 
 def _comparison_bits(r):
-    # the command's report keeps only these columns: its groups differ in dimension
     return (np.float64(r.h_analytic).tobytes(), np.float64(r.h_oracle).tobytes(),
             np.float64(r.tangency_defect).tobytes())
-
-
-def _bits(r):
-    return (r.point.tobytes(), r.eta.tobytes(),
-            r.weingarten.entries.tobytes()) + _comparison_bits(r)
 
 
 @pytest.mark.parametrize("n", (None, 2, 4))
@@ -416,5 +411,6 @@ def test_translation_batch_rows_equal_single_points():
     batch = mm.report_translation_batch(fs, U, p)
     for i, got in enumerate(batch):
         row = taylor_profiles(U[i], derivs[:, i])
-        assert _bits(got) == _bits(mm.report_translation(row, U[i], p))
+        assert _comparison_bits(got) == _comparison_bits(
+            mm.report_translation(row, U[i], p))
         assert got.h_analytic == mm.mean_curvature_translation(row, U[i], p)

@@ -83,8 +83,6 @@ def test_verify_rows_independent_of_batch():
     for a, b in zip(batch, alone):
         assert (a.h_analytic, a.h_oracle, a.tangency_defect) == (
             b.h_analytic, b.h_oracle, b.tangency_defect)
-        assert a.eta.tobytes() == b.eta.tobytes()
-        assert a.weingarten.entries.tobytes() == b.weingarten.entries.tobytes()
 
     def rows(reports):
         text = VerificationReport("verify", {}, reports, h_tol=1e-8).render()
@@ -92,7 +90,6 @@ def test_verify_rows_independent_of_batch():
 
     # the single-point reports as one stack of their comparison columns
     stacked = CurvatureReport(
-        point=None, eta=None, weingarten=None,
         **{k: np.array([getattr(b, k) for b in alone])
            for k in ("h_analytic", "h_oracle", "tangency_defect")},
         tol=batch.tol,
@@ -122,9 +119,9 @@ def test_verify_passes_where_every_slope_is_tiny(capsys):
 def test_oracle_meets_the_closed_form_on_every_seed(example, m):
     surface = example_surface(example, m)
     for seed in (3, 7, 12, 201):
-        for rep in surface.report_sample(counter_rng(seed), 300):
+        for i, rep in enumerate(surface.report_sample(counter_rng(seed), 300)):
             H = rep.h_analytic
-            assert abs(rep.h_oracle - H) <= 1e-9 * (1 + abs(H)), (seed, rep.point)
+            assert abs(rep.h_oracle - H) <= 1e-9 * (1 + abs(H)), (seed, i)
 
 
 def test_verify_csv_sidecar(tmp_path, capsys):
@@ -522,12 +519,39 @@ def test_exit_code_config_error(capsys):
     ["verify", "--example", "6.4", "--r", "1"],
     ["verify", "--example", "6.1", "--m", "0"],
     ["verify", "--example", "6.5", "--perturb", "1.1"],
+    # a factor that is not positive and finite, refused before the sampler
+    # rejects every slice of the block it scales
+    ["verify", "--example", "6.2", "--perturb", "nan"],
+    ["verify", "--example", "6.2", "--perturb", "inf"],
+    ["verify", "--example", "6.2", "--perturb", "0"],
+    ["verify", "--example", "6.2", "--perturb=-1"],
+    ["verify", "--example", "6.4", "--perturb", "inf"],
 ])
 def test_invalid_example_settings_are_config_errors(argv, capsys):
     code, stdout, err = run(argv, capsys)
     assert code == 2
     assert stdout == ""
     assert "invalid example settings" in err and "numerical failure" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "6.1", "--points", "3", "--out", "report.txt"],
+    ["oracle-compare", "--points", "5", "--seed", "3", "--out", "report.txt"],
+])
+def test_out_file_is_the_stdout_report(argv, tmp_path, monkeypatch, capsys):
+    # the document is rendered once and written to both
+    monkeypatch.chdir(tmp_path)
+    renders = []
+    real = VerificationReport.render
+
+    def render(self):
+        renders.append(self)
+        return real(self)
+
+    monkeypatch.setattr(VerificationReport, "render", render)
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0 and len(renders) == 1
+    assert (tmp_path / "report.txt").read_bytes() == stdout.encode()
 
 
 def test_oracle_compare_too_few_parameters_is_a_config_error(capsys):
@@ -556,6 +580,39 @@ def test_nonpositive_counts_are_config_errors(argv, tmp_path, monkeypatch, capsy
     assert stdout == ""
     assert "expected a positive integer" in err
     assert not (tmp_path / "never.obj").exists()
+
+
+@pytest.mark.parametrize("argv,expected", [
+    # a seed is a key of the Philox generator
+    (["verify", "--example", "6.1", "--seed=-1"], "a seed in [0, 2**128)"),
+    (["oracle-compare", "--seed=-1"], "a seed in [0, 2**128)"),
+    (["oracle-compare", "--seed", str(2**128)], "a seed in [0, 2**128)"),
+    # a mesh of one node per axis has no faces
+    (["mesh", "--grid", "1", "--out", "never.obj"], "a positive integer >= 2"),
+    (["mesh", "--kind", "translation", "--grid", "1", "--out", "never.obj"],
+     "a positive integer >= 2"),
+])
+def test_out_of_range_integers_are_config_errors(argv, expected, tmp_path,
+                                                 monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(argv, capsys)
+    assert code == 2
+    assert stdout == ""
+    assert f"expected {expected}" in err
+    assert not (tmp_path / "never.obj").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "6.1", "--points", "2", "--seed", "0"],
+    ["oracle-compare", "--points", "2", "--seed", str(2**128 - 1)],
+    ["ode", "--n", "2", "--grid", "1"],  # a residual at one node is meaningful
+    ["mesh", "--grid", "2", "--out", "g.obj"],
+])
+def test_integers_at_the_edge_of_their_range_are_legal(argv, tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
 
 
 @pytest.mark.parametrize("assembly", [[], ["--n", "2"]])

@@ -309,8 +309,8 @@ _VERDICT_CASES = [
 def test_curvature_report_verdict_rule():
     h, h_oracle, defect, want, want_h = zip(*_VERDICT_CASES)
     stack = mm.CurvatureReport(
-        point=None, eta=None, weingarten=None, h_analytic=np.array(h),
-        h_oracle=np.array(h_oracle), tangency_defect=np.array(defect), tol=1e-6,
+        h_analytic=np.array(h), h_oracle=np.array(h_oracle),
+        tangency_defect=np.array(defect), tol=1e-6,
     )
     assert len(stack) == len(_VERDICT_CASES)
     # one rule for a stack and for each of its points

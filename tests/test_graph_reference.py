@@ -126,12 +126,12 @@ def test_report_matches_frozen_graph_code():
         assert rep.h_analytic == _ref_mean_curvature(fs, u, p)
         assert abs(rep.h_oracle - h_oracle) <= 1e-10
         assert abs(rep.tangency_defect - defect) <= 1e-10
-        assert np.array_equal(rep.eta, chart.eta(u))
-        W = _ref_weingarten(fs, u, p)
-        assert np.max(np.abs(rep.weingarten.entries - W)) <= 1e-15
         assert mm.mean_curvature_translation(fs, u, p) == rep.h_analytic
-        assert np.array_equal(mm.weingarten_translation(fs, u, p).entries,
-                              rep.weingarten.entries)
+        # the report keeps the comparison only: W and eta from their own functions
+        W = mm.weingarten_translation(fs, u, p).entries
+        assert np.max(np.abs(W - _ref_weingarten(fs, u, p))) <= 1e-15
+        assert np.array_equal(mm.birkhoff_normal_graph(chart._grad(u), p).eta,
+                              chart.eta(u))
 
 
 def test_residual_and_normal_match_frozen_graph_code():
@@ -145,9 +145,11 @@ def test_residual_and_normal_match_frozen_graph_code():
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_flat_graph_normal_points_up(m):
-    # a sloped plane: the report's normal is the graph's upward normal
+    # a sloped plane: the graph's normal points up, and the plane is flat
     p = mm.NormParams(m, 3)
     fs = (C3Function.linear(0.7), C3Function.linear(-1.2))
-    rep = mm.report_translation(fs, [0.4, -0.9], p)
-    assert rep.eta[-1] > 0
+    u = [0.4, -0.9]
+    rep = mm.report_translation(fs, u, p)
+    assert mm.birkhoff_normal_graph(np.array([0.7, -1.2]), p).eta[-1] > 0
     assert rep.h_analytic == rep.h_oracle == 0.0
+    assert not mm.weingarten_translation(fs, u, p).entries.any()
