@@ -196,7 +196,11 @@ def cmd_ode(args) -> int:
         print(f"profile ODE m={params.m} k={params.k} c0={params.c0:.12g}")
         print(f"domain: [{curve.domain[0]:.12g}, {curve.domain[1]:.12g}]")
         print(f"samples: {len(curve.u)}")
-        print(f"ode residual (5-point audit): {curve.ode_residual_max:.12e}")
+        if np.isnan(curve.ode_residual_max):
+            print(f"ode residual (5-point audit): not run, {len(curve.u)} samples "
+                  "are fewer than the stencil's 5")
+        else:
+            print(f"ode residual (5-point audit): {curve.ode_residual_max:.12e}")
         print(f"stop: {_stop_text(curve)}")
     stats.log(log, "ode")
     return EXIT_PASS

@@ -886,6 +886,12 @@ def example_xprofiles(example_id: str):
     raise DomainError(f"no X-profile data for example {example_id!r}")
 
 
+def _check_block_size(example_id: str, r: int):
+    """6.2 and 6.4 pair two blocks of r coordinates, so they need r >= 2."""
+    if r < 2:
+        raise DomainError(f"{example_id} needs r >= 2")
+
+
 def example_surface(example_id: str, m: int, r: int = 2,
                     pq: tuple | None = None) -> SeparableSurface:
     """Catalogue of separable minimal surfaces.
@@ -904,15 +910,13 @@ def example_surface(example_id: str, m: int, r: int = 2,
     if example_id == "6.1":
         return _powersum_surface("6.1", [1, -1, -1, 1], [0, 0, 0, 0], m)
     if example_id == "6.2":
-        if r < 2:
-            raise DomainError("6.2 needs r >= 2")
+        _check_block_size(example_id, r)
         return _powersum_surface("6.2", [1] * r + [-1] * r, [0.0] * (2 * r), m)
     if example_id == "6.3":
         c = -(2.0 ** (2 * m - 1))
         return _powersum_surface("6.3", [1, 1, c, c, 1], [0.0] * 5, m)
     if example_id == "6.4":
-        if r < 2:
-            raise DomainError("6.4 needs r >= 2")
+        _check_block_size(example_id, r)
         lam = (r / (r - 1)) ** (2 * m - 1)
         return _powersum_surface(
             "6.4", [-lam] * r + [1.0] * (r + 1), [0.0] * (2 * r + 1), m
@@ -964,9 +968,11 @@ def perturbed_example_surface(example_id: str, m: int, r: int = 2,
     if not 0.0 < factor < math.inf:
         raise DomainError(f"perturbation factor {factor!r} is not positive and finite")
     if example_id == "6.2":
+        _check_block_size(example_id, r)
         a = [factor] * r + [-1.0] * r
         b = [0.0] * (2 * r)
     elif example_id == "6.4":
+        _check_block_size(example_id, r)
         lam = factor * (r / (r - 1)) ** (2 * m - 1)
         a = [-lam] * r + [1.0] * (r + 1)
         b = [0.0] * (2 * r + 1)

@@ -134,19 +134,22 @@ class ProfileODEParams:
         if self.k < 1 or self.m < 1:
             raise DomainError("k and m must be positive integers")
 
+    def rhs_constants(self):
+        """(a, e, k) with rhs(y) = a * (|y|**e + k * y * y), where a = c0/2m and
+        e = (2m-2)/(2m-1): rhs and the RK4 loop of integrate_profile read them here."""
+        m = self.m
+        return self.c0 / (2 * m), (2 * m - 2) / (2 * m - 1), self.k
+
     def rhs(self, y):
         """(c0/2m)(|y|^((2m-2)/(2m-1)) + k y^2) of a float or, elementwise, an array.
 
-        The power's numerator is even, so |y| needs no sign; a float takes the
-        same C-library pow that signed_pow gives an array, bit for bit.
+        The power's numerator is even, so |y| needs no sign; a float and each
+        element of an array take the same C-library pow, bit for bit.
         """
-        m = self.m
+        a, e, k = self.rhs_constants()
         if isinstance(y, np.ndarray):
-            return (self.c0 / (2 * m)) * (
-                signed_pow(y, 2 * m - 2, 2 * m - 1) + self.k * y * y
-            )
-        return (self.c0 / (2 * m)) * (abs(y) ** ((2 * m - 2) / (2 * m - 1))
-                                      + self.k * y * y)
+            return a * (np.float_power(np.abs(y), e) + k * y * y)
+        return a * (abs(y) ** e + k * y * y)
 
 
 @dataclass
@@ -155,8 +158,10 @@ class ProfileCurve:
 
     Samples are (u, f, f', f'') with f'' evaluated through the generating ODE;
     ode_residual_max is a 5-point finite-difference audit of f' against the
-    right-hand side, relative to 1 + |rhs|.  stop_reasons maps "backward" and
-    "forward" to the STOP_REASONS entry that ended integration that way.
+    right-hand side, relative to 1 + |rhs|, and NaN on a curve of fewer than 5
+    samples, where the stencil fits nowhere and no audit ran.  stop_reasons
+    maps "backward" and "forward" to the STOP_REASONS entry that ended
+    integration that way.
     """
 
     u: np.ndarray
@@ -176,7 +181,7 @@ class ProfileCurve:
         y = self.d1
         h = self.params.step
         if len(y) < 5:
-            return 0.0
+            return math.nan
         d = (-y[4:] + 8 * y[3:-1] - 8 * y[1:-3] + y[:-4]) / (12 * h)
         rhs = self.params.rhs(y[2:-2])
         return float(np.max(np.abs(d - rhs) / (1.0 + np.abs(rhs))))
@@ -189,37 +194,59 @@ class ProfileCurve:
                          np.column_stack([self.u, self.f, self.d1, self.d2]))
 
 
-def _rk4(rhs, f, y, h):
-    """One classical RK4 step of (f, y)' = (y, rhs(y)) on floats."""
-    k1 = rhs(y)
-    y2 = y + 0.5 * h * k1
-    k2 = rhs(y2)
-    y3 = y + 0.5 * h * k2
-    k3 = rhs(y3)
-    y4 = y + h * k3
-    k4 = rhs(y4)
-    return (f + (h / 6.0) * (y + 2 * y2 + 2 * y3 + y4),
-            y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-
-
 def _integrate_direction(params: ProfileODEParams, direction: float):
     """Accepted (f, y) states one way from u0, the reason it stopped, and the
-    number of rhs calls it made."""
-    rhs = params.rhs
+    number of rhs evaluations it made.
+
+    Each checked step is one classical RK4 step of (f, y)' = (y, rhs(y)) and,
+    for the step-doubling gate, two RK4 half steps of y alone (the ODE is
+    autonomous and the gate reads only y).  The full step and the first half
+    step share their first stage, so a checked step evaluates rhs 11 times (4
+    when the full step is not finite).  rhs is written out on its constants
+    inside the loop, with the operand order of ProfileODEParams.rhs, so every
+    stage keeps the bits of a call to it.
+    """
+    a, e, k = params.rhs_constants()
     h = direction * float(params.step)
     half = h / 2
+    # the stage factors 0.5*h and h/6 of the full step and of the half steps
+    h2, h6 = 0.5 * h, h / 6.0
+    q2, q6 = 0.5 * half, half / 6.0
     f, y = 0.0, float(params.y0)
     positive = y > 0
     out = []
     calls = 0
     for _ in range(params.max_steps):
-        f1, y1 = _rk4(rhs, f, y, h)
+        k1 = a * (abs(y) ** e + k * y * y)
+        y2 = y + h2 * k1
+        k2 = a * (abs(y2) ** e + k * y2 * y2)
+        y3 = y + h2 * k2
+        k3 = a * (abs(y3) ** e + k * y3 * y3)
+        y4 = y + h * k3
+        k4 = a * (abs(y4) ** e + k * y4 * y4)
+        f1 = f + h6 * (y + 2 * y2 + 2 * y3 + y4)
+        y1 = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
         calls += 4
         if not (math.isfinite(f1) and math.isfinite(y1)):
             return out, "non_finite", calls
-        fh, yh = _rk4(rhs, f, y, half)
-        _, yh = _rk4(rhs, fh, yh, half)
-        calls += 8
+        # first half step, from the full step's k1
+        y2 = y + q2 * k1
+        k2 = a * (abs(y2) ** e + k * y2 * y2)
+        y3 = y + q2 * k2
+        k3 = a * (abs(y3) ** e + k * y3 * y3)
+        y4 = y + half * k3
+        k4 = a * (abs(y4) ** e + k * y4 * y4)
+        ym = y + q6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        # second half step
+        j1 = a * (abs(ym) ** e + k * ym * ym)
+        y2 = ym + q2 * j1
+        k2 = a * (abs(y2) ** e + k * y2 * y2)
+        y3 = ym + q2 * k2
+        k3 = a * (abs(y3) ** e + k * y3 * y3)
+        y4 = ym + half * k3
+        k4 = a * (abs(y4) ** e + k * y4 * y4)
+        yh = ym + q6 * (j1 + 2 * k2 + 2 * k3 + k4)
+        calls += 7
         if abs(y1 - yh) > STEP_RESIDUAL_CAP * (1.0 + abs(y1)):
             return out, "step_doubling", calls
         if abs(y1) > SLOPE_CAP:
@@ -237,11 +264,14 @@ def integrate_profile(params: ProfileODEParams, stats=None) -> ProfileCurve:
     """Integrate the profile ODE both ways from u0 with fixed-step classical RK4.
 
     The state is (f, y = f'); f(u0) = 0.  It is advanced on Python floats, one
-    step at a time.  Each direction halts when a step is not finite, the
-    step-doubling check disagrees beyond the cap, |y| exceeds the blow-up cap,
-    y reaches zero or changes sign, or max_steps is exhausted; the curve
+    step at a time, by one fused loop per direction: the full step and the
+    first step-doubling half step share their first stage, and the half steps
+    advance only the slope y.  Each direction halts when a step is not finite,
+    the step-doubling check disagrees beyond the cap, |y| exceeds the blow-up
+    cap, y reaches zero or changes sign, or max_steps is exhausted; the curve
     records which (stop_reasons).  stats (a reporting.RunStats), if given,
-    counts the accepted steps and the stepper's rhs evaluations.
+    counts the accepted steps and the stepper's rhs evaluations (11 per
+    checked step; MINMIN_LOG=debug prints both).
     """
     bwd, stop_bwd, calls_bwd = _integrate_direction(params, -1.0)
     fwd, stop_fwd, calls_fwd = _integrate_direction(params, +1.0)

@@ -5,6 +5,24 @@ from minmin.functions import C3Function
 
 _EPS = np.finfo(float).eps
 
+# one case per stop reason: (ODE parameters, stop reasons (backward, forward))
+STOP_CASES = {
+    # y' = 1 + y^2 from tan(0.1005): y crosses 0 at u = 0, half a step past
+    # the last node going back; the blow-up at pi/2 going forward trips the
+    # step-doubling gate first
+    "sign_change": (dict(c0=2.0, k=1, m=1, y0=float(np.tan(0.1005)), u0=0.1005),
+                    ("sign_change", "step_doubling")),
+    # a slope that moves by 5e-4 per step crosses the 1e-6 cap going forward
+    "blowup": (dict(c0=1e-12, k=1, m=1, y0=999999.5, max_steps=3000),
+               ("max_steps", "blowup")),
+    # the first step back takes the slope from 2e-12 to 5e-13, below the floor
+    "slope_floor": (dict(c0=3e-9, k=1, m=1, y0=2e-12, max_steps=50),
+                    ("slope_floor", "max_steps")),
+    # f = y0 u overflows on the 18th step of 1e307 either way
+    "non_finite": (dict(c0=0.0, k=1, m=1, y0=1.0, step=1e307, max_steps=100),
+                   ("non_finite", "non_finite")),
+}
+
 
 def fd_derivative_error(f, points) -> float:
     """Largest deviation of f.d1 and f.d2 from 5-point central differences of

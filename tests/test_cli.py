@@ -201,6 +201,17 @@ def test_ode_assembly_n2_minimal(capsys):
     assert float(line.split(":")[1]) <= 1e-7
 
 
+def test_ode_audit_that_never_ran_prints_no_number(capsys):
+    code, stdout, _ = run(["ode", "--max-steps", "1"], capsys)
+    assert code == 0
+    assert "samples: 3\n" in stdout
+    assert ("ode residual (5-point audit): not run, 3 samples are fewer than "
+            "the stencil's 5\n") in stdout
+    code, stdout, _ = run(["ode", "--max-steps", "2"], capsys)
+    line = [ln for ln in stdout.splitlines() if ln.startswith("ode residual")][0]
+    assert 0.0 < float(line.split(":")[1]) <= 1e-10
+
+
 def test_ode_prints_stop_reasons(capsys):
     code, stdout, _ = run(
         ["ode", "--m", "1", "--k", "1", "--c0", "2.0", "--y0", "1.0",
@@ -532,6 +543,17 @@ def test_invalid_example_settings_are_config_errors(argv, capsys):
     assert code == 2
     assert stdout == ""
     assert "invalid example settings" in err and "numerical failure" not in err
+
+
+@pytest.mark.parametrize("example,r", [("6.4", "1"), ("6.4", "0"), ("6.2", "0"),
+                                       ("6.2", "1")])
+@pytest.mark.parametrize("perturb", [[], ["--perturb", "1.1"]])
+def test_block_size_below_two_is_refused_with_or_without_perturb(example, r, perturb,
+                                                                 capsys):
+    code, stdout, err = run(["verify", "--example", example, "--r", r, "--points", "5"]
+                            + perturb, capsys)
+    assert code == 2 and stdout == ""
+    assert err == f"invalid example settings: {example} needs r >= 2\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,6 +11,7 @@ bit: the arithmetic of every element is the same, only its container changed.
 
 import numpy as np
 import pytest
+from conftest import STOP_CASES
 
 import minmin as mm
 from minmin import meshes
@@ -139,6 +140,18 @@ def test_stepper_matches_numpy_reference_bitwise(m, k):
             for got, ref in ((curve.u, u), (curve.f, f), (curve.d1, d1),
                              (curve.d2, d2)):
                 np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("case", ["non_finite", "blowup", "slope_floor", "sign_change"])
+def test_stepper_matches_numpy_reference_on_stop_cases(case):
+    # the stop reasons the sweep above does not reach, each at its own
+    # extreme: overflow of f, slopes near the caps and a slope through zero
+    kwargs, _ = STOP_CASES[case]
+    params = mm.ProfileODEParams(**kwargs)
+    curve = mm.integrate_profile(params)
+    assert case in curve.stop_reasons.values()
+    for got, ref in zip((curve.u, curve.f, curve.d1, curve.d2), _ref_integrate(params)):
+        np.testing.assert_array_equal(got, ref)
 
 
 def test_sweep_reaches_several_stop_reasons():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import fd_derivative_error
+from conftest import STOP_CASES, fd_derivative_error
 
 import minmin as mm
 from minmin import translation
@@ -105,6 +105,16 @@ def test_integrate_zero_constant_gives_linear_profile():
     assert curve.ode_residual_max <= 1e-12
 
 
+def test_audit_that_never_ran_is_nan():
+    # 3 samples leave no room for the 5-point stencil; 5 give it one centre
+    def audit(max_steps):
+        params = mm.ProfileODEParams(c0=1.0, k=1, m=1, y0=1.0, max_steps=max_steps)
+        return mm.integrate_profile(params).ode_residual_max
+
+    assert np.isnan(audit(1))
+    assert 0.0 < audit(2) <= 1e-10
+
+
 def test_integrate_matches_tangent_closed_form():
     # c0 = 2 makes the effective constant c0/(2m) = 1, so y = tan(u) through
     # y(0.1) = tan(0.1)
@@ -167,25 +177,6 @@ def test_integrate_blowup_guard_raises_on_unusable_step():
         mm.integrate_profile(params)
 
 
-# one case per stop reason: (ODE parameters, stop reasons (backward, forward))
-STOP_CASES = {
-    # y' = 1 + y^2 from tan(0.1005): y crosses 0 at u = 0, half a step past
-    # the last node going back; the blow-up at pi/2 going forward trips the
-    # step-doubling gate first
-    "sign_change": (dict(c0=2.0, k=1, m=1, y0=float(np.tan(0.1005)), u0=0.1005),
-                    ("sign_change", "step_doubling")),
-    # a slope that moves by 5e-4 per step crosses the 1e-6 cap going forward
-    "blowup": (dict(c0=1e-12, k=1, m=1, y0=999999.5, max_steps=3000),
-               ("max_steps", "blowup")),
-    # the first step back takes the slope from 2e-12 to 5e-13, below the floor
-    "slope_floor": (dict(c0=3e-9, k=1, m=1, y0=2e-12, max_steps=50),
-                    ("slope_floor", "max_steps")),
-    # f = y0 u overflows on the 18th step of 1e307 either way
-    "non_finite": (dict(c0=0.0, k=1, m=1, y0=1.0, step=1e307, max_steps=100),
-                   ("non_finite", "non_finite")),
-}
-
-
 @pytest.mark.parametrize("case", sorted(STOP_CASES))
 def test_integrate_records_stop_reasons(case):
     kwargs, (backward, forward) = STOP_CASES[case]
@@ -201,8 +192,9 @@ def test_stop_reason_max_steps_counts_the_work():
     curve = mm.integrate_profile(params, stats)
     assert curve.stop_reasons == {"backward": "max_steps", "forward": "max_steps"}
     assert len(curve.u) == 81
-    # one full step and two half steps, 4 rhs calls each, per accepted step
-    assert stats.counts == {"accepted RK4 steps": 80, "RK4 rhs evaluations": 960}
+    # per checked step: 4 rhs calls for the full step, 3 more for the first
+    # half step (it reuses the full step's first stage) and 4 for the second
+    assert stats.counts == {"accepted RK4 steps": 80, "RK4 rhs evaluations": 880}
 
 
 def test_stop_reason_step_doubling_and_unusable_step():
@@ -213,7 +205,8 @@ def test_stop_reason_step_doubling_and_unusable_step():
                                                "forward: step_doubling"):
         mm.integrate_profile(mm.ProfileODEParams(c0=2.0, k=1, m=1, y0=1e5, step=0.5,
                                                  max_steps=10), stats)
-    assert stats.counts == {"accepted RK4 steps": 0, "RK4 rhs evaluations": 24}
+    # one checked step each way, 11 rhs calls each
+    assert stats.counts == {"accepted RK4 steps": 0, "RK4 rhs evaluations": 22}
 
 
 def test_assembly_integrates_equal_profiles_once(monkeypatch):
