@@ -8,8 +8,8 @@ x_{n+1} = f_1(u_1) + ... + f_n(u_n) is the separable surface
 f_1(x_1) + ... + f_n(x_n) - x_{n+1} = 0, so the translation routines evaluate
 that surface at (u, sum f_i(u_i)).  An independent oracle recovers the mean
 curvature from its definition H = trace(d eta)/n by central differencing the
-Birkhoff normal along a chart and expanding the derivative in its tangent
-basis.
+Birkhoff normal along a chart and reading the derivative through the two
+coordinates each parameter moves.
 
 The separable routines work on stacks of points: separable_closed_form,
 mean_curvature_oracle and report_separable_batch evaluate N points as arrays
@@ -21,13 +21,15 @@ failed_checks is the one pass rule, for one point or a stack.  A batch's
 profiles may be stacked by row (C3Function.taylor with coefficient arrays),
 so that each point has profiles of its own; such a batch has one row per point
 and at most _CHUNK_POINTS points, as every chunk's chart takes the rows whole.
-A chart holds the base parameters t0, the base gradient nu0, the tangent basis T
-(N, dim, n) and the gradient nu(t), all built once per batch: the closed form
-takes its slopes from nu0, and the oracle evaluates nu only at the 2n stencil
-points of each point, in one call, then makes one batched linear solve.
+A chart (PivotChart) holds the base parameters t0 and the base gradient nu0,
+and says which coordinates each parameter moves: parameter j moves the point's
+coordinate c_j and its pivot k, and no other.  It is built once per batch: the
+closed form takes its slopes from nu0, and the oracle evaluates the slopes only
+at the 4n moved coordinates of each point, one call per profile, and reads
+d eta_j from them with no linear solve (see mean_curvature_oracle).
 SeparableChart moves along each point's tangent plane, spanned over the n
-coordinates other than the one of largest slope, so nothing solves for a
-coordinate.
+coordinates other than the pivot, the one of largest slope, so nothing solves
+for a coordinate.
 
 Orientation follows the normal branches of the norms module: aligned with the
 defining gradient for implicit surfaces, upward for graphs.  The implicit
@@ -260,23 +262,83 @@ def weingarten_separable(fs, x, p: NormParams) -> WeingartenMatrix:
 # ---------------------------------------------------------------------------
 
 
-class SeparableChart:
+class PivotChart:
+    """What the oracle reads of a chart: which coordinates each parameter moves.
+
+    A chart of N base points has parameters t0 (N, n) and coordinates y
+    (N, dim) in which the defining gradient is separable: its i-th component
+    is a slope of y_i alone (_slope), nu0 (N, dim) at the base points.
+    Parameter j moves one coordinate c[:, j] of each point at unit rate and
+    the point's pivot k (N,) at the rate dy_k/dt_j (_pivot_rate), and no
+    other coordinate, so no other slope.  tc is the ambient tangent's
+    component T[c_j, j] (a float or (N, n)) and moved0 (2, N, n) holds the
+    base slopes at c_j and at k.
+    """
+
+    def _slope(self, i: int, rows):
+        """The slope of coordinate i on an array whose last axis runs over the
+        base points rows."""
+        raise NotImplementedError
+
+    def _pivot_rate(self, moved0):
+        """dy_k/dt_j (N, n), or a float, from the base slopes at c_j and k."""
+        raise NotImplementedError
+
+    def _plan(self, y, nu0, c, k):
+        """Group the stencil cells (2, 2, N, n), [+h, -h] x [c_j, k] for every
+        point and parameter, by the profile whose slope they need, once: every
+        moved_slopes call then makes one call per profile on one slice."""
+        N, n = c.shape
+        self.c, self.k = c, k
+        label = np.empty((2, N, n), dtype=int)  # the coordinate of each cell
+        label[0], label[1] = c, k[:, None]
+        at = (label + y.shape[-1] * np.arange(N)[:, None]).ravel()  # into y
+        self.moved0 = nu0.ravel()[at].reshape(2, N, n)
+        rate = np.ones((2, N, n))
+        rate[1] = self._pivot_rate(self.moved0)
+        cells = np.argsort(np.concatenate([label.ravel()] * 2), kind="stable")
+        half = cells % (2 * N * n)  # the cell's [c_j, k] x N x n index
+        self._cells, self._step_of = cells, cells % (N * n)
+        self._base = y.ravel()[at[half]]
+        self._rate = np.where(cells < 2 * N * n, 1.0, -1.0) * rate.ravel()[half]
+        rows = cells // n % N
+        ends = np.searchsorted(label.ravel()[half],
+                               np.arange(y.shape[-1] + 1)).tolist()
+        self._fns = [(self._slope(i, rows[start:stop]), start, stop)
+                     for i, (start, stop) in enumerate(zip(ends, ends[1:]))
+                     if stop > start]
+
+    def moved_slopes(self, h) -> np.ndarray:
+        """The slopes at c_j and at k (axis 1) with parameter j moved by +h and
+        by -h (axis 0), h of shape (N, n): an array (2, 2, N, n), evaluated
+        at the 4n moved coordinates of each point only, one call per profile."""
+        y = self._base + h.ravel()[self._step_of] * self._rate
+        slopes = np.empty(y.shape)
+        for fn, start, stop in self._fns:
+            slopes[start:stop] = fn(y[start:stop])
+        out = np.empty(y.shape)
+        out[self._cells] = slopes
+        return out.reshape((2,) + self.moved0.shape)
+
+
+class SeparableChart(PivotChart):
     """Separable surface sum f_i(x_i) = 0 charted along its tangent planes.
 
-    base_point is one on-surface point x0 (dim,) or a stack (N, dim).  A chart
-    holds what the oracle reads: the base gradient nu0 = f'(x0), the base
-    parameters t0, the tangent basis T (..., dim, n) and the gradient nu(t).
-    At each base point the parameters are the n coordinates other than the
-    one k of largest |nu0_k|, the columns of T are e_j - (nu0_j / nu0_k) e_k
-    for j != k in increasing order, and the chart moves along the tangent
-    plane: point(t) = x0 + T (t - t0) and nu(t) = f'(point(t)).  Parameter
-    arrays (..., N, n) are taken row by row about their own base point.  The
-    normal eta = B(grad F) is defined off the surface too, and along a tangent
-    vector its derivative is the shape operator's, so central differences of
-    eta along x0 +/- h T_j keep their O(h^2) accuracy with no coordinate
-    solved for.  As eta stays on the unit sphere of the norm, d eta stays
-    tangent, and the oracle's tangency defect is still a check.
+    base_point is one on-surface point x0 (dim,) or a stack (N, dim).  At
+    each base point the parameters t0 are the n coordinates other than the
+    pivot k of largest |nu0_k|, nu0 = f'(x0), in increasing order: parameter
+    j is coordinate c_j = j + (j >= k), and it moves the point along the
+    tangent vector T_j = e_{c_j} - (nu0_{c_j} / nu0_k) e_k, so in the
+    coordinates x themselves, with tc = T[c_j, j] = 1.  The normal
+    eta = B(grad F) is defined off the surface too, and along a tangent vector
+    its derivative is the shape operator's, so central differences of eta
+    along x0 +/- h T_j keep their O(h^2) accuracy with no coordinate solved
+    for.  As eta stays on the unit sphere of the norm, d eta stays tangent,
+    and the oracle's tangency defect is still a check.  Profiles stacked by
+    row (C3Function.taylor) give f' of some rows with C3Function.d1_rows.
     """
+
+    tc = 1.0
 
     def __init__(self, fs, p: NormParams, base_point):
         self.fs = list(fs)
@@ -286,73 +348,112 @@ class SeparableChart:
         nu0 = _columns([f.d1 for f in self.fs], x0)
         if (np.abs(nu0).max(axis=-1) == 0.0).any():
             raise SingularConfigurationError("the gradient vanishes at a base point")
-        n = p.n
-        k = np.argmax(np.abs(nu0), axis=-1)[..., None]
-        above = np.arange(n) >= k  # the j-th parameter is coordinate j + 1, not j
-        ratio = -np.where(above, nu0[..., 1:], nu0[..., :-1]) \
-            / np.take_along_axis(nu0, k, -1)
-        rows = np.arange(n + 1)[:, None]
         self.x0, self.nu0 = x0, nu0
-        self.t0 = np.where(above, x0[..., 1:], x0[..., :-1])
-        self.T = ((rows == np.arange(n) + above[..., None, :])
-                  + (rows == k[..., None]) * ratio[..., None, :])
+        x, nu = np.atleast_2d(x0), np.atleast_2d(nu0)
+        k = np.argmax(np.abs(nu), axis=-1)
+        c = np.arange(p.n) + (np.arange(p.n) >= k[:, None])
+        t0 = np.where(c > np.arange(p.n), x[:, 1:], x[:, :-1])
+        self.t0 = t0[0] if x0.ndim == 1 else t0
+        self._plan(x, nu, c, k)
 
     def point(self, t) -> np.ndarray:
-        dt = np.asarray(t, dtype=float) - self.t0
-        return self.x0 + (self.T @ dt[..., None])[..., 0]
+        """The chart's point x0 + T (t - t0): coordinate c_j moves with t_j and
+        the pivot k by sum_j T[k, j] (t_j - t0_j).  t is (..., n) for a chart
+        of one base point and (..., N, n) for a stack, whose rows are taken
+        about their own base points.  The oracle never needs it."""
+        single = self.x0.ndim == 1
+        x0, t = np.atleast_2d(self.x0), np.asarray(t, dtype=float)
+        dt = (t[..., None, :] if single else t) - np.atleast_2d(self.t0)
+        x = np.array(np.broadcast_to(x0, dt.shape[:-1] + x0.shape[-1:]))
+        point = np.arange(len(x0))
+        x[..., point[:, None], self.c] += dt
+        x[..., point, self.k] += _sum_last(self._pivot_rate(self.moved0) * dt)
+        return x[..., 0, :] if single else x
 
-    def nu(self, t) -> np.ndarray:
-        return _columns([f.d1 for f in self.fs], self.point(t))
+    def _pivot_rate(self, moved0):
+        return -moved0[0] / moved0[1]
+
+    def _slope(self, i: int, rows):
+        return self.fs[i].d1_rows(rows)
 
 
-def mean_curvature_oracle(chart, p: NormParams):
+def _odd_root(g, den: int):
+    """g^(1/den) for odd den, real for negative g: g itself, np.cbrt, and
+    signed_pow's C-library pow for den >= 5."""
+    if den == 1:
+        return g
+    if den == 3:
+        return np.cbrt(g)
+    return signed_pow(g, 1, den)
+
+
+def _gauge_scale(A, m: int):
+    """A^(-1/(2m)) through square and cube roots for m <= 3."""
+    if m > 3:
+        return np.float_power(A, -1.0 / (2 * m))
+    root = A if m == 1 else np.sqrt(A) if m == 2 else np.cbrt(A)
+    return 1.0 / np.sqrt(root)
+
+
+def mean_curvature_oracle(chart, p: NormParams, stats=None):
     """Mean curvature from the definition trace(d eta)/n by central differences.
 
-    The normal's derivative along each parameter is expanded in the basis
-    (tangent vectors, unit Euclidean normal); the mean of the j-th tangent
-    coefficients is the oracle value and the largest normal coefficient is the
-    tangency defect, which vanishes in exact arithmetic.
+    The chart (a PivotChart: a SeparableChart, or the 6.5 QuadratureChart)
+    says which two coordinates each parameter j moves, c_j and the pivot k,
+    and the oracle evaluates the slopes there only, at t0 +/- h e_j.  The
+    Birkhoff normal is eta = A^(-1/(2m)) (nu_i^(1/(2m-1)))_i with
+    A = sum_i X_i, X_i = nu_i^(2m/(2m-1)), so at a stencil point only
+    A = A0 - X0[c_j] - X0[k] + X'[c_j] + X'[k] and the components c_j and k
+    are new, and d eta_j elsewhere is the base component times the change of
+    A^(-1/(2m)).  d eta_j = sum_l W_jl T_l + d_j nu_hat in the basis of the
+    tangents T_l and the unit Euclidean normal nu_hat; every T_l is
+    orthogonal to nu_hat, and T[c_j, l] = 0 for l != j, so
+        d_j = nu_hat . d eta_j,   W_jj = (d eta_j[c_j] - d_j nu_hat[c_j]) / T[c_j, j]
+    with no linear solve.  h_oracle is sum_j W_jj / n, and the tangency
+    defect, which vanishes in exact arithmetic, is max_j |d_j|.  The powers
+    are products of the roots nu^(1/(2m-1)) (_odd_root).  The oracle reads
+    the slopes f' only.  stats, when given, counts the slopes evaluated as
+    "oracle slope evaluations" (see reporting.RunStats).
 
-    The chart (a SeparableChart, or the 6.5 QuadratureChart) holds the base
-    parameters t0, one vector (n,) or a stack (N, n), the base gradient nu0,
-    the tangent basis T (..., dim, n) and the gradient nu(t).  The oracle
-    evaluates nu only at the 2n stencil points of each base point, in one call
-    on an array (2n, N, n); the stencil normals are the Birkhoff normals of
-    those gradients, and the N * n expansions are one batched solve.
-
-    Returns (h_oracle, tangency_defect): floats for one base point, arrays of
-    shape (N,) for a stack.
+    Returns (h_oracle, tangency_defect): floats for a chart of one base point,
+    arrays of shape (N,) for a stack.
     """
-    n = p.n
+    n, m = p.n, p.m
     single = np.ndim(chart.t0) == 1
     t0 = np.atleast_2d(chart.t0)
     if t0.ndim != 2 or t0.shape[-1] != n:
         raise DimensionMismatchError(f"the chart must have {n} parameters")
-    nu0 = np.atleast_2d(chart.nu0)
-    steps = ORACLE_STEP_FACTOR * (1.0 + np.abs(t0))
-    # shift[j, i] = steps[i, j] e_j: the j-th stencil offset of the i-th point
-    shift = np.eye(n)[:, None, :] * steps.T[:, :, None]
-    nu = chart.nu(np.concatenate([t0 + shift, t0 - shift]))
-    nu_hat = nu0 / np.sqrt(_sum_last(nu0 * nu0))[:, None]
-    T = np.reshape(chart.T, nu0.shape + (n,))
-    basis = np.concatenate([T, nu_hat[:, :, None]], axis=-1)
-    eta = birkhoff_normal_implicit(nu, p).eta
+    h = ORACLE_STEP_FACTOR * (1.0 + np.abs(t0))
+    g = chart.moved_slopes(h)  # (2, 2, N, n): [+h, -h] x [c_j, k]
+    if stats is not None:
+        stats.count("oracle slope evaluations", g.size)
+    nu0, g0 = np.atleast_2d(chart.nu0), chart.moved0
+    root = _odd_root(g, 2 * m - 1)
+    X = g * root
+    X0 = g0 * _odd_root(g0, 2 * m - 1)
+    # rest is A0 less the two terms that parameter j moves
+    rest = _sum_last(nu0 * _odd_root(nu0, 2 * m - 1))[:, None] - X0[0] - X0[1]
+    scale = _gauge_scale(rest + X[:, 0] + X[:, 1], m)  # (2, N, n)
+    eta = scale[:, None] * root  # the components c_j and k of the stencil normals
     if not np.isfinite(eta).all():
         raise SingularConfigurationError("non-finite normal at stencil point")
-    deta = (eta[:n] - eta[n:]) / (2 * steps.T[:, :, None])
-    coef = np.linalg.solve(basis, deta[..., None])[..., 0]
-    diag_sum = np.zeros(len(t0))
-    for j in range(n):
-        diag_sum += coef[j, :, j]
-    h_oracle = diag_sum / n
-    defect = np.max(np.abs(coef[:, :, n]), axis=0)
+    step = 2 * h
+    dscale = (scale[0] - scale[1]) / step
+    deta = (eta[0] - eta[1]) / step
+    # nu0 . d eta_j = |nu0| d_j: the unmoved components add up to rest dscale
+    gd = g0 * deta
+    normal = dscale * rest + gd[0] + gd[1]
+    norm2 = _sum_last(nu0 * nu0)[:, None]
+    diag = (deta[0] - normal * (g0[0] / norm2)) / chart.tc
+    h_oracle = _sum_last(diag) / n
+    defect = np.abs(normal).max(axis=-1) / np.sqrt(norm2[:, 0])
     if single:
         return float(h_oracle[0]), float(defect[0])
     return h_oracle, defect
 
 
-# Points per numpy call of report_separable_batch.  Each point adds 2n stencil
-# points to the chart's arrays, so this bounds their size for any --points.
+# Points per numpy call of report_separable_batch.  Each point adds 4n stencil
+# cells to the chart's arrays, so this bounds their size for any --points.
 _CHUNK_POINTS = 4096
 
 
@@ -371,7 +472,7 @@ def _report_chunks(count, chunk, p: NormParams, tol: float, stats) -> CurvatureR
             chart, d2 = chunk(rows)
             H = mean_curvature_from_slopes(chart.nu0, d2, p)
         with _stage(stats, "oracle"):
-            columns.append((H,) + mean_curvature_oracle(chart, p))
+            columns.append((H,) + mean_curvature_oracle(chart, p, stats))
     return CurvatureReport(*(np.concatenate(c) for c in zip(*columns)), tol)
 
 

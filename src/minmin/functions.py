@@ -60,20 +60,40 @@ def _horner_chain(coeffs, x0=0.0) -> list:
     return fns
 
 
+def _int_power(x, k: int):
+    """x^k for an integer k >= 0 by repeated multiplication, on a float or an
+    array; the 0th power is the constant 1.0 (see evaluate).  Unlike pow, the
+    cost does not depend on the sign of x."""
+    if k == 0:
+        return 1.0
+    y = x
+    for _ in range(k - 1):
+        y = y * x
+    return y
+
+
 class C3Function:
     """A function of one variable with its analytic derivatives d1 and d2.
 
     Its callables take a float or a whole numpy array, and every evaluation
     returns a float or an array of the argument's shape (see evaluate).  N
     profiles stacked by row (see taylor) take arrays whose last axis has N
-    elements, one per row.
+    elements, one per row, and d1_rows evaluates f' on some of the rows.
     """
 
-    def __init__(self, f, d1, d2, domain=None):
+    def __init__(self, f, d1, d2, domain=None, d1_rows=None):
         self.f = f
         self._d1 = d1
         self._d2 = d2
         self.domain = (-np.inf, np.inf) if domain is None else tuple(domain)
+        self._d1_rows = d1_rows  # rows -> f' of those rows, for a stack
+
+    def d1_rows(self, rows):
+        """f' of the rows rows (an index array) of a stack, as a callable whose
+        argument's last axis runs over those rows: element e is a point of row
+        rows[e], with the bits d1 gives it on the whole stack.  A profile that
+        is not stacked by row has one f' for every row: d1 itself."""
+        return self.d1 if self._d1_rows is None else self._d1_rows(rows)
 
     def __call__(self, x):
         return evaluate(self.f, x)
@@ -89,24 +109,45 @@ class C3Function:
         f = self.f
         lo, hi = self.domain
         dom = tuple(sorted((lo / mu, hi / mu))) if mu != 0 else (-np.inf, np.inf)
+
+        def d1_rows(rows):
+            d1 = self.d1_rows(rows)
+            return lambda x: lam * mu * d1(mu * x)
+
         return C3Function(
             lambda x: lam * f(mu * x),
             lambda x: lam * mu * self.d1(mu * x),
             lambda x: lam * mu * mu * self.d2(mu * x),
             dom,
+            None if self._d1_rows is None else d1_rows,
         )
 
     def shifted(self, c: float) -> "C3Function":
         """The profile x -> f(x) + c, with the same derivative callables."""
         f = self.f
-        return C3Function(lambda x: f(x) + c, self._d1, self._d2, self.domain)
+        return C3Function(lambda x: f(x) + c, self._d1, self._d2, self.domain,
+                          self._d1_rows)
 
     # ---- constructors ----------------------------------------------------
 
     @classmethod
-    def polynomial(cls, coeffs) -> "C3Function":
-        """Polynomial sum_k coeffs[k] * x^k with analytic derivatives."""
-        return cls(*_horner_chain(np.asarray(coeffs, dtype=float)))
+    def polynomial(cls, coeffs, x0=0.0) -> "C3Function":
+        """Polynomial sum_k coeffs[k] * (x - x0)^k with analytic derivatives;
+        coeffs of shape (K, N) with x0 a float or of shape (N,) stack N
+        polynomials by row (see _horner_chain and d1_rows)."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        fns = _horner_chain(coeffs, x0)
+        if coeffs.ndim == 1:
+            return cls(*fns)
+        x0 = np.asarray(x0, dtype=float)
+
+        def d1_rows(rows):
+            # the f' coefficients k c_k of _horner_chain, of those rows
+            c1 = coeffs[1:, rows] * np.arange(1.0, len(coeffs))[:, None]
+            fn = _horner(list(c1) or [0.0], x0[rows] if x0.ndim else x0)
+            return lambda x: evaluate(fn, x)
+
+        return cls(*fns, d1_rows=d1_rows)
 
     @classmethod
     def taylor(cls, x0, derivs) -> "C3Function":
@@ -120,7 +161,7 @@ class C3Function:
         """
         d = np.asarray(derivs, dtype=float)
         fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, len(d)))))
-        return cls(*_horner_chain((d.T / fact).T, x0))
+        return cls.polynomial((d.T / fact).T, x0)
 
     @classmethod
     def linear(cls, a: float, b: float = 0.0) -> "C3Function":
@@ -129,12 +170,13 @@ class C3Function:
 
     @classmethod
     def power_even(cls, coeff: float, m: int) -> "C3Function":
-        """coeff * x^(2m), the separable building block."""
+        """coeff * x^(2m), the separable building block; its powers are
+        products of x (see _int_power)."""
         k = 2 * m
         return cls(
-            lambda x: coeff * x**k,
-            lambda x: coeff * k * x ** (k - 1),
-            lambda x: coeff * k * (k - 1) * x ** (k - 2),
+            lambda x: coeff * _int_power(x, k),
+            lambda x: coeff * k * _int_power(x, k - 1),
+            lambda x: coeff * k * (k - 1) * _int_power(x, k - 2),
         )
 
     @classmethod

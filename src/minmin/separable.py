@@ -19,6 +19,7 @@ charted over u, and the ratio surface x2 x3 = +/- x1 x4).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from .curvature import (
     CurvatureReport,
+    PivotChart,
     _columns,
     _report_chunks,
     _stage,
@@ -400,6 +402,18 @@ _PATCH_PANELS = 256  # Simpson panels of a patch coordinate with no closed form
 _PROFILE_PANELS = 128  # Simpson panels of a 6.5 profile's x(u)
 
 
+@functools.lru_cache(maxsize=None)
+def _simpson_rule(panels: int):
+    """The node offsets 0..panels and the Simpson weights 1 4 2 4 ... 2 4 1 of
+    an even panel count, built once per count and read-only."""
+    k = np.arange(panels + 1.0)
+    w = np.ones(panels + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    k.flags.writeable = w.flags.writeable = False
+    return k, w
+
+
 def composite_simpson(fn, a, b, panels: int = 256):
     """Composite Simpson rule with a fixed even panel count (4th order).
 
@@ -410,10 +424,7 @@ def composite_simpson(fn, a, b, panels: int = 256):
     """
     if panels % 2:
         panels += 1
-    k = np.arange(panels + 1.0)
-    w = np.ones(panels + 1)  # 1 4 2 4 ... 2 4 1
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
+    k, w = _simpson_rule(panels)
     scalar = np.ndim(a) == 0 and np.ndim(b) == 0
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     # the nodes of np.linspace(a, b, panels + 1)
@@ -799,24 +810,26 @@ def _zero_sum_sampler(dim: int, low: float = 0.3, high: float = 1.2,
     return draw_block
 
 
-class QuadratureChart:
+class QuadratureChart(PivotChart):
     """The chart t = (u_1, ..., u_n), u_{n+1} = -sum t, of a QuadratureSurface
-    at its zero-sum parameter rows u (N, dim): nu_i = f_i'(x_i) = s_i X_i^gamma,
-    and T_j = dx/dt_j = s_j X_j^-gamma e_j - s_{n+1} X_{n+1}^-gamma e_{n+1},
-    as s_i X_i^-gamma = dx_i/du_i = 1/nu_i."""
+    at its zero-sum parameter rows u (N, dim), in the coordinates u: nu_i =
+    f_i'(x_i) = s_i X_i^gamma at u_i, parameter j moves u_j at unit rate and
+    the pivot u_{n+1} at rate -1, and T[j, j] = dx_j/du_j = s_j X_j^-gamma =
+    1/nu_j."""
 
     def __init__(self, fs, u: np.ndarray):
-        self._d1 = [f.d1_of_u for f in fs]
+        self.fs = fs
         self.t0 = u[:, :-1]
-        self.nu0 = nu0 = _columns(self._d1, u)
-        n = u.shape[-1] - 1
-        T = np.zeros(nu0.shape + (n,))
-        T[..., :n, :] = np.eye(n)
-        T[..., n, :] = -nu0[..., :n] / nu0[..., n:]
-        self.T = T / nu0[..., None, :-1]
+        self.nu0 = nu0 = _columns([f.d1_of_u for f in fs], u)
+        N, n = self.t0.shape
+        self.tc = 1.0 / nu0[:, :n]
+        self._plan(u, nu0, np.broadcast_to(np.arange(n), (N, n)), np.full(N, n))
 
-    def nu(self, t) -> np.ndarray:
-        return _columns(self._d1, _zero_sum(t))
+    def _pivot_rate(self, moved0):
+        return -1.0
+
+    def _slope(self, i: int, rows):
+        return self.fs[i].d1_of_u
 
 
 @dataclass(frozen=True)

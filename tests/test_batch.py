@@ -16,6 +16,7 @@ from minmin import curvature
 from minmin.cli import EXAMPLE_IDS, main
 from minmin.curvature import (
     ORACLE_STEP_FACTOR,
+    PivotChart,
     SeparableChart,
     report_separable_batch,
 )
@@ -211,10 +212,14 @@ def test_chart_raises_where_the_whole_gradient_vanishes():
     )
     with pytest.raises(SingularConfigurationError):
         SeparableChart(fs, p, [[0.6, 0.8, 1.0], [0.0, 0.0, 0.0]])
-    # the equator of the sphere: one slope vanishes, the chart still stands
+    # the equator of the sphere: one slope vanishes, the chart still stands,
+    # over the coordinates other than the pivot x2, and the oracle sees H = 1
     sphere = fs[:2] + (C3Function.polynomial([-1.0, 0, 1.0]),)
     chart = SeparableChart(sphere, p, [0.6, 0.8, 0.0])
     assert np.array_equal(chart.point(chart.t0), [0.6, 0.8, 0.0])
+    assert np.array_equal(chart.t0, [0.6, 0.0])
+    h, defect = mm.mean_curvature_oracle(chart, p)
+    assert h == pytest.approx(1.0, abs=1e-9) and defect <= 1e-9
 
 
 class _CountingProfile:
@@ -230,13 +235,25 @@ class _CountingProfile:
         self.calls.append((id(self), np.shape(x)))
         return self.f.d1(x)
 
+    def d1_rows(self, rows):
+        return self.d1  # not stacked by row: one f' for every point
+
     def d2(self, x):
         return self.f.d2(x)
 
 
+def _stencil_cells(pivots, dim):
+    """The stencil cells each profile evaluates: parameter j moves c_j and
+    the pivot k, by +h and by -h, so coordinate i is moved once at a point
+    pivoted elsewhere and n times at a point pivoted at i."""
+    n = dim - 1
+    return [2 * int(np.sum(np.where(pivots == i, n, 1))) for i in range(dim)]
+
+
 def test_batch_evaluates_the_base_slopes_once(monkeypatch):
     # the unit sphere at 5 points: f' at the base points once per profile, in
-    # the chart, and one chart.nu call on the 2n stencil points of each
+    # the chart, then one moved_slopes call, which evaluates each profile once
+    # on the cells of the coordinates the stencil moves, 4n per point
     p = mm.NormParams(1, 3)
     calls = []
     fs = tuple(
@@ -245,18 +262,20 @@ def test_batch_evaluates_the_base_slopes_once(monkeypatch):
     )
     x = np.random.default_rng(3).uniform(0.2, 1.0, (5, 3))
     x /= np.linalg.norm(x, axis=1)[:, None]
-    nu_shapes = []
-    real_nu = SeparableChart.nu
+    h_shapes = []
+    real = PivotChart.moved_slopes
 
-    def nu(self, t):
-        nu_shapes.append(np.shape(t))
-        return real_nu(self, t)
+    def moved_slopes(self, h):
+        h_shapes.append(np.shape(h))
+        return real(self, h)
 
-    monkeypatch.setattr(SeparableChart, "nu", nu)
+    monkeypatch.setattr(PivotChart, "moved_slopes", moved_slopes)
     report_separable_batch(fs, x, p)
-    assert nu_shapes == [(2 * p.n, 5, p.n)]
-    for f in fs:
-        assert [shape for who, shape in calls if who == id(f)] == [(5,), (2 * p.n, 5)]
+    assert h_shapes == [(5, p.n)]
+    cells = _stencil_cells(np.argmax(np.abs(x), axis=1), p.dim)
+    assert sum(cells) == 4 * p.n * 5
+    for f, k in zip(fs, cells):
+        assert [shape for who, shape in calls if who == id(f)] == [(5,), (k,)]
 
 
 def test_batch_inverts_the_65_quadrature_on_arrays_only(monkeypatch):
@@ -272,12 +291,15 @@ def test_batch_inverts_the_65_quadrature_on_arrays_only(monkeypatch):
     monkeypatch.setattr(_QuadratureProfile, "u_of_x", u_of_x)
     surface = example_surface("6.5", 2)
     x = surface.sample(counter_rng(4), 20)
+    # the pivot of each point is its coordinate of largest slope
+    slopes = np.column_stack([f.d1(x[:, i]) for i, f in enumerate(surface.fs)])
+    cells = _stencil_cells(np.argmax(np.abs(slopes), axis=1), surface.p.dim)
+    calls.clear()
     report_separable_batch(surface.fs, x, surface.p)
-    n = surface.p.n
-    for f in surface.fs:
-        # f, f' and f'' at the points, then f' at the oracle's stencil
+    for f, k in zip(surface.fs, cells):
+        # f, f' and f'' at the points, then f' at the oracle's stencil cells
         assert [shape for who, shape in calls if who == id(f)] == [
-            (20,), (20,), (20,), (2 * n, 20)]
+            (20,), (20,), (20,), (k,)]
 
 
 def test_65_verify_never_inverts_the_quadrature(monkeypatch, capsys):
@@ -309,7 +331,15 @@ def test_65_chart_tangents_are_the_derivatives_of_x():
     surface = example_surface("6.5", 2)
     u = np.array([[0.4, -1.1, 0.9], [-0.8, 0.3, 1.2]])
     chart = QuadratureChart(surface.fs, _zero_sum(u))
-    nu, T = chart.nu0, chart.T
+    # parameter j moves u_j and the pivot u_4 = -sum t: its tangent in x has
+    # T[j, j] = tc = dx_j/du_j and T[4, j] = -dx_4/du_4 = -1/nu_4
+    assert np.array_equal(chart.c, [[0, 1, 2], [0, 1, 2]])
+    assert np.array_equal(chart.k, [3, 3])
+    nu = chart.nu0
+    T = np.zeros((2, 4, 3))
+    j = np.arange(3)
+    T[:, j, j] = chart.tc
+    T[:, 3, :] = -1.0 / chart.moved0[1]
     h = 1e-5
     for j in range(3):
         e = np.eye(3)[j] * h

@@ -446,9 +446,14 @@ def test_stage_log_keeps_reports_byte_identical(tmp_path, argv):
     for stage in ("sample", "analytic", "oracle", "render"):
         assert f"{argv[0]} stage {stage}: cpu " in runs["info"][2]
     assert "sampler slices" not in runs["info"][2]
+    assert "oracle slope evaluations" not in runs["info"][2]
+    assert f"{argv[0]} oracle slope evaluations: " in runs["debug"][2]
     if argv[0] == "verify":
         for counter in ("sampler slices drawn", "sampler slices rejected"):
             assert f"verify {counter}: " in runs["debug"][2]
+        # the oracle moves two coordinates per parameter, by +h and by -h:
+        # 4n slopes at each of the 6 points of the n = 3 surface
+        assert "verify oracle slope evaluations: 72\n" in runs["debug"][2]
 
 
 @pytest.mark.parametrize("argv,stages", [
