@@ -213,7 +213,7 @@ def test_chart_raises_where_the_whole_gradient_vanishes():
     with pytest.raises(SingularConfigurationError):
         SeparableChart(fs, p, [[0.6, 0.8, 1.0], [0.0, 0.0, 0.0]])
     # the equator of the sphere: one slope vanishes, the chart still stands,
-    # over the coordinates other than the pivot x2, and the oracle sees H = 1
+    # over the coordinates other than the pivot x[1], and the oracle sees H = 1
     sphere = fs[:2] + (C3Function.polynomial([-1.0, 0, 1.0]),)
     chart = SeparableChart(sphere, p, [0.6, 0.8, 0.0])
     assert np.array_equal(chart.point(chart.t0), [0.6, 0.8, 0.0])
@@ -331,8 +331,8 @@ def test_65_chart_tangents_are_the_derivatives_of_x():
     surface = example_surface("6.5", 2)
     u = np.array([[0.4, -1.1, 0.9], [-0.8, 0.3, 1.2]])
     chart = QuadratureChart(surface.fs, _zero_sum(u))
-    # parameter j moves u_j and the pivot u_4 = -sum t: its tangent in x has
-    # T[j, j] = tc = dx_j/du_j and T[4, j] = -dx_4/du_4 = -1/nu_4
+    # parameter j moves u[j] and the pivot u[3] = -sum t: its tangent in x has
+    # T[j, j] = tc = dx_j/du_j and T[3, j] = -dx_3/du_3 = -1/nu_3
     assert np.array_equal(chart.c, [[0, 1, 2], [0, 1, 2]])
     assert np.array_equal(chart.k, [3, 3])
     nu = chart.nu0
