@@ -265,12 +265,12 @@ def weingarten_separable(fs, x, p: NormParams) -> WeingartenMatrix:
 class PivotChart:
     """What the oracle reads of a chart: which coordinates each parameter moves.
 
-    A chart of N base points has parameters t0 (N, n) and coordinates y
-    (N, dim) in which the defining gradient is separable: its i-th component
-    is a slope of y_i alone (_slope), nu0 (N, dim) at the base points.
-    Parameter j moves one coordinate c[:, j] of each point at unit rate and
-    the point's pivot k (N,) at the rate dy_k/dt_j (_pivot_rate), and no
-    other coordinate, so no other slope.  tc is the ambient tangent's
+    A chart of N base points has coordinates y (N, dim) in which the defining
+    gradient is separable: its i-th component is a slope of y_i alone
+    (_slope), nu0 (N, dim) at the base points.  Parameter j is one coordinate
+    c[:, j] of each point, so the base parameters t0 (N, n) are y there, and
+    it moves the point's pivot k (N,) at the rate dy_k/dt_j (_pivot_rate)
+    and no other coordinate, so no other slope.  tc is the ambient tangent's
     component T[c_j, j] (a float or (N, n)) and moved0 (2, N, n) holds the
     base slopes at c_j and at k.
     """
@@ -290,9 +290,12 @@ class PivotChart:
         moved_slopes call then makes one call per profile on one slice."""
         N, n = c.shape
         self.c, self.k = c, k
-        label = np.empty((2, N, n), dtype=int)  # the coordinate of each cell
+        # the coordinate of each cell, in the smallest integer type, which
+        # numpy's stable argsort sorts by radix
+        label = np.empty((2, N, n), dtype=np.min_scalar_type(y.shape[-1]))
         label[0], label[1] = c, k[:, None]
         at = (label + y.shape[-1] * np.arange(N)[:, None]).ravel()  # into y
+        self.t0 = y.ravel()[at[:N * n]].reshape(N, n)
         self.moved0 = nu0.ravel()[at].reshape(2, N, n)
         rate = np.ones((2, N, n))
         rate[1] = self._pivot_rate(self.moved0)
@@ -345,16 +348,16 @@ class SeparableChart(PivotChart):
         x0 = np.asarray(base_point, dtype=float)
         if x0.ndim not in (1, 2) or x0.shape[-1] != p.dim:
             raise DimensionMismatchError("base point must be an ambient point")
-        nu0 = _columns([f.d1 for f in self.fs], x0)
-        if (np.abs(nu0).max(axis=-1) == 0.0).any():
-            raise SingularConfigurationError("the gradient vanishes at a base point")
-        self.x0, self.nu0 = x0, nu0
+        self.x0 = x0
+        self.nu0 = nu0 = _columns([f.d1 for f in self.fs], x0)
         x, nu = np.atleast_2d(x0), np.atleast_2d(nu0)
-        k = np.argmax(np.abs(nu), axis=-1)
-        c = np.arange(p.n) + (np.arange(p.n) >= k[:, None])
-        t0 = np.where(c > np.arange(p.n), x[:, 1:], x[:, :-1])
-        self.t0 = t0[0] if x0.ndim == 1 else t0
-        self._plan(x, nu, c, k)
+        size = np.abs(nu)
+        if not size.max(axis=-1).all():
+            raise SingularConfigurationError("the gradient vanishes at a base point")
+        k = size.argmax(axis=-1)
+        self._plan(x, nu, np.arange(p.n) + (np.arange(p.n) >= k[:, None]), k)
+        if x0.ndim == 1:
+            self.t0 = self.t0[0]
 
     def point(self, t) -> np.ndarray:
         """The chart's point x0 + T (t - t0): coordinate c_j moves with t_j and

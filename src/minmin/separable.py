@@ -819,9 +819,8 @@ class QuadratureChart(PivotChart):
 
     def __init__(self, fs, u: np.ndarray):
         self.fs = fs
-        self.t0 = u[:, :-1]
         self.nu0 = nu0 = _columns([f.d1_of_u for f in fs], u)
-        N, n = self.t0.shape
+        N, n = u.shape[0], u.shape[1] - 1
         self.tc = 1.0 / nu0[:, :n]
         self._plan(u, nu0, np.broadcast_to(np.arange(n), (N, n)), np.full(N, n))
 
