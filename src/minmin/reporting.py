@@ -27,7 +27,6 @@ class VerificationReport:
     config: dict
     reports: CurvatureReport
     h_tol: float | None = None
-    wall_time: float = 0.0  # logged, never serialized
     reasons: list = field(init=False)  # failed_checks of each point
     aggregate: dict = field(init=False)
 

@@ -5,9 +5,10 @@ drawn derivative values are exact there and the configuration is usable on
 finite-difference stencils around it.
 
 The random_*_draws functions return the drawn arrays, the point and the
-(4, k) stack of f, f', f'', f''' of its k profiles; taylor_profiles builds the
-profiles from them, one configuration or a stack of configurations at once.
-The random_*_config functions are both steps for one configuration.
+(4, k) stack of f, f', f'', f''' of its k profiles, or with count the stacks
+(count, k) and (4, count, k) of count configurations; taylor_profiles builds
+the profiles from them, one configuration or a stack of configurations at
+once.  The random_*_config functions are both steps for one configuration.
 """
 
 import numpy as np
@@ -21,31 +22,36 @@ def counter_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _taylor_draws(rng: np.random.Generator, k: int, slope_low: float,
+def _taylor_draws(rng: np.random.Generator, shape, slope_low: float,
                   slope_high: float) -> np.ndarray:
-    """f, f', f'', f''' of k profiles at their points, a stack (4, k)."""
-    d1 = rng.uniform(slope_low, slope_high, k) * rng.choice([-1.0, 1.0], k)
-    d2 = rng.uniform(-1.0, 1.0, k)
-    d3 = rng.uniform(-1.0, 1.0, k)
-    f0 = rng.uniform(-1.0, 1.0, k)
+    """f, f', f'', f''' of profiles at their points, a stack (4, *shape)."""
+    d1 = rng.uniform(slope_low, slope_high, shape) * rng.choice([-1.0, 1.0], shape)
+    d2 = rng.uniform(-1.0, 1.0, shape)
+    d3 = rng.uniform(-1.0, 1.0, shape)
+    f0 = rng.uniform(-1.0, 1.0, shape)
     return np.stack([f0, d1, d2, d3])
 
 
-def random_translation_draws(rng: np.random.Generator, n: int,
+def random_translation_draws(rng: np.random.Generator, n: int, count=None,
                              slope_low: float = 0.3, slope_high: float = 1.5):
     """(u, derivs) of a random translation graph: its parameters u (n,) and
-    the (4, n) values and derivatives of its profiles at u."""
-    u = rng.uniform(-1.0, 1.0, n)
-    return u, _taylor_draws(rng, n, slope_low, slope_high)
+    the (4, n) values and derivatives of its profiles at u; with count, the
+    stacks (count, n) and (4, count, n) of count graphs, drawn row by row."""
+    shape = n if count is None else (count, n)
+    u = rng.uniform(-1.0, 1.0, shape)
+    return u, _taylor_draws(rng, shape, slope_low, slope_high)
 
 
-def random_separable_draws(rng: np.random.Generator, n: int,
+def random_separable_draws(rng: np.random.Generator, n: int, count=None,
                            slope_low: float = 0.3, slope_high: float = 1.5):
     """(x, derivs) of a random separable surface: its on-surface point x (n+1,)
-    and the (4, n+1) values and derivatives of its profiles at x."""
-    x = rng.uniform(-1.0, 1.0, n + 1)
-    derivs = _taylor_draws(rng, n + 1, slope_low, slope_high)
-    derivs[0, -1] = -derivs[0, :-1].sum()  # pin the point onto the surface
+    and the (4, n+1) values and derivatives of its profiles at x; with count,
+    the stacks (count, n+1) and (4, count, n+1) of count surfaces."""
+    shape = n + 1 if count is None else (count, n + 1)
+    x = rng.uniform(-1.0, 1.0, shape)
+    derivs = _taylor_draws(rng, shape, slope_low, slope_high)
+    # pin each point onto its surface
+    derivs[0, ..., -1] = -derivs[0, ..., :-1].sum(axis=-1)
     return x, derivs
 
 
@@ -65,7 +71,8 @@ def random_translation_config(
     slope_high: float = 1.5,
 ):
     """(profiles, point, params) for a random translation graph."""
-    u, derivs = random_translation_draws(rng, n, slope_low, slope_high)
+    u, derivs = random_translation_draws(rng, n, slope_low=slope_low,
+                                         slope_high=slope_high)
     return taylor_profiles(u, derivs), u, NormParams(m=m, dim=n + 1)
 
 
@@ -77,5 +84,6 @@ def random_separable_config(
     slope_high: float = 1.5,
 ):
     """(profiles, on-surface point, params) for a random separable surface."""
-    x, derivs = random_separable_draws(rng, n, slope_low, slope_high)
+    x, derivs = random_separable_draws(rng, n, slope_low=slope_low,
+                                       slope_high=slope_high)
     return taylor_profiles(x, derivs), x, NormParams(m=m, dim=n + 1)

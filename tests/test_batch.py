@@ -27,7 +27,8 @@ from minmin.reporting import VerificationReport
 from minmin.sampling import (
     counter_rng,
     random_separable_config,
-    random_translation_config,
+    random_separable_draws,
+    random_translation_draws,
     taylor_profiles,
 )
 from minmin.separable import (
@@ -385,20 +386,23 @@ def _command_reports(argv, monkeypatch, capsys):
 
 
 def _per_configuration_reports(seed, points, n_fixed):
-    """oracle-compare --kind both drawn one configuration at a time and
-    reported by the single-point report_translation / report_separable."""
+    """oracle-compare --kind both drawn as it draws (per kind: every m, every
+    n, then one stacked draw per n in ascending order), each configuration
+    taken as its own row of its stack and reported by the single-point
+    report_translation / report_separable."""
     rng = counter_rng(seed)
     reports = []
-    for kind in ("translation", "separable"):
-        for _ in range(points):
-            m = int(rng.integers(1, 4))
-            n = int(rng.integers(2, 5)) if n_fixed is None else n_fixed
-            if kind == "translation":
-                fs, at, p = random_translation_config(rng, m, n)
-                reports.append(mm.report_translation(fs, at, p, tol=1e-6))
-            else:
-                fs, at, p = random_separable_config(rng, m, n)
-                reports.append(mm.report_separable(fs, at, p, tol=1e-6))
+    for draw, report in ((random_translation_draws, mm.report_translation),
+                         (random_separable_draws, mm.report_separable)):
+        ms = rng.integers(1, 4, points).tolist()
+        ns = (rng.integers(2, 5, points).tolist() if n_fixed is None
+              else [n_fixed] * points)
+        stacks = {n: draw(rng, n, ns.count(n)) for n in sorted(set(ns))}
+        for k, (m, n) in enumerate(zip(ms, ns)):
+            at, derivs = stacks[n]
+            i = ns[:k].count(n)  # the configuration's row in its stack
+            fs = taylor_profiles(at[i], derivs[:, i])
+            reports.append(report(fs, at[i], mm.NormParams(m, n + 1), tol=1e-6))
     return reports
 
 
@@ -430,6 +434,20 @@ def test_oracle_compare_batches_longer_than_a_chunk(monkeypatch, capsys):
     chunked = [_comparison_bits(r)
                for r in _command_reports(argv, monkeypatch, capsys)]
     assert chunked == whole
+
+
+@pytest.mark.parametrize("n", (None, 3))
+def test_oracle_compare_translation_half_of_both_is_the_translation_run(
+        n, monkeypatch, capsys):
+    # --kind both draws its translation configurations first, from the same
+    # stream as --kind translation
+    argv = ["oracle-compare", "--points", "25", "--seed", "11"] + (
+        [] if n is None else ["--n", str(n)])
+    both = _command_reports(argv + ["--kind", "both"], monkeypatch, capsys)
+    alone = _command_reports(argv + ["--kind", "translation"], monkeypatch, capsys)
+    assert len(both) == 2 * len(alone) == 50
+    assert ([_comparison_bits(r) for r in both][:25]
+            == [_comparison_bits(r) for r in alone])
 
 
 def test_translation_batch_rows_equal_single_points():

@@ -1,7 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -454,6 +456,34 @@ def test_stage_log_keeps_reports_byte_identical(tmp_path, argv):
         # the oracle moves two coordinates per parameter, by +h and by -h:
         # 4n slopes at each of the 6 points of the n = 3 surface
         assert "verify oracle slope evaluations: 72\n" in runs["debug"][2]
+    else:
+        # one report batch per (kind, m, n) drawn: the 4 translations have
+        # (m, n) = (3, 3), (3, 3), (1, 3), (1, 4), and so do the 4 separables
+        assert "batches" not in runs["info"][2]
+        assert "oracle-compare batches: 6\n" in runs["debug"][2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "6.2", "--m", "2", "--points", "6", "--seed", "3"],
+    ["oracle-compare", "--points", "4", "--seed", "3"],
+])
+def test_wall_time_is_read_after_the_report_is_written(argv, monkeypatch, capsys):
+    # a slow render shows in the wall time, which covers every stage
+    real = VerificationReport.render
+
+    def slow_render(self):
+        time.sleep(0.05)
+        return real(self)
+
+    monkeypatch.setattr(VerificationReport, "render", slow_render)
+    monkeypatch.setenv("MINMIN_LOG", "info")
+    assert main(argv) == 0
+    err = capsys.readouterr().err
+    stages = dict(re.findall(rf"{argv[0]} stage (\w+): cpu \S+ wall ([0-9.]+)s", err))
+    assert set(stages) == {"sample", "analytic", "oracle", "render"}
+    wall = float(re.search(rf"{argv[0]} wall time ([0-9.]+)s", err).group(1))
+    assert wall >= max(float(t) for t in stages.values())
+    assert float(stages["render"]) >= 0.05
 
 
 @pytest.mark.parametrize("argv,stages", [
