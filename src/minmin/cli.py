@@ -29,6 +29,7 @@ from .curvature import (  # noqa: F401
 from .errors import DomainError, EmptyDomainError, IntegrationError, MinminError
 from .norms import NormParams
 from .separable import (
+    XPROFILE_EXAMPLE_IDS,
     XProfile,
     check_patch_profiles,
     example_surface,
@@ -221,8 +222,8 @@ class _Params(dict):
 
 def _load_params(path) -> _Params:
     """The parameters of an ansatz or mesh --params-file: a JSON object whose
-    p, q, r and signs, where given, are lists of numbers and whose n, where
-    given, is an integer.  Anything else raises DomainError with a one-line
+    p, q, r and signs, where given, are lists of finite numbers and whose n,
+    where given, is an integer.  Anything else raises DomainError with a one-line
     message, which both commands report as a configuration error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -240,6 +241,9 @@ def _load_params(path) -> _Params:
         if key in data and not (isinstance(data[key], list)
                                 and all(type(v) in (int, float) for v in data[key])):
             raise DomainError(f"{path}: {key!r} must be a list of numbers")
+        # false for NaN, infinities and integers too large for a float
+        if key in data and not all(abs(v) <= sys.float_info.max for v in data[key]):
+            raise DomainError(f"{path}: {key!r} must hold finite numbers only")
     if "n" in data and type(data["n"]) is not int:
         raise DomainError(f"{path}: 'n' must be an integer")
     params = _Params(data)
@@ -508,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("mesh", help="export a surface mesh or point cloud")
     pm.add_argument("--kind", choices=("translation", "patch"), default="patch")
-    pm.add_argument("--example", default="6.1", help=f"one of {EXAMPLE_IDS[:6]}")
+    pm.add_argument("--example", default="6.1", help=f"one of {XPROFILE_EXAMPLE_IDS}")
     pm.add_argument("--params-file", default=None,
                     help="JSON X-profile data instead of --example")
     pm.add_argument("--m", type=int, default=1)

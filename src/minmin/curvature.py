@@ -327,12 +327,13 @@ class PivotChart:
 class SeparableChart(PivotChart):
     """Separable surface sum f_i(x_i) = 0 charted along its tangent planes.
 
-    base_point is one on-surface point x0 (dim,) or a stack (N, dim).  At
-    each base point the parameters t0 are the n coordinates other than the
-    pivot k of largest |nu0_k|, nu0 = f'(x0), in increasing order: parameter
-    j is coordinate c_j = j + (j >= k), and it moves the point along the
-    tangent vector T_j = e_{c_j} - (nu0_{c_j} / nu0_k) e_k, so in the
-    coordinates x themselves, with tc = T[c_j, j] = 1.  The normal
+    base_points is a stack (N, dim) of on-surface points x0, and one point is
+    a stack of one, (1, dim).  At each base point the parameters t0 (N, n)
+    are the n coordinates other than the pivot k of largest |nu0_k|,
+    nu0 = f'(x0), in increasing order: parameter j is coordinate
+    c_j = j + (j >= k), and it moves the point along the tangent vector
+    T_j = e_{c_j} - (nu0_{c_j} / nu0_k) e_k, so in the coordinates x
+    themselves, with tc = T[c_j, j] = 1.  The normal
     eta = B(grad F) is defined off the surface too, and along a tangent vector
     its derivative is the shape operator's, so central differences of eta
     along x0 +/- h T_j keep their O(h^2) accuracy with no coordinate solved
@@ -343,35 +344,30 @@ class SeparableChart(PivotChart):
 
     tc = 1.0
 
-    def __init__(self, fs, p: NormParams, base_point):
+    def __init__(self, fs, p: NormParams, base_points):
         self.fs = list(fs)
-        x0 = np.asarray(base_point, dtype=float)
-        if x0.ndim not in (1, 2) or x0.shape[-1] != p.dim:
-            raise DimensionMismatchError("base point must be an ambient point")
+        x0 = np.asarray(base_points, dtype=float)
+        if x0.ndim != 2 or x0.shape[1] != p.dim:
+            raise DimensionMismatchError(
+                f"base points must be a stack (N, {p.dim}), got shape {x0.shape}")
         self.x0 = x0
         self.nu0 = nu0 = _columns([f.d1 for f in self.fs], x0)
-        x, nu = np.atleast_2d(x0), np.atleast_2d(nu0)
-        size = np.abs(nu)
+        size = np.abs(nu0)
         if not size.max(axis=-1).all():
             raise SingularConfigurationError("the gradient vanishes at a base point")
         k = size.argmax(axis=-1)
-        self._plan(x, nu, np.arange(p.n) + (np.arange(p.n) >= k[:, None]), k)
-        if x0.ndim == 1:
-            self.t0 = self.t0[0]
+        self._plan(x0, nu0, np.arange(p.n) + (np.arange(p.n) >= k[:, None]), k)
 
     def point(self, t) -> np.ndarray:
-        """The chart's point x0 + T (t - t0): coordinate c_j moves with t_j and
-        the pivot k by sum_j T[k, j] (t_j - t0_j).  t is (..., n) for a chart
-        of one base point and (..., N, n) for a stack, whose rows are taken
-        about their own base points.  The oracle never needs it."""
-        single = self.x0.ndim == 1
-        x0, t = np.atleast_2d(self.x0), np.asarray(t, dtype=float)
-        dt = (t[..., None, :] if single else t) - np.atleast_2d(self.t0)
-        x = np.array(np.broadcast_to(x0, dt.shape[:-1] + x0.shape[-1:]))
-        point = np.arange(len(x0))
+        """The chart's points x0 + T (t - t0): coordinate c_j moves with t_j and
+        the pivot k by sum_j T[k, j] (t_j - t0_j).  t is (..., N, n), each row
+        taken about its own base point.  The oracle never needs it."""
+        dt = np.asarray(t, dtype=float) - self.t0
+        x = np.array(np.broadcast_to(self.x0, dt.shape[:-1] + self.x0.shape[-1:]))
+        point = np.arange(len(self.x0))
         x[..., point[:, None], self.c] += dt
         x[..., point, self.k] += _sum_last(self._pivot_rate(self.moved0) * dt)
-        return x[..., 0, :] if single else x
+        return x
 
     def _pivot_rate(self, moved0):
         return -moved0[0] / moved0[1]
@@ -418,19 +414,18 @@ def mean_curvature_oracle(chart, p: NormParams, stats=None):
     the slopes f' only.  stats, when given, counts the slopes evaluated as
     "oracle slope evaluations" (see reporting.RunStats).
 
-    Returns (h_oracle, tangency_defect): floats for a chart of one base point,
-    arrays of shape (N,) for a stack.
+    Returns (h_oracle, tangency_defect), arrays of shape (N,) for a chart of
+    N base points.
     """
     n, m = p.n, p.m
-    single = np.ndim(chart.t0) == 1
-    t0 = np.atleast_2d(chart.t0)
-    if t0.ndim != 2 or t0.shape[-1] != n:
+    t0 = chart.t0
+    if t0.ndim != 2 or t0.shape[1] != n:
         raise DimensionMismatchError(f"the chart must have {n} parameters")
     h = ORACLE_STEP_FACTOR * (1.0 + np.abs(t0))
     g = chart.moved_slopes(h)  # (2, 2, N, n): [+h, -h] x [c_j, k]
     if stats is not None:
         stats.count("oracle slope evaluations", g.size)
-    nu0, g0 = np.atleast_2d(chart.nu0), chart.moved0
+    nu0, g0 = chart.nu0, chart.moved0
     root = _odd_root(g, 2 * m - 1)
     X = g * root
     X0 = g0 * _odd_root(g0, 2 * m - 1)
@@ -450,8 +445,6 @@ def mean_curvature_oracle(chart, p: NormParams, stats=None):
     diag = (deta[0] - normal * (g0[0] / norm2)) / chart.tc
     h_oracle = _sum_last(diag) / n
     defect = np.abs(normal).max(axis=-1) / np.sqrt(norm2[:, 0])
-    if single:
-        return float(h_oracle[0]), float(defect[0])
     return h_oracle, defect
 
 

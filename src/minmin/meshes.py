@@ -43,14 +43,13 @@ def translation_vertices(ts, axes) -> np.ndarray:
     return np.concatenate([grid, ts.value(grid)[..., None]], axis=-1)
 
 
-def patch_vertices(patch, slice_axes=None, fixed_indices=None,
-                   project=(0, 1, 2)) -> np.ndarray:
+def patch_vertices(patch, slice_axes=None, project=(0, 1, 2)) -> np.ndarray:
     """(G1, G2, 3) vertex grid from a separable patch.
 
     For patches with more than two parameters, slice_axes picks the two varying
-    parameter axes and fixed_indices the grid index of each remaining one
-    (default: middle).  project selects the three distinct ambient coordinates,
-    each in 0..dim-1, written to the OBJ.
+    parameter axes, and every other axis is fixed at its middle grid index.
+    project selects the three distinct ambient coordinates, each in 0..dim-1,
+    written to the OBJ.
     """
     pts = patch.points
     n = pts.ndim - 1
@@ -61,15 +60,8 @@ def patch_vertices(patch, slice_axes=None, fixed_indices=None,
     a, b = slice_axes
     if a == b or not (0 <= a < n and 0 <= b < n):
         raise DomainError(f"invalid slice axes {slice_axes} for {n} parameters")
-    index: list = []
-    others = [i for i in range(n) if i not in (a, b)]
-    fixed = dict(zip(others, fixed_indices or []))
-    for i in range(n):
-        if i in (a, b):
-            index.append(slice(None))
-        else:
-            index.append(fixed.get(i, pts.shape[i] // 2))
-    sliced = pts[tuple(index)]
+    index = tuple(slice(None) if i in (a, b) else pts.shape[i] // 2 for i in range(n))
+    sliced = pts[index]
     if a > b:
         sliced = np.swapaxes(sliced, 0, 1)
     project = tuple(project)

@@ -95,26 +95,19 @@ def signed_pow(x, num: int, den: int):
     """Real power x^(num/den) with odd den, through the signed real root.
 
     Returns sign(x)^num * |x|^(num/den).  Continuous at 0 for num > 0; num = 0
-    gives 1; a zero base with num < 0 is a domain error.  x may be a numpy
-    array: the power is then taken elementwise with the C library's pow (as
-    np.float_power does), so every element is bitwise what a scalar call gives.
+    gives 1; a zero base with num < 0 is a domain error.  x is a float or an
+    array, and a float is taken as a 0-d array: the power is taken elementwise
+    with the C library's pow (as np.float_power does), and a float gives a
+    float, bitwise the element an array holding it gives.
     """
     if den <= 0 or den % 2 == 0:
         raise DomainError(f"denominator must be an odd positive integer, got {den}")
-    if isinstance(x, np.ndarray):
-        x = x.astype(float, copy=False)
-        if num < 0 and np.any(x == 0.0):
-            raise DomainError("zero base with negative exponent")
-        mag = np.float_power(np.abs(x), num / den)
-        return np.where(x < 0.0, -mag, mag) if num % 2 else mag
-    if x == 0.0:
-        if num > 0:
-            return 0.0
-        if num == 0:
-            return 1.0
+    x = np.asarray(x, dtype=float)
+    if num < 0 and np.any(x == 0.0):
         raise DomainError("zero base with negative exponent")
-    s = -1.0 if (x < 0.0 and num % 2 != 0) else 1.0
-    return s * abs(x) ** (num / den)
+    mag = np.float_power(np.abs(x), num / den)
+    out = np.where(x < 0.0, -mag, mag) if num % 2 else mag
+    return float(out) if out.ndim == 0 else out
 
 
 def birkhoff_normal_graph(grad_f, p: NormParams) -> BirkhoffNormal:

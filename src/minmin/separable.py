@@ -159,15 +159,25 @@ def _poly_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _identity_terms(X, Xp, scale: float) -> dict:
+def _identity_terms(X, Xp, params) -> dict:
     """sum_j Xp_j (A - X_j) with A = sum_i X_i, for X_i and X_i' given as term
-    dicts; terms of magnitude at most 1e-13 * scale are dropped."""
-    A = {}
-    for Xi in X:
-        A = _poly_add(A, Xi)
-    total = {}
-    for Xi, Xpi in zip(X, Xp):
-        total = _poly_add(total, _poly_mul(Xpi, _poly_add(A, Xi, -1.0)))
+    dicts; terms of magnitude at most 1e-13 * scale are dropped, where
+    scale = max(1, |params|)^2 over the profiles' parameters.  Raises
+    DomainError unless every parameter (each is a coefficient of some X_i),
+    scale and every term are finite: the rule would drop a NaN term, and every
+    term under an infinite scale."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = max(1.0, max(abs(v) for v in params)) ** 2
+        A = {}
+        for Xi in X:
+            A = _poly_add(A, Xi)
+        total = {}
+        for Xi, Xpi in zip(X, Xp):
+            total = _poly_add(total, _poly_mul(Xpi, _poly_add(A, Xi, -1.0)))
+    values = [scale, *total.values(), *(v for Xi in X for v in Xi.values())]
+    if not all(map(math.isfinite, values)):
+        raise DomainError("the parameters, their scale and the identity's terms "
+                          "must be finite")
     return {k: v for k, v in total.items() if abs(v) > 1e-13 * scale}
 
 
@@ -193,7 +203,7 @@ def _expand_polynomial_identity(pqr, n: int) -> dict:
         Xi = _poly_add(Xi, _poly_mul(ui, ui), r0)
         X.append(Xi)
         Xp.append(_poly_add({zero: q0}, ui, 2 * r0))
-    return _identity_terms(X, Xp, max(1.0, max(abs(v) for c in pqr for v in c)) ** 2)
+    return _identity_terms(X, Xp, [v for c in pqr for v in c])
 
 
 def _expand_exponential_identity(q, r, n: int = 3) -> dict:
@@ -209,8 +219,7 @@ def _expand_exponential_identity(q, r, n: int = 3) -> dict:
     for i in range(n + 1):
         X.append({term(i, +1): q[i], term(i, -1): r[i]})
         Xp.append({term(i, +1): q[i], term(i, -1): -r[i]})
-    return _identity_terms(
-        X, Xp, max(1.0, max(abs(v) for v in q), max(abs(v) for v in r)) ** 2)
+    return _identity_terms(X, Xp, list(q) + list(r))
 
 
 @dataclass
@@ -257,8 +266,11 @@ def extract_affine_system(n: int, p, q) -> AnsatzSystem:
     """Coefficients of the identity for affine X_i = p_i + q_i u_i, all q_i != 0.
 
     The identity collapses to constant + linear terms; the linear coefficient
-    of u_l factors as (q_l - q_{n+1}) (sum of the remaining q).
+    of u_l factors as (q_l - q_{n+1}) (sum of the remaining q).  It needs
+    n >= 2, three profiles, as NormParams does.
     """
+    if n < 2:
+        raise DimensionMismatchError(f"an affine system needs n >= 2, got n = {n}")
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != (n + 1,) or q.shape != (n + 1,):
@@ -882,26 +894,43 @@ def _ratio_surface(m: int) -> SeparableSurface:
     )
 
 
+# (kind, first, second): the X-profile coefficients behind the affine and
+# exponential catalogue entries, every profile with sign +1
+_XPROFILE_DATA = {
+    "6.1": ("affine", (1, 1, 1, 1), (1, -1, -1, 1)),
+    "6.3": ("affine", (1, 1, 3, 3, 1), (1, 1, -2, -2, 1)),
+    "6.5": ("exponential", (1.0,) * 4, (1.0,) * 4),
+    "6.6": ("exponential", (1, 0, 0, 1), (0, 1, 1, 0)),
+}
+XPROFILE_EXAMPLE_IDS = tuple(_XPROFILE_DATA)
+
+
 def example_xprofiles(example_id: str):
-    """The X-profile data behind the affine and exponential catalogue entries."""
-    if example_id == "6.1":
-        p, q = (1, 1, 1, 1), (1, -1, -1, 1)
-        return [XProfile.affine(pi, qi) for pi, qi in zip(p, q)], (1, 1, 1, 1)
-    if example_id == "6.3":
-        p, q = (1, 1, 3, 3, 1), (1, 1, -2, -2, 1)
-        return [XProfile.affine(pi, qi) for pi, qi in zip(p, q)], (1, 1, 1, 1, 1)
-    if example_id == "6.5":
-        return [XProfile.exponential(1.0, 1.0) for _ in range(4)], (1, 1, 1, 1)
-    if example_id == "6.6":
-        qs, rs = (1, 0, 0, 1), (0, 1, 1, 0)
-        return [XProfile.exponential(qi, ri) for qi, ri in zip(qs, rs)], (1, 1, 1, 1)
-    raise DomainError(f"no X-profile data for example {example_id!r}")
+    """The X-profiles and signs of an id of XPROFILE_EXAMPLE_IDS."""
+    if example_id not in _XPROFILE_DATA:
+        raise DomainError(f"no X-profile data for example {example_id!r}")
+    kind, first, second = _XPROFILE_DATA[example_id]
+    xs = [getattr(XProfile, kind)(a, b) for a, b in zip(first, second)]
+    return xs, (1,) * len(xs)
 
 
-def _check_block_size(example_id: str, r: int):
-    """6.2 and 6.4 pair two blocks of r coordinates, so they need r >= 2."""
-    if r < 2:
+def _powersum_coefficients(example_id: str, m: int, r: int):
+    """(a, lead): the coefficients a_i of the power sum sum a_i x_i^2m of 6.1-6.4
+    and the size of its leading block, or None for any other id.  6.2 and 6.4
+    pair two blocks of r coordinates, so they need r >= 2."""
+    if example_id in ("6.2", "6.4") and r < 2:
         raise DomainError(f"{example_id} needs r >= 2")
+    if example_id == "6.1":
+        return np.array([1.0, -1.0, -1.0, 1.0]), 1
+    if example_id == "6.2":
+        return np.array([1.0] * r + [-1.0] * r), r
+    if example_id == "6.3":
+        c = -(2.0 ** (2 * m - 1))
+        return np.array([1.0, 1.0, c, c, 1.0]), 1
+    if example_id == "6.4":
+        lam = (r / (r - 1)) ** (2 * m - 1)
+        return np.array([-lam] * r + [1.0] * (r + 1)), r
+    return None
 
 
 def example_surface(example_id: str, m: int, r: int = 2,
@@ -919,20 +948,10 @@ def example_surface(example_id: str, m: int, r: int = 2,
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
-    if example_id == "6.1":
-        return _powersum_surface("6.1", [1, -1, -1, 1], [0, 0, 0, 0], m)
-    if example_id == "6.2":
-        _check_block_size(example_id, r)
-        return _powersum_surface("6.2", [1] * r + [-1] * r, [0.0] * (2 * r), m)
-    if example_id == "6.3":
-        c = -(2.0 ** (2 * m - 1))
-        return _powersum_surface("6.3", [1, 1, c, c, 1], [0.0] * 5, m)
-    if example_id == "6.4":
-        _check_block_size(example_id, r)
-        lam = (r / (r - 1)) ** (2 * m - 1)
-        return _powersum_surface(
-            "6.4", [-lam] * r + [1.0] * (r + 1), [0.0] * (2 * r + 1), m
-        )
+    powersum = _powersum_coefficients(example_id, m, r)
+    if powersum is not None:
+        a = powersum[0]
+        return _powersum_surface(example_id, a, np.zeros(len(a)), m)
     if example_id == "6.5":
         xs, signs = example_xprofiles("6.5")
         fs = tuple(_QuadratureProfile(x, s, m) for x, s in zip(xs, signs))
@@ -972,32 +991,19 @@ def example_surface(example_id: str, m: int, r: int = 2,
 
 def perturbed_example_surface(example_id: str, m: int, r: int = 2,
                               factor: float = 1.1) -> SeparableSurface:
-    """Power-sum example with its leading coefficient block scaled by factor.
+    """Power-sum example 6.1-6.4 with its leading coefficient block scaled by factor.
 
     Breaking the coefficient balance destroys minimality, which is the sanity
     check that the on-surface H tests have teeth; factor is positive and finite.
     """
     if not 0.0 < factor < math.inf:
         raise DomainError(f"perturbation factor {factor!r} is not positive and finite")
-    if example_id == "6.2":
-        _check_block_size(example_id, r)
-        a = [factor] * r + [-1.0] * r
-        b = [0.0] * (2 * r)
-    elif example_id == "6.4":
-        _check_block_size(example_id, r)
-        lam = factor * (r / (r - 1)) ** (2 * m - 1)
-        a = [-lam] * r + [1.0] * (r + 1)
-        b = [0.0] * (2 * r + 1)
-    elif example_id == "6.1":
-        a = [factor, -1.0, -1.0, 1.0]
-        b = [0.0] * 4
-    elif example_id == "6.3":
-        c = -(2.0 ** (2 * m - 1))
-        a = [factor, 1.0, c, c, 1.0]
-        b = [0.0] * 5
-    else:
+    powersum = _powersum_coefficients(example_id, m, r)
+    if powersum is None:
         raise DomainError(f"no perturbation rule for example {example_id!r}")
-    return _powersum_surface(f"{example_id}-perturbed", a, b, m)
+    a, lead = powersum
+    a[:lead] *= factor
+    return _powersum_surface(f"{example_id}-perturbed", a, np.zeros(len(a)), m)
 
 
 # ---------------------------------------------------------------------------

@@ -143,13 +143,12 @@ class ProfileODEParams:
     def rhs(self, y):
         """(c0/2m)(|y|^((2m-2)/(2m-1)) + k y^2) of a float or, elementwise, an array.
 
-        The power's numerator is even, so |y| needs no sign; a float and each
-        element of an array take the same C-library pow, bit for bit.
+        The power's numerator is even, so |y| needs no sign; one np.float_power
+        (the C library's pow) serves a float and every element of an array, so
+        both give the same bits.
         """
         a, e, k = self.rhs_constants()
-        if isinstance(y, np.ndarray):
-            return a * (np.float_power(np.abs(y), e) + k * y * y)
-        return a * (abs(y) ** e + k * y * y)
+        return a * (np.float_power(np.abs(y), e) + k * y * y)
 
 
 @dataclass

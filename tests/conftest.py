@@ -53,10 +53,11 @@ def classical_graph_mean_curvature(grad, hess_diag):
 
 
 def fd_weingarten(chart, p, h=1e-5):
-    """Rows of the Weingarten matrix at the chart's base point by central
-    differences of the normal along the tangents e_j - (nu_j/nu_{n+1}) e_{n+1}
-    of the last-coordinate chart, the basis the closed-form matrix is in."""
-    x0 = chart.x0
+    """Rows of the Weingarten matrix at the base point of a chart of one point,
+    a stack of one, by central differences of the normal along the tangents
+    e_j - (nu_j/nu_{n+1}) e_{n+1} of the last-coordinate chart, the basis the
+    closed-form matrix is in."""
+    (x0,) = chart.x0
     n = p.n
 
     def nu(x):
@@ -79,7 +80,8 @@ def fd_weingarten(chart, p, h=1e-5):
 def translation_chart(fs, p, u):
     """The graph x_{n+1} = sum f_i(u_i) as the separable surface
     -f_1 - ... - f_n + x_{n+1} = 0, whose gradient points upward, charted
-    through the point over u."""
+    through the point over u, a stack of one."""
     u = np.asarray(u, dtype=float)
     fs_up = tuple(f.scaled(-1.0) for f in fs) + (C3Function.linear(1.0),)
-    return mm.SeparableChart(fs_up, p, np.append(u, sum(f(t) for f, t in zip(fs, u))))
+    x = np.append(u, sum(f(t) for f, t in zip(fs, u)))
+    return mm.SeparableChart(fs_up, p, x[None])

@@ -20,7 +20,7 @@ from minmin.curvature import (
     SeparableChart,
     report_separable_batch,
 )
-from minmin.errors import SingularConfigurationError
+from minmin.errors import DimensionMismatchError, SingularConfigurationError
 from minmin.functions import C3Function
 from minmin.norms import birkhoff_normal_implicit, signed_pow
 from minmin.reporting import VerificationReport
@@ -216,11 +216,25 @@ def test_chart_raises_where_the_whole_gradient_vanishes():
     # the equator of the sphere: one slope vanishes, the chart still stands,
     # over the coordinates other than the pivot x[1], and the oracle sees H = 1
     sphere = fs[:2] + (C3Function.polynomial([-1.0, 0, 1.0]),)
-    chart = SeparableChart(sphere, p, [0.6, 0.8, 0.0])
-    assert np.array_equal(chart.point(chart.t0), [0.6, 0.8, 0.0])
-    assert np.array_equal(chart.t0, [0.6, 0.0])
-    h, defect = mm.mean_curvature_oracle(chart, p)
+    chart = SeparableChart(sphere, p, [[0.6, 0.8, 0.0]])
+    assert np.array_equal(chart.point(chart.t0), [[0.6, 0.8, 0.0]])
+    assert np.array_equal(chart.t0, [[0.6, 0.0]])
+    (h,), (defect,) = mm.mean_curvature_oracle(chart, p)
     assert h == pytest.approx(1.0, abs=1e-9) and defect <= 1e-9
+
+
+@pytest.mark.parametrize("base", [
+    pytest.param([0.6, 0.8, 0.0], id="one-point"),
+    pytest.param([[[0.6, 0.8, 0.0]]], id="three-axes"),
+    pytest.param([[0.6, 0.8]], id="short-rows"),
+])
+def test_chart_takes_a_stack_of_base_points_only(base):
+    # one point is a stack of one, (1, dim): a bare point (dim,) is refused
+    p = mm.NormParams(1, 3)
+    sphere = (C3Function.polynomial([0, 0, 1.0]), C3Function.polynomial([0, 0, 1.0]),
+              C3Function.polynomial([-1.0, 0, 1.0]))
+    with pytest.raises(DimensionMismatchError, match=r"stack \(N, 3\)"):
+        SeparableChart(sphere, p, base)
 
 
 class _CountingProfile:

@@ -307,6 +307,72 @@ def test_malformed_params_file_exits_2(command, text, message, tmp_path, capsys)
     assert not (tmp_path / "never.obj").exists()
 
 
+# JSON allows NaN and Infinity; an ansatz of them once printed "identity
+# satisfied: yes", as the drop rule abs(v) > 1e-13 * scale drops a NaN term
+# and every term under an infinite scale
+_NON_FINITE_PARAMS = (
+    pytest.param('{"kind": "affine", "p": [NaN, 1, 1, 1], "q": [1, -1, -1, 1]}',
+                 "'p' must hold finite numbers only", id="nan-p"),
+    pytest.param('{"kind": "affine", "p": [1, 1, 1, 1], "q": [1, -Infinity, -1, 1]}',
+                 "'q' must hold finite numbers only", id="inf-q"),
+    pytest.param('{"kind": "exponential", "q": [1, NaN, 1, 1], "r": [1, 1, 1, 1]}',
+                 "'q' must hold finite numbers only", id="nan-exponential-q"),
+    pytest.param('{"kind": "affine", "p": [1e400, 1, 1, 1], "q": [1, -1, -1, 1]}',
+                 "'p' must hold finite numbers only", id="overflowing-literal"),
+    pytest.param('{"kind": "affine", "p": [1%s, 1, 1, 1], "q": [1, -1, -1, 1]}'
+                 % ("0" * 400), "'p' must hold finite numbers only",
+                 id="integer-too-large-for-a-float"),
+)
+
+
+@pytest.mark.parametrize("text, message", _NON_FINITE_PARAMS + (
+    pytest.param('{"kind": "affine", "p": [1e308, 1, 1, 1], "q": [1, -1, -1, 1]}',
+                 "must be finite", id="scale-overflows"),
+    # fewer than three profiles: an empty list once ended in a traceback
+    pytest.param('{"kind": "affine", "p": [], "q": []}', "needs n >= 2", id="empty"),
+    pytest.param('{"kind": "affine", "p": [1], "q": [1]}', "needs n >= 2", id="one"),
+    pytest.param('{"kind": "affine", "p": [1, 1], "q": [1, -1]}', "needs n >= 2",
+                 id="two"),
+))
+def test_ansatz_refuses_non_finite_or_short_parameters(text, message, tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    code, stdout, err = run(["ansatz", "--params-file", str(f)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert message in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, message", _NON_FINITE_PARAMS)
+def test_mesh_refuses_non_finite_parameters(text, message, tmp_path, capsys):
+    # a NaN once gave an "empty admissible domain" and exit 0
+    f = tmp_path / "bad.json"
+    f.write_text(text)
+    out = tmp_path / "never.obj"
+    code, stdout, err = run(["mesh", "--params-file", str(f), "--out", str(out)],
+                            capsys)
+    assert code == 2
+    assert stdout == ""
+    assert message in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_mesh_help_lists_the_ids_it_accepts(tmp_path, capsys):
+    code = main(["mesh", "--help"])
+    listed = capsys.readouterr().out
+    assert code == 0
+    accepted = []
+    for example in EXAMPLE_IDS:
+        out = tmp_path / f"{example}.csv"
+        argv = ["mesh", "--example", example, "--grid", "3", "--out", str(out)]
+        code, _, _ = run(argv, capsys)
+        assert code in (0, 2)
+        if code == 0:
+            accepted.append(example)
+    assert accepted == ["6.1", "6.3", "6.5", "6.6"]
+    assert f"one of {tuple(accepted)}" in " ".join(listed.split())
+
+
 @pytest.mark.parametrize("text, message", (
     pytest.param('{"kind": "affine", "p": [1, 1, 1, 1], "q": [1, -1, -1]}',
                  "'p' and 'q' differ in length (4 and 3)", id="short-q"),

@@ -93,7 +93,7 @@ def test_mean_curvature_paraboloid_value_and_oracle():
     expected = -(A ** (-5.0 / 4.0)) / (2 * 3) * (1.0 * (A - 1) + 1.0 * (A - 1))
     assert H == pytest.approx(expected, rel=1e-14)
     chart = translation_chart(fs, p, u)
-    h_oracle, defect = mm.mean_curvature_oracle(chart, p)
+    (h_oracle,), (defect,) = mm.mean_curvature_oracle(chart, p)
     assert abs(H - h_oracle) <= 1e-8
     assert defect <= 1e-8
 
@@ -180,7 +180,7 @@ def test_weingarten_separable_matches_normal_differencing():
         for n in (2, 3):
             fs, x, p = random_separable_config(rng, m, n)
             W = mm.weingarten_separable(fs, x, p).entries
-            Wfd, defect = fd_weingarten(mm.SeparableChart(fs, p, x), p)
+            Wfd, defect = fd_weingarten(mm.SeparableChart(fs, p, x[None]), p)
             assert np.max(np.abs(W - Wfd)) <= 1e-8
             assert defect <= 1e-8
 
@@ -240,8 +240,9 @@ def test_oracle_hyperplane():
     p = mm.NormParams(2, 4)
     fs = tuple(C3Function.linear(a) for a in (-0.5, 0.3, -0.9, 1.0))
     t = np.array([0.1, 0.2, -0.4])
-    chart = mm.SeparableChart(fs, p, np.append(t, 0.5 * t[0] - 0.3 * t[1] + 0.9 * t[2]))
-    h, defect = mm.mean_curvature_oracle(chart, p)
+    x = np.append(t, 0.5 * t[0] - 0.3 * t[1] + 0.9 * t[2])
+    chart = mm.SeparableChart(fs, p, x[None])
+    (h,), (defect,) = mm.mean_curvature_oracle(chart, p)
     assert abs(h) <= 1e-10
     assert defect <= 1e-10
 
@@ -256,8 +257,8 @@ def test_oracle_hemisphere_unit_curvature():
         C3Function.polynomial([0, 0, 1.0]),
         C3Function.polynomial([-1.0, 0, 1.0]),
     )
-    chart = mm.SeparableChart(fs, p, [0.1, 0.2, np.sqrt(1.0 - 0.01 - 0.04)])
-    h, defect = mm.mean_curvature_oracle(chart, p)
+    chart = mm.SeparableChart(fs, p, [[0.1, 0.2, np.sqrt(1.0 - 0.01 - 0.04)]])
+    (h,), (defect,) = mm.mean_curvature_oracle(chart, p)
     assert abs(abs(h) - 1.0) <= 2e-4
     assert h == pytest.approx(1.0, abs=2e-4)
     assert defect <= 1e-6
@@ -269,7 +270,7 @@ def test_oracle_matches_translation_closed_form():
     u = np.array([1.1, 0.7, 1.4])
     H = mm.mean_curvature_translation(fs, u, p)
     chart = translation_chart(fs, p, u)
-    h, defect = mm.mean_curvature_oracle(chart, p)
+    (h,), (defect,) = mm.mean_curvature_oracle(chart, p)
     assert abs(H - h) <= 1e-6 * (1 + abs(H))
     assert defect <= 1e-6
 

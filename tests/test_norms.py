@@ -221,6 +221,15 @@ def test_signed_pow_vec():
     assert np.allclose(out, [-2.0, 2.0, 0.0])
 
 
+def _frozen_scalar_signed_pow(x: float, num: int, den: int) -> float:
+    """The float branch signed_pow once had, frozen: floats now take the array
+    path, and must keep these bits."""
+    if x == 0.0:
+        return 0.0 if num > 0 else 1.0  # num < 0 is a domain error
+    s = -1.0 if (x < 0.0 and num % 2 != 0) else 1.0
+    return s * abs(x) ** (num / den)
+
+
 def test_signed_pow_array_bitwise_equals_scalar():
     rng = np.random.default_rng(31)
     x = rng.normal(size=(40, 7)) * rng.choice([1e-3, 1.0, 1e3], size=(40, 7))
@@ -231,8 +240,13 @@ def test_signed_pow_array_bitwise_equals_scalar():
             base = x if num >= 0 else x[1:]  # a zero base needs num >= 0
             out = mm.signed_pow(base, num, den)
             assert out.shape == base.shape
-            scalar = np.array([mm.signed_pow(float(v), num, den) for v in base.flat])
+            scalar = np.array([_frozen_scalar_signed_pow(v, num, den)
+                               for v in base.ravel().tolist()])
             assert out.tobytes() == scalar.tobytes(), (num, den)
+            # a float gives a float, with the bits of its element
+            floats = [mm.signed_pow(v, num, den) for v in base.ravel().tolist()]
+            assert all(type(v) is float for v in floats)
+            assert np.array(floats).tobytes() == scalar.tobytes(), (num, den)
             # a strided view gives the same bits as the contiguous array
             column = mm.signed_pow(base[:, 1], num, den)
             assert column.tobytes() == scalar[1::base.shape[1]].tobytes()

@@ -132,12 +132,12 @@ def test_stacked_profiles_meet_the_dense_expansion(n, m):
 
 def test_chart_points_meet_the_dense_tangents():
     # point(t) = x0 + T (t - t0) from the moved coordinates alone, for a stack
-    # of parameter arrays (..., N, n) and for one base point
+    # of parameter arrays (..., N, n) and for one base point, a stack of one
     surface = example_surface("6.4", 2, r=3)
     x = surface.sample(counter_rng(6), 20)
     chart = SeparableChart(surface.fs, surface.p, x)
     ref = _RefSeparableChart(surface.fs, surface.p, x)
     t = chart.t0 + counter_rng(7).uniform(-0.1, 0.1, (3,) + chart.t0.shape)
     assert np.max(np.abs(chart.point(t) - ref.point(t))) <= 1e-15
-    one = SeparableChart(surface.fs, surface.p, x[4])
-    assert np.max(np.abs(one.point(t[:, 4]) - ref.point(t)[:, 4])) <= 1e-15
+    one = SeparableChart(surface.fs, surface.p, x[4:5])
+    assert np.max(np.abs(one.point(t[:, 4:5]) - ref.point(t)[:, 4:5])) <= 1e-15

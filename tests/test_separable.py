@@ -9,6 +9,7 @@ from minmin.curvature import separable_residual_sum
 from minmin import separable
 from minmin.errors import (
     ConstraintViolationError,
+    DimensionMismatchError,
     DomainError,
     EmptyDomainError,
     NonpositiveProfileError,
@@ -150,6 +151,39 @@ def test_affine_system_matches_displayed_form(n):
         got = np.array(list(mm.extract_affine_system(n, p, q).coefficients.values()))
         want = reference_affine_coeffs(p, q)
         assert np.max(np.abs(got - want)) <= 1e-12 * (1 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("n", (-1, 0, 1))
+def test_affine_system_needs_three_profiles(n):
+    # n + 1 profiles: NormParams, and so every surface, needs n >= 2
+    with pytest.raises(DimensionMismatchError, match="n >= 2"):
+        mm.extract_affine_system(n, [1.0] * (n + 1), [1.0] * (n + 1))
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("extract, args", [
+    pytest.param(mm.extract_affine_system, (3, [_NAN, 1, 1, 1], [1, -1, -1, 1]),
+                 id="affine-nan-p"),
+    pytest.param(mm.extract_affine_system, (3, [1, 1, 1, 1], [1, -1, _INF, 1]),
+                 id="affine-inf-q"),
+    pytest.param(mm.extract_quadratic_system,
+                 ([1] * 4, [1, -1, -1, 1], [0, 0, _NAN, 0]), id="quadratic-nan-r"),
+    pytest.param(mm.extract_exponential_system, ([1, _NAN, 1, 1], [1] * 4),
+                 id="exponential-nan-q"),
+    # finite parameters whose scale max(1, |v|)^2 or terms overflow: the drop
+    # rule abs(v) > 1e-13 * scale would drop every term
+    pytest.param(mm.extract_affine_system, (3, [1e308, 1, 1, 1], [1, -1, -1, 1]),
+                 id="affine-scale-overflows"),
+    pytest.param(mm.extract_quadratic_system, ([1] * 4, [1, -1, -1, 1], [1e200] * 4),
+                 id="quadratic-scale-overflows"),
+    pytest.param(mm.extract_exponential_system, ([1.3e154] * 4, [1.3e154] * 4),
+                 id="exponential-terms-overflow"),
+])
+def test_ansatz_refuses_non_finite_parameters_and_terms(extract, args):
+    with pytest.raises(DomainError, match="must be finite"):
+        extract(*args)
 
 
 def test_quadratic_system_degenerates_to_affine():
@@ -614,6 +648,20 @@ def test_iii3_is_permutation_of_iii2():
             assert abs(mm.mean_curvature_separable(s3.fs, x, s3.p)) <= 1e-8
         for x in s2.sample(rng, 5):
             assert abs(mm.mean_curvature_separable(s2.fs, x, s2.p)) <= 1e-8
+
+
+@pytest.mark.parametrize("example, r, lead", [
+    ("6.1", 2, 1), ("6.2", 3, 3), ("6.3", 2, 1), ("6.4", 3, 3),
+])
+def test_perturbation_scales_the_leading_block_of_the_catalogue(example, r, lead):
+    # f_i(1) = a_i: the perturbed surface has the catalogue's coefficients, the
+    # first lead of them times factor
+    for m in (1, 2, 3):
+        a = np.array([f(1.0) for f in mm.example_surface(example, m, r).fs])
+        for factor in (1.0, 1.1):
+            s = perturbed_example_surface(example, m, r, factor=factor)
+            got = np.array([f(1.0) for f in s.fs])
+            assert np.array_equal(got, np.concatenate([a[:lead] * factor, a[lead:]]))
 
 
 def test_perturbed_64_breaks_minimality():

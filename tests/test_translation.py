@@ -145,6 +145,23 @@ def test_integrate_m2_selfconsistency_audit():
     assert np.allclose(curve.d2, [params.rhs(y) for y in curve.d1])
 
 
+def test_rhs_of_a_float_is_bitwise_the_frozen_scalar_formula():
+    # the float branch rhs once had, a * (abs(y) ** e + k * y * y), frozen:
+    # floats now take the array's np.float_power and must keep these bits
+    rng = np.random.default_rng(41)
+    ys = rng.normal(size=300) * rng.choice([1e-3, 1.0, 1e3], size=300)
+    ys[:4] = [0.0, -0.0, 1.0, -1.0]
+    for m in (1, 2, 3, 4):
+        for k in (1, 2, 3):
+            c0 = float(rng.uniform(-2.0, 2.0))
+            params = mm.ProfileODEParams(c0=c0, k=k, m=m, y0=1.0)
+            a, e = c0 / (2 * m), (2 * m - 2) / (2 * m - 1)
+            frozen = np.array([a * (abs(y) ** e + k * y * y) for y in ys.tolist()])
+            floats = np.array([params.rhs(y) for y in ys.tolist()])
+            assert floats.tobytes() == frozen.tobytes(), (m, k)
+            assert params.rhs(ys).tobytes() == frozen.tobytes(), (m, k)
+
+
 def test_integrator_is_fourth_order():
     # halving the step cuts the endpoint error against tan by about 16x
     errs = []
