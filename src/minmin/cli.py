@@ -30,7 +30,6 @@ from .errors import DomainError, EmptyDomainError, IntegrationError, MinminError
 from .norms import NormParams
 from .separable import (
     XPROFILE_EXAMPLE_IDS,
-    XProfile,
     check_patch_profiles,
     example_surface,
     example_xprofiles,
@@ -40,6 +39,7 @@ from .separable import (
     feasible_axes,
     patch_from_xprofiles,
     perturbed_example_surface,
+    xprofiles_of,
 )
 from .translation import (
     ProfileODEParams,
@@ -324,7 +324,7 @@ def cmd_mesh(args) -> int:
             if len(a) != len(b):
                 raise DomainError(f"{args.params_file}: {keys[0]!r} and {keys[1]!r} "
                                   f"differ in length ({len(a)} and {len(b)})")
-            xs = [getattr(XProfile, kind)(ai, bi) for ai, bi in zip(a, b)]
+            xs = xprofiles_of(kind, a, b)
             signs = tuple(data.get("signs", [1] * len(xs)))
         else:
             xs, signs = example_xprofiles(args.example)
@@ -561,6 +561,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a grid or point count too large for memory
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -21,15 +21,17 @@ failed_checks is the one pass rule, for one point or a stack.  A batch's
 profiles may be stacked by row (C3Function.taylor with coefficient arrays),
 so that each point has profiles of its own; such a batch has one row per point
 and at most _CHUNK_POINTS points, as every chunk's chart takes the rows whole.
-A chart (PivotChart) holds the base parameters t0 and the base gradient nu0,
-and says which coordinates each parameter moves: parameter j moves the point's
-coordinate c_j and its pivot k, and no other.  It is built once per batch: the
-closed form takes its slopes from nu0, and the oracle evaluates the slopes only
-at the 4n moved coordinates of each point, one call per profile, and reads
-d eta_j from them with no linear solve (see mean_curvature_oracle).
-SeparableChart moves along each point's tangent plane, spanned over the n
-coordinates other than the pivot, the one of largest slope, so nothing solves
-for a coordinate.
+A chart (SeparableChart) holds the base parameters t0 and the base gradient
+nu0, and says which coordinates each parameter moves: parameter j moves the
+point's coordinate c_j and its pivot k, and no other.  It is built once per
+batch: the closed form takes its slopes from nu0, and the oracle evaluates the
+slopes only at the 4n moved coordinates of each point, one call per profile,
+and reads d eta_j from them with no linear solve (see mean_curvature_oracle).
+A chart is data, the same for any coordinates y_i(x_i) in which the gradient
+is separable: the chart in x moves along each point's tangent plane, spanned
+over the n coordinates other than the pivot, the one of largest slope, so
+nothing solves for a coordinate; a chart in other coordinates, such as 6.5's
+parameters u, differs only in its data, the speeds dy_i/dx_i above all.
 
 Orientation follows the normal branches of the norms module: aligned with the
 defining gradient for implicit surfaces, upward for graphs.  The implicit
@@ -262,52 +264,86 @@ def weingarten_separable(fs, x, p: NormParams) -> WeingartenMatrix:
 # ---------------------------------------------------------------------------
 
 
-class PivotChart:
-    """What the oracle reads of a chart: which coordinates each parameter moves.
+class SeparableChart:
+    """Separable surface sum f_i(x_i) = 0 charted along its tangent planes.
 
-    A chart of N base points has coordinates y (N, dim) in which the defining
-    gradient is separable: its i-th component is a slope of y_i alone
-    (_slope), nu0 (N, dim) at the base points.  Parameter j is one coordinate
-    c[:, j] of each point, so the base parameters t0 (N, n) are y there, and
-    it moves the point's pivot k (N,) at the rate dy_k/dt_j (_pivot_rate)
-    and no other coordinate, so no other slope.  tc is the ambient tangent's
-    component T[c_j, j] (a float or (N, n)) and moved0 (2, N, n) holds the
-    base slopes at c_j and at k.
+    A chart of N base points is data (from_data): coordinates y (N, dim) in
+    which the defining gradient is separable, y_i a function of x_i alone;
+    the base gradient nu0 = f'(x0) (N, dim); the pivots k (N,); one slope
+    callable per coordinate; and the speeds dy_i/dx_i (N, dim) at the base
+    points.  Parameter j is coordinate c_j = j + (j >= k) of each point, so
+    the base parameters t0 (N, n) are y there, and it moves the pivot k at
+    the rate dy_k/dt_j = -g_c / g_k, g = nu0 / speed, which keeps the point
+    on the tangent plane, and no other coordinate, so no other slope.  rate
+    (N, n) is that pivot rate, tc (N, n) the ambient tangent's component
+    T[c_j, j] = 1 / speed[c_j], and moved0 (2, N, n) holds the base slopes at
+    c_j and at k.
+
+    SeparableChart(fs, p, base_points) is the chart in x itself, speed 1, of
+    a stack (N, dim) of on-surface points x0 (one point is a stack of one,
+    (1, dim)), pivoted at the coordinate k of largest |nu0_k|: parameter j
+    moves the point along T_j = e_{c_j} - (nu0_{c_j} / nu0_k) e_k.  The
+    normal eta = B(grad F) is defined off the surface too, and along a
+    tangent vector its derivative is the shape operator's, so central
+    differences of eta along x0 +/- h T_j keep their O(h^2) accuracy with no
+    coordinate solved for.  As eta stays on the unit sphere of the norm,
+    d eta stays tangent, and the oracle's tangency defect is still a check.
+    Profiles stacked by row (C3Function.taylor) give f' of some rows with
+    C3Function.d1_rows.
     """
 
-    def _slope(self, i: int, rows):
-        """The slope of coordinate i on an array whose last axis runs over the
-        base points rows."""
-        raise NotImplementedError
+    def __init__(self, fs, p: NormParams, base_points):
+        self.fs = list(fs)
+        x0 = np.asarray(base_points, dtype=float)
+        if x0.ndim != 2 or x0.shape[1] != p.dim:
+            raise DimensionMismatchError(
+                f"base points must be a stack (N, {p.dim}), got shape {x0.shape}")
+        self.x0 = x0
+        nu0 = _columns([f.d1 for f in self.fs], x0)
+        size = np.abs(nu0)
+        if not size.max(axis=-1).all():
+            raise SingularConfigurationError("the gradient vanishes at a base point")
+        self._plan(x0, nu0, size.argmax(axis=-1), [f.d1_rows for f in self.fs],
+                   np.ones(x0.shape))
 
-    def _pivot_rate(self, moved0):
-        """dy_k/dt_j (N, n), or a float, from the base slopes at c_j and k."""
-        raise NotImplementedError
+    @classmethod
+    def from_data(cls, y, nu0, k, slopes, speed) -> "SeparableChart":
+        """The chart of coordinates y (N, dim) with base gradient nu0 (N, dim),
+        pivots k (N,) and speeds dy_i/dx_i (N, dim); slopes[i](rows) is the
+        slope of coordinate i, as a function of y_i, on the base points rows."""
+        chart = cls.__new__(cls)
+        chart._plan(y, nu0, k, slopes, speed)
+        return chart
 
-    def _plan(self, y, nu0, c, k):
+    def _plan(self, y, nu0, k, slopes, speed):
         """Group the stencil cells (2, 2, N, n), [+h, -h] x [c_j, k] for every
         point and parameter, by the profile whose slope they need, once: every
         moved_slopes call then makes one call per profile on one slice."""
-        N, n = c.shape
-        self.c, self.k = c, k
+        N, dim = y.shape
+        n = dim - 1
+        self.y0, self.nu0, self.k = y, nu0, k
+        self.c = c = np.arange(n) + (np.arange(n) >= k[:, None])
         # the coordinate of each cell, in the smallest integer type, which
         # numpy's stable argsort sorts by radix
-        label = np.empty((2, N, n), dtype=np.min_scalar_type(y.shape[-1]))
+        label = np.empty((2, N, n), dtype=np.min_scalar_type(dim))
         label[0], label[1] = c, k[:, None]
-        at = (label + y.shape[-1] * np.arange(N)[:, None]).ravel()  # into y
+        at = (label + dim * np.arange(N)[:, None]).ravel()  # into y
         self.t0 = y.ravel()[at[:N * n]].reshape(N, n)
         self.moved0 = nu0.ravel()[at].reshape(2, N, n)
+        moved_speed = speed.ravel()[at].reshape(2, N, n)
+        g = self.moved0 / moved_speed
+        self.rate = -g[0] / g[1]
+        self.tc = 1.0 / moved_speed[0]
         rate = np.ones((2, N, n))
-        rate[1] = self._pivot_rate(self.moved0)
+        rate[1] = self.rate
         cells = np.argsort(np.concatenate([label.ravel()] * 2), kind="stable")
         half = cells % (2 * N * n)  # the cell's [c_j, k] x N x n index
         self._cells, self._step_of = cells, cells % (N * n)
         self._base = y.ravel()[at[half]]
         self._rate = np.where(cells < 2 * N * n, 1.0, -1.0) * rate.ravel()[half]
         rows = cells // n % N
-        ends = np.searchsorted(label.ravel()[half],
-                               np.arange(y.shape[-1] + 1)).tolist()
-        self._fns = [(self._slope(i, rows[start:stop]), start, stop)
+        ends = np.searchsorted(label.ravel()[half], np.arange(dim + 1)).tolist()
+        self._fns = [(slopes[i](rows[start:stop]), start, stop)
                      for i, (start, stop) in enumerate(zip(ends, ends[1:]))
                      if stop > start]
 
@@ -323,57 +359,17 @@ class PivotChart:
         out[self._cells] = slopes
         return out.reshape((2,) + self.moved0.shape)
 
-
-class SeparableChart(PivotChart):
-    """Separable surface sum f_i(x_i) = 0 charted along its tangent planes.
-
-    base_points is a stack (N, dim) of on-surface points x0, and one point is
-    a stack of one, (1, dim).  At each base point the parameters t0 (N, n)
-    are the n coordinates other than the pivot k of largest |nu0_k|,
-    nu0 = f'(x0), in increasing order: parameter j is coordinate
-    c_j = j + (j >= k), and it moves the point along the tangent vector
-    T_j = e_{c_j} - (nu0_{c_j} / nu0_k) e_k, so in the coordinates x
-    themselves, with tc = T[c_j, j] = 1.  The normal
-    eta = B(grad F) is defined off the surface too, and along a tangent vector
-    its derivative is the shape operator's, so central differences of eta
-    along x0 +/- h T_j keep their O(h^2) accuracy with no coordinate solved
-    for.  As eta stays on the unit sphere of the norm, d eta stays tangent,
-    and the oracle's tangency defect is still a check.  Profiles stacked by
-    row (C3Function.taylor) give f' of some rows with C3Function.d1_rows.
-    """
-
-    tc = 1.0
-
-    def __init__(self, fs, p: NormParams, base_points):
-        self.fs = list(fs)
-        x0 = np.asarray(base_points, dtype=float)
-        if x0.ndim != 2 or x0.shape[1] != p.dim:
-            raise DimensionMismatchError(
-                f"base points must be a stack (N, {p.dim}), got shape {x0.shape}")
-        self.x0 = x0
-        self.nu0 = nu0 = _columns([f.d1 for f in self.fs], x0)
-        size = np.abs(nu0)
-        if not size.max(axis=-1).all():
-            raise SingularConfigurationError("the gradient vanishes at a base point")
-        k = size.argmax(axis=-1)
-        self._plan(x0, nu0, np.arange(p.n) + (np.arange(p.n) >= k[:, None]), k)
-
     def point(self, t) -> np.ndarray:
-        """The chart's points x0 + T (t - t0): coordinate c_j moves with t_j and
-        the pivot k by sum_j T[k, j] (t_j - t0_j).  t is (..., N, n), each row
-        taken about its own base point.  The oracle never needs it."""
+        """The chart's points in y: coordinate c_j moves with t_j and the pivot
+        k by sum_j rate_j (t_j - t0_j), which is x0 + T (t - t0) in x.  t is
+        (..., N, n), each row taken about its own base point.  The oracle
+        never needs it."""
         dt = np.asarray(t, dtype=float) - self.t0
-        x = np.array(np.broadcast_to(self.x0, dt.shape[:-1] + self.x0.shape[-1:]))
-        point = np.arange(len(self.x0))
-        x[..., point[:, None], self.c] += dt
-        x[..., point, self.k] += _sum_last(self._pivot_rate(self.moved0) * dt)
-        return x
-
-    def _pivot_rate(self, moved0):
-        return -moved0[0] / moved0[1]
-
-    def _slope(self, i: int, rows):
-        return self.fs[i].d1_rows(rows)
+        y = np.array(np.broadcast_to(self.y0, dt.shape[:-1] + self.y0.shape[-1:]))
+        point = np.arange(len(self.y0))
+        y[..., point[:, None], self.c] += dt
+        y[..., point, self.k] += _sum_last(self.rate * dt)
+        return y
 
 
 def _odd_root(g, den: int):
@@ -397,9 +393,9 @@ def _gauge_scale(A, m: int):
 def mean_curvature_oracle(chart, p: NormParams, stats=None):
     """Mean curvature from the definition trace(d eta)/n by central differences.
 
-    The chart (a PivotChart: a SeparableChart, or the 6.5 QuadratureChart)
-    says which two coordinates each parameter j moves, c_j and the pivot k,
-    and the oracle evaluates the slopes there only, at t0 +/- h e_j.  The
+    The chart (a SeparableChart, in x or in other coordinates such as 6.5's
+    u) says which two coordinates each parameter j moves, c_j and the pivot
+    k, and the oracle evaluates the slopes there only, at t0 +/- h e_j.  The
     Birkhoff normal is eta = A^(-1/(2m)) (nu_i^(1/(2m-1)))_i with
     A = sum_i X_i, X_i = nu_i^(2m/(2m-1)), so at a stencil point only
     A = A0 - X0[c_j] - X0[k] + X'[c_j] + X'[k] and the components c_j and k

@@ -27,7 +27,7 @@ import numpy as np
 
 from .curvature import (
     CurvatureReport,
-    PivotChart,
+    SeparableChart,
     _columns,
     _report_chunks,
     _stage,
@@ -705,8 +705,13 @@ def _powersum_sampler(a, b, m: int, low: float = 0.3, high: float = 1.5,
 
 
 def _powersum_surface(name: str, a, b, m: int) -> SeparableSurface:
+    """The surface sum_i (a_i x_i^(2m) + b_i) = 0; raises DomainError unless
+    every coefficient is finite and the constants b sum to zero, to 1e-12
+    relative to the largest |b_i|."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DomainError(f"the coefficients of {name} must be finite")
     if abs(b.sum()) > 1e-12 * max(1.0, np.max(np.abs(b))):
         raise ConstraintViolationError("constant terms must sum to zero")
     fs = tuple(C3Function.power_even(ai, m).shifted(bi) for ai, bi in zip(a, b))
@@ -822,27 +827,6 @@ def _zero_sum_sampler(dim: int, low: float = 0.3, high: float = 1.2,
     return draw_block
 
 
-class QuadratureChart(PivotChart):
-    """The chart t = (u_1, ..., u_n), u_{n+1} = -sum t, of a QuadratureSurface
-    at its zero-sum parameter rows u (N, dim), in the coordinates u: nu_i =
-    f_i'(x_i) = s_i X_i^gamma at u_i, parameter j moves u_j at unit rate and
-    the pivot u_{n+1} at rate -1, and T[j, j] = dx_j/du_j = s_j X_j^-gamma =
-    1/nu_j."""
-
-    def __init__(self, fs, u: np.ndarray):
-        self.fs = fs
-        self.nu0 = nu0 = _columns([f.d1_of_u for f in fs], u)
-        N, n = u.shape[0], u.shape[1] - 1
-        self.tc = 1.0 / nu0[:, :n]
-        self._plan(u, nu0, np.broadcast_to(np.arange(n), (N, n)), np.full(N, n))
-
-    def _pivot_rate(self, moved0):
-        return -1.0
-
-    def _slope(self, i: int, rows):
-        return self.fs[i].d1_of_u
-
-
 @dataclass(frozen=True)
 class QuadratureSurface(SeparableSurface):
     """The separable surface sum u_i = 0 in the coordinates x_i = x_i(u_i) of
@@ -850,7 +834,7 @@ class QuadratureSurface(SeparableSurface):
 
     Its blocks draw zero-sum parameter rows u, which sample() maps to x.
     report_sample() stays in u: the closed form takes its slopes from X at u
-    and the oracle runs on the QuadratureChart of the rows, so it neither
+    and the oracle runs on the rows' chart in u (see chart), so it neither
     evaluates nor inverts a quadrature, and nothing solves for a coordinate.
     """
 
@@ -864,14 +848,22 @@ class QuadratureSurface(SeparableSurface):
     def sample(self, rng: np.random.Generator, count: int, stats=None) -> np.ndarray:
         return self.x_of_u(self.sample_u(rng, count, stats))
 
+    def chart(self, u: np.ndarray) -> SeparableChart:
+        """The chart in u of the zero-sum parameter rows u (N, dim): parameters
+        t = (u_1, ..., u_n), pivot u_{n+1} = -sum t, nu_i = f_i'(x_i) =
+        s_i X_i^gamma at u_i and speeds du_i/dx_i = nu_i, so parameter j moves
+        u_j at unit rate and the pivot at rate -1, and T[j, j] = 1/nu_j."""
+        nu0 = _columns([f.d1_of_u for f in self.fs], u)
+        slopes = [lambda rows, d1=f.d1_of_u: d1 for f in self.fs]
+        return SeparableChart.from_data(u, nu0, np.full(len(u), self.p.n), slopes, nu0)
+
     def report_sample(self, rng: np.random.Generator, count: int, tol: float = 1e-6,
                       stats=None) -> CurvatureReport:
         with _stage(stats, "sample"):
             u = self.sample_u(rng, count, stats)
 
         def chunk(rows):
-            return (QuadratureChart(self.fs, u[rows]),
-                    _columns([f.d2_of_u for f in self.fs], u[rows]))
+            return self.chart(u[rows]), _columns([f.d2_of_u for f in self.fs], u[rows])
 
         return _report_chunks(len(u), chunk, self.p, tol, stats)
 
@@ -895,7 +887,7 @@ def _ratio_surface(m: int) -> SeparableSurface:
 
 
 # (kind, first, second): the X-profile coefficients behind the affine and
-# exponential catalogue entries, every profile with sign +1
+# exponential catalogue entries (and i-2, iii-2), every profile with sign +1
 _XPROFILE_DATA = {
     "6.1": ("affine", (1, 1, 1, 1), (1, -1, -1, 1)),
     "6.3": ("affine", (1, 1, 3, 3, 1), (1, 1, -2, -2, 1)),
@@ -905,31 +897,45 @@ _XPROFILE_DATA = {
 XPROFILE_EXAMPLE_IDS = tuple(_XPROFILE_DATA)
 
 
+def xprofiles_of(kind: str, first, second) -> list:
+    """The X-profiles of one kind, affine (p, q) or exponential (q, r), one per
+    pair (first[i], second[i])."""
+    return [getattr(XProfile, kind)(a, b) for a, b in zip(first, second)]
+
+
 def example_xprofiles(example_id: str):
     """The X-profiles and signs of an id of XPROFILE_EXAMPLE_IDS."""
     if example_id not in _XPROFILE_DATA:
         raise DomainError(f"no X-profile data for example {example_id!r}")
-    kind, first, second = _XPROFILE_DATA[example_id]
-    xs = [getattr(XProfile, kind)(a, b) for a, b in zip(first, second)]
+    xs = xprofiles_of(*_XPROFILE_DATA[example_id])
     return xs, (1,) * len(xs)
+
+
+def _float_pow(base: float, exponent: int) -> float:
+    """base ** exponent; DomainError where it overflows a float."""
+    try:
+        return base ** exponent
+    except OverflowError:
+        raise DomainError(f"{base!r} ** {exponent} overflows a float") from None
 
 
 def _powersum_coefficients(example_id: str, m: int, r: int):
     """(a, lead): the coefficients a_i of the power sum sum a_i x_i^2m of 6.1-6.4
     and the size of its leading block, or None for any other id.  6.2 and 6.4
-    pair two blocks of r coordinates, so they need r >= 2."""
+    pair two blocks of r coordinates, so they need r >= 2.  Raises DomainError
+    where a coefficient overflows a float."""
     if example_id in ("6.2", "6.4") and r < 2:
         raise DomainError(f"{example_id} needs r >= 2")
     if example_id == "6.1":
-        return np.array([1.0, -1.0, -1.0, 1.0]), 1
+        return [1.0, -1.0, -1.0, 1.0], 1
     if example_id == "6.2":
-        return np.array([1.0] * r + [-1.0] * r), r
+        return [1.0] * r + [-1.0] * r, r
     if example_id == "6.3":
-        c = -(2.0 ** (2 * m - 1))
-        return np.array([1.0, 1.0, c, c, 1.0]), 1
+        c = -_float_pow(2.0, 2 * m - 1)
+        return [1.0, 1.0, c, c, 1.0], 1
     if example_id == "6.4":
-        lam = (r / (r - 1)) ** (2 * m - 1)
-        return np.array([-lam] * r + [1.0] * (r + 1)), r
+        lam = _float_pow(r / (r - 1), 2 * m - 1)
+        return [-lam] * r + [1.0] * (r + 1), r
     return None
 
 
@@ -943,8 +949,12 @@ def example_surface(example_id: str, m: int, r: int = 2,
     6.4:   -(r/(r-1))^(2m-1) sum_{i<=r} x_i^2m + sum x_{r+i}^2m = 0 in R^(2r+1).
     6.5:   hyperbolic-profile surface X_i = e^u + e^-u (quadrature chart) in R^4.
     6.6:   x2 x3 / (x1 x4) = +/-1 in R^4.
-    i-2:   the affine-profile family reducing to 6.1; pq = (p1..p4, q1).
-    iii-2: the affine-profile family reducing to 6.3; pq = (p1..p5, q1).
+    i-2:   the closed form of 6.1's affine X-profiles X_i = p_i + q_i u with
+           q scaled by q1; pq = (p1..p4, q1).
+    iii-2: the same of 6.3's X-profiles; pq = (p1..p5, q1).
+    For i-2 and iii-2, x_i = (2m/q_i) X_i^(1/(2m)) inverts to u_i = f_i(x_i) =
+    a_i x_i^2m + b_i with a_i = (q_i/(2m))^(2m) / q_i and b_i = -p_i/q_i, and
+    the surface sum u_i = 0 needs sum b_i = 0 (see _powersum_surface).
     """
     if m < 1:
         raise DomainError("m must be a positive integer")
@@ -961,31 +971,15 @@ def example_surface(example_id: str, m: int, r: int = 2,
         )
     if example_id == "6.6":
         return _ratio_surface(m)
-    if example_id == "i-2":
-        p1, p2, p3, p4, q1 = pq if pq is not None else (1.0, 1.0, 1.0, 1.0, 1.0)
-        if abs(-p1 + p2 + p3 - p4) > 1e-12:
-            raise ConstraintViolationError("i-2 requires -p1 + p2 + p3 - p4 = 0")
+    if example_id in ("i-2", "iii-2"):
+        _, p, q = _XPROFILE_DATA["6.1" if example_id == "i-2" else "6.3"]
+        *p, q1 = map(float, (*p, 1.0) if pq is None else pq)
         if q1 == 0.0:
             raise DomainError("q1 must be nonzero")
-        c = (q1 / (2 * m)) ** (2 * m) / q1
-        a = [c, -c, -c, c]
-        b = [-p1 / q1, p2 / q1, p3 / q1, -p4 / q1]
-        return _powersum_surface("i-2", a, b, m)
-    if example_id == "iii-2":
-        p1, p2, p3, p4, p5, q1 = (
-            pq if pq is not None else (1.0, 1.0, 3.0, 3.0, 1.0, 1.0)
-        )
-        if abs(-2 * p1 - 2 * p2 + p3 + p4 - 2 * p5) > 1e-12:
-            raise ConstraintViolationError(
-                "iii-2 requires -2p1 - 2p2 + p3 + p4 - 2p5 = 0"
-            )
-        if q1 == 0.0:
-            raise DomainError("q1 must be nonzero")
-        c = (q1 / (2 * m)) ** (2 * m) / q1
-        d = -((q1 / m) ** (2 * m)) / (2 * q1)
-        a = [c, c, d, d, c]
-        b = [-p1 / q1, -p2 / q1, p3 / (2 * q1), p4 / (2 * q1), -p5 / q1]
-        return _powersum_surface("iii-2", a, b, m)
+        q = [q1 * qi for qi in q]
+        a = [_float_pow(qi / (2 * m), 2 * m) / qi for qi in q]
+        b = [-pi / qi for pi, qi in zip(p, q, strict=True)]
+        return _powersum_surface(example_id, a, b, m)
     raise DomainError(f"unknown example id {example_id!r}")
 
 
@@ -1002,7 +996,7 @@ def perturbed_example_surface(example_id: str, m: int, r: int = 2,
     if powersum is None:
         raise DomainError(f"no perturbation rule for example {example_id!r}")
     a, lead = powersum
-    a[:lead] *= factor
+    a = [v * factor for v in a[:lead]] + a[lead:]
     return _powersum_surface(f"{example_id}-perturbed", a, np.zeros(len(a)), m)
 
 

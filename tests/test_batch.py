@@ -16,7 +16,6 @@ from minmin import curvature
 from minmin.cli import EXAMPLE_IDS, main
 from minmin.curvature import (
     ORACLE_STEP_FACTOR,
-    PivotChart,
     SeparableChart,
     report_separable_batch,
 )
@@ -32,7 +31,6 @@ from minmin.sampling import (
     taylor_profiles,
 )
 from minmin.separable import (
-    QuadratureChart,
     _QuadratureProfile,
     _zero_sum,
     example_surface,
@@ -278,13 +276,13 @@ def test_batch_evaluates_the_base_slopes_once(monkeypatch):
     x = np.random.default_rng(3).uniform(0.2, 1.0, (5, 3))
     x /= np.linalg.norm(x, axis=1)[:, None]
     h_shapes = []
-    real = PivotChart.moved_slopes
+    real = SeparableChart.moved_slopes
 
     def moved_slopes(self, h):
         h_shapes.append(np.shape(h))
         return real(self, h)
 
-    monkeypatch.setattr(PivotChart, "moved_slopes", moved_slopes)
+    monkeypatch.setattr(SeparableChart, "moved_slopes", moved_slopes)
     report_separable_batch(fs, x, p)
     assert h_shapes == [(5, p.n)]
     cells = _stencil_cells(np.argmax(np.abs(x), axis=1), p.dim)
@@ -345,7 +343,7 @@ def test_65_verify_passes_at_3000_points(m, capsys):
 def test_65_chart_tangents_are_the_derivatives_of_x():
     surface = example_surface("6.5", 2)
     u = np.array([[0.4, -1.1, 0.9], [-0.8, 0.3, 1.2]])
-    chart = QuadratureChart(surface.fs, _zero_sum(u))
+    chart = surface.chart(_zero_sum(u))
     # parameter j moves u[j] and the pivot u[3] = -sum t: its tangent in x has
     # T[j, j] = tc = dx_j/du_j and T[3, j] = -dx_3/du_3 = -1/nu_3
     assert np.array_equal(chart.c, [[0, 1, 2], [0, 1, 2]])
@@ -363,6 +361,24 @@ def test_65_chart_tangents_are_the_derivatives_of_x():
         assert np.max(np.abs(T[:, :, j] - fd)) <= 1e-8
     # the tangents are orthogonal to the defining gradient
     assert np.max(np.abs(np.einsum("nd,ndj->nj", nu, T))) <= 1e-14
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_65_u_chart_has_unit_pivot_rate_and_inverse_slope_tangents(m):
+    # the chart in u has speeds du_i/dx_i = nu_i, so g = nu/nu is exactly 1:
+    # the pivot rate is exactly -1 and tc bitwise 1/nu0
+    surface = example_surface("6.5", m)
+    chart = surface.chart(surface.sample_u(counter_rng(9), 40))
+    assert np.array_equal(chart.k, [3] * 40)
+    assert np.all(chart.rate == -1.0)
+    assert chart.tc.tobytes() == (1.0 / chart.nu0[:, :3]).tobytes()
+
+
+def test_x_chart_rate_keeps_the_bits_of_the_slope_ratio():
+    surface = example_surface("6.4", 2, r=3)
+    chart = SeparableChart(surface.fs, surface.p, surface.sample(counter_rng(6), 20))
+    assert chart.rate.tobytes() == (-chart.moved0[0] / chart.moved0[1]).tobytes()
+    assert np.all(chart.tc == 1.0)
 
 
 def test_65_u_chart_agrees_with_the_x_chart():

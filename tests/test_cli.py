@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from minmin import cli
 from minmin.cli import EXAMPLE_IDS, build_parser, main
 from minmin.curvature import (
     CurvatureReport,
@@ -644,6 +645,38 @@ def test_invalid_example_settings_are_config_errors(argv, capsys):
     assert code == 2
     assert stdout == ""
     assert "invalid example settings" in err and "numerical failure" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--example", "6.3", "--m", "600"],
+    ["--example", "6.3", "--m", "600", "--perturb", "1.1"],
+    ["--example", "6.4", "--r", "2", "--m", "2000"],
+    ["--example", "6.4", "--r", "2", "--m", "2000", "--perturb", "1.1"],
+])
+def test_coefficients_that_overflow_are_config_errors(argv, capsys):
+    code, stdout, err = run(["verify", "--points", "5"] + argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("invalid example settings: ") and err.endswith(
+        " overflows a float\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("patch_from_xprofiles", ["mesh", "--example", "6.5", "--grid", "3", "--out", "p.obj"]),
+    ("residual_grid", ["ode", "--n", "4", "--grid", "3"]),
+])
+def test_running_out_of_memory_is_a_config_error(name, argv, tmp_path, monkeypatch,
+                                                 capsys):
+    # stands in for numpy refusing a grid too large for memory; no test asks
+    # for a real allocation of that size
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 58.2 TiB for an array")
+
+    monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err == "out of memory: Unable to allocate 58.2 TiB for an array\n"
+    assert not (tmp_path / "p.obj").exists()
 
 
 @pytest.mark.parametrize("example,r", [("6.4", "1"), ("6.4", "0"), ("6.2", "0"),

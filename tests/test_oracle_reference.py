@@ -21,7 +21,7 @@ from minmin.curvature import (
 )
 from minmin.norms import NormParams, _sum_last, birkhoff_normal_implicit
 from minmin.sampling import counter_rng, random_separable_draws, taylor_profiles
-from minmin.separable import QuadratureChart, _zero_sum, example_surface
+from minmin.separable import _zero_sum, example_surface
 
 # ---------------------------------------------------------------------------
 # frozen dense expansion
@@ -110,7 +110,7 @@ def test_separable_chart_meets_the_dense_expansion(example, m):
 def test_quadrature_chart_meets_the_dense_expansion(m):
     surface = example_surface("6.5", m)
     u = surface.sample_u(counter_rng(5), 30)
-    chart = QuadratureChart(surface.fs, u)
+    chart = surface.chart(u)
     H = mean_curvature_from_slopes(
         chart.nu0, _columns([f.d2_of_u for f in surface.fs], u), surface.p)
     _assert_meets_reference(chart, _RefQuadratureChart(surface.fs, u), H, surface.p)

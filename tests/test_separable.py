@@ -632,6 +632,69 @@ def test_iii2_constraint_checked():
         mm.example_surface("i-2", 1, pq=(1, 1, 1, 2, 1))
 
 
+def _frozen_affine_coefficients(example, m, pq):
+    """The i-2 and iii-2 coefficients (a, b) as example_surface wrote them out
+    before it read them from 6.1's and 6.3's X-profiles, kept unchanged."""
+    if example == "i-2":
+        p1, p2, p3, p4, q1 = pq
+        c = (q1 / (2 * m)) ** (2 * m) / q1
+        return [c, -c, -c, c], [-p1 / q1, p2 / q1, p3 / q1, -p4 / q1]
+    p1, p2, p3, p4, p5, q1 = pq
+    c = (q1 / (2 * m)) ** (2 * m) / q1
+    d = -((q1 / m) ** (2 * m)) / (2 * q1)
+    return [c, c, d, d, c], [-p1 / q1, -p2 / q1, p3 / (2 * q1), p4 / (2 * q1), -p5 / q1]
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 5))
+@pytest.mark.parametrize("example, size", (("i-2", 5), ("iii-2", 6)))
+def test_affine_families_are_bitwise_the_frozen_formulas(example, size, m, monkeypatch):
+    # the coefficients example_surface hands to _powersum_surface, whose
+    # constraint on p is bypassed here so that any pq can be compared
+    monkeypatch.setattr(separable, "_powersum_surface", lambda name, a, b, m: (a, b))
+    rng = np.random.default_rng(64)
+    default = (1.0, 1.0, 1.0, 1.0, 1.0) if size == 5 else (1.0, 1.0, 3.0, 3.0, 1.0, 1.0)
+    cases = [None] + [
+        tuple(rng.uniform(-3.0, 3.0, size - 1)) + (rng.choice([-1.0, 1.0])
+                                                   * rng.uniform(0.05, 20.0),)
+        for _ in range(50)
+    ]
+    for pq in cases:
+        got = mm.example_surface(example, m, pq=None if pq is None else
+                                 tuple(map(float, pq)))
+        want = _frozen_affine_coefficients(example, m, default if pq is None
+                                           else tuple(map(float, pq)))
+        for g, w in zip(got, want):
+            assert np.array(g).tobytes() == np.array(w).tobytes()
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("xprofile_id, example", (("6.1", "i-2"), ("6.3", "iii-2")))
+def test_affine_patches_lie_on_their_closed_form_surfaces(xprofile_id, example, m):
+    # i-2 and iii-2 at their default pq are the closed forms u_i = f_i(x_i) of
+    # the X-profiles that mesh --example 6.1 and 6.3 integrate
+    xs, signs = mm.example_xprofiles(xprofile_id)
+    patch = mm.patch_from_xprofiles(xs, signs, mm.feasible_axes(xs, 6),
+                                    mm.NormParams(m, len(xs)))
+    surface = mm.example_surface(example, m)
+    pts = patch.flat_points()
+    total = sum(f(pts[:, i]) for i, f in enumerate(surface.fs))
+    assert np.max(np.abs(total)) <= 1e-12
+
+
+def test_coefficients_that_overflow_are_domain_errors():
+    with pytest.raises(DomainError, match="overflows a float"):
+        mm.example_surface("6.3", 600)
+    with pytest.raises(DomainError, match="overflows a float"):
+        perturbed_example_surface("6.4", 2000, 2)
+    with pytest.raises(DomainError, match="overflows a float"):
+        mm.example_surface("i-2", 1, pq=(1.0, 1.0, 1.0, 1.0, 1e200))
+    # a finite coefficient or constant that a factor or a division makes infinite
+    with pytest.raises(DomainError, match="must be finite"):
+        perturbed_example_surface("6.4", 500, 2, factor=1e10)
+    with pytest.raises(DomainError, match="must be finite"):
+        mm.example_surface("iii-2", 1, pq=(1e308, 1.0, 1.0, 1.0, 1.0, 1e-10))
+
+
 def test_iii3_is_permutation_of_iii2():
     # the third affine branch at n = 4 gives coefficients that are a coordinate
     # permutation of the second one, and its surface is minimal as well
