@@ -388,29 +388,29 @@ def cmd_oracle_compare(args) -> int:
             ns = (rng.integers(2, 5, args.points) if args.n is None
                   else np.full(args.points, args.n))
         # Then, per n in ascending order, one stack of the configurations with
-        # that n, in draw order.  Those that share (m, n) are one batch, with
+        # that n, ordered by m (stably, so in draw order within each m), with
         # profiles stacked by row.  A batch's chart takes those rows whole, so
-        # no batch is longer than one chunk of report_separable_batch.  Groups
-        # differ in dimension: the run's report has only the comparison
-        # columns, scattered back to draw order.
+        # it is at most one chunk of report_separable_batch, and it takes each
+        # m as one run of rows.  Groups differ in dimension: the run's report
+        # has only the comparison columns, scattered back to draw order.
         for n in (2, 3, 4) if args.n is None else (args.n,):
             rows = np.flatnonzero(ns == n)
             with stats.stage("sample"):
                 at, derivs = draw(rng, n, rows.size)
-            for m in (1, 2, 3):
-                mine = np.flatnonzero(ms[rows] == m)
-                for start in range(0, mine.size, curvature._CHUNK_POINTS):
-                    part = mine[start:start + curvature._CHUNK_POINTS]
-                    with stats.stage("sample"):
-                        x = at[part]
-                        fs = sampling.taylor_profiles(x, derivs[:, part])
-                    rep = batch(fs, x, NormParams(m=m, dim=n + 1), tol=args.tol,
-                                stats=stats)
-                    stats.count("batches", 1)
-                    index = first + rows[part]
-                    h_analytic[index] = rep.h_analytic
-                    h_oracle[index] = rep.h_oracle
-                    defect[index] = rep.tangency_defect
+                order = np.argsort(ms[rows], kind="stable")
+                rows, at, derivs = rows[order], at[order], derivs[:, order]
+            p = NormParams(m=1, dim=n + 1)  # each row's m is in ms
+            for start in range(0, rows.size, curvature._CHUNK_POINTS):
+                part = slice(start, start + curvature._CHUNK_POINTS)
+                with stats.stage("sample"):
+                    fs = sampling.taylor_profiles(at[part], derivs[:, part])
+                rep = batch(fs, at[part], p, tol=args.tol, stats=stats,
+                            ms=ms[rows[part]])
+                stats.count("batches", 1)
+                index = first + rows[part]
+                h_analytic[index] = rep.h_analytic
+                h_oracle[index] = rep.h_oracle
+                defect[index] = rep.tangency_defect
     results = curvature.CurvatureReport(h_analytic, h_oracle, defect, args.tol)
     config = {
         "command": "oracle-compare",

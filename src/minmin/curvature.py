@@ -24,9 +24,13 @@ and at most _CHUNK_POINTS points, as every chunk's chart takes the rows whole.
 A chart (SeparableChart) holds the base parameters t0 and the base gradient
 nu0, and says which coordinates each parameter moves: parameter j moves the
 point's coordinate c_j and its pivot k, and no other.  It is built once per
-batch: the closed form takes its slopes from nu0, and the oracle evaluates the
+chunk: the closed form takes its slopes from nu0, and the oracle evaluates the
 slopes only at the 4n moved coordinates of each point, one call per profile,
 and reads d eta_j from them with no linear solve (see mean_curvature_oracle).
+The surface, its chart and these slopes do not depend on m, which enters only
+the powers of the closed form and of the oracle: a batch may give each point
+its own m (ms), and a chunk then builds its chart, f'' and stencil slopes
+once and takes the powers once per run of equal m, on a slice of its rows.
 A chart is data, the same for any coordinates y_i(x_i) in which the gradient
 is separable: the chart in x moves along each point's tangent plane, spanned
 over the n coordinates other than the pivot, the one of largest slope, so
@@ -390,7 +394,27 @@ def _gauge_scale(A, m: int):
     return 1.0 / np.sqrt(root)
 
 
-def mean_curvature_oracle(chart, p: NormParams, stats=None):
+def _runs(p: NormParams, ms, count: int):
+    """(norm parameters, rows) of each run of equal m in the column ms
+    (count,), rows a slice, in row order; p itself at every row when ms is
+    None."""
+    if ms is not None:
+        ms = np.asarray(ms)
+        if ms.shape != (count,):
+            raise DimensionMismatchError(
+                f"expected an m for each of {count} points, got shape {ms.shape}")
+    if ms is None or not count:
+        return [(p, slice(None))]
+    cuts = [0, *(np.flatnonzero(ms[1:] != ms[:-1]) + 1).tolist(), count]
+    return [(NormParams(ms[a].item(), p.dim), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
+
+
+def _joined(parts):
+    """The columns parts end to end; the one part itself, uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def mean_curvature_oracle(chart, p: NormParams, stats=None, ms=None):
     """Mean curvature from the definition trace(d eta)/n by central differences.
 
     The chart (a SeparableChart, in x or in other coordinates such as 6.5's
@@ -410,18 +434,37 @@ def mean_curvature_oracle(chart, p: NormParams, stats=None):
     the slopes f' only.  stats, when given, counts the slopes evaluated as
     "oracle slope evaluations" (see reporting.RunStats).
 
+    The step h, the stencil slopes and |nu0|^2 do not depend on m, so they
+    are evaluated once for the whole chart; only the powers are taken per m.
+    ms (N,), when given, is each point's m in place of p.m, and every run of
+    equal m is one slice of the chart's rows (_oracle_powers).
+
     Returns (h_oracle, tangency_defect), arrays of shape (N,) for a chart of
     N base points.
     """
-    n, m = p.n, p.m
     t0 = chart.t0
-    if t0.ndim != 2 or t0.shape[1] != n:
-        raise DimensionMismatchError(f"the chart must have {n} parameters")
+    if t0.ndim != 2 or t0.shape[1] != p.n:
+        raise DimensionMismatchError(f"the chart must have {p.n} parameters")
     h = ORACLE_STEP_FACTOR * (1.0 + np.abs(t0))
     g = chart.moved_slopes(h)  # (2, 2, N, n): [+h, -h] x [c_j, k]
     if stats is not None:
         stats.count("oracle slope evaluations", g.size)
-    nu0, g0 = chart.nu0, chart.moved0
+    norm2 = _sum_last(chart.nu0 * chart.nu0)[:, None]
+    if not norm2.all():
+        raise SingularConfigurationError(
+            "|nu0|^2 underflows a float to 0 at a base point")
+    columns = [_oracle_powers(chart, h, g, norm2, q, rows)
+               for q, rows in _runs(p, ms, len(t0))]
+    return tuple(_joined(c) for c in zip(*columns))
+
+
+def _oracle_powers(chart, h, g, norm2, p: NormParams, rows):
+    """mean_curvature_oracle's arithmetic at the norm p on the chart's points
+    rows, a slice, from the step h (N, n), the stencil slopes g (2, 2, N, n)
+    and |nu0|^2 (N, 1) of the whole chart."""
+    n, m = p.n, p.m
+    h, g, norm2 = h[rows], g[:, :, rows], norm2[rows]
+    nu0, g0 = chart.nu0[rows], chart.moved0[:, rows]
     root = _odd_root(g, 2 * m - 1)
     X = g * root
     X0 = g0 * _odd_root(g0, 2 * m - 1)
@@ -437,8 +480,7 @@ def mean_curvature_oracle(chart, p: NormParams, stats=None):
     # nu0 . d eta_j = |nu0| d_j: the unmoved components add up to rest dscale
     gd = g0 * deta
     normal = dscale * rest + gd[0] + gd[1]
-    norm2 = _sum_last(nu0 * nu0)[:, None]
-    diag = (deta[0] - normal * (g0[0] / norm2)) / chart.tc
+    diag = (deta[0] - normal * (g0[0] / norm2)) / chart.tc[rows]
     h_oracle = _sum_last(diag) / n
     defect = np.abs(normal).max(axis=-1) / np.sqrt(norm2[:, 0])
     return h_oracle, defect
@@ -449,34 +491,42 @@ def mean_curvature_oracle(chart, p: NormParams, stats=None):
 _CHUNK_POINTS = 4096
 
 
-def _report_chunks(count, chunk, p: NormParams, tol: float, stats) -> CurvatureReport:
+def _report_chunks(count, chunk, p: NormParams, tol: float, stats,
+                   ms=None) -> CurvatureReport:
     """The CurvatureReport stack of count points, in _CHUNK_POINTS chunks.
 
     chunk(rows) gives the chart of those rows and their second derivatives
-    f_i'' (N, dim); the closed form takes the slopes f_i' from chart.nu0 and
-    the oracle runs on the chart.  stats, when given, times the "analytic"
-    and "oracle" stages.
+    f_i'' (N, dim), once per chunk: neither depends on m.  The closed form
+    takes the slopes f_i' from chart.nu0 and the oracle runs on the chart,
+    once per run of equal m in the chunk, on a slice of its rows.  ms
+    (count,), when given, is each point's m in place of p.m; it need not be
+    sorted, but each run costs a pass of the powers, so a caller gives each
+    m as one run.  stats, when given, times the "analytic" and "oracle"
+    stages.
     """
     columns = []  # per chunk: H, h_oracle, defect; one chunk if count = 0
     for start in range(0, max(count, 1), _CHUNK_POINTS):
         rows = slice(start, start + _CHUNK_POINTS)
+        mine = None if ms is None else ms[rows]
         with _stage(stats, "analytic"):
             chart, d2 = chunk(rows)
-            H = mean_curvature_from_slopes(chart.nu0, d2, p)
+            H = _joined([mean_curvature_from_slopes(chart.nu0[r], d2[r], q)
+                         for q, r in _runs(p, mine, len(d2))])
         with _stage(stats, "oracle"):
-            columns.append((H,) + mean_curvature_oracle(chart, p, stats))
+            columns.append((H,) + mean_curvature_oracle(chart, p, stats, mine))
     return CurvatureReport(*(np.concatenate(c) for c in zip(*columns)), tol)
 
 
 def report_separable_batch(fs, points, p: NormParams, tol: float = 1e-6,
-                           stats=None) -> CurvatureReport:
+                           stats=None, ms=None) -> CurvatureReport:
     """Closed-form vs oracle comparison at surface points (N, dim), one stack.
 
     Every chunk of _report_chunks is one SeparableChart of its points, whose
     base gradients feed the closed form and whose tangent planes carry the
     oracle.  A point's report does not depend on the other points of the
-    batch.  stats, when given, times the "analytic" and "oracle" stages (see
-    reporting.RunStats).
+    batch.  ms (N,), when given, is each point's m in place of p.m (see
+    _report_chunks).  stats, when given, times the "analytic" and "oracle"
+    stages (see reporting.RunStats).
     """
     points = _surface_points(fs, points, p)
 
@@ -484,7 +534,7 @@ def report_separable_batch(fs, points, p: NormParams, tol: float = 1e-6,
         x = points[rows]
         return SeparableChart(fs, p, x), _columns([f.d2 for f in fs], x)
 
-    return _report_chunks(len(points), chunk, p, tol, stats)
+    return _report_chunks(len(points), chunk, p, tol, stats, ms)
 
 
 def report_separable(fs, x, p: NormParams, tol: float = 1e-6,
@@ -547,15 +597,16 @@ def weingarten_translation(fs, u, p: NormParams) -> WeingartenMatrix:
 
 
 def report_translation_batch(fs, U, p: NormParams, tol: float = 1e-6,
-                             stats=None) -> CurvatureReport:
+                             stats=None, ms=None) -> CurvatureReport:
     """Closed-form vs oracle comparison at a stack U (N, n) of translation-graph
     parameters: the report_separable_batch of the graph as a separable surface
     at the points (u, sum f_i(u_i)), turned upward.
 
-    stats, when given, times the "analytic" and "oracle" stages (see
-    reporting.RunStats).
+    ms (N,), when given, is each point's m in place of p.m.  stats, when
+    given, times the "analytic" and "oracle" stages (see reporting.RunStats).
     """
-    rep = report_separable_batch(*_as_separable(fs, U, p), p, tol=tol, stats=stats)
+    rep = report_separable_batch(*_as_separable(fs, U, p), p, tol=tol, stats=stats,
+                                 ms=ms)
     return replace(rep, h_analytic=-rep.h_analytic, h_oracle=-rep.h_oracle)
 
 

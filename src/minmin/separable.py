@@ -706,12 +706,15 @@ def _powersum_sampler(a, b, m: int, low: float = 0.3, high: float = 1.5,
 
 def _powersum_surface(name: str, a, b, m: int) -> SeparableSurface:
     """The surface sum_i (a_i x_i^(2m) + b_i) = 0; raises DomainError unless
-    every coefficient is finite and the constants b sum to zero, to 1e-12
+    every coefficient is finite, every a_i nonzero (a power that underflows
+    to 0 leaves no x_i^(2m) term) and the constants b sum to zero, to 1e-12
     relative to the largest |b_i|."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DomainError(f"the coefficients of {name} must be finite")
+    if not a.all():
+        raise DomainError(f"a coefficient of {name} is 0: its power underflows a float")
     if abs(b.sum()) > 1e-12 * max(1.0, np.max(np.abs(b))):
         raise ConstraintViolationError("constant terms must sum to zero")
     fs = tuple(C3Function.power_even(ai, m).shifted(bi) for ai, bi in zip(a, b))

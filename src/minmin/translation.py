@@ -14,7 +14,7 @@ homothetical rescaling of the base profiles.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -158,9 +158,9 @@ class ProfileCurve:
     Samples are (u, f, f', f'') with f'' evaluated through the generating ODE;
     ode_residual_max is a 5-point finite-difference audit of f' against the
     right-hand side, relative to 1 + |rhs|, and NaN on a curve of fewer than 5
-    samples, where the stencil fits nowhere and no audit ran.  stop_reasons
-    maps "backward" and "forward" to the STOP_REASONS entry that ended
-    integration that way.
+    samples, where the stencil fits nowhere and no audit ran.  origin is the
+    index of the sample at u0, and stop_reasons maps "backward" and "forward"
+    to the STOP_REASONS entry that ended integration that way.
     """
 
     u: np.ndarray
@@ -168,6 +168,7 @@ class ProfileCurve:
     d1: np.ndarray
     d2: np.ndarray
     params: ProfileODEParams
+    origin: int
     stop_reasons: dict = field(default_factory=dict)
     domain: tuple = field(init=False)
     ode_residual_max: float = field(init=False)
@@ -282,18 +283,40 @@ def integrate_profile(params: ProfileODEParams, stats=None) -> ProfileCurve:
             "no admissible step: immediate blow-up or step too large "
             f"(backward: {stop_bwd}, forward: {stop_fwd})"
         )
-    h = params.step
     states = np.array(bwd[::-1] + [(0.0, params.y0)] + fwd)
+    return _profile_curve(params, len(bwd), states[:, 0].copy(), states[:, 1].copy(),
+                          {"backward": stop_bwd, "forward": stop_fwd})
+
+
+def _profile_curve(params: ProfileODEParams, origin: int, f, d1,
+                   stop_reasons) -> ProfileCurve:
+    """The ProfileCurve of the samples f, f' at u0 + i h for
+    i = -origin, ..., len(f) - 1 - origin, with f'' from the ODE."""
+    h, u0 = params.step, params.u0
     u = np.concatenate([
-        params.u0 - np.arange(len(bwd), 0, -1) * h,
-        [params.u0],
-        params.u0 + np.arange(1, len(fwd) + 1) * h,
+        u0 - np.arange(origin, 0, -1) * h,
+        [u0],
+        u0 + np.arange(1, len(f) - origin) * h,
     ])
-    y = states[:, 1].copy()
-    return ProfileCurve(
-        u=u, f=states[:, 0].copy(), d1=y, d2=params.rhs(y), params=params,
-        stop_reasons={"backward": stop_bwd, "forward": stop_fwd},
-    )
+    return ProfileCurve(u=u, f=f, d1=d1, d2=params.rhs(d1), params=params,
+                        origin=origin, stop_reasons=stop_reasons)
+
+
+def _mirrored_profile(curve: ProfileCurve, params: ProfileODEParams) -> ProfileCurve:
+    """The curve integrate_profile(params) gives when params is curve.params
+    with c0 negated, read off curve with no step taken.
+
+    Negating a = c0/2m and the step h together negates every RK4 stage k and
+    leaves every product h k as it is, so every slope keeps its bits:
+    integrating -c0 forward repeats +c0's backward slopes, and f, a sum of
+    h y terms, changes sign.  So y_-(i) = y_+(-i), f_- is -f_+ reversed,
+    f''_- = -f''_+, and the backward and forward stop reasons swap.
+    """
+    way = curve.stop_reasons
+    # 0.0 - f, not -f, keeps f(u0) = +0.0
+    return _profile_curve(params, len(curve.u) - 1 - curve.origin, 0.0 - curve.f[::-1],
+                          curve.d1[::-1].copy(),
+                          {"backward": way["forward"], "forward": way["backward"]})
 
 
 class SampledProfile(C3Function):
@@ -362,8 +385,10 @@ def assemble_separated_surface(
     inits is a sequence of n (y0, u0) pairs.  For n = 2 the profiles carry
     +c0 and -c0, which makes the assembled residual vanish identically; for
     n >= 3 all profiles carry +c0, the candidate that minimality rules out.
-    Profiles with equal ODE parameters are integrated once and shared; stats
-    is passed on to integrate_profile.
+    Profiles with equal ODE parameters are integrated once and shared, and a
+    profile whose parameters differ from an integrated one's only in the sign
+    of c0 is that one's mirror image (_mirrored_profile), integrated not at
+    all; stats is passed on to integrate_profile.
     """
     if n < 2:
         raise DomainError("need n >= 2 profiles")
@@ -378,7 +403,11 @@ def assemble_separated_surface(
             c0=sign * c0, k=k, m=m, y0=y0, u0=u0, step=step, max_steps=max_steps
         )
         if params not in integrated:
-            integrated[params] = integrate_profile(params, stats).to_c3()
+            mirror = replace(params, c0=-params.c0)
+            integrated[params] = (
+                _mirrored_profile(integrated[mirror].curve, params)
+                if mirror in integrated else integrate_profile(params, stats)
+            ).to_c3()
         profiles.append(integrated[params])
     return TranslationSurface(profiles=tuple(profiles), p=NormParams(m=m, dim=n + 1))
 

@@ -492,3 +492,60 @@ def test_translation_batch_rows_equal_single_points():
         assert _comparison_bits(got) == _comparison_bits(
             mm.report_translation(row, U[i], p))
         assert got.h_analytic == mm.mean_curvature_translation(row, U[i], p)
+
+
+def _shared_profile_points(kind, n, count, rng):
+    """(batch function, profiles, points) of count points of one random
+    surface of the kind, whose profiles every point shares, so that a batch
+    may span chunks: the Taylor profiles of one draw about points near it; a
+    separable surface's last profile is the linear part of its draw, which
+    puts each point on the surface by one division."""
+    if kind == "translation":
+        at, derivs = random_translation_draws(rng, n)
+        U = at + rng.uniform(-0.05, 0.05, (count, n))
+        return mm.report_translation_batch, taylor_profiles(at, derivs), U
+    at, derivs = random_separable_draws(rng, n)
+    fs = taylor_profiles(at[:n], derivs[:, :n])
+    f0, slope = derivs[0, n], derivs[1, n]
+    x = at[:n] + rng.uniform(-0.05, 0.05, (count, n))
+    rest = sum(f(x[:, i]) for i, f in enumerate(fs))
+    last = at[n] + (-rest - f0) / slope
+    fs += (C3Function.linear(slope, f0 - slope * at[n]),)
+    return mm.report_separable_batch, fs, np.column_stack([x, last])
+
+
+@pytest.mark.parametrize("kind", ("translation", "separable"))
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_mixed_m_batch_equals_the_single_m_batches_of_its_rows(kind, n, monkeypatch):
+    # runs of equal m in no order, m = 2 twice; chunks of 4 rows split the
+    # runs [0, 5), [5, 9) and [9, 15) inside
+    ms = np.repeat([2, 1, 3, 2], [5, 4, 6, 3])
+    batch, fs, points = _shared_profile_points(kind, n, len(ms), counter_rng(40 + n))
+    monkeypatch.setattr(curvature, "_CHUNK_POINTS", 4)
+    mixed = batch(fs, points, mm.NormParams(1, n + 1), ms=ms)
+    for start, stop in ((0, 5), (5, 9), (9, 15), (15, 18)):
+        alone = batch(fs, points[start:stop], mm.NormParams(int(ms[start]), n + 1))
+        for i, want in enumerate(alone):
+            assert _comparison_bits(mixed[start + i]) == _comparison_bits(want)
+
+
+def test_m_column_must_match_the_points():
+    surface = example_surface("6.1", 2)
+    points = surface.sample(counter_rng(3), 4)
+    with pytest.raises(DimensionMismatchError, match="an m for each of 4 points"):
+        report_separable_batch(surface.fs, points, surface.p, ms=[2, 2, 2])
+
+
+def test_oracle_compare_builds_one_chart_per_kind_and_n(monkeypatch, capsys):
+    plans = []
+    real = SeparableChart._plan
+
+    def counting(self, *args):
+        plans.append(len(args[0]))
+        return real(self, *args)
+
+    monkeypatch.setattr(SeparableChart, "_plan", counting)
+    reports = _command_reports(["oracle-compare", "--points", "40", "--seed", "1"],
+                               monkeypatch, capsys)
+    # 2 kinds x n = 2, 3, 4, each chart over every m of its rows
+    assert len(plans) == 6 and sum(plans) == len(reports) == 80

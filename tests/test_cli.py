@@ -524,10 +524,11 @@ def test_stage_log_keeps_reports_byte_identical(tmp_path, argv):
         # 4n slopes at each of the 6 points of the n = 3 surface
         assert "verify oracle slope evaluations: 72\n" in runs["debug"][2]
     else:
-        # one report batch per (kind, m, n) drawn: the 4 translations have
-        # (m, n) = (3, 3), (3, 3), (1, 3), (1, 4), and so do the 4 separables
+        # one report batch per (kind, n) drawn, whatever the m of its rows:
+        # the 4 translations have (m, n) = (3, 3), (3, 3), (1, 3), (1, 4), and
+        # so do the 4 separables
         assert "batches" not in runs["info"][2]
-        assert "oracle-compare batches: 6\n" in runs["debug"][2]
+        assert "oracle-compare batches: 4\n" in runs["debug"][2]
 
 
 @pytest.mark.parametrize("argv", [
@@ -658,6 +659,24 @@ def test_coefficients_that_overflow_are_config_errors(argv, capsys):
     assert code == 2 and stdout == ""
     assert err.startswith("invalid example settings: ") and err.endswith(
         " overflows a float\n") and err.count("\n") == 1
+
+
+def test_gradient_whose_square_underflows_is_a_numerical_failure(capsys):
+    # at m = 50 the slopes of i-2 are so small that |nu0|^2 is 0.0
+    code, stdout, err = run(["verify", "--example", "i-2", "--m", "50", "--points", "5"],
+                            capsys)
+    assert code == 3 and stdout == ""
+    assert err == "numerical failure: |nu0|^2 underflows a float to 0 at a base point\n"
+
+
+@pytest.mark.parametrize("example", ["i-2", "iii-2"])
+def test_coefficients_that_underflow_are_config_errors(example, capsys):
+    # (q/(2m))^(2m) / q is 0.0 from m = 76
+    code, stdout, err = run(["verify", "--example", example, "--m", "76",
+                             "--points", "5"], capsys)
+    assert code == 2 and stdout == ""
+    assert err == (f"invalid example settings: a coefficient of {example} is 0: "
+                   "its power underflows a float\n")
 
 
 @pytest.mark.parametrize("name, argv", [

@@ -241,8 +241,34 @@ def test_assembly_integrates_equal_profiles_once(monkeypatch):
     assert ts.profiles[0] is ts.profiles[1] is ts.profiles[2]
     ts = mm.assemble_separated_surface(m=1, n=2, c0=1.0, inits=[(1.0, 0.0)] * 2,
                                        step=2e-3, max_steps=50)
-    assert len(calls) == 3  # +c0 and -c0 are two profiles
+    # -c0 is the mirror image of +c0, integrated not at all
+    assert len(calls) == 2
     assert ts.profiles[0].curve.params.c0 == -ts.profiles[1].curve.params.c0
+
+
+def _curve_bits(curve):
+    return ([a.tobytes() for a in (curve.u, curve.f, curve.d1, curve.d2)],
+            np.float64(curve.ode_residual_max).tobytes(), curve.origin,
+            list(curve.stop_reasons.items()))
+
+
+def test_n2_assembly_mirrors_the_plus_c0_profile_bitwise():
+    rng = np.random.default_rng(8)
+    settings = [STOP_CASES[case][0] for case in ("sign_change", "blowup", "slope_floor")]
+    settings += [dict(c0=float(rng.uniform(-3, 3)), k=1, m=int(rng.integers(1, 4)),
+                      y0=float(rng.uniform(-2, 2)), u0=float(rng.uniform(-1, 1)),
+                      max_steps=int(rng.integers(1, 300))) for _ in range(30)]
+    for kwargs in settings:
+        plus = mm.ProfileODEParams(**kwargs)
+        ts = mm.assemble_separated_surface(
+            m=plus.m, n=2, c0=plus.c0, inits=[(plus.y0, plus.u0)] * 2,
+            step=plus.step, max_steps=plus.max_steps)
+        first, second = (f.curve for f in ts.profiles)
+        direct = mm.integrate_profile(mm.ProfileODEParams(**dict(kwargs, c0=-plus.c0)))
+        assert _curve_bits(second) == _curve_bits(direct)
+        assert _curve_bits(first) == _curve_bits(mm.integrate_profile(plus))
+        assert second.stop_reasons == {"backward": first.stop_reasons["forward"],
+                                       "forward": first.stop_reasons["backward"]}
 
 
 def test_sampled_profile_interpolation_and_domain():
