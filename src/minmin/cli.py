@@ -388,11 +388,12 @@ def cmd_oracle_compare(args) -> int:
             ns = (rng.integers(2, 5, args.points) if args.n is None
                   else np.full(args.points, args.n))
         # Then, per n in ascending order, one stack of the configurations with
-        # that n, ordered by m (stably, so in draw order within each m), with
-        # profiles stacked by row.  A batch's chart takes those rows whole, so
-        # it is at most one chunk of report_separable_batch, and it takes each
-        # m as one run of rows.  Groups differ in dimension: the run's report
-        # has only the comparison columns, scattered back to draw order.
+        # that n, ordered by m (stably, so in draw order within each m), whose
+        # profiles are one table stacked by row (sampling.taylor_profiles).
+        # A batch's chart takes those rows whole, so it is at most one chunk
+        # of report_separable_batch, and it takes each m as one run of rows.
+        # Groups differ in dimension: the run's report has only the
+        # comparison columns, scattered back to draw order.
         for n in (2, 3, 4) if args.n is None else (args.n,):
             rows = np.flatnonzero(ns == n)
             with stats.stage("sample"):

@@ -17,20 +17,24 @@ of shape (N, dim), and report_translation_batch N graph points as parameters
 of shape (N, n).  The single-point functions are batches of one.  A report is
 the comparison: one CurvatureReport of the columns h_analytic, h_oracle and
 tangency_defect over a batch's points, computed with H alone, and
-failed_checks is the one pass rule, for one point or a stack.  A batch's
-profiles may be stacked by row (C3Function.taylor with coefficient arrays),
-so that each point has profiles of its own; such a batch has one row per point
-and at most _CHUNK_POINTS points, as every chunk's chart takes the rows whole.
-A chart (SeparableChart) holds the base parameters t0 and the base gradient
-nu0, and says which coordinates each parameter moves: parameter j moves the
-point's coordinate c_j and its pivot k, and no other.  It is built once per
-chunk: the closed form takes its slopes from nu0, and the oracle evaluates the
-slopes only at the 4n moved coordinates of each point, one call per profile,
+failed_checks is the one pass rule, for one point or a stack.  A surface's
+profiles are one table (functions.ProfileColumns): f, f' and f'' of all its
+columns in one call each, and f' at any stencil cells; a sequence of profiles
+is taken as the table that loops over them.  A batch's profiles may be
+stacked by row (TaylorColumns), so that each point has profiles of its own;
+such a batch has one row per point and at most _CHUNK_POINTS points, as every
+chunk's chart takes the rows whole.  A chart (SeparableChart) holds the base
+parameters t0 and the base gradient nu0, and says which coordinates each
+parameter moves: parameter j moves the point's coordinate c_j and its pivot
+k, and no other.  It is built once per chunk, by gathers from the base
+arrays: the closed form takes its slopes from nu0, and the oracle evaluates
+the slopes only at the 4n moved coordinates of each point, in one table call,
 and reads d eta_j from them with no linear solve (see mean_curvature_oracle).
 The surface, its chart and these slopes do not depend on m, which enters only
 the powers of the closed form and of the oracle: a batch may give each point
 its own m (ms), and a chunk then builds its chart, f'' and stencil slopes
-once and takes the powers once per run of equal m, on a slice of its rows.
+once, takes the powers once per run of equal m, on a slice of its rows, and
+does the rest of the arithmetic once.
 A chart is data, the same for any coordinates y_i(x_i) in which the gradient
 is separable: the chart in x moves along each point's tangent plane, spanned
 over the n coordinates other than the pivot, the one of largest slope, so
@@ -55,7 +59,8 @@ from .errors import (
     OffSurfaceError,
     SingularConfigurationError,
 )
-from .functions import C3Function
+# _columns stays importable from here, where the frozen reference tests take it
+from .functions import _columns, profile_columns  # noqa: F401
 from .norms import NormParams, _sum_last, birkhoff_normal_implicit, signed_pow
 
 _EPS = np.finfo(float).eps
@@ -63,7 +68,8 @@ _EPS = np.finfo(float).eps
 # Default oracle step: optimal for first-order central differences.
 ORACLE_STEP_FACTOR = _EPS ** (1.0 / 3.0)
 
-# Largest |sum f_i(x_i)| at which a point counts as on the surface.
+# Largest |sum f_i(x_i)|, relative to max(1, max_i |f_i(x_i)|), at which a
+# point counts as on the surface.
 ON_SURFACE_TOL = 1e-6
 
 
@@ -123,33 +129,44 @@ def failed_checks(report: CurvatureReport, tol: float, h_tol: float | None = Non
     return str(reason) if reason.ndim == 0 else reason
 
 
-def _slope_guard(d1, m: int, label: str):
+def _slope_guard(d1, runs, label: str):
     """Negative fractional powers of the slopes appear only for m >= 2."""
-    if m >= 2 and (d1 == 0.0).any():
-        raise SingularConfigurationError(
-            f"{label}: a profile slope vanishes and m = {m} needs its negative power"
-        )
+    need = [(m, rows) for m, rows in runs if m >= 2]
+    if need and (d1 == 0.0).any():
+        for m, rows in need:
+            if (d1[rows] == 0.0).any():
+                raise SingularConfigurationError(
+                    f"{label}: a profile slope vanishes and m = {m} needs its "
+                    "negative power")
 
 
-def _columns(fns, x: np.ndarray) -> np.ndarray:
-    """fns[i](x[..., i]) for every i, as the columns of one array shaped like x."""
-    out = np.empty(x.shape)
-    for i, fn in enumerate(fns):
-        out[..., i] = fn(x[..., i])
-    return out
+def _by_run(runs, fn, axis: int = 0):
+    """fn(m, rows) of every run of _runs, joined along axis in row order: the
+    one run's own array when there is one."""
+    if len(runs) == 1:
+        return fn(*runs[0])
+    return np.concatenate([fn(m, rows) for m, rows in runs], axis=axis)
 
 
-def _derivs(fs, x):
-    """f_i' and f_i'' at the coordinates x[..., i], each of shape x.shape."""
-    return _columns([f.d1 for f in fs], x), _columns([f.d2 for f in fs], x)
-
-
-def _slope_terms(d1, d2, m: int):
+def _slope_terms(d1, d2, runs, label: str):
     """X_j = (f_j')^(2m/(2m-1)), A = sum X, G_j = (f_j')^(-(2m-2)/(2m-1)) f_j''
-    and the residual sum_j G_j (A - X_j), all over the last axis."""
-    X = signed_pow(d1, 2 * m, 2 * m - 1)
+    and the residual sum_j G_j (A - X_j), all over the last axis, each run of
+    rows at its m (_runs); the powers are taken per run, the rest once.
+    Raises where a slope's negative power overflows a float, before the inf
+    enters a sum."""
+    _slope_guard(d1, runs, label)
+    # both exponents have even numerators: signed_pow's powers of |f'|
+    size = np.abs(d1)
+    X = _by_run(runs, lambda m, rows: np.float_power(size[rows], 2 * m / (2 * m - 1)))
+    with np.errstate(over="ignore"):
+        P = _by_run(runs, lambda m, rows: np.float_power(size[rows],
+                                                         -(2 * m - 2) / (2 * m - 1)))
+    if not np.isfinite(P).all():
+        raise SingularConfigurationError(
+            f"{label}: the power (f')^(-(2m-2)/(2m-1)) of a profile slope "
+            "overflows a float")
     A = _sum_last(X)
-    G = signed_pow(d1, -(2 * m - 2), 2 * m - 1) * d2
+    G = P * d2
     return X, A, G, _sum_last(G * (A[..., None] - X))
 
 
@@ -170,22 +187,25 @@ def separable_residual_sum(d1, d2, m: int):
     m = 1.  Slopes of one point give a float, stacks (..., dim) an array.
     """
     d1 = np.asarray(d1, dtype=float)
-    _slope_guard(d1, m, "minimality residual")
-    res = _slope_terms(d1, np.asarray(d2, dtype=float), m)[3]
+    res = _slope_terms(d1, np.asarray(d2, dtype=float), [(m, slice(None))],
+                       "minimality residual")[3]
     return float(res) if res.ndim == 0 else res
 
 
-def mean_curvature_from_slopes(d1, d2, p: NormParams) -> np.ndarray:
+def mean_curvature_from_slopes(d1, d2, p: NormParams, ms=None) -> np.ndarray:
     """Closed-form H (N,) of sum f_i(x_i) = 0 from the slopes d1 = f_i'(x_i),
     d2 = f_i''(x_i) (N, dim): A^(-(2m+1)/(2m)) / (n (2m-1)) sum_j G_j (A - X_j),
-    terms as in closed_form_from_slopes.  Raises where the chart slope f_{n+1}'
-    vanishes or m >= 2 needs the negative power of a vanishing slope."""
-    m = p.m
+    terms as in closed_form_from_slopes.  ms (N,), when given, is each row's
+    m in place of p.m: only the powers are taken once per run of equal m
+    (_runs), on a slice of the rows.  Raises where the chart slope f_{n+1}'
+    vanishes, where m >= 2 needs the negative power of a vanishing slope and
+    where that power overflows a float."""
     if (d1[:, -1] == 0.0).any():
         raise SingularConfigurationError("chart slope f_{n+1}' vanishes")
-    _slope_guard(d1, m, "separable mean curvature")
-    _, A, _, total = _slope_terms(d1, d2, m)
-    return np.float_power(A, -(2 * m + 1) / (2 * m)) / (p.n * (2 * m - 1)) * total
+    runs = _runs(p, ms, len(d1))
+    _, A, _, total = _slope_terms(d1, d2, runs, "separable mean curvature")
+    return _by_run(runs, lambda m, rows: np.float_power(A[rows], -(2 * m + 1) / (2 * m))
+                   / (p.n * (2 * m - 1))) * total
 
 
 def closed_form_from_slopes(d1, d2, p: NormParams):
@@ -204,7 +224,7 @@ def closed_form_from_slopes(d1, d2, p: NormParams):
     """
     m, n = p.m, p.n
     H = mean_curvature_from_slopes(d1, d2, p)
-    X, A, G, _ = _slope_terms(d1, d2, m)
+    X, A, G, _ = _slope_terms(d1, d2, [(m, slice(None))], "Weingarten matrix")
     pref = (np.float_power(A, -(2 * m + 1) / (2 * m)) / (2 * m - 1))[:, None, None]
     root = signed_pow(d1, 1, 2 * m - 1)[:, :n]
     g_last = G[:, n, None, None]
@@ -217,20 +237,25 @@ def closed_form_from_slopes(d1, d2, p: NormParams):
     return H, W, birkhoff_normal_implicit(d1, p).eta
 
 
-def _surface_points(fs, points, p: NormParams) -> np.ndarray:
-    """points as a float stack (N, dim) of points of sum f_i(x_i) = 0; raises
-    unless there are dim profiles and |sum f_i(x_i)| <= ON_SURFACE_TOL."""
+def _surface_points(table, points, p: NormParams) -> np.ndarray:
+    """points as a float stack (N, dim) of points of sum f_i(x_i) = 0, the
+    surface of the profile table; raises unless there are dim profiles and
+    |sum f_i(x_i)| <= ON_SURFACE_TOL max(1, max_i |f_i(x_i)|), a bound
+    relative to the terms the sum adds up."""
     x = np.asarray(points, dtype=float)
-    if len(fs) != p.dim or x.ndim != 2 or x.shape[1] != p.dim:
+    if len(table) != p.dim or x.ndim != 2 or x.shape[1] != p.dim:
         raise DimensionMismatchError(
             f"expected {p.dim} profiles and (N, {p.dim}) points, "
-            f"got {len(fs)} and {x.shape}"
+            f"got {len(table)} and {x.shape}"
         )
-    value = _sum_last(_columns(fs, x))
-    off = np.abs(value) > ON_SURFACE_TOL
+    terms = table(x)
+    value = _sum_last(terms)
+    bound = ON_SURFACE_TOL * np.maximum(1.0, np.abs(terms).max(axis=-1))
+    off = np.abs(value) > bound
     if off.any():
         raise OffSurfaceError(
-            f"sum f_i(x_i) = {value[off][0]:.3e} exceeds tolerance {ON_SURFACE_TOL:.1e}"
+            f"sum f_i(x_i) = {value[off][0]:.3e} exceeds tolerance "
+            f"{bound[off][0]:.3e} ({ON_SURFACE_TOL:.1e} x max(1, max_i |f_i(x_i)|))"
         )
     return x
 
@@ -238,8 +263,9 @@ def _surface_points(fs, points, p: NormParams) -> np.ndarray:
 def separable_closed_form(fs, points, p: NormParams):
     """closed_form_from_slopes at a stack (N, dim) of on-surface points of the
     separable surface sum f_i(x_i) = 0, with the slopes taken from fs."""
-    x = _surface_points(fs, points, p)
-    return closed_form_from_slopes(*_derivs(fs, x), p)
+    table = profile_columns(fs)
+    x = _surface_points(table, points, p)
+    return closed_form_from_slopes(table.d1(x), table.d2(x), p)
 
 
 def _one_point(x, size: int) -> np.ndarray:
@@ -273,15 +299,17 @@ class SeparableChart:
 
     A chart of N base points is data (from_data): coordinates y (N, dim) in
     which the defining gradient is separable, y_i a function of x_i alone;
-    the base gradient nu0 = f'(x0) (N, dim); the pivots k (N,); one slope
-    callable per coordinate; and the speeds dy_i/dx_i (N, dim) at the base
-    points.  Parameter j is coordinate c_j = j + (j >= k) of each point, so
-    the base parameters t0 (N, n) are y there, and it moves the pivot k at
-    the rate dy_k/dt_j = -g_c / g_k, g = nu0 / speed, which keeps the point
-    on the tangent plane, and no other coordinate, so no other slope.  rate
-    (N, n) is that pivot rate, tc (N, n) the ambient tangent's component
-    T[c_j, j] = 1 / speed[c_j], and moved0 (2, N, n) holds the base slopes at
-    c_j and at k.
+    the base gradient nu0 = f'(x0) (N, dim); the pivots k (N,); the profile
+    table whose slopes_at gives the slope of each coordinate as a function of
+    y_i (see functions.ProfileColumns); and the speeds dy_i/dx_i (N, dim) at
+    the base points, or None for speed 1.  Parameter j is coordinate
+    c_j = j + (j >= k) of each point, so the base parameters t0 (N, n) are y
+    there, and it moves the pivot k at the rate dy_k/dt_j = -g_c / g_k,
+    g = nu0 / speed, which keeps the point on the tangent plane, and no other
+    coordinate, so no other slope.  rate (N, n) is that pivot rate, tc (N, n)
+    the ambient tangent's component T[c_j, j] = 1 / speed[c_j], and moved0
+    (2, N, n) holds the base slopes at c_j and at k.  All of it is gathered
+    from the base arrays, the pivot's data once per point.
 
     SeparableChart(fs, p, base_points) is the chart in x itself, speed 1, of
     a stack (N, dim) of on-surface points x0 (one point is a stack of one,
@@ -292,76 +320,71 @@ class SeparableChart:
     differences of eta along x0 +/- h T_j keep their O(h^2) accuracy with no
     coordinate solved for.  As eta stays on the unit sphere of the norm,
     d eta stays tangent, and the oracle's tangency defect is still a check.
-    Profiles stacked by row (C3Function.taylor) give f' of some rows with
-    C3Function.d1_rows.
+    fs is a profile table or a sequence of profiles (functions.profile_columns);
+    a table stacked by row (TaylorColumns) has one row per base point.
     """
 
     def __init__(self, fs, p: NormParams, base_points):
-        self.fs = list(fs)
+        table = profile_columns(fs)
         x0 = np.asarray(base_points, dtype=float)
         if x0.ndim != 2 or x0.shape[1] != p.dim:
             raise DimensionMismatchError(
                 f"base points must be a stack (N, {p.dim}), got shape {x0.shape}")
         self.x0 = x0
-        nu0 = _columns([f.d1 for f in self.fs], x0)
+        nu0 = table.d1(x0)
         size = np.abs(nu0)
         if not size.max(axis=-1).all():
             raise SingularConfigurationError("the gradient vanishes at a base point")
-        self._plan(x0, nu0, size.argmax(axis=-1), [f.d1_rows for f in self.fs],
-                   np.ones(x0.shape))
+        self._gather(x0, nu0, size.argmax(axis=-1), table, None)
 
     @classmethod
-    def from_data(cls, y, nu0, k, slopes, speed) -> "SeparableChart":
+    def from_data(cls, y, nu0, k, table, speed) -> "SeparableChart":
         """The chart of coordinates y (N, dim) with base gradient nu0 (N, dim),
-        pivots k (N,) and speeds dy_i/dx_i (N, dim); slopes[i](rows) is the
-        slope of coordinate i, as a function of y_i, on the base points rows."""
+        pivots k (N,), the profile table of the slopes in y and the speeds
+        dy_i/dx_i (N, dim)."""
         chart = cls.__new__(cls)
-        chart._plan(y, nu0, k, slopes, speed)
+        chart._gather(y, nu0, k, table, speed)
         return chart
 
-    def _plan(self, y, nu0, k, slopes, speed):
-        """Group the stencil cells (2, 2, N, n), [+h, -h] x [c_j, k] for every
-        point and parameter, by the profile whose slope they need, once: every
-        moved_slopes call then makes one call per profile on one slice."""
+    def _gather(self, y, nu0, k, table, speed):
+        """The chart's arrays and its stencil cells' base and column (2, N, n),
+        [c_j, k] on axis 0, by gathers from the base arrays."""
         N, dim = y.shape
         n = dim - 1
-        self.y0, self.nu0, self.k = y, nu0, k
-        self.c = c = np.arange(n) + (np.arange(n) >= k[:, None])
-        # the coordinate of each cell, in the smallest integer type, which
-        # numpy's stable argsort sorts by radix
-        label = np.empty((2, N, n), dtype=np.min_scalar_type(dim))
-        label[0], label[1] = c, k[:, None]
-        at = (label + dim * np.arange(N)[:, None]).ravel()  # into y
-        self.t0 = y.ravel()[at[:N * n]].reshape(N, n)
-        self.moved0 = nu0.ravel()[at].reshape(2, N, n)
-        moved_speed = speed.ravel()[at].reshape(2, N, n)
-        g = self.moved0 / moved_speed
+        self.y0, self.nu0, self.k, self.fs = y, nu0, k, table
+        point, pivot = np.arange(N)[:, None], k[:, None]
+        self.c = c = np.arange(n) + (np.arange(n) >= pivot)
+
+        def cells(a):
+            """a at c_j and at k (axis 0) of every point and parameter."""
+            out = np.empty((2, N, n), dtype=a.dtype)
+            out[0], out[1] = a[point, c], a[point, pivot]
+            return out
+
+        self.moved0 = cells(nu0)
+        self._base = cells(y)
+        self.t0 = self._base[0]
+        if speed is None:
+            g = self.moved0
+            self.tc = np.ones((N, n))
+        else:
+            moved_speed = cells(speed)
+            g = self.moved0 / moved_speed
+            self.tc = 1.0 / moved_speed[0]
         self.rate = -g[0] / g[1]
-        self.tc = 1.0 / moved_speed[0]
-        rate = np.ones((2, N, n))
-        rate[1] = self.rate
-        cells = np.argsort(np.concatenate([label.ravel()] * 2), kind="stable")
-        half = cells % (2 * N * n)  # the cell's [c_j, k] x N x n index
-        self._cells, self._step_of = cells, cells % (N * n)
-        self._base = y.ravel()[at[half]]
-        self._rate = np.where(cells < 2 * N * n, 1.0, -1.0) * rate.ravel()[half]
-        rows = cells // n % N
-        ends = np.searchsorted(label.ravel()[half], np.arange(dim + 1)).tolist()
-        self._fns = [(slopes[i](rows[start:stop]), start, stop)
-                     for i, (start, stop) in enumerate(zip(ends, ends[1:]))
-                     if stop > start]
+        self._col = np.empty((2, N, n), dtype=np.intp)
+        self._col[0], self._col[1] = c, pivot
+        self._row = point
+        # the moves of the stencil cells per unit step: [+h, -h] x [c_j, k]
+        self._moves = np.empty((2, 2, N, n))
+        self._moves[0, 0], self._moves[0, 1] = 1.0, self.rate
+        np.negative(self._moves[0], out=self._moves[1])
 
     def moved_slopes(self, h) -> np.ndarray:
         """The slopes at c_j and at k (axis 1) with parameter j moved by +h and
         by -h (axis 0), h of shape (N, n): an array (2, 2, N, n), evaluated
-        at the 4n moved coordinates of each point only, one call per profile."""
-        y = self._base + h.ravel()[self._step_of] * self._rate
-        slopes = np.empty(y.shape)
-        for fn, start, stop in self._fns:
-            slopes[start:stop] = fn(y[start:stop])
-        out = np.empty(y.shape)
-        out[self._cells] = slopes
-        return out.reshape((2,) + self.moved0.shape)
+        at the 4n moved coordinates of each point only, in one table call."""
+        return self.fs.slopes_at(self._base + h * self._moves, self._col, self._row)
 
     def point(self, t) -> np.ndarray:
         """The chart's points in y: coordinate c_j moves with t_j and the pivot
@@ -374,6 +397,12 @@ class SeparableChart:
         y[..., point[:, None], self.c] += dt
         y[..., point, self.k] += _sum_last(self.rate * dt)
         return y
+
+    def slope_ratio(self) -> float:
+        """min_i |nu0_i| / max_i |nu0_i| over the base points, the smallest:
+        how well conditioned the chart is (inf for no points)."""
+        size = np.abs(self.nu0)
+        return float((size.min(axis=-1) / size.max(axis=-1)).min(initial=np.inf))
 
 
 def _odd_root(g, den: int):
@@ -395,23 +424,18 @@ def _gauge_scale(A, m: int):
 
 
 def _runs(p: NormParams, ms, count: int):
-    """(norm parameters, rows) of each run of equal m in the column ms
-    (count,), rows a slice, in row order; p itself at every row when ms is
-    None."""
+    """(m, rows) of each run of equal m in the column ms (count,), rows a
+    slice, in row order; p.m at every row when ms is None."""
     if ms is not None:
         ms = np.asarray(ms)
         if ms.shape != (count,):
             raise DimensionMismatchError(
                 f"expected an m for each of {count} points, got shape {ms.shape}")
     if ms is None or not count:
-        return [(p, slice(None))]
+        return [(p.m, slice(None))]
     cuts = [0, *(np.flatnonzero(ms[1:] != ms[:-1]) + 1).tolist(), count]
-    return [(NormParams(ms[a].item(), p.dim), slice(a, b)) for a, b in zip(cuts, cuts[1:])]
-
-
-def _joined(parts):
-    """The columns parts end to end; the one part itself, uncopied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return [(NormParams(ms[a].item(), p.dim).m, slice(a, b))
+            for a, b in zip(cuts, cuts[1:])]
 
 
 def mean_curvature_oracle(chart, p: NormParams, stats=None, ms=None):
@@ -434,10 +458,11 @@ def mean_curvature_oracle(chart, p: NormParams, stats=None, ms=None):
     the slopes f' only.  stats, when given, counts the slopes evaluated as
     "oracle slope evaluations" (see reporting.RunStats).
 
-    The step h, the stencil slopes and |nu0|^2 do not depend on m, so they
-    are evaluated once for the whole chart; only the powers are taken per m.
-    ms (N,), when given, is each point's m in place of p.m, and every run of
-    equal m is one slice of the chart's rows (_oracle_powers).
+    The step h, the stencil slopes and |nu0|^2 do not depend on m, and
+    neither does any sum, product or quotient: only the roots and the gauge
+    A^(-1/(2m)) are taken per run of equal m, each on a slice of the chart's
+    rows, and the rest of the arithmetic once for the whole chart.  ms (N,),
+    when given, is each point's m in place of p.m.
 
     Returns (h_oracle, tangency_defect), arrays of shape (N,) for a chart of
     N base points.
@@ -449,28 +474,23 @@ def mean_curvature_oracle(chart, p: NormParams, stats=None, ms=None):
     g = chart.moved_slopes(h)  # (2, 2, N, n): [+h, -h] x [c_j, k]
     if stats is not None:
         stats.count("oracle slope evaluations", g.size)
-    norm2 = _sum_last(chart.nu0 * chart.nu0)[:, None]
+    nu0, g0 = chart.nu0, chart.moved0
+    norm2 = _sum_last(nu0 * nu0)[:, None]
     if not norm2.all():
         raise SingularConfigurationError(
             "|nu0|^2 underflows a float to 0 at a base point")
-    columns = [_oracle_powers(chart, h, g, norm2, q, rows)
-               for q, rows in _runs(p, ms, len(t0))]
-    return tuple(_joined(c) for c in zip(*columns))
-
-
-def _oracle_powers(chart, h, g, norm2, p: NormParams, rows):
-    """mean_curvature_oracle's arithmetic at the norm p on the chart's points
-    rows, a slice, from the step h (N, n), the stencil slopes g (2, 2, N, n)
-    and |nu0|^2 (N, 1) of the whole chart."""
-    n, m = p.n, p.m
-    h, g, norm2 = h[rows], g[:, :, rows], norm2[rows]
-    nu0, g0 = chart.nu0[rows], chart.moved0[:, rows]
-    root = _odd_root(g, 2 * m - 1)
+    runs = _runs(p, ms, len(t0))
+    root = _by_run(runs, lambda m, rows: _odd_root(g[:, :, rows], 2 * m - 1), axis=2)
     X = g * root
-    X0 = g0 * _odd_root(g0, 2 * m - 1)
+    X0 = g0 * _by_run(runs, lambda m, rows: _odd_root(g0[:, rows], 2 * m - 1), axis=1)
+    nu_root = _by_run(runs, lambda m, rows: _odd_root(nu0[rows], 2 * m - 1))
     # rest is A0 less the two terms that parameter j moves
-    rest = _sum_last(nu0 * _odd_root(nu0, 2 * m - 1))[:, None] - X0[0] - X0[1]
-    scale = _gauge_scale(rest + X[:, 0] + X[:, 1], m)  # (2, N, n)
+    rest = _sum_last(nu0 * nu_root)[:, None] - X0[0] - X0[1]
+    A = rest + X[:, 0] + X[:, 1]
+    # each run's gauge on a contiguous copy of its rows, the operand it had
+    # when every run was computed on its own
+    scale = _by_run(runs, lambda m, rows: _gauge_scale(np.ascontiguousarray(A[:, rows]), m),
+                    axis=1)  # (2, N, n)
     eta = scale[:, None] * root  # the components c_j and k of the stencil normals
     if not np.isfinite(eta).all():
         raise SingularConfigurationError("non-finite normal at stencil point")
@@ -480,8 +500,8 @@ def _oracle_powers(chart, h, g, norm2, p: NormParams, rows):
     # nu0 . d eta_j = |nu0| d_j: the unmoved components add up to rest dscale
     gd = g0 * deta
     normal = dscale * rest + gd[0] + gd[1]
-    diag = (deta[0] - normal * (g0[0] / norm2)) / chart.tc[rows]
-    h_oracle = _sum_last(diag) / n
+    diag = (deta[0] - normal * (g0[0] / norm2)) / chart.tc
+    h_oracle = _sum_last(diag) / p.n
     defect = np.abs(normal).max(axis=-1) / np.sqrt(norm2[:, 0])
     return h_oracle, defect
 
@@ -497,12 +517,13 @@ def _report_chunks(count, chunk, p: NormParams, tol: float, stats,
 
     chunk(rows) gives the chart of those rows and their second derivatives
     f_i'' (N, dim), once per chunk: neither depends on m.  The closed form
-    takes the slopes f_i' from chart.nu0 and the oracle runs on the chart,
-    once per run of equal m in the chunk, on a slice of its rows.  ms
-    (count,), when given, is each point's m in place of p.m; it need not be
-    sorted, but each run costs a pass of the powers, so a caller gives each
-    m as one run.  stats, when given, times the "analytic" and "oracle"
-    stages.
+    takes the slopes f_i' from chart.nu0 and the oracle runs on the chart;
+    ms (count,), when given, is each point's m in place of p.m, and both take
+    their powers once per run of equal m in the chunk and the rest of their
+    arithmetic once.  ms need not be sorted, but each run costs a pass of the
+    powers, so a caller gives each m as one run.  stats, when given, times
+    the "analytic" and "oracle" stages and keeps the smallest slope ratio of
+    the charts (SeparableChart.slope_ratio).
     """
     columns = []  # per chunk: H, h_oracle, defect; one chunk if count = 0
     for start in range(0, max(count, 1), _CHUNK_POINTS):
@@ -510,8 +531,9 @@ def _report_chunks(count, chunk, p: NormParams, tol: float, stats,
         mine = None if ms is None else ms[rows]
         with _stage(stats, "analytic"):
             chart, d2 = chunk(rows)
-            H = _joined([mean_curvature_from_slopes(chart.nu0[r], d2[r], q)
-                         for q, r in _runs(p, mine, len(d2))])
+            H = mean_curvature_from_slopes(chart.nu0, d2, p, mine)
+        if stats is not None:
+            stats.least("smallest slope ratio min|f'|/max|f'|", chart.slope_ratio())
         with _stage(stats, "oracle"):
             columns.append((H,) + mean_curvature_oracle(chart, p, stats, mine))
     return CurvatureReport(*(np.concatenate(c) for c in zip(*columns)), tol)
@@ -521,18 +543,22 @@ def report_separable_batch(fs, points, p: NormParams, tol: float = 1e-6,
                            stats=None, ms=None) -> CurvatureReport:
     """Closed-form vs oracle comparison at surface points (N, dim), one stack.
 
-    Every chunk of _report_chunks is one SeparableChart of its points, whose
-    base gradients feed the closed form and whose tangent planes carry the
-    oracle.  A point's report does not depend on the other points of the
-    batch.  ms (N,), when given, is each point's m in place of p.m (see
-    _report_chunks).  stats, when given, times the "analytic" and "oracle"
-    stages (see reporting.RunStats).
+    fs is a profile table or a sequence of profiles (functions.profile_columns);
+    a table stacked by row (TaylorColumns) has one row per point and at most
+    _CHUNK_POINTS points, as every chunk's chart takes the rows whole.  Every
+    chunk of _report_chunks is one SeparableChart of its points, whose base
+    gradients feed the closed form and whose tangent planes carry the oracle.
+    A point's report does not depend on the other points of the batch.  ms
+    (N,), when given, is each point's m in place of p.m (see _report_chunks).
+    stats, when given, times the "analytic" and "oracle" stages (see
+    reporting.RunStats).
     """
-    points = _surface_points(fs, points, p)
+    table = profile_columns(fs)
+    points = _surface_points(table, points, p)
 
     def chunk(rows):
         x = points[rows]
-        return SeparableChart(fs, p, x), _columns([f.d2 for f in fs], x)
+        return SeparableChart(table, p, x), table.d2(x)
 
     return _report_chunks(len(points), chunk, p, tol, stats, ms)
 
@@ -548,21 +574,18 @@ def report_separable(fs, x, p: NormParams, tol: float = 1e-6,
 # translation graphs
 # ---------------------------------------------------------------------------
 
-# f_{n+1}(x) = -x: the profile that makes x_{n+1} = sum f_i(u_i) separable
-_HEIGHT = C3Function.linear(-1.0)
-
-
 def _as_separable(fs, U, p: NormParams):
-    """The profiles of the translation graph over the stack U (N, n) as a
-    separable surface, f_1, ..., f_n, -x, and its points (u, sum f_i(u_i))."""
+    """The profile table of the translation graph over the stack U (N, n) as
+    a separable surface, f_1, ..., f_n, -x (ProfileColumns.graph), and its
+    points (u, sum f_i(u_i))."""
     U = np.asarray(U, dtype=float)
     if len(fs) != p.n or U.ndim != 2 or U.shape[1] != p.n:
         raise DimensionMismatchError(
             f"expected {p.n} profiles and (N, {p.n}) parameters, "
             f"got {len(fs)} and {U.shape}"
         )
-    height = _sum_last(_columns(fs, U))
-    return tuple(fs) + (_HEIGHT,), np.column_stack([U, height])
+    table = profile_columns(fs)
+    return table.graph(), np.column_stack([U, _sum_last(table(U))])
 
 
 def translation_residual_sum(d1, d2, m: int):

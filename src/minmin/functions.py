@@ -3,9 +3,20 @@
 Surfaces in this library are assembled from single-variable profiles, and
 every curvature formula reads their first and second derivatives and nothing
 higher.  C3Function bundles a value callable with its analytic d1 and d2.
+
+A separable surface has one profile per coordinate, and ProfileColumns is
+their table: f, f' or f'' of every column of an array (..., dim) in one call,
+and f' at any stencil cells from each cell's column (and row).  Any sequence
+of profiles is a table that loops over its columns; the two families with one
+formula and per-column coefficients evaluate every column in one numpy pass:
+PowerColumns (a_i x^(2m) + b_i) and TaylorColumns (stacks of Taylor
+polynomials, one per row and column).  Each table gives the bits its
+per-column C3Functions give, and is a sequence of them.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -60,6 +71,13 @@ def _horner_chain(coeffs, x0=0.0) -> list:
     return fns
 
 
+def _taylor_coefficients(derivs) -> np.ndarray:
+    """derivs[k] / k!, the Taylor coefficients of f, f', f'', ... (K, ...)."""
+    d = np.asarray(derivs, dtype=float)
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, len(d)))))
+    return d / fact.reshape((-1,) + (1,) * (d.ndim - 1))
+
+
 def _int_power(x, k: int):
     """x^k for an integer k >= 0 by repeated multiplication, on a float or an
     array; the 0th power is the constant 1.0 (see evaluate).  Unlike pow, the
@@ -78,22 +96,14 @@ class C3Function:
     Its callables take a float or a whole numpy array, and every evaluation
     returns a float or an array of the argument's shape (see evaluate).  N
     profiles stacked by row (see taylor) take arrays whose last axis has N
-    elements, one per row, and d1_rows evaluates f' on some of the rows.
+    elements, one per row.
     """
 
-    def __init__(self, f, d1, d2, domain=None, d1_rows=None):
+    def __init__(self, f, d1, d2, domain=None):
         self.f = f
         self._d1 = d1
         self._d2 = d2
         self.domain = (-np.inf, np.inf) if domain is None else tuple(domain)
-        self._d1_rows = d1_rows  # rows -> f' of those rows, for a stack
-
-    def d1_rows(self, rows):
-        """f' of the rows rows (an index array) of a stack, as a callable whose
-        argument's last axis runs over those rows: element e is a point of row
-        rows[e], with the bits d1 gives it on the whole stack.  A profile that
-        is not stacked by row has one f' for every row: d1 itself."""
-        return self.d1 if self._d1_rows is None else self._d1_rows(rows)
 
     def __call__(self, x):
         return evaluate(self.f, x)
@@ -109,24 +119,17 @@ class C3Function:
         f = self.f
         lo, hi = self.domain
         dom = tuple(sorted((lo / mu, hi / mu))) if mu != 0 else (-np.inf, np.inf)
-
-        def d1_rows(rows):
-            d1 = self.d1_rows(rows)
-            return lambda x: lam * mu * d1(mu * x)
-
         return C3Function(
             lambda x: lam * f(mu * x),
             lambda x: lam * mu * self.d1(mu * x),
             lambda x: lam * mu * mu * self.d2(mu * x),
             dom,
-            None if self._d1_rows is None else d1_rows,
         )
 
     def shifted(self, c: float) -> "C3Function":
         """The profile x -> f(x) + c, with the same derivative callables."""
         f = self.f
-        return C3Function(lambda x: f(x) + c, self._d1, self._d2, self.domain,
-                          self._d1_rows)
+        return C3Function(lambda x: f(x) + c, self._d1, self._d2, self.domain)
 
     # ---- constructors ----------------------------------------------------
 
@@ -134,20 +137,8 @@ class C3Function:
     def polynomial(cls, coeffs, x0=0.0) -> "C3Function":
         """Polynomial sum_k coeffs[k] * (x - x0)^k with analytic derivatives;
         coeffs of shape (K, N) with x0 a float or of shape (N,) stack N
-        polynomials by row (see _horner_chain and d1_rows)."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        fns = _horner_chain(coeffs, x0)
-        if coeffs.ndim == 1:
-            return cls(*fns)
-        x0 = np.asarray(x0, dtype=float)
-
-        def d1_rows(rows):
-            # the f' coefficients k c_k of _horner_chain, of those rows
-            c1 = coeffs[1:, rows] * np.arange(1.0, len(coeffs))[:, None]
-            fn = _horner(list(c1) or [0.0], x0[rows] if x0.ndim else x0)
-            return lambda x: evaluate(fn, x)
-
-        return cls(*fns, d1_rows=d1_rows)
+        polynomials by row (see _horner_chain)."""
+        return cls(*_horner_chain(coeffs, x0))
 
     @classmethod
     def taylor(cls, x0, derivs) -> "C3Function":
@@ -159,9 +150,7 @@ class C3Function:
         stacked by row: at x of shape (..., N), row i takes the same Horner
         steps, and so the same bits, as the profile of x0[i] and derivs[:, i].
         """
-        d = np.asarray(derivs, dtype=float)
-        fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, len(d)))))
-        return cls.polynomial((d.T / fact).T, x0)
+        return cls.polynomial(_taylor_coefficients(derivs), x0)
 
     @classmethod
     def linear(cls, a: float, b: float = 0.0) -> "C3Function":
@@ -196,3 +185,163 @@ class C3Function:
             lambda x: coeff / x,
             lambda x: -coeff / x**2,
         )
+
+
+def _columns(fns, x: np.ndarray) -> np.ndarray:
+    """fns[i](x[..., i]) for every i, as the columns of one array shaped like x."""
+    out = np.empty(x.shape)
+    for i, fn in enumerate(fns):
+        out[..., i] = fn(x[..., i])
+    return out
+
+
+# f_{n+1}(x) = -x: the profile that makes x_{n+1} = sum f_i(u_i) separable
+_HEIGHT = C3Function.linear(-1.0)
+
+
+class ProfileColumns:
+    """The profiles f_1, ..., f_dim of a separable surface as one table.
+
+    A table takes an array x (..., dim) whose column i is the argument of
+    f_i: table(x), d1(x) and d2(x) give f, f' and f'' of every column as one
+    array shaped like x, and slopes_at gives f' at stencil cells.  It is a
+    sequence of its per-column profiles (profiles), and gives the bits they
+    give.  This class is the table of any sequence of profiles, one call per
+    column; PowerColumns and TaylorColumns evaluate all columns at once.
+    """
+
+    def __init__(self, fs):
+        self.profiles = tuple(fs)
+
+    def __len__(self) -> int:
+        return len(self.profiles)
+
+    def __getitem__(self, i):
+        return self.profiles[i]
+
+    def __iter__(self):
+        return iter(self.profiles)
+
+    def __call__(self, x):
+        return _columns(self.profiles, x)
+
+    def d1(self, x):
+        return _columns([f.d1 for f in self.profiles], x)
+
+    def d2(self, x):
+        return _columns([f.d2 for f in self.profiles], x)
+
+    def slopes_at(self, y, col, row):
+        """f' at the cells y: cell e takes the profile of column col[e] (of
+        row row[e], for a table stacked by row); col and row broadcast against
+        y.  Here one call per column, on the cells of that column."""
+        out = np.empty(y.shape)
+        cells = np.empty(y.shape, dtype=np.intp)
+        cells[...] = col
+        for i, f in enumerate(self.profiles):
+            mine = cells == i
+            out[mine] = f.d1(y[mine])
+        return out
+
+    def graph(self) -> "ProfileColumns":
+        """The table of the translation graph x_{n+1} = sum f_i(x_i) as the
+        separable surface f_1(x_1) + ... + f_n(x_n) - x_{n+1} = 0: these
+        columns and the height column -x."""
+        return ProfileColumns(self.profiles + (_HEIGHT,))
+
+
+def profile_columns(fs) -> ProfileColumns:
+    """fs as a table: a table itself, or the table of a sequence of profiles."""
+    return fs if isinstance(fs, ProfileColumns) else ProfileColumns(fs)
+
+
+class PowerColumns(ProfileColumns):
+    """The power sums f_i(x) = a_i x^(2m) + b_i, coefficient rows a, b (dim,).
+
+    With k = 2m, f = a x^k + b, f' = (a k) x^(k-1) and f'' = ((a k)(k-1))
+    x^(k-2), the steps of C3Function.power_even(a_i, m).shifted(b_i), whose
+    powers are products of x (_int_power); f'' at m = 1 is a constant
+    broadcast to the argument's shape.
+    """
+
+    def __init__(self, a, b, m: int):
+        self.a = np.asarray(a, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        self.m = m
+        self._a1 = self.a * (2 * m)
+        self._a2 = self._a1 * (2 * m - 1)
+
+    def __len__(self) -> int:
+        return len(self.a)
+
+    @functools.cached_property
+    def profiles(self) -> tuple:
+        return tuple(C3Function.power_even(a, self.m).shifted(b)
+                     for a, b in zip(self.a, self.b))
+
+    def __call__(self, x):
+        return self.a * _int_power(x, 2 * self.m) + self.b
+
+    def d1(self, x):
+        return self._a1 * _int_power(x, 2 * self.m - 1)
+
+    def d2(self, x):
+        if self.m == 1:
+            return np.broadcast_to(self._a2, x.shape).copy()
+        return self._a2 * _int_power(x, 2 * self.m - 2)
+
+    def slopes_at(self, y, col, row):
+        return self._a1[col] * _int_power(y, 2 * self.m - 1)
+
+
+class TaylorColumns(ProfileColumns):
+    """Polynomials stacked by row and column: the profile of row r and
+    column i is sum_k coeffs[k, r, i] (x - x0[r, i])^k, coeffs (K, N, dim)
+    with K >= 3 about x0 (N, dim).  Its arrays are (..., N, dim), and each
+    element takes the Horner steps, and so the bits, of C3Function.polynomial
+    of its row and column (column i of the sequence is the polynomial of
+    coeffs[:, :, i] stacked by row, built when first asked for)."""
+
+    def __init__(self, x0, coeffs):
+        self.x0 = np.asarray(x0, dtype=float)
+        self.coeffs = c = np.asarray(coeffs, dtype=float)
+        # the derivative coefficients k c_k of _horner_chain
+        self._c1 = c[1:] * np.arange(1.0, len(c))[:, None, None]
+        self._c2 = self._c1[1:] * np.arange(1.0, len(c) - 1)[:, None, None]
+
+    @classmethod
+    def taylor(cls, x0, derivs) -> "TaylorColumns":
+        """The Taylor polynomials of derivs (K, N, dim), f and its
+        derivatives at x0 (N, dim): those of C3Function.taylor, column by
+        column."""
+        return cls(x0, _taylor_coefficients(derivs))
+
+    def __len__(self) -> int:
+        return self.x0.shape[-1]
+
+    @functools.cached_property
+    def profiles(self) -> tuple:
+        return tuple(C3Function.polynomial(self.coeffs[..., i], self.x0[:, i])
+                     for i in range(self.x0.shape[-1]))
+
+    def __call__(self, x):
+        return _horner(list(self.coeffs), self.x0)(x)
+
+    def d1(self, x):
+        return _horner(list(self._c1), self.x0)(x)
+
+    def d2(self, x):
+        return _horner(list(self._c2), self.x0)(x)
+
+    def slopes_at(self, y, col, row):
+        return _horner(list(self._c1[:, row, col]), self.x0[row, col])(y)
+
+    def graph(self) -> "TaylorColumns":
+        """The graph's table: these columns and -x as the polynomial
+        (0, -1, 0, ...) about 0, whose Horner steps give the bits of
+        C3Function.linear(-1.0): -x, f' = -1 and f'' = +0.0 exactly."""
+        K, N, _ = self.coeffs.shape
+        height = np.zeros((K, N, 1))
+        height[1] = -1.0
+        return TaylorColumns(np.concatenate([self.x0, np.zeros((N, 1))], axis=-1),
+                             np.concatenate([self.coeffs, height], axis=-1))

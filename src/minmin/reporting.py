@@ -94,6 +94,7 @@ class RunStats:
     def __init__(self):
         self.seconds = {}  # stage -> [cpu, wall]
         self.counts = {}
+        self.least_values = {}
 
     @contextmanager
     def stage(self, name: str):
@@ -108,9 +109,15 @@ class RunStats:
     def count(self, name: str, k: int):
         self.counts[name] = self.counts.get(name, 0) + k
 
+    def least(self, name: str, value: float):
+        """Keep the smallest value seen under name."""
+        self.least_values[name] = min(value, self.least_values.get(name, value))
+
     def log(self, logger, command: str):
-        """Stage times at info, counters at debug."""
+        """Stage times at info, counters and least values at debug."""
         for name, (cpu, wall) in self.seconds.items():
             logger.info("%s stage %s: cpu %.3fs wall %.3fs", command, name, cpu, wall)
         for name, k in self.counts.items():
             logger.debug("%s %s: %d", command, name, k)
+        for name, value in self.least_values.items():
+            logger.debug("%s %s: %.3e", command, name, value)

@@ -7,13 +7,14 @@ finite-difference stencils around it.
 The random_*_draws functions return the drawn arrays, the point and the
 (4, k) stack of f, f', f'', f''' of its k profiles, or with count the stacks
 (count, k) and (4, count, k) of count configurations; taylor_profiles builds
-the profiles from them, one configuration or a stack of configurations at
-once.  The random_*_config functions are both steps for one configuration.
+the profiles from them: one configuration's, or the table (TaylorColumns) of
+a stack of configurations, which evaluates all its rows and columns at once.
+The random_*_config functions are both steps for one configuration.
 """
 
 import numpy as np
 
-from .functions import C3Function
+from .functions import C3Function, TaylorColumns
 from .norms import NormParams
 
 
@@ -55,12 +56,14 @@ def random_separable_draws(rng: np.random.Generator, n: int, count=None,
     return x, derivs
 
 
-def taylor_profiles(at, derivs) -> tuple:
+def taylor_profiles(at, derivs):
     """The k Taylor profiles of draws: at (k,) with derivs (4, k) gives one
-    configuration's, at (N, k) with derivs (4, N, k) profiles stacked by row
-    (see C3Function.taylor), the i-th of them about at[:, i]."""
-    return tuple(C3Function.taylor(at[..., i], derivs[..., i])
-                 for i in range(at.shape[-1]))
+    configuration's, a tuple of C3Function.taylor; at (N, k) with derivs
+    (4, N, k) gives the TaylorColumns table of N configurations, whose i-th
+    profile is stacked by row about at[:, i]."""
+    if np.ndim(at) == 2:
+        return TaylorColumns.taylor(at, derivs)
+    return tuple(C3Function.taylor(at[i], derivs[:, i]) for i in range(len(at)))
 
 
 def random_translation_config(

@@ -28,7 +28,6 @@ import numpy as np
 from .curvature import (
     CurvatureReport,
     SeparableChart,
-    _columns,
     _report_chunks,
     _stage,
     report_separable_batch,
@@ -40,7 +39,7 @@ from .errors import (
     EmptyDomainError,
     NonpositiveProfileError,
 )
-from .functions import C3Function, evaluate
+from .functions import C3Function, PowerColumns, ProfileColumns, evaluate
 from .meshes import write_points_csv
 from .norms import NormParams, _sum_last
 
@@ -717,10 +716,9 @@ def _powersum_surface(name: str, a, b, m: int) -> SeparableSurface:
         raise DomainError(f"a coefficient of {name} is 0: its power underflows a float")
     if abs(b.sum()) > 1e-12 * max(1.0, np.max(np.abs(b))):
         raise ConstraintViolationError("constant terms must sum to zero")
-    fs = tuple(C3Function.power_even(ai, m).shifted(bi) for ai, bi in zip(a, b))
     return SeparableSurface(
         name=name,
-        fs=fs,
+        fs=PowerColumns(a, b, m),
         p=NormParams(m=m, dim=len(a)),
         _draw_block=_powersum_sampler(a, b, m),
     )
@@ -844,9 +842,17 @@ class QuadratureSurface(SeparableSurface):
     # the block loop of SeparableSurface.sample, which here keeps parameter rows u
     sample_u = SeparableSurface.sample
 
+    @functools.cached_property
+    def in_u(self) -> ProfileColumns:
+        """The profiles as functions of their parameters u, as a table: its
+        columns take u_i and give x_i(u_i) as the value, and f_i' and f_i''
+        where the parameter is u_i as the derivatives."""
+        return ProfileColumns(C3Function(f.x_of_u, f.d1_of_u, f.d2_of_u)
+                              for f in self.fs)
+
     def x_of_u(self, u: np.ndarray) -> np.ndarray:
         """The points x (N, dim) of the parameter rows u (N, dim)."""
-        return _columns([f.x_of_u for f in self.fs], u)
+        return self.in_u(u)
 
     def sample(self, rng: np.random.Generator, count: int, stats=None) -> np.ndarray:
         return self.x_of_u(self.sample_u(rng, count, stats))
@@ -856,9 +862,9 @@ class QuadratureSurface(SeparableSurface):
         t = (u_1, ..., u_n), pivot u_{n+1} = -sum t, nu_i = f_i'(x_i) =
         s_i X_i^gamma at u_i and speeds du_i/dx_i = nu_i, so parameter j moves
         u_j at unit rate and the pivot at rate -1, and T[j, j] = 1/nu_j."""
-        nu0 = _columns([f.d1_of_u for f in self.fs], u)
-        slopes = [lambda rows, d1=f.d1_of_u: d1 for f in self.fs]
-        return SeparableChart.from_data(u, nu0, np.full(len(u), self.p.n), slopes, nu0)
+        nu0 = self.in_u.d1(u)
+        return SeparableChart.from_data(u, nu0, np.full(len(u), self.p.n), self.in_u,
+                                        nu0)
 
     def report_sample(self, rng: np.random.Generator, count: int, tol: float = 1e-6,
                       stats=None) -> CurvatureReport:
@@ -866,7 +872,7 @@ class QuadratureSurface(SeparableSurface):
             u = self.sample_u(rng, count, stats)
 
         def chunk(rows):
-            return self.chart(u[rows]), _columns([f.d2_of_u for f in self.fs], u[rows])
+            return self.chart(u[rows]), self.in_u.d2(u[rows])
 
         return _report_chunks(len(u), chunk, self.p, tol, stats)
 

@@ -20,7 +20,7 @@ from minmin.curvature import (
     report_separable_batch,
 )
 from minmin.errors import DimensionMismatchError, SingularConfigurationError
-from minmin.functions import C3Function
+from minmin.functions import C3Function, ProfileColumns, TaylorColumns
 from minmin.norms import birkhoff_normal_implicit, signed_pow
 from minmin.reporting import VerificationReport
 from minmin.sampling import (
@@ -248,9 +248,6 @@ class _CountingProfile:
         self.calls.append((id(self), np.shape(x)))
         return self.f.d1(x)
 
-    def d1_rows(self, rows):
-        return self.d1  # not stacked by row: one f' for every point
-
     def d2(self, x):
         return self.f.d2(x)
 
@@ -265,8 +262,9 @@ def _stencil_cells(pivots, dim):
 
 def test_batch_evaluates_the_base_slopes_once(monkeypatch):
     # the unit sphere at 5 points: f' at the base points once per profile, in
-    # the chart, then one moved_slopes call, which evaluates each profile once
-    # on the cells of the coordinates the stencil moves, 4n per point
+    # the chart, then one moved_slopes call, which makes one table call, and
+    # the table evaluates each profile once on the cells of its column, of the
+    # coordinates the stencil moves, 4n per point
     p = mm.NormParams(1, 3)
     calls = []
     fs = tuple(
@@ -275,16 +273,22 @@ def test_batch_evaluates_the_base_slopes_once(monkeypatch):
     )
     x = np.random.default_rng(3).uniform(0.2, 1.0, (5, 3))
     x /= np.linalg.norm(x, axis=1)[:, None]
-    h_shapes = []
-    real = SeparableChart.moved_slopes
+    h_shapes, cell_shapes = [], []
+    real, real_cells = SeparableChart.moved_slopes, ProfileColumns.slopes_at
 
     def moved_slopes(self, h):
         h_shapes.append(np.shape(h))
         return real(self, h)
 
+    def slopes_at(self, y, col, row):
+        cell_shapes.append(np.shape(y))
+        return real_cells(self, y, col, row)
+
     monkeypatch.setattr(SeparableChart, "moved_slopes", moved_slopes)
+    monkeypatch.setattr(ProfileColumns, "slopes_at", slopes_at)
     report_separable_batch(fs, x, p)
     assert h_shapes == [(5, p.n)]
+    assert cell_shapes == [(2, 2, 5, p.n)]
     cells = _stencil_cells(np.argmax(np.abs(x), axis=1), p.dim)
     assert sum(cells) == 4 * p.n * 5
     for f, k in zip(fs, cells):
@@ -537,15 +541,17 @@ def test_m_column_must_match_the_points():
 
 
 def test_oracle_compare_builds_one_chart_per_kind_and_n(monkeypatch, capsys):
-    plans = []
-    real = SeparableChart._plan
+    charts = []
+    real = SeparableChart.__init__
 
-    def counting(self, *args):
-        plans.append(len(args[0]))
-        return real(self, *args)
+    def counting(self, fs, p, base_points):
+        charts.append(len(base_points))
+        assert isinstance(fs, TaylorColumns) and len(fs.x0) == len(base_points)
+        real(self, fs, p, base_points)
 
-    monkeypatch.setattr(SeparableChart, "_plan", counting)
+    monkeypatch.setattr(SeparableChart, "__init__", counting)
     reports = _command_reports(["oracle-compare", "--points", "40", "--seed", "1"],
                                monkeypatch, capsys)
-    # 2 kinds x n = 2, 3, 4, each chart over every m of its rows
-    assert len(plans) == 6 and sum(plans) == len(reports) == 80
+    # 2 kinds x n = 2, 3, 4, each chart over every m of its rows, its profiles
+    # one table stacked by row
+    assert len(charts) == 6 and sum(charts) == len(reports) == 80

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from minmin import cli
+from minmin import cli, curvature
 from minmin.cli import EXAMPLE_IDS, build_parser, main
 from minmin.curvature import (
     CurvatureReport,
@@ -107,6 +107,21 @@ def test_default_verify_passes_on_every_example(example, m, capsys):
     code, stdout, _ = run(["verify", "--example", example, "--m", str(m),
                            "--points", "300"], capsys)
     assert code == 0, stdout[stdout.index("aggregate"):]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--example", "6.4", "--m", "10"],
+    ["--example", "6.3", "--m", "12"],
+    ["--example", "6.1", "--m", "25"],
+    ["--example", "6.2", "--m", "25"],
+    ["--example", "6.4", "--r", "3", "--m", "20"],
+])
+def test_verify_passes_where_the_terms_of_the_sum_exceed_one(argv, capsys):
+    # the terms a_i x_i^(2m) reach 1e3 and more: the sampler's roots carry
+    # about 2m eps of their size, which an absolute 1e-6 on the sum refused
+    code, stdout, err = run(["verify", "--points", "300"] + argv, capsys)
+    assert code == 0 and err == "", err
+    assert "status: PASS" in stdout
 
 
 def test_verify_passes_where_every_slope_is_tiny(capsys):
@@ -667,6 +682,48 @@ def test_gradient_whose_square_underflows_is_a_numerical_failure(capsys):
                             capsys)
     assert code == 3 and stdout == ""
     assert err == "numerical failure: |nu0|^2 underflows a float to 0 at a base point\n"
+
+
+@pytest.mark.parametrize("example,m", [("i-2", 61), ("i-2", 62), ("iii-2", 62)])
+def test_slope_power_that_overflows_is_a_numerical_failure(example, m, capsys):
+    # the slopes are subnormal, and the closed form's (f')^(-(2m-2)/(2m-1))
+    # overflows: one typed line and exit 3, no numpy warning (which the test
+    # configuration turns into an error) and no inf in a sum
+    code, stdout, err = run(["verify", "--example", example, "--m", str(m),
+                             "--points", "300"], capsys)
+    assert code == 3 and stdout == ""
+    assert err == ("numerical failure: separable mean curvature: the power "
+                   "(f')^(-(2m-2)/(2m-1)) of a profile slope overflows a float\n")
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["verify", "--example", "6.4", "--m", "2", "--points", "40", "--seed", "3"],
+     "verify"),
+    (["verify", "--example", "6.5", "--m", "2", "--points", "40", "--seed", "3"],
+     "verify"),
+    (["oracle-compare", "--points", "30", "--seed", "3"], "oracle-compare"),
+])
+def test_debug_log_names_the_smallest_slope_ratio(argv, label, monkeypatch, capsys):
+    # how well conditioned the charts were: min_i |f_i'| / max_i |f_i'| over
+    # every charted point, at debug only, and the report unchanged
+    seen = []
+    real = curvature.SeparableChart.slope_ratio
+
+    def slope_ratio(self):
+        size = np.abs(self.nu0)
+        seen.extend((size.min(axis=-1) / size.max(axis=-1)).tolist())
+        return real(self)
+
+    monkeypatch.setattr(curvature.SeparableChart, "slope_ratio", slope_ratio)
+    monkeypatch.delenv("MINMIN_LOG", raising=False)
+    quiet = run(argv, capsys)
+    monkeypatch.setenv("MINMIN_LOG", "debug")
+    code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == quiet[:2] and quiet[2] == ""
+    points = 2 * 30 if label == "oracle-compare" else 40
+    assert len(seen) == 2 * points and min(seen[:points]) == min(seen[points:])
+    line = f"{label} smallest slope ratio min|f'|/max|f'|: {min(seen):.3e}\n"
+    assert line in err
 
 
 @pytest.mark.parametrize("example", ["i-2", "iii-2"])

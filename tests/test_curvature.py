@@ -218,6 +218,18 @@ def test_off_surface_rejected():
         mm.mean_curvature_separable(s.fs, [1.0, 1.0, 1.0, 1.5], s.p)
 
 
+def test_on_surface_bound_is_relative_to_the_largest_term():
+    # x1^2 + x2^2 - x3^2 - x4^2: the bound is 1e-6 max(1, max_i |f_i(x_i)|)
+    s = mm.example_surface("6.2", m=1, r=2)
+    big = np.sqrt(1e6 + 1e-3)  # terms 1e6, the sum about 1e-3: 1e-9 relative
+    assert np.isfinite(mm.mean_curvature_separable(s.fs, [1e3, 1.0, big, 1.0], s.p))
+    with pytest.raises(OffSurfaceError, match=r"exceeds tolerance 1\.000e\+00"):
+        mm.mean_curvature_separable(s.fs, [1e3, 1.0, np.sqrt(1e6 - 2.0), 1.0], s.p)
+    # every term at most 1: the absolute 1e-6 of before
+    with pytest.raises(OffSurfaceError, match=r"exceeds tolerance 1\.000e-06"):
+        mm.mean_curvature_separable(s.fs, [0.5, 0.5, 0.5, np.sqrt(0.25 - 3e-6)], s.p)
+
+
 def test_separable_chart_slope_guard():
     p = mm.NormParams(1, 3)
     fs = (

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from conftest import fd_derivative_error
 
-from minmin.functions import C3Function
+from minmin.functions import C3Function, PowerColumns, TaylorColumns, profile_columns
+from minmin.sampling import taylor_profiles
+from minmin.separable import example_surface
+from minmin.translation import ProfileODEParams, integrate_profile
 
 
 def test_polynomial_derivatives():
@@ -45,32 +48,96 @@ def test_taylor_rows_are_the_scalar_profiles_bit_for_bit():
             assert got.tobytes() == getattr(rows[0], name)(x[..., :1]).tobytes()
 
 
-def test_taylor_rows_give_the_stack_slopes_bit_for_bit():
-    # d1_rows(rows) evaluates f' of any rows, in any order and repeated, on an
-    # array whose last axis runs over those rows
+def _cells(rng, x, spread):
+    """Stencil-like cells of the points x (N, dim): y (2, 2, N, n) near x in
+    the columns col (2, N, n), every row's in any order and repeated, with the
+    rows (N, 1) broadcast over them."""
+    N, dim = x.shape
+    col, row = rng.integers(0, dim, (2, N, dim - 1)), np.arange(N)[:, None]
+    y = x[row, col] + rng.uniform(-spread, spread, (2, 2, N, dim - 1))
+    return y, col, row
+
+
+def _assert_table_is_its_profiles(table, x, cells, stacked):
+    """The table's f, f', f'' columns at x and its slopes at the cells are the
+    bits of its per-column profiles, evaluated column by column and cell by
+    cell; a profile stacked by row takes its column of x whole, with the
+    cell's value in its row."""
+    assert len(table) == len(list(table)) == x.shape[-1]
+    for name in ("__call__", "d1", "d2"):
+        got = getattr(table, name)(x)
+        assert got.shape == x.shape
+        for i, f in enumerate(table):
+            assert got[..., i].tobytes() == getattr(f, name)(x[..., i]).tobytes()
+    y, col, row = cells
+    got = table.slopes_at(y, col, row)
+    assert got.shape == y.shape
+    col, row = np.broadcast_arrays(col, row)
+    for cell in np.ndindex(y.shape):
+        i, r = col[cell[1:]], row[cell[1:]]
+        if stacked:
+            column = x[:, i].copy()
+            column[r] = y[cell]
+            want = table[i].d1(column)[r]
+        else:
+            want = table[i].d1(np.array([y[cell]]))[0]
+        assert got[cell].tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_power_columns_are_their_profiles_bit_for_bit(m):
+    rng = np.random.default_rng(40 + m)
+    a, b = rng.uniform(-2, 2, 4), np.array([0.5, -1.5, 2.0, -1.0])
+    table = PowerColumns(a, b, m)
+    for f, ai, bi in zip(table, a, b):
+        ref = C3Function.power_even(ai, m).shifted(bi)
+        x = rng.uniform(-1.5, 1.5, 6)
+        for name in ("__call__", "d1", "d2"):
+            assert getattr(f, name)(x).tobytes() == getattr(ref, name)(x).tobytes()
+    x = rng.uniform(-1.5, 1.5, (5, 4))
+    _assert_table_is_its_profiles(table, x, _cells(rng, x, 0.1), stacked=False)
+
+
+def test_taylor_columns_are_their_profiles_bit_for_bit():
+    # oracle-compare's stacks: one cubic per row and column, and the graph's
+    # height column, whose f' is -1 and f'' +0.0 exactly at any argument
     rng = np.random.default_rng(6)
-    N = 5
-    x0 = rng.uniform(-1, 1, N)
-    stacked = C3Function.taylor(x0, rng.uniform(-2, 2, (4, N)))
-    rows = np.array([3, 0, 0, 4, 1, 3, 2])
-    x = x0[rows] + rng.uniform(-0.1, 0.1, (2, len(rows)))
-    got = stacked.d1_rows(rows)(x)
-    for e, r in enumerate(rows):
-        whole = x0.copy()
-        whole[r] = x[0, e]
-        assert got[0, e].tobytes() == stacked.d1(whole)[r].tobytes()
-        whole[r] = x[1, e]
-        assert got[1, e].tobytes() == stacked.d1(whole)[r].tobytes()
-    # and so do its rescaled and shifted stacks
-    for g in (stacked.scaled(-1.5, 0.5), stacked.shifted(2.0)):
-        got = g.d1_rows(rows)(x)
-        for e, r in enumerate(rows):
-            whole = x0.copy()
-            whole[r] = x[0, e]
-            assert got[0, e].tobytes() == g.d1(whole)[r].tobytes()
-    # a profile that is not stacked has one f' for every row
-    f = C3Function.polynomial([1.0, 2.0])
-    assert f.d1_rows(rows) == f.d1
+    N, k = 5, 3
+    at, derivs = rng.uniform(-1, 1, (N, k)), rng.uniform(-2, 2, (4, N, k))
+    table = taylor_profiles(at, derivs)
+    assert isinstance(table, TaylorColumns)
+    for i, f in enumerate(table):
+        ref = C3Function.taylor(at[:, i], derivs[:, :, i])
+        x = at[:, i] + rng.uniform(-0.1, 0.1, (3, N))
+        for name in ("__call__", "d1", "d2"):
+            assert getattr(f, name)(x).tobytes() == getattr(ref, name)(x).tobytes()
+    x = np.column_stack([at, rng.uniform(-2, 2, N)])
+    graph = table.graph()
+    _assert_table_is_its_profiles(graph, x, _cells(rng, x, 0.1), stacked=True)
+    t = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+    heights = np.zeros((len(t), N, k + 1))
+    heights[..., k] = t[:, None]
+    want = np.repeat(C3Function.linear(-1.0)(t)[:, None], N, axis=1)
+    assert graph(heights)[..., k].tobytes() == want.tobytes()
+    assert np.all(graph.d1(heights)[..., k] == -1.0)
+    d2 = graph.d2(heights)[..., k]
+    assert np.all(d2 == 0.0) and not np.signbit(d2).any()
+    cells = graph.slopes_at(np.broadcast_to(t[:, None, None], (len(t), N, 1)),
+                            np.array([[k]]), np.arange(N)[:, None])
+    assert np.all(cells == -1.0)
+
+
+def test_generic_columns_are_their_profiles_bit_for_bit():
+    # any other profiles, one call per column: 6.6's log_abs and an ODE profile
+    rng = np.random.default_rng(8)
+    curve = integrate_profile(ProfileODEParams(c0=1.0, k=1, m=2, y0=1.0, u0=0.0,
+                                               step=1e-2, max_steps=40))
+    fs = tuple(example_surface("6.6", 2).fs) + (curve.to_c3(),)
+    table = profile_columns(fs)
+    assert profile_columns(table) is table and list(table) == list(fs)
+    x = np.column_stack([rng.uniform(0.3, 1.5, (6, 4)) * rng.choice([-1, 1], (6, 4)),
+                         rng.uniform(-0.3, 0.3, 6)])
+    _assert_table_is_its_profiles(table, x, _cells(rng, x, 0.01), stacked=False)
 
 
 def test_scaled_chain_rule():
