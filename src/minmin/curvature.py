@@ -192,17 +192,17 @@ def separable_residual_sum(d1, d2, m: int):
     return float(res) if res.ndim == 0 else res
 
 
-def mean_curvature_from_slopes(d1, d2, p: NormParams, ms=None) -> np.ndarray:
+def mean_curvature_from_slopes(d1, d2, p: NormParams, runs=None) -> np.ndarray:
     """Closed-form H (N,) of sum f_i(x_i) = 0 from the slopes d1 = f_i'(x_i),
     d2 = f_i''(x_i) (N, dim): A^(-(2m+1)/(2m)) / (n (2m-1)) sum_j G_j (A - X_j),
-    terms as in closed_form_from_slopes.  ms (N,), when given, is each row's
-    m in place of p.m: only the powers are taken once per run of equal m
-    (_runs), on a slice of the rows.  Raises where the chart slope f_{n+1}'
-    vanishes, where m >= 2 needs the negative power of a vanishing slope and
-    where that power overflows a float."""
+    terms as in closed_form_from_slopes.  runs, when given, is _runs(p, ms, N)
+    for a column ms (N,) of each row's m in place of p.m: only the powers are
+    taken once per run of equal m, on a slice of the rows.  Raises where the
+    chart slope f_{n+1}' vanishes, where m >= 2 needs the negative power of a
+    vanishing slope and where that power overflows a float."""
     if (d1[:, -1] == 0.0).any():
         raise SingularConfigurationError("chart slope f_{n+1}' vanishes")
-    runs = _runs(p, ms, len(d1))
+    runs = runs or [(p.m, slice(None))]
     _, A, _, total = _slope_terms(d1, d2, runs, "separable mean curvature")
     return _by_run(runs, lambda m, rows: np.float_power(A[rows], -(2 * m + 1) / (2 * m))
                    / (p.n * (2 * m - 1))) * total
@@ -302,7 +302,7 @@ class SeparableChart:
     the base gradient nu0 = f'(x0) (N, dim); the pivots k (N,); the profile
     table whose slopes_at gives the slope of each coordinate as a function of
     y_i (see functions.ProfileColumns); and the speeds dy_i/dx_i (N, dim) at
-    the base points, or None for speed 1.  Parameter j is coordinate
+    the base points (1 for the chart in x).  Parameter j is coordinate
     c_j = j + (j >= k) of each point, so the base parameters t0 (N, n) are y
     there, and it moves the pivot k at the rate dy_k/dt_j = -g_c / g_k,
     g = nu0 / speed, which keeps the point on the tangent plane, and no other
@@ -335,7 +335,7 @@ class SeparableChart:
         size = np.abs(nu0)
         if not size.max(axis=-1).all():
             raise SingularConfigurationError("the gradient vanishes at a base point")
-        self._gather(x0, nu0, size.argmax(axis=-1), table, None)
+        self._gather(x0, nu0, size.argmax(axis=-1), table, np.ones(x0.shape))
 
     @classmethod
     def from_data(cls, y, nu0, k, table, speed) -> "SeparableChart":
@@ -364,13 +364,9 @@ class SeparableChart:
         self.moved0 = cells(nu0)
         self._base = cells(y)
         self.t0 = self._base[0]
-        if speed is None:
-            g = self.moved0
-            self.tc = np.ones((N, n))
-        else:
-            moved_speed = cells(speed)
-            g = self.moved0 / moved_speed
-            self.tc = 1.0 / moved_speed[0]
+        moved_speed = cells(speed)
+        g = self.moved0 / moved_speed
+        self.tc = 1.0 / moved_speed[0]
         self.rate = -g[0] / g[1]
         self._col = np.empty((2, N, n), dtype=np.intp)
         self._col[0], self._col[1] = c, pivot
@@ -438,7 +434,7 @@ def _runs(p: NormParams, ms, count: int):
             for a, b in zip(cuts, cuts[1:])]
 
 
-def mean_curvature_oracle(chart, p: NormParams, stats=None, ms=None):
+def mean_curvature_oracle(chart, p: NormParams, stats=None, runs=None):
     """Mean curvature from the definition trace(d eta)/n by central differences.
 
     The chart (a SeparableChart, in x or in other coordinates such as 6.5's
@@ -461,8 +457,9 @@ def mean_curvature_oracle(chart, p: NormParams, stats=None, ms=None):
     The step h, the stencil slopes and |nu0|^2 do not depend on m, and
     neither does any sum, product or quotient: only the roots and the gauge
     A^(-1/(2m)) are taken per run of equal m, each on a slice of the chart's
-    rows, and the rest of the arithmetic once for the whole chart.  ms (N,),
-    when given, is each point's m in place of p.m.
+    rows, and the rest of the arithmetic once for the whole chart.  runs,
+    when given, is _runs(p, ms, N), the runs of a column ms (N,) of each
+    point's m in place of p.m.
 
     Returns (h_oracle, tangency_defect), arrays of shape (N,) for a chart of
     N base points.
@@ -475,11 +472,15 @@ def mean_curvature_oracle(chart, p: NormParams, stats=None, ms=None):
     if stats is not None:
         stats.count("oracle slope evaluations", g.size)
     nu0, g0 = chart.nu0, chart.moved0
-    norm2 = _sum_last(nu0 * nu0)[:, None]
+    with np.errstate(over="ignore"):
+        norm2 = _sum_last(nu0 * nu0)[:, None]
     if not norm2.all():
         raise SingularConfigurationError(
             "|nu0|^2 underflows a float to 0 at a base point")
-    runs = _runs(p, ms, len(t0))
+    if not np.isfinite(norm2).all():
+        raise SingularConfigurationError(
+            "|nu0|^2 overflows a float at a base point")
+    runs = runs or [(p.m, slice(None))]
     root = _by_run(runs, lambda m, rows: _odd_root(g[:, :, rows], 2 * m - 1), axis=2)
     X = g * root
     X0 = g0 * _by_run(runs, lambda m, rows: _odd_root(g0[:, rows], 2 * m - 1), axis=1)
@@ -518,24 +519,24 @@ def _report_chunks(count, chunk, p: NormParams, tol: float, stats,
     chunk(rows) gives the chart of those rows and their second derivatives
     f_i'' (N, dim), once per chunk: neither depends on m.  The closed form
     takes the slopes f_i' from chart.nu0 and the oracle runs on the chart;
-    ms (count,), when given, is each point's m in place of p.m, and both take
-    their powers once per run of equal m in the chunk and the rest of their
-    arithmetic once.  ms need not be sorted, but each run costs a pass of the
-    powers, so a caller gives each m as one run.  stats, when given, times
-    the "analytic" and "oracle" stages and keeps the smallest slope ratio of
-    the charts (SeparableChart.slope_ratio).
+    ms (count,), when given, is each point's m in place of p.m: a chunk finds
+    its runs of equal m (_runs) once, and both take their powers once per
+    run and the rest of their arithmetic once.  ms need not be sorted, but
+    each run costs a pass of the powers, so a caller gives each m as one run.
+    stats, when given, times the "analytic" and "oracle" stages and keeps the
+    smallest slope ratio of the charts (SeparableChart.slope_ratio).
     """
     columns = []  # per chunk: H, h_oracle, defect; one chunk if count = 0
     for start in range(0, max(count, 1), _CHUNK_POINTS):
         rows = slice(start, start + _CHUNK_POINTS)
-        mine = None if ms is None else ms[rows]
         with _stage(stats, "analytic"):
             chart, d2 = chunk(rows)
-            H = mean_curvature_from_slopes(chart.nu0, d2, p, mine)
+            runs = _runs(p, None if ms is None else ms[rows], len(d2))
+            H = mean_curvature_from_slopes(chart.nu0, d2, p, runs)
         if stats is not None:
             stats.least("smallest slope ratio min|f'|/max|f'|", chart.slope_ratio())
         with _stage(stats, "oracle"):
-            columns.append((H,) + mean_curvature_oracle(chart, p, stats, mine))
+            columns.append((H,) + mean_curvature_oracle(chart, p, stats, runs))
     return CurvatureReport(*(np.concatenate(c) for c in zip(*columns)), tol)
 
 

@@ -684,6 +684,17 @@ def test_gradient_whose_square_underflows_is_a_numerical_failure(capsys):
     assert err == "numerical failure: |nu0|^2 underflows a float to 0 at a base point\n"
 
 
+@pytest.mark.parametrize("example", ["6.3", "6.4"])
+def test_gradient_whose_square_overflows_is_a_numerical_failure(example, capsys):
+    # at m = 200 the largest slopes square to more than a float holds: with
+    # |nu0|^2 = inf the oracle's defect and normal projection would read 0
+    # and pass, so the run stops with one typed line and no numpy warning
+    code, stdout, err = run(["verify", "--example", example, "--m", "200",
+                             "--points", "300"], capsys)
+    assert code == 3 and stdout == ""
+    assert err == "numerical failure: |nu0|^2 overflows a float at a base point\n"
+
+
 @pytest.mark.parametrize("example,m", [("i-2", 61), ("i-2", 62), ("iii-2", 62)])
 def test_slope_power_that_overflows_is_a_numerical_failure(example, m, capsys):
     # the slopes are subnormal, and the closed form's (f')^(-(2m-2)/(2m-1))
