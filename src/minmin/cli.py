@@ -330,27 +330,32 @@ def cmd_mesh(args) -> int:
             xs, signs = example_xprofiles(args.example)
         p = NormParams(m=args.m, dim=len(xs))
         check_patch_profiles(xs, signs, p)  # before the domain, which may be empty
-        try:
-            axes = feasible_axes(xs, grid, span=args.span)
-        except EmptyDomainError:
-            print("empty admissible domain: no patch to mesh")
-            return EXIT_PASS
-        patch = patch_from_xprofiles(xs, signs, axes, p)
-        if args.out.endswith(".csv"):
-            patch.write_csv(args.out)
-            print(f"wrote {patch.flat_points().shape[0]} points to {args.out}")
-            return EXIT_PASS
-        slice_axes = (
-            tuple(_parse_int_list(args.slice, "--slice")) if args.slice else None
-        )
-        project = (
-            tuple(_parse_int_list(args.project, "--project"))
-            if args.project
-            else (0, 1, 2)
-        )
-        verts = meshes.patch_vertices(patch, slice_axes=slice_axes, project=project)
-        meshes.write_obj(args.out, verts)
-        print(f"wrote {verts.shape[0] * verts.shape[1]} vertices to {args.out}")
+        stats = reporting.RunStats()
+        with stats.stage("grid"):
+            try:
+                axes = feasible_axes(xs, grid, span=args.span)
+            except EmptyDomainError:
+                print("empty admissible domain: no patch to mesh")
+                return EXIT_PASS
+            patch = patch_from_xprofiles(xs, signs, axes, p)
+        with stats.stage("write"):
+            if args.out.endswith(".csv"):
+                patch.write_csv(args.out)
+                print(f"wrote {patch.flat_points().shape[0]} points to {args.out}")
+            else:
+                slice_axes = (
+                    tuple(_parse_int_list(args.slice, "--slice")) if args.slice else None
+                )
+                project = (
+                    tuple(_parse_int_list(args.project, "--project"))
+                    if args.project
+                    else (0, 1, 2)
+                )
+                verts = meshes.patch_vertices(patch, slice_axes=slice_axes,
+                                              project=project)
+                meshes.write_obj(args.out, verts)
+                print(f"wrote {verts.shape[0] * verts.shape[1]} vertices to {args.out}")
+        stats.log(log, "mesh")
         return EXIT_PASS
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)

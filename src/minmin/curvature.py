@@ -331,7 +331,11 @@ class SeparableChart:
             raise DimensionMismatchError(
                 f"base points must be a stack (N, {p.dim}), got shape {x0.shape}")
         self.x0 = x0
-        nu0 = table.d1(x0)
+        with np.errstate(over="ignore"):
+            nu0 = table.d1(x0)
+        if not np.isfinite(nu0).all():
+            raise SingularConfigurationError("a profile slope f' overflows a float "
+                                             "at a base point")
         size = np.abs(nu0)
         if not size.max(axis=-1).all():
             raise SingularConfigurationError("the gradient vanishes at a base point")
@@ -559,7 +563,13 @@ def report_separable_batch(fs, points, p: NormParams, tol: float = 1e-6,
 
     def chunk(rows):
         x = points[rows]
-        return SeparableChart(table, p, x), table.d2(x)
+        chart = SeparableChart(table, p, x)
+        with np.errstate(over="ignore"):
+            d2 = table.d2(x)
+        if not np.isfinite(d2).all():
+            raise SingularConfigurationError("a profile's f'' overflows a float "
+                                             "at a base point")
+        return chart, d2
 
     return _report_chunks(len(points), chunk, p, tol, stats, ms)
 

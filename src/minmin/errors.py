@@ -18,7 +18,8 @@ class DegeneratePointError(MinminError, ValueError):
 
 
 class SingularConfigurationError(MinminError, ValueError):
-    """A profile slope vanishes where a negative fractional power of it is needed."""
+    """A profile slope, or a power or sum built from the profiles, vanishes or
+    overflows a float where the computation needs a finite nonzero value."""
 
 
 class OffSurfaceError(MinminError, ValueError):

@@ -1,8 +1,29 @@
-"""CSV point clouds and OBJ triangle meshes for surface grids and patches."""
+"""CSV point clouds and OBJ triangle meshes for surface grids and patches, and
+the block formatter (format_rows) that every text writer uses."""
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
+
+
+# Rows per block of format_rows: a writer holds one block's text at a time,
+# so its memory does not grow with the row count.
+BLOCK_ROWS = 65536
+
+
+def format_rows(row: str, columns):
+    """The text of the rows of columns (equal-length 1-D arrays), each row the
+    %-template row over one value of every column, as one string per block of
+    up to BLOCK_ROWS rows.  A block's values are taken to Python objects
+    (tolist), so they format as a float, an int or a str does."""
+    width = len(columns)
+    total = len(columns[0]) if width else 0
+    for start in range(0, total, BLOCK_ROWS):
+        count = min(BLOCK_ROWS, total - start)
+        flat = [None] * (count * width)
+        for j, c in enumerate(columns):
+            flat[j::width] = c[start:start + count].tolist()
+        yield (row * count) % tuple(flat)
 
 
 def write_obj(path, vertices: np.ndarray):
@@ -11,28 +32,23 @@ def write_obj(path, vertices: np.ndarray):
     if vertices.ndim != 3 or vertices.shape[-1] != 3:
         raise DimensionMismatchError("OBJ export needs a (G1, G2, 3) vertex grid")
     g1, g2, _ = vertices.shape
+    # 1-based vertex indices of each quad's corners, (i, j) a, (i, j+1) b,
+    # (i+1, j) c and (i+1, j+1) d: one row per quad, two triangles per row
+    a = (np.arange(g1 - 1)[:, None] * g2 + np.arange(1, g2)).ravel()
+    b, c, d = a + 1, a + g2, a + g2 + 1
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(g1):
-            for j in range(g2):
-                x, y, z = vertices[i, j]
-                fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
-        for i in range(g1 - 1):
-            for j in range(g2 - 1):
-                a = i * g2 + j + 1
-                b = a + 1
-                c = a + g2
-                d = c + 1
-                fh.write(f"f {a} {b} {d}\n")
-                fh.write(f"f {a} {d} {c}\n")
+        fh.writelines(format_rows("v %.17g %.17g %.17g\n",
+                                  list(vertices.reshape(-1, 3).T)))
+        fh.writelines(format_rows("f %d %d %d\nf %d %d %d\n", [a, b, d, a, d, c]))
 
 
 def write_points_csv(path, header, rows):
-    """CSV of a header line and the rows (N, k), every value in .17g format;
-    each column is formatted in one pass."""
-    cols = [map("{:.17g}".format, c) for c in np.asarray(rows, dtype=float).T.tolist()]
+    """CSV of a header line and the rows (N, k), every value in .17g format,
+    written one block of format_rows at a time."""
+    columns = list(np.asarray(rows, dtype=float).T)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
+        fh.writelines(format_rows(",".join(["%.17g"] * len(columns)) + "\n", columns))
 
 
 def translation_vertices(ts, axes) -> np.ndarray:

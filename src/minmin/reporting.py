@@ -12,6 +12,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curvature import CurvatureReport, failed_checks
+from .meshes import format_rows
+
+
+# %-templates of one point's row in the report and in its CSV sidecar
+REPORT_ROW = "%-6d %+.12e %+.12e %.6e %s\n"
+CSV_ROW = "%d,%.17g,%.17g,%.17g,%d,%s\n"
 
 
 def _fmt(v) -> str:
@@ -27,13 +33,13 @@ class VerificationReport:
     config: dict
     reports: CurvatureReport
     h_tol: float | None = None
-    reasons: list = field(init=False)  # failed_checks of each point
+    reasons: np.ndarray = field(init=False)  # failed_checks of each point
     aggregate: dict = field(init=False)
 
     def __post_init__(self):
         r = self.reports
-        self.reasons = failed_checks(r, r.tol, self.h_tol).tolist()
-        n_pass = self.reasons.count("-")
+        self.reasons = failed_checks(r, r.tol, self.h_tol)
+        n_pass = int(np.count_nonzero(self.reasons == "-"))
         # Python max over the column's floats: like the row loop it replaces,
         # it skips a NaN after the first element and gives 0.0 for no rows
         self.aggregate = {
@@ -50,39 +56,37 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.aggregate["fail"] == 0
 
-    def _rows(self):
-        """(index, h_analytic, h_oracle, tangency_defect, reason) of each point."""
+    def _columns(self, passed):
+        """The columns index, h_analytic, h_oracle, tangency_defect and the
+        caller's pass column, which the rows of render and of the CSV share."""
         r = self.reports
-        return zip(range(len(r)), r.h_analytic.tolist(), r.h_oracle.tolist(),
-                   r.tangency_defect.tolist(), self.reasons)
+        return [np.arange(len(r)), r.h_analytic, r.h_oracle, r.tangency_defect, passed]
 
     def render(self) -> str:
-        lines = [f"minmin {self.command} report", "=" * (len(self.command) + 14), ""]
+        head = [f"minmin {self.command} report", "=" * (len(self.command) + 14), ""]
         for key in sorted(self.config):
-            lines.append(f"{key}: {_fmt(self.config[key])}")
-        lines.append("")
-        lines.append("index  h_analytic          h_oracle            defect        pass")
-        for i, h, h_oracle, defect, reason in self._rows():
-            ok = "yes" if reason == "-" else "NO"
-            lines.append(f"{i:<6d} {h:+.12e} {h_oracle:+.12e} {defect:.6e} {ok}")
-        lines.append("")
-        lines.append("aggregate")
-        lines.append("---------")
+            head.append(f"{key}: {_fmt(self.config[key])}")
+        head.append("")
+        head.append("index  h_analytic          h_oracle            defect        pass")
+        tail = ["", "aggregate", "---------"]
         for key in ("points", "pass", "fail", "max_abs_h", "max_oracle_dev",
                     "max_defect"):
-            lines.append(f"{key}: {_fmt(self.aggregate[key])}")
-        lines.append(f"status: {'PASS' if self.passed else 'FAIL'}")
-        lines.append("")
-        return "\n".join(lines)
+            tail.append(f"{key}: {_fmt(self.aggregate[key])}")
+        tail.append(f"status: {'PASS' if self.passed else 'FAIL'}")
+        tail.append("")
+        ok = np.where(self.reasons == "-", "yes", "NO")
+        return "".join([
+            "\n".join(head), "\n",
+            *format_rows(REPORT_ROW, self._columns(ok)),
+            "\n".join(tail),
+        ])
 
     def write_points_csv(self, path):
+        passed = (self.reasons == "-").astype(int)
+        columns = self._columns(passed) + [self.reasons]
         with open(path, "w", encoding="utf-8") as fh:
-            cols = ["index", "h_analytic", "h_oracle", "tangency_defect", "passed",
-                    "reason"]
-            fh.write(",".join(cols) + "\n")
-            for i, h, h_oracle, defect, reason in self._rows():
-                fh.write(f"{i},{h:.17g},{h_oracle:.17g},{defect:.17g},"
-                         f"{int(reason == '-')},{reason}\n")
+            fh.write("index,h_analytic,h_oracle,tangency_defect,passed,reason\n")
+            fh.writelines(format_rows(CSV_ROW, columns))
 
 
 class RunStats:

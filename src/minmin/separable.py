@@ -38,6 +38,7 @@ from .errors import (
     DomainError,
     EmptyDomainError,
     NonpositiveProfileError,
+    SingularConfigurationError,
 )
 from .functions import C3Function, PowerColumns, ProfileColumns, evaluate
 from .meshes import write_points_csv
@@ -692,12 +693,18 @@ def _powersum_sampler(a, b, m: int, low: float = 0.3, high: float = 1.5,
                       floor: float = 0.1, ceil: float = 20.0):
     """Block sampler for surfaces sum_i (a_i x_i^(2m) + b_i) = 0: the last
     coordinate is the root t = (-rest / a_last)^(1/(2m)) of
-    a_last t^(2m) + rest = 0, and a slice with -rest / a_last < 0 has none."""
+    a_last t^(2m) + rest = 0, and a slice with -rest / a_last < 0 has none.
+    Raises where rest overflows a float: the slopes there overflow too."""
     a = np.asarray(a, dtype=float)
     const = float(np.asarray(b, dtype=float).sum())
 
     def last_root(vals):
-        rest = _sum_last(a[:-1] * vals ** (2 * m)) + const
+        with np.errstate(over="ignore", invalid="ignore"):
+            rest = _sum_last(a[:-1] * vals ** (2 * m)) + const
+        if not np.isfinite(rest).all():
+            raise SingularConfigurationError(
+                f"the power sum sum_i a_i x_i^(2m) of a sampled slice overflows "
+                f"a float at m = {m}")
         return np.float_power(np.maximum(-rest / a[-1], 0.0), 1.0 / (2 * m))
 
     return _root_sampler(len(a), last_root, low, high, floor, ceil)

@@ -196,8 +196,8 @@ class ProfileCurve:
 
 
 def _integrate_direction(params: ProfileODEParams, direction: float):
-    """Accepted (f, y) states one way from u0, the reason it stopped, and the
-    number of rhs evaluations it made.
+    """Accepted f and y, in two lists, one way from u0, the reason it stopped,
+    and the number of rhs evaluations it made.
 
     Each checked step is one classical RK4 step of (f, y)' = (y, rhs(y)) and,
     for the step-doubling gate, two RK4 half steps of y alone (the ODE is
@@ -205,9 +205,12 @@ def _integrate_direction(params: ProfileODEParams, direction: float):
     step share their first stage, so a checked step evaluates rhs 11 times (4
     when the full step is not finite).  rhs is written out on its constants
     inside the loop, with the operand order of ProfileODEParams.rhs, so every
-    stage keeps the bits of a call to it.
+    stage keeps the bits of a call to it.  The stage arithmetic is on floats
+    only: an int factor (k, the RK4 weight 2) is converted to the same double
+    on every multiply, so taking it as a float once changes no bit.
     """
     a, e, k = params.rhs_constants()
+    k = float(k)
     h = direction * float(params.step)
     half = h / 2
     # the stage factors 0.5*h and h/6 of the full step and of the half steps
@@ -215,7 +218,7 @@ def _integrate_direction(params: ProfileODEParams, direction: float):
     q2, q6 = 0.5 * half, half / 6.0
     f, y = 0.0, float(params.y0)
     positive = y > 0
-    out = []
+    fs, ys = [], []
     calls = 0
     for _ in range(params.max_steps):
         k1 = a * (abs(y) ** e + k * y * y)
@@ -225,11 +228,11 @@ def _integrate_direction(params: ProfileODEParams, direction: float):
         k3 = a * (abs(y3) ** e + k * y3 * y3)
         y4 = y + h * k3
         k4 = a * (abs(y4) ** e + k * y4 * y4)
-        f1 = f + h6 * (y + 2 * y2 + 2 * y3 + y4)
-        y1 = y + h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        f1 = f + h6 * (y + 2.0 * y2 + 2.0 * y3 + y4)
+        y1 = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         calls += 4
         if not (math.isfinite(f1) and math.isfinite(y1)):
-            return out, "non_finite", calls
+            return fs, ys, "non_finite", calls
         # first half step, from the full step's k1
         y2 = y + q2 * k1
         k2 = a * (abs(y2) ** e + k * y2 * y2)
@@ -237,7 +240,7 @@ def _integrate_direction(params: ProfileODEParams, direction: float):
         k3 = a * (abs(y3) ** e + k * y3 * y3)
         y4 = y + half * k3
         k4 = a * (abs(y4) ** e + k * y4 * y4)
-        ym = y + q6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        ym = y + q6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # second half step
         j1 = a * (abs(ym) ** e + k * ym * ym)
         y2 = ym + q2 * j1
@@ -246,19 +249,20 @@ def _integrate_direction(params: ProfileODEParams, direction: float):
         k3 = a * (abs(y3) ** e + k * y3 * y3)
         y4 = ym + half * k3
         k4 = a * (abs(y4) ** e + k * y4 * y4)
-        yh = ym + q6 * (j1 + 2 * k2 + 2 * k3 + k4)
+        yh = ym + q6 * (j1 + 2.0 * k2 + 2.0 * k3 + k4)
         calls += 7
         if abs(y1 - yh) > STEP_RESIDUAL_CAP * (1.0 + abs(y1)):
-            return out, "step_doubling", calls
+            return fs, ys, "step_doubling", calls
         if abs(y1) > SLOPE_CAP:
-            return out, "blowup", calls
+            return fs, ys, "blowup", calls
         if abs(y1) < SLOPE_FLOOR:
-            return out, "slope_floor", calls
+            return fs, ys, "slope_floor", calls
         if (y1 > 0) != positive:
-            return out, "sign_change", calls
+            return fs, ys, "sign_change", calls
         f, y = f1, y1
-        out.append((f, y))
-    return out, "max_steps", calls
+        fs.append(f)
+        ys.append(y)
+    return fs, ys, "max_steps", calls
 
 
 def integrate_profile(params: ProfileODEParams, stats=None) -> ProfileCurve:
@@ -274,18 +278,19 @@ def integrate_profile(params: ProfileODEParams, stats=None) -> ProfileCurve:
     counts the accepted steps and the stepper's rhs evaluations (11 per
     checked step; MINMIN_LOG=debug prints both).
     """
-    bwd, stop_bwd, calls_bwd = _integrate_direction(params, -1.0)
-    fwd, stop_fwd, calls_fwd = _integrate_direction(params, +1.0)
+    f_bwd, y_bwd, stop_bwd, calls_bwd = _integrate_direction(params, -1.0)
+    f_fwd, y_fwd, stop_fwd, calls_fwd = _integrate_direction(params, +1.0)
     if stats is not None:
-        stats.count("accepted RK4 steps", len(bwd) + len(fwd))
+        stats.count("accepted RK4 steps", len(y_bwd) + len(y_fwd))
         stats.count("RK4 rhs evaluations", calls_bwd + calls_fwd)
-    if not fwd and not bwd:
+    if not y_fwd and not y_bwd:
         raise IntegrationError(
             "no admissible step: immediate blow-up or step too large "
             f"(backward: {stop_bwd}, forward: {stop_fwd})"
         )
-    states = np.array(bwd[::-1] + [(0.0, params.y0)] + fwd)
-    return _profile_curve(params, len(bwd), states[:, 0].copy(), states[:, 1].copy(),
+    return _profile_curve(params, len(y_bwd),
+                          np.array(f_bwd[::-1] + [0.0] + f_fwd),
+                          np.array(y_bwd[::-1] + [float(params.y0)] + y_fwd),
                           {"backward": stop_bwd, "forward": stop_fwd})
 
 

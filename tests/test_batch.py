@@ -20,7 +20,7 @@ from minmin.curvature import (
     report_separable_batch,
 )
 from minmin.errors import DimensionMismatchError, SingularConfigurationError
-from minmin.functions import C3Function, ProfileColumns, TaylorColumns
+from minmin.functions import C3Function, PowerColumns, ProfileColumns, TaylorColumns
 from minmin.norms import birkhoff_normal_implicit, signed_pow
 from minmin.reporting import VerificationReport
 from minmin.sampling import (
@@ -219,6 +219,14 @@ def test_chart_raises_where_the_whole_gradient_vanishes():
     assert np.array_equal(chart.t0, [[0.6, 0.0]])
     (h,), (defect,) = mm.mean_curvature_oracle(chart, p)
     assert h == pytest.approx(1.0, abs=1e-9) and defect <= 1e-9
+
+
+def test_chart_raises_where_a_slope_overflows():
+    # f_1' = 4e300 x^3 is inf at x = 1e3; with it the chart's rates are NaN
+    p = mm.NormParams(2, 3)
+    table = PowerColumns([1e300, 1.0, -1.0], [0.0, 0.0, 0.0], 2)
+    with pytest.raises(SingularConfigurationError, match="slope f' overflows"):
+        SeparableChart(table, p, [[0.5, 0.5, 0.5], [1e3, 1.0, 1.0]])
 
 
 @pytest.mark.parametrize("base", [

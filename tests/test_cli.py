@@ -604,6 +604,25 @@ def test_ode_stage_log_keeps_output_byte_identical(tmp_path, argv, stages):
     assert f"{argv[0]} RK4 rhs evaluations: " in runs["debug"][2]
 
 
+@pytest.mark.parametrize("out", ["patch.obj", "patch.csv"])
+def test_patch_mesh_logs_its_stages(tmp_path, monkeypatch, capsys, out):
+    # MINMIN_LOG=info adds the grid and write stages to stderr and changes
+    # neither stdout nor the file
+    argv = ["mesh", "--example", "6.5", "--m", "2", "--grid", "6", "--out"]
+    runs = {}
+    for level in ("warning", "info"):
+        monkeypatch.setenv("MINMIN_LOG", level)
+        path = tmp_path / level / out
+        path.parent.mkdir()
+        code, stdout, err = run(argv + [str(path)], capsys)
+        assert code == 0
+        runs[level] = (stdout.replace(str(path), ""), path.read_bytes(), err)
+    assert runs["warning"][:2] == runs["info"][:2] and runs["warning"][2] == ""
+    stages = re.findall(r"^minmin INFO: mesh stage (\w+): cpu \S+ wall \S+$",
+                        runs["info"][2], re.M)
+    assert stages == ["grid", "write"]
+
+
 def test_second_main_call_honours_changed_minmin_log(monkeypatch, capsys):
     argv = ["ode", "--m", "1", "--c0", "0.5", "--y0", "0.5", "--max-steps", "20"]
     monkeypatch.delenv("MINMIN_LOG", raising=False)
@@ -693,6 +712,28 @@ def test_gradient_whose_square_overflows_is_a_numerical_failure(example, capsys)
                              "--points", "300"], capsys)
     assert code == 3 and stdout == ""
     assert err == "numerical failure: |nu0|^2 overflows a float at a base point\n"
+
+
+@pytest.mark.parametrize("example,m", [("6.3", 400), ("6.3", 500), ("6.4", 400),
+                                       ("6.4", 500)])
+def test_power_sum_that_overflows_is_a_numerical_failure(example, m, capsys):
+    # a sampled slice's terms a_i x_i^(2m) overflow a float, and so would the
+    # slopes there: one typed line naming the overflow, exit 3, no numpy warning
+    code, stdout, err = run(["verify", "--example", example, "--m", str(m),
+                             "--points", "300"], capsys)
+    assert code == 3 and stdout == ""
+    assert err == ("numerical failure: the power sum sum_i a_i x_i^(2m) of a sampled "
+                   f"slice overflows a float at m = {m}\n")
+
+
+def test_second_derivative_that_overflows_is_a_numerical_failure(capsys):
+    # at m = 320 the slices and slopes of 6.3 fit a float and some f'' do not:
+    # one typed line naming that overflow, and no numpy warning before it
+    code, stdout, err = run(["verify", "--example", "6.3", "--m", "320",
+                             "--points", "300"], capsys)
+    assert code == 3 and stdout == ""
+    assert err == ("numerical failure: a profile's f'' overflows a float at a base "
+                   "point\n")
 
 
 @pytest.mark.parametrize("example,m", [("i-2", 61), ("i-2", 62), ("iii-2", 62)])
