@@ -58,19 +58,25 @@ log = logging.getLogger("minmin")
 EXAMPLE_IDS = ("6.1", "6.2", "6.3", "6.4", "6.5", "6.6", "i-2", "iii-2")
 
 
-def _setup_logging():
-    """Set the minmin logger's level from MINMIN_LOG and give it one handler on
-    the current sys.stderr, afresh on every call, so that each in-process
-    main() call honours the environment and stream it runs with."""
-    level = os.environ.get("MINMIN_LOG", "warning").upper()
-    for old in [h for h in log.handlers if h.get_name() == "minmin.cli"]:
-        log.removeHandler(old)
+@functools.lru_cache(maxsize=None)
+def _log_handler() -> logging.StreamHandler:
+    """The minmin logger's one stderr handler, added on the first call."""
     handler = logging.StreamHandler(sys.stderr)
-    handler.set_name("minmin.cli")
     handler.setFormatter(logging.Formatter("minmin %(levelname)s: %(message)s"))
     log.addHandler(handler)
-    log.setLevel(getattr(logging, level, logging.WARNING))
     log.propagate = False
+    return handler
+
+
+def _setup_logging():
+    """Point the minmin logger's handler at the current sys.stderr and set its
+    level from MINMIN_LOG, so that each in-process main() call honours the
+    environment and stream it runs with."""
+    # not setStream, which flushes the previous stream: an in-process caller
+    # may have closed it (every record is flushed as it is emitted)
+    _log_handler().stream = sys.stderr
+    level = os.environ.get("MINMIN_LOG", "warning").upper()
+    log.setLevel(getattr(logging, level, logging.WARNING))
 
 
 # ---------------------------------------------------------------------------

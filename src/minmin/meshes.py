@@ -33,13 +33,16 @@ def write_obj(path, vertices: np.ndarray):
         raise DimensionMismatchError("OBJ export needs a (G1, G2, 3) vertex grid")
     g1, g2, _ = vertices.shape
     # 1-based vertex indices of each quad's corners, (i, j) a, (i, j+1) b,
-    # (i+1, j) c and (i+1, j+1) d: one row per quad, two triangles per row
-    a = (np.arange(g1 - 1)[:, None] * g2 + np.arange(1, g2)).ravel()
-    b, c, d = a + 1, a + g2, a + g2 + 1
+    # (i+1, j) c and (i+1, j+1) d: one row per quad, two triangles per row;
+    # a is made whole, and b, c and d one block of quads at a time
+    a_all = (np.arange(g1 - 1)[:, None] * g2 + np.arange(1, g2)).ravel()
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(format_rows("v %.17g %.17g %.17g\n",
                                   list(vertices.reshape(-1, 3).T)))
-        fh.writelines(format_rows("f %d %d %d\nf %d %d %d\n", [a, b, d, a, d, c]))
+        for start in range(0, a_all.size, BLOCK_ROWS):
+            a = a_all[start:start + BLOCK_ROWS]
+            b, c, d = a + 1, a + g2, a + g2 + 1
+            fh.writelines(format_rows("f %d %d %d\nf %d %d %d\n", [a, b, d, a, d, c]))
 
 
 def write_points_csv(path, header, rows):
@@ -52,11 +55,16 @@ def write_points_csv(path, header, rows):
 
 
 def translation_vertices(ts, axes) -> np.ndarray:
-    """(G1, G2, 3) vertex grid (u1, u2, f) of a two-profile translation graph."""
+    """(G1, G2, 3) vertex grid (u1, u2, f) of a two-profile translation graph.
+
+    The graph is separable, so each profile evaluates once on its own axis,
+    and the heights add in the order of TranslationSurface.value."""
     if ts.n != 2:
         raise DomainError("OBJ export of a translation graph needs n = 2")
-    grid = np.stack(np.meshgrid(axes[0], axes[1], indexing="ij"), axis=-1)
-    return np.concatenate([grid, ts.value(grid)[..., None]], axis=-1)
+    u1, u2 = (np.asarray(a, dtype=float) for a in axes)
+    f1, f2 = (f(u) for f, u in zip(ts.profiles, (u1, u2)))
+    return np.stack([*np.meshgrid(u1, u2, indexing="ij", copy=False),
+                     (0.0 + f1[:, None]) + f2], axis=-1)
 
 
 def patch_vertices(patch, slice_axes=None, project=(0, 1, 2)) -> np.ndarray:

@@ -5,8 +5,9 @@ rendered with a fixed format, and wall time, stage timings and work counters
 are kept out of the document (they go to the log instead).
 """
 
+import logging
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,16 +93,24 @@ class VerificationReport:
 class RunStats:
     """CPU and wall seconds per stage, and work counters, of one run.
 
-    For the log only: nothing here is rendered into a report.
+    For the log only: nothing here is rendered into a report.  Stages are
+    timed only where log() would print them, that is where the minmin logger
+    is enabled for INFO when the RunStats is made; elsewhere stage() reads no
+    clock.
     """
 
     def __init__(self):
         self.seconds = {}  # stage -> [cpu, wall]
         self.counts = {}
         self.least_values = {}
+        self.timed = logging.getLogger("minmin").isEnabledFor(logging.INFO)
+
+    def stage(self, name: str):
+        """A context that adds its CPU and wall seconds to the stage name."""
+        return self._timed_stage(name) if self.timed else nullcontext()
 
     @contextmanager
-    def stage(self, name: str):
+    def _timed_stage(self, name: str):
         cpu, wall = time.process_time(), time.perf_counter()
         try:
             yield

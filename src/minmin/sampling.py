@@ -23,10 +23,16 @@ def counter_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def random_signs(rng: np.random.Generator, shape) -> np.ndarray:
+    """Independent signs -1.0 or +1.0: the draws, and the bits taken from rng,
+    of rng.choice([-1.0, 1.0], shape), which indexes through rng.integers(0, 2)."""
+    return 2.0 * rng.integers(0, 2, shape) - 1.0
+
+
 def _taylor_draws(rng: np.random.Generator, shape, slope_low: float,
                   slope_high: float) -> np.ndarray:
     """f, f', f'', f''' of profiles at their points, a stack (4, *shape)."""
-    d1 = rng.uniform(slope_low, slope_high, shape) * rng.choice([-1.0, 1.0], shape)
+    d1 = rng.uniform(slope_low, slope_high, shape) * random_signs(rng, shape)
     d2 = rng.uniform(-1.0, 1.0, shape)
     d3 = rng.uniform(-1.0, 1.0, shape)
     f0 = rng.uniform(-1.0, 1.0, shape)

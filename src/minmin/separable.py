@@ -9,10 +9,10 @@ holds for all u on the zero-sum hyperplane u_1 + ... + u_{n+1} = 0.  The
 surface itself is recovered from positive profiles X_i by the quadrature
 x_i = +/- integral of X_i^(-(2m-1)/(2m)).
 
-This module expands the identity for affine, quadratic and exponential profile
-families into canonical coefficient systems, builds surface patches by the
-closed-form antiderivative or composite quadrature, and provides factories
-for the catalogue of closed-form minimal examples (power sums,
+This module gives the identity for affine, quadratic and exponential profile
+families as closed-form canonical coefficient systems, builds surface patches
+by the closed-form antiderivative or composite quadrature, and provides
+factories for the catalogue of closed-form minimal examples (power sums,
 mixed-coefficient power sums, the hyperbolic exponential surface, which is
 charted over u, and the ratio surface x2 x3 = +/- x1 x4).
 """
@@ -43,6 +43,7 @@ from .errors import (
 from .functions import C3Function, PowerColumns, ProfileColumns, evaluate
 from .meshes import write_points_csv
 from .norms import NormParams, _sum_last
+from .sampling import random_signs
 
 
 # ---------------------------------------------------------------------------
@@ -139,96 +140,19 @@ def minimality_identity_residual(xs, u) -> float:
 
 
 # ---------------------------------------------------------------------------
-# identity expansion engine
+# ansatz systems in closed form
 # ---------------------------------------------------------------------------
-
-
-def _poly_add(a: dict, b: dict, s: float = 1.0) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0.0) + s * v
-    return out
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            out[k] = out.get(k, 0.0) + va * vb
-    return out
-
-
-def _identity_terms(X, Xp, params) -> dict:
-    """sum_j Xp_j (A - X_j) with A = sum_i X_i, for X_i and X_i' given as term
-    dicts; terms of magnitude at most 1e-13 * scale are dropped, where
-    scale = max(1, |params|)^2 over the profiles' parameters.  Raises
-    DomainError unless every parameter (each is a coefficient of some X_i),
-    scale and every term are finite: the rule would drop a NaN term, and every
-    term under an infinite scale."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = max(1.0, max(abs(v) for v in params)) ** 2
-        A = {}
-        for Xi in X:
-            A = _poly_add(A, Xi)
-        total = {}
-        for Xi, Xpi in zip(X, Xp):
-            total = _poly_add(total, _poly_mul(Xpi, _poly_add(A, Xi, -1.0)))
-    values = [scale, *total.values(), *(v for Xi in X for v in Xi.values())]
-    if not all(map(math.isfinite, values)):
-        raise DomainError("the parameters, their scale and the identity's terms "
-                          "must be finite")
-    return {k: v for k, v in total.items() if abs(v) > 1e-13 * scale}
-
-
-def _expand_polynomial_identity(pqr, n: int) -> dict:
-    """Expand the minimality identity for polynomial X_i over u_1..u_n.
-
-    pqr is a list of n+1 coefficient tuples (constant, linear, quadratic);
-    the last variable is eliminated by u_{n+1} = -(u_1 + ... + u_n).  Returns
-    a dict mapping monomial exponent tuples to raw coefficients.
-    """
-    zero = (0,) * n
-
-    def var(i: int) -> dict:
-        if i < n:
-            return {tuple(1 if j == i else 0 for j in range(n)): 1.0}
-        return {tuple(1 if j == i2 else 0 for j in range(n)): -1.0 for i2 in range(n)}
-
-    X, Xp = [], []
-    for i, coeffs in enumerate(pqr):
-        p0, q0, r0 = coeffs
-        ui = var(i)
-        Xi = _poly_add({zero: p0}, ui, q0)
-        Xi = _poly_add(Xi, _poly_mul(ui, ui), r0)
-        X.append(Xi)
-        Xp.append(_poly_add({zero: q0}, ui, 2 * r0))
-    return _identity_terms(X, Xp, [v for c in pqr for v in c])
-
-
-def _expand_exponential_identity(q, r, n: int = 3) -> dict:
-    """Expand the identity for X_i = q_i e^u + r_i e^-u over exponent vectors."""
-
-    def term(i: int, sign: int) -> tuple:
-        # exponent vector of e^(sign * u_i) after eliminating u_{n+1}
-        if i < n:
-            return tuple(sign if j == i else 0 for j in range(n))
-        return tuple(-sign for _ in range(n))
-
-    X, Xp = [], []
-    for i in range(n + 1):
-        X.append({term(i, +1): q[i], term(i, -1): r[i]})
-        Xp.append({term(i, +1): q[i], term(i, -1): -r[i]})
-    return _identity_terms(X, Xp, list(q) + list(r))
 
 
 @dataclass
 class AnsatzSystem:
-    """Canonical coefficient system extracted from the minimality identity.
+    """Canonical coefficient system of the minimality identity.
 
     coefficients maps canonical basis tags to values normalised the way the
-    systems are usually displayed (repeated monomials share one entry); the
-    raw expansion is kept so that evaluate() reproduces the identity exactly.
+    systems are usually displayed (repeated monomials share one entry); raw
+    maps each monomial exponent tuple (or exponent vector, for exponentials)
+    of the expanded identity to its coefficient, so that evaluate()
+    reproduces the identity exactly.
     """
 
     kind: str
@@ -255,19 +179,40 @@ class AnsatzSystem:
         return total
 
 
-def _mono(n: int, *idx) -> tuple:
-    e = [0] * n
-    for i in idx:
-        e[i] += 1
-    return tuple(e)
+def _system(kind: str, n: int, params, entries) -> AnsatzSystem:
+    """The AnsatzSystem of the parameters params and the entries (tag, value,
+    multiplicity, monomials): each monomial of a tag carries multiplicity *
+    value in the expanded identity.  A term of magnitude at most 1e-13 * scale
+    is dropped, and its tag reads 0.0, where scale = max(1, |params|)^2.
+    Raises DomainError unless every parameter, scale and every term are
+    finite: the rule would drop a NaN term, and every term under an infinite
+    scale."""
+    top = max(1.0, *map(abs, params))
+    scale = top * top
+    finite = math.isfinite(scale) and all(map(math.isfinite, params))
+    coefficients, raw = {}, {}
+    for tag, value, mult, monomials in entries:
+        term = mult * value
+        finite = finite and math.isfinite(term)
+        if abs(term) > 1e-13 * scale:
+            coefficients[tag] = value
+            for mono in monomials:
+                raw[mono] = term
+        else:
+            coefficients[tag] = 0.0
+    if not finite:
+        raise DomainError("the parameters, their scale and the identity's terms "
+                          "must be finite")
+    return AnsatzSystem(kind=kind, n=n, coefficients=coefficients, raw=raw)
 
 
 def extract_affine_system(n: int, p, q) -> AnsatzSystem:
     """Coefficients of the identity for affine X_i = p_i + q_i u_i, all q_i != 0.
 
-    The identity collapses to constant + linear terms; the linear coefficient
-    of u_l factors as (q_l - q_{n+1}) (sum of the remaining q).  It needs
-    n >= 2, three profiles, as NormParams does.
+    With u_{n+1} = -(u_1 + ... + u_n) the identity collapses to the constant
+    sum_{i != j} q_j p_i and, for u_l, the linear coefficient
+    (q_l - q_{n+1}) (sum of the q_j with j not l, n+1).  It needs n >= 2,
+    three profiles, as NormParams does.
     """
     if n < 2:
         raise DimensionMismatchError(f"an affine system needs n >= 2, got n = {n}")
@@ -277,20 +222,61 @@ def extract_affine_system(n: int, p, q) -> AnsatzSystem:
         raise DimensionMismatchError(f"need {n + 1} values of p and q")
     if np.any(q == 0.0):
         raise DomainError("affine profiles require q_i != 0")
-    raw = _expand_polynomial_identity([(pi, qi, 0.0) for pi, qi in zip(p, q)], n)
-    coeffs = {"1": raw.get((0,) * n, 0.0)}
+    p, q = p.tolist(), q.tolist()
+    total_p = sum(p)
+    entries = [("1", sum(qj * (total_p - pj) for pj, qj in zip(p, q)), 1, [(0,) * n])]
     for l in range(n):
-        coeffs[f"u{l + 1}"] = raw.get(_mono(n, l), 0.0)
-    return AnsatzSystem(kind="affine", n=n, coefficients=coeffs, raw=raw)
+        others = sum(q[j] for j in range(n) if j != l)
+        unit = tuple(int(j == l) for j in range(n))
+        entries.append((f"u{l + 1}", others * (q[l] - q[n]), 1, [unit]))
+    return _system("affine", n, p + q, entries)
 
 
-_QUAD_TAGS = (
-    "1",
-    "u1", "u2", "u3",
-    "u1^2", "u2^2", "u3^2",
-    "u1*u2", "u1*u3", "u2*u3",
-    "u1^2*u2+u1*u2^2", "u1^2*u3+u1*u3^2", "u2^2*u3+u2*u3^2",
-    "u1*u2*u3",
+def _quadratic_coefficients(p, q, r) -> tuple:
+    """The fourteen canonical coefficients of the quadratic system in the order
+    of _QUAD_TERMS.  Each is a quadratic form in (p, q, r); the entries may be
+    floats or arrays that broadcast."""
+    p1, p2, p3, p4 = p
+    q1, q2, q3, q4 = q
+    r1, r2, r3, r4 = r
+    s4 = p1 + p2 + p3  # sum of p_i over i != 4
+    r4_s4 = 2.0 * r4 * s4
+    return (
+        q1 * (p2 + p3 + p4) + q2 * (p1 + p3 + p4) + q3 * (p1 + p2 + p4) + q4 * s4,
+        (q2 + q3) * (q1 - q4) + 2.0 * r1 * (p2 + p3 + p4) - r4_s4,
+        (q1 + q3) * (q2 - q4) + 2.0 * r2 * (p1 + p3 + p4) - r4_s4,
+        (q1 + q2) * (q3 - q4) + 2.0 * r3 * (p1 + p2 + p4) - r4_s4,
+        (q2 + q3) * (r1 + r4) - q1 * r4 - q4 * r1,
+        (q1 + q3) * (r2 + r4) - q2 * r4 - q4 * r2,
+        (q1 + q2) * (r3 + r4) - q3 * r4 - q4 * r3,
+        (q2 - q4) * r1 + (q1 - q4) * r2 + q3 * r4,
+        (q3 - q4) * r1 + (q1 - q4) * r3 + q2 * r4,
+        (q3 - q4) * r2 + (q2 - q4) * r3 + q1 * r4,
+        r1 * r2 + r1 * r4 + r2 * r4,
+        r1 * r3 + r1 * r4 + r3 * r4,
+        r2 * r3 + r2 * r4 + r3 * r4,
+        r4 * (r1 + r2 + r3),
+    )
+
+
+# (tag, multiplicity, monomials) of the quadratic system: a mixed monomial
+# u_a u_b appears twice in the expansion, each member of a symmetric cubic
+# pair twice and u1 u2 u3 four times
+_QUAD_TERMS = (
+    ("1", 1, ((0, 0, 0),)),
+    ("u1", 1, ((1, 0, 0),)),
+    ("u2", 1, ((0, 1, 0),)),
+    ("u3", 1, ((0, 0, 1),)),
+    ("u1^2", 1, ((2, 0, 0),)),
+    ("u2^2", 1, ((0, 2, 0),)),
+    ("u3^2", 1, ((0, 0, 2),)),
+    ("u1*u2", 2, ((1, 1, 0),)),
+    ("u1*u3", 2, ((1, 0, 1),)),
+    ("u2*u3", 2, ((0, 1, 1),)),
+    ("u1^2*u2+u1*u2^2", 2, ((2, 1, 0), (1, 2, 0))),
+    ("u1^2*u3+u1*u3^2", 2, ((2, 0, 1), (1, 0, 2))),
+    ("u2^2*u3+u2*u3^2", 2, ((0, 2, 1), (0, 1, 2))),
+    ("u1*u2*u3", 4, ((1, 1, 1),)),
 )
 
 
@@ -306,44 +292,20 @@ def extract_quadratic_system(p, q, r) -> AnsatzSystem:
     r = np.asarray(r, dtype=float)
     if not (p.shape == q.shape == r.shape == (4,)):
         raise DimensionMismatchError("quadratic case needs 4 values of p, q, r")
-    n = 3
-    raw = _expand_polynomial_identity(list(zip(p, q, r)), n)
-    scale = max(1.0, float(np.max(np.abs(np.concatenate([p, q, r]))))) ** 2
-    coeffs = {"1": raw.get((0, 0, 0), 0.0)}
-    for l in range(3):
-        coeffs[f"u{l + 1}"] = raw.get(_mono(n, l), 0.0)
-    for l in range(3):
-        coeffs[f"u{l + 1}^2"] = raw.get(_mono(n, l, l), 0.0)
-    for (a, b) in ((0, 1), (0, 2), (1, 2)):
-        coeffs[f"u{a + 1}*u{b + 1}"] = raw.get(_mono(n, a, b), 0.0) / 2.0
-    for (a, b) in ((0, 1), (0, 2), (1, 2)):
-        c_ab = raw.get(_mono(n, a, a, b), 0.0)
-        c_ba = raw.get(_mono(n, a, b, b), 0.0)
-        if abs(c_ab - c_ba) > 1e-10 * scale:
-            raise DomainError("symmetric cubic pair did not collapse; bad expansion")
-        tag = f"u{a + 1}^2*u{b + 1}+u{a + 1}*u{b + 1}^2"
-        coeffs[tag] = c_ab / 2.0
-    coeffs["u1*u2*u3"] = raw.get((1, 1, 1), 0.0) / 4.0
-    known = {
-        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),
-        (2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1),
-        (2, 1, 0), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (0, 1, 2),
-        (1, 1, 1),
-    }
-    stray = [k for k in raw if k not in known]
-    if stray:
-        raise DomainError(f"unexpected monomials in quadratic expansion: {stray}")
-    ordered = {tag: coeffs[tag] for tag in _QUAD_TAGS}
-    return AnsatzSystem(kind="quadratic", n=3, coefficients=ordered, raw=raw)
+    p, q, r = p.tolist(), q.tolist(), r.tolist()
+    values = _quadratic_coefficients(p, q, r)
+    return _system("quadratic", 3, p + q + r, [
+        (tag, value, mult, monos) for (tag, mult, monos), value in zip(_QUAD_TERMS, values)])
 
 
-_EXP_TAGS = (
-    ("exp(+u1+u2)", (1, 1, 0)),
-    ("exp(-u1-u2)", (-1, -1, 0)),
-    ("exp(+u1+u3)", (1, 0, 1)),
-    ("exp(-u1-u3)", (-1, 0, -1)),
-    ("exp(+u2+u3)", (0, 1, 1)),
-    ("exp(-u2-u3)", (0, -1, -1)),
+# (tag, exponent vector, the q pair, the r pair) of the exponential system
+_EXP_TERMS = (
+    ("exp(+u1+u2)", (1, 1, 0), (0, 1), (2, 3)),
+    ("exp(-u1-u2)", (-1, -1, 0), (2, 3), (0, 1)),
+    ("exp(+u1+u3)", (1, 0, 1), (0, 2), (1, 3)),
+    ("exp(-u1-u3)", (-1, 0, -1), (1, 3), (0, 2)),
+    ("exp(+u2+u3)", (0, 1, 1), (1, 2), (0, 3)),
+    ("exp(-u2-u3)", (0, -1, -1), (0, 3), (1, 2)),
 )
 
 
@@ -351,19 +313,18 @@ def extract_exponential_system(q, r) -> AnsatzSystem:
     """Coefficients for exponential X_i = q_i e^u + r_i e^-u (n = 3).
 
     The identity collapses to six exponentials e^(+/-(u_i + u_j)); each tag
-    carries twice a difference of a q-product and an r-product.
+    carries twice a q-product less twice an r-product.  The expansion sums
+    each doubled product on its own, so one that overflows makes the
+    difference, and the term, not finite.
     """
     q = np.asarray(q, dtype=float)
     r = np.asarray(r, dtype=float)
     if not (q.shape == r.shape == (4,)):
         raise DimensionMismatchError("exponential case needs 4 values of q and r")
-    raw = _expand_exponential_identity(q, r)
-    known = {vec for _, vec in _EXP_TAGS}
-    stray = [k for k in raw if k not in known]
-    if stray:
-        raise DomainError(f"unexpected exponentials in expansion: {stray}")
-    coeffs = {tag: raw.get(vec, 0.0) for tag, vec in _EXP_TAGS}
-    return AnsatzSystem(kind="exponential", n=3, coefficients=coeffs, raw=raw)
+    q, r = q.tolist(), r.tolist()
+    return _system("exponential", 3, q + r, [
+        (tag, 2.0 * (q[a] * q[b]) - 2.0 * (r[c] * r[d]), 1, (vec,))
+        for tag, vec, (a, b), (c, d) in _EXP_TERMS])
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +627,7 @@ class SeparableSurface:
 
 def _signed_draws(rng: np.random.Generator, low: float, high: float, shape):
     """Magnitudes uniform in [low, high) with independent random signs."""
-    return rng.uniform(low, high, shape) * rng.choice([-1.0, 1.0], shape)
+    return rng.uniform(low, high, shape) * random_signs(rng, shape)
 
 
 def _root_sampler(dim: int, last_root, low: float, high: float,
@@ -681,7 +642,7 @@ def _root_sampler(dim: int, last_root, low: float, high: float,
 
     def draw_block(rng: np.random.Generator) -> np.ndarray:
         vals = _signed_draws(rng, low, high, (_SAMPLE_BLOCK, dim - 1))
-        sign = rng.choice([-1.0, 1.0], _SAMPLE_BLOCK)
+        sign = random_signs(rng, _SAMPLE_BLOCK)
         root = last_root(vals)
         keep = (floor <= root) & (root <= ceil)
         return np.column_stack([vals[keep], sign[keep] * root[keep]])
@@ -1022,9 +983,28 @@ def perturbed_example_surface(example_id: str, m: int, r: int = 2,
 
 
 def quadratic_system_equations(p, q, r) -> np.ndarray:
-    """The fourteen canonical coefficients as a residual vector."""
-    sys = extract_quadratic_system(p, q, r)
-    return np.array(list(sys.coefficients.values()))
+    """The fourteen canonical coefficients as a residual vector, in closed form
+    and without the drop rule; p, q and r may be stacks (4, ...), and the
+    residuals are then (14, ...)."""
+    return np.array(_quadratic_coefficients(p, q, r))
+
+
+def _theta_equations(theta: np.ndarray) -> np.ndarray:
+    """quadratic_system_equations of parameter vectors theta (..., 12) =
+    (p, q, r), as residuals (..., 14)."""
+    t = np.moveaxis(theta, -1, 0)
+    return np.stack(_quadratic_coefficients(t[:4], t[4:8], t[8:]), axis=-1)
+
+
+def _residuals_and_jacobian(theta: np.ndarray):
+    """The residuals (k, 14) and their Jacobians (k, 14, 12) at the parameter
+    vectors theta (k, 12).  Every residual is a quadratic form in theta, so
+    the central difference (c(theta + e_j) - c(theta - e_j)) / 2 is its exact
+    derivative along e_j; all 25 probes of a row are evaluated in one call."""
+    unit = np.eye(12)
+    probes = theta[:, None, :] + np.concatenate([np.zeros((1, 12)), unit, -unit])
+    c = _theta_equations(probes)  # (k, 25, 14)
+    return c[:, 0], np.swapaxes(c[:, 1:13] - c[:, 13:], 1, 2) / 2.0
 
 
 def sweep_quadratic_system(rng: np.random.Generator, restarts: int = 40,
@@ -1034,39 +1014,36 @@ def sweep_quadratic_system(rng: np.random.Generator, restarts: int = 40,
     Returns the converged candidates (p, q, r, residual-norm).  Admissible
     quadratic-case data would need some r_i away from zero; the sweep is the
     numerical face of the claim that no such solution exists.
+
+    All restarts iterate as one array, on the exact Jacobian of
+    _residuals_and_jacobian.  A restart stops once its residual norm is below
+    1e-13, or when 20 halvings of its step find no smaller norm.
     """
-    out = []
-    for _ in range(restarts):
-        theta = rng.uniform(-2.0, 2.0, 12)
-        for _ in range(iters):
-            p0, q0, r0 = theta[:4], theta[4:8], theta[8:]
-            f = quadratic_system_equations(p0, q0, r0)
-            if np.linalg.norm(f) < 1e-13:
+    theta = rng.uniform(-2.0, 2.0, (restarts, 12))
+    active = np.arange(restarts)
+    for _ in range(iters):
+        if not active.size:
+            break
+        f, jac = _residuals_and_jacobian(theta[active])
+        base = np.linalg.norm(f, axis=-1)
+        # the minimum-norm least-squares step, at np.linalg.lstsq's cutoff
+        step = -(np.linalg.pinv(jac, 14 * np.finfo(float).eps) @ f[..., None])[..., 0]
+        searching = base >= 1e-13
+        lam = np.ones(active.size)
+        for _ in range(20):
+            if not searching.any():
                 break
-            jac = np.empty((14, 12))
-            h = 1e-7
-            for j in range(12):
-                tp = theta.copy()
-                tp[j] += h
-                fp = quadratic_system_equations(tp[:4], tp[4:8], tp[8:])
-                jac[:, j] = (fp - f) / h
-            step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-            lam = 1.0
-            base = np.linalg.norm(f)
-            for _ in range(20):
-                trial = theta + lam * step
-                ft = quadratic_system_equations(trial[:4], trial[4:8], trial[8:])
-                if np.linalg.norm(ft) < base:
-                    theta = trial
-                    break
-                lam *= 0.5
-            else:
-                break
-        p0, q0, r0 = theta[:4], theta[4:8], theta[8:]
-        res = float(np.linalg.norm(quadratic_system_equations(p0, q0, r0)))
-        if res < 1e-10:
-            out.append((p0.copy(), q0.copy(), r0.copy(), res))
-    return out
+            trial = theta[active] + lam[:, None] * step
+            better = searching & (np.linalg.norm(_theta_equations(trial), axis=-1)
+                                  < base)
+            theta[active[better]] = trial[better]
+            searching &= ~better
+            lam[searching] *= 0.5
+        # a restart that converged, or whose line search failed, stops
+        active = active[(base >= 1e-13) & ~searching]
+    res = np.linalg.norm(_theta_equations(theta), axis=-1)
+    return [(t[:4].copy(), t[4:8].copy(), t[8:].copy(), res_t)
+            for t, res_t in zip(theta, res.tolist()) if res_t < 1e-10]
 
 
 def quadratic_case_verdict(p, q, r, tol: float = 1e-8):

@@ -638,6 +638,25 @@ def test_second_main_call_honours_changed_minmin_log(monkeypatch, capsys):
     assert code == 0 and err == ""
 
 
+def test_stage_clocks_are_read_only_where_they_are_logged(monkeypatch, capsys):
+    # below info no stage time is printed, so no stage reads a clock
+    reads = []
+    real = time.process_time
+
+    def process_time():
+        reads.append(1)
+        return real()
+
+    monkeypatch.setattr(time, "process_time", process_time)
+    argv = ["verify", "--example", "6.2", "--points", "5"]
+    for level, timed in (("warning", False), ("info", True), ("debug", True)):
+        monkeypatch.setenv("MINMIN_LOG", level)
+        reads.clear()
+        code, _, err = run(argv, capsys)
+        assert code == 0 and bool(reads) == timed
+        assert ("verify stage sample: cpu " in err) == timed
+
+
 def test_main_calls_share_one_parser_without_leaking_state(tmp_path, capsys):
     assert build_parser() is build_parser()
     out = tmp_path / "perturbed.txt"

@@ -14,6 +14,7 @@ from minmin.sampling import (
     random_separable_config,
     random_separable_draws,
     random_translation_config,
+    random_signs,
     random_translation_draws,
     taylor_profiles,
 )
@@ -115,3 +116,15 @@ def test_each_stacked_separable_row_is_pinned(n):
     assert values.tobytes() == derivs[0].tobytes()
     # only the last value is pinned: the others are drawn in [-1, 1)
     assert np.all(np.abs(derivs[0, :, :-1]) < 1.0)
+
+
+@pytest.mark.parametrize("shape", [(128, 3), 128, (75, 4), (1,), (0,), (7, 5)])
+def test_random_signs_are_the_draws_of_choice(shape):
+    # Generator.choice over two values indexes through integers(0, 2): the same
+    # signs from the same bits, and the generator left at the same place
+    new, old = counter_rng(2323), counter_rng(2323)
+    signs = random_signs(new, shape)
+    want = old.choice([-1.0, 1.0], shape)
+    assert signs.shape == want.shape and signs.dtype == want.dtype
+    assert signs.tobytes() == want.tobytes()
+    assert new.random(3).tobytes() == old.random(3).tobytes()
