@@ -75,8 +75,11 @@ def _setup_logging():
     # not setStream, which flushes the previous stream: an in-process caller
     # may have closed it (every record is flushed as it is emitted)
     _log_handler().stream = sys.stderr
-    level = os.environ.get("MINMIN_LOG", "warning").upper()
-    log.setLevel(getattr(logging, level, logging.WARNING))
+    name = os.environ.get("MINMIN_LOG", "warning").upper()
+    level = getattr(logging, name, logging.WARNING)
+    # setLevel empties every logger's isEnabledFor cache, so only on a change
+    if level != log.level:
+        log.setLevel(level)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +477,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
-@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parse_args keeps no
-    state between calls, and building it costs about a millisecond."""
+    state between calls, and building it costs about a millisecond.  main()
+    hands the arguments after a command straight to that command's parser,
+    one of this parser's subparsers (see _parse_args)."""
+    return _parsers()[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _parsers() -> tuple:
+    """build_parser's parser and its subparsers by command name."""
     parser = argparse.ArgumentParser(
         prog="minmin",
         description="Minimal hypersurfaces in (n+1)-space with 2m-norm: "
@@ -556,14 +566,32 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out", default=None)
     pc.set_defaults(fn=cmd_oracle_compare)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), parsed once where argv[0] names a
+    command: the top-level parser would only scan the rest of argv before
+    handing it to that command's parser, which takes it here directly.
+    Anything else, and arguments the command's parser leaves over, go to the
+    top-level parser, so that its errors keep their usage line and message.
+    Exits through SystemExit on help and errors, as parse_args does."""
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
+    """Run one command line (sys.argv[1:] when argv is None) and return its
+    exit code.  The arguments are parsed once (_parse_args); help and usage
+    errors return 0 and 2 without raising SystemExit."""
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:

@@ -528,7 +528,8 @@ def _report_chunks(count, chunk, p: NormParams, tol: float, stats,
     run and the rest of their arithmetic once.  ms need not be sorted, but
     each run costs a pass of the powers, so a caller gives each m as one run.
     stats, when given, times the "analytic" and "oracle" stages and keeps the
-    smallest slope ratio of the charts (SeparableChart.slope_ratio).
+    smallest slope ratio of the charts (SeparableChart.slope_ratio), which
+    it computes only at debug (reporting.RunStats.least).
     """
     columns = []  # per chunk: H, h_oracle, defect; one chunk if count = 0
     for start in range(0, max(count, 1), _CHUNK_POINTS):
@@ -538,9 +539,11 @@ def _report_chunks(count, chunk, p: NormParams, tol: float, stats,
             runs = _runs(p, None if ms is None else ms[rows], len(d2))
             H = mean_curvature_from_slopes(chart.nu0, d2, p, runs)
         if stats is not None:
-            stats.least("smallest slope ratio min|f'|/max|f'|", chart.slope_ratio())
+            stats.least("smallest slope ratio min|f'|/max|f'|", chart.slope_ratio)
         with _stage(stats, "oracle"):
             columns.append((H,) + mean_curvature_oracle(chart, p, stats, runs))
+    if len(columns) == 1:  # one chunk: its own columns, not copies
+        return CurvatureReport(*columns[0], tol)
     return CurvatureReport(*(np.concatenate(c) for c in zip(*columns)), tol)
 
 

@@ -35,12 +35,14 @@ class VerificationReport:
     reports: CurvatureReport
     h_tol: float | None = None
     reasons: np.ndarray = field(init=False)  # failed_checks of each point
+    passes: np.ndarray = field(init=False)  # reasons == "-": the point passed
     aggregate: dict = field(init=False)
 
     def __post_init__(self):
         r = self.reports
         self.reasons = failed_checks(r, r.tol, self.h_tol)
-        n_pass = int(np.count_nonzero(self.reasons == "-"))
+        self.passes = self.reasons == "-"
+        n_pass = int(np.count_nonzero(self.passes))
         # Python max over the column's floats: like the row loop it replaces,
         # it skips a NaN after the first element and gives 0.0 for no rows
         self.aggregate = {
@@ -75,7 +77,7 @@ class VerificationReport:
             tail.append(f"{key}: {_fmt(self.aggregate[key])}")
         tail.append(f"status: {'PASS' if self.passed else 'FAIL'}")
         tail.append("")
-        ok = np.where(self.reasons == "-", "yes", "NO")
+        ok = np.where(self.passes, "yes", "NO")
         return "".join([
             "\n".join(head), "\n",
             *format_rows(REPORT_ROW, self._columns(ok)),
@@ -83,8 +85,7 @@ class VerificationReport:
         ])
 
     def write_points_csv(self, path):
-        passed = (self.reasons == "-").astype(int)
-        columns = self._columns(passed) + [self.reasons]
+        columns = self._columns(self.passes.astype(int)) + [self.reasons]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("index,h_analytic,h_oracle,tangency_defect,passed,reason\n")
             fh.writelines(format_rows(CSV_ROW, columns))
@@ -94,16 +95,19 @@ class RunStats:
     """CPU and wall seconds per stage, and work counters, of one run.
 
     For the log only: nothing here is rendered into a report.  Stages are
-    timed only where log() would print them, that is where the minmin logger
-    is enabled for INFO when the RunStats is made; elsewhere stage() reads no
-    clock.
+    timed and least values computed only where log() would print them, that
+    is where the minmin logger is enabled for INFO (stages) or DEBUG (least
+    values) when the RunStats is made; elsewhere stage() reads no clock and
+    least() calls nothing.
     """
 
     def __init__(self):
         self.seconds = {}  # stage -> [cpu, wall]
         self.counts = {}
         self.least_values = {}
-        self.timed = logging.getLogger("minmin").isEnabledFor(logging.INFO)
+        logger = logging.getLogger("minmin")
+        self.timed = logger.isEnabledFor(logging.INFO)
+        self.debug = logger.isEnabledFor(logging.DEBUG)
 
     def stage(self, name: str):
         """A context that adds its CPU and wall seconds to the stage name."""
@@ -122,9 +126,12 @@ class RunStats:
     def count(self, name: str, k: int):
         self.counts[name] = self.counts.get(name, 0) + k
 
-    def least(self, name: str, value: float):
-        """Keep the smallest value seen under name."""
-        self.least_values[name] = min(value, self.least_values.get(name, value))
+    def least(self, name: str, value):
+        """Keep the smallest value() seen under name; value, a callable that
+        returns a float, is called only at debug, where log() prints it."""
+        if self.debug:
+            v = value()
+            self.least_values[name] = min(v, self.least_values.get(name, v))
 
     def log(self, logger, command: str):
         """Stage times at info, counters and least values at debug."""

@@ -614,6 +614,8 @@ class SeparableSurface:
             stats.count("sampler slices rejected", drawn - got)
         if not blocks:
             return np.empty((0, self.p.dim))
+        if len(blocks) == 1:  # one block: a slice of it, not a copy
+            return blocks[0][:count]
         return np.concatenate(blocks)[:count]
 
     def report_sample(self, rng: np.random.Generator, count: int, tol: float = 1e-6,

@@ -15,6 +15,7 @@ from minmin.curvature import (
     report_separable,
     report_separable_batch,
 )
+from minmin.errors import MinminError
 from minmin.reporting import VerificationReport
 from minmin.sampling import counter_rng
 from minmin.separable import example_surface
@@ -636,6 +637,27 @@ def test_second_main_call_honours_changed_minmin_log(monkeypatch, capsys):
     monkeypatch.delenv("MINMIN_LOG")
     code, _, err = run(argv, capsys)
     assert code == 0 and err == ""
+    # main() sets the level only when MINMIN_LOG names another one, so the
+    # loggers' isEnabledFor caches, which setLevel empties, must still follow
+    # each change; an unknown name means warning
+    set_levels = []
+    real = cli.log.setLevel
+
+    def set_level(level):
+        set_levels.append(level)
+        real(level)
+
+    monkeypatch.setattr(cli.log, "setLevel", set_level)
+    for level in ("debug", None, "debug", "debug", "nope", None, "info", "info"):
+        if level is None:
+            monkeypatch.delenv("MINMIN_LOG")
+        else:
+            monkeypatch.setenv("MINMIN_LOG", level)
+        code, out, err = run(argv, capsys)
+        assert code == 0 and out == first
+        assert err.count("ode stage integrate") == (level in ("debug", "info"))
+        assert ("minmin DEBUG: ode accepted RK4 steps: " in err) == (level == "debug")
+    assert set_levels == [10, 30, 10, 30, 20]
 
 
 def test_stage_clocks_are_read_only_where_they_are_logged(monkeypatch, capsys):
@@ -674,6 +696,88 @@ def test_main_calls_share_one_parser_without_leaking_state(tmp_path, capsys):
     code, stdout, _ = run(["oracle-compare", "--points", "2", "--seed", "2"], capsys)
     assert code == 0 and "example" not in stdout
     assert out.read_text().count("status: FAIL") == 1
+
+
+def _parse_args_then_run(argv, namespaces):
+    """main() as it ran before commands were parsed by their own parser: the
+    top-level parser's parse_args, then the command.  The reference of
+    test_one_parse_route_matches_the_top_level_parser."""
+    cli._setup_logging()
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return cli.EXIT_CONFIG if exc.code not in (0, None) else 0
+    namespaces.append(vars(args))
+    try:
+        return args.fn(args)
+    except MinminError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return cli.EXIT_NUMERIC
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return cli.EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return cli.EXIT_CONFIG
+
+
+_VERIFY = ["verify", "--example", "6.1", "--points", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    # the five commands
+    _VERIFY,
+    ["ode", "--max-steps", "20"],
+    ["ansatz", "--params-file", "affine.json"],
+    ["mesh", "--grid", "3", "--out", "p.obj"],
+    ["oracle-compare", "--points", "2", "--seed", "3"],
+    # --opt=v, abbreviations, negative values, a failing and a refused run
+    ["verify", "--example=6.2", "--points=3", "--seed=5"],
+    ["verify", "--ex", "6.4", "--poi", "3", "--r", "3"],
+    ["verify", "--example", "6.2", "--points", "3", "--perturb", "1.1"],
+    ["verify", "--example", "9.9"],
+    ["ode", "--c0", "-0.3", "--max-steps", "20"],
+    ["ode", "--c0=-0.3", "--y0", "0.5", "--n", "2", "--grid", "3", "--max-steps", "20"],
+    ["oracle-compare", "--kind", "translation", "--n", "2", "--points", "2"],
+    # help at both levels
+    ["-h"], ["--help"], ["verify", "-h"], [*_VERIFY, "--help"], ["mesh", "--he"],
+    # usage errors: a missing required option, a bad type, value or choice, an
+    # ambiguous abbreviation, an unknown option
+    ["verify"], ["mesh", "--grid", "3"],
+    ["verify", "--example", "6.1", "--points", "x"],
+    ["verify", "--example", "6.1", "--points", "0"],
+    ["ansatz", "--kind", "cubic", "--params-file", "affine.json"],
+    ["verify", "--example", "6.1", "--p", "3"],
+    [*_VERIFY, "--bogus", "1"],
+    # no command, an unknown one, a leading --, unrecognized trailing arguments
+    [], ["nope"], ["-x", "verify"], ["--"], ["--", *_VERIFY],
+    [*_VERIFY, "extra"], [*_VERIFY, "extra", "more"], [*_VERIFY, "--", "extra"],
+    ["ode", "--max-steps", "20", "--"],
+])
+def test_one_parse_route_matches_the_top_level_parser(argv, tmp_path, monkeypatch,
+                                                      capsys):
+    # main() parses a command's arguments with that command's parser only;
+    # exit code, stdout, stderr and namespace are those of parse_args
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MINMIN_LOG", raising=False)
+    (tmp_path / "affine.json").write_text(
+        '{"kind": "affine", "p": [1, 1, 1, 1], "q": [1, -1, -1, 1]}')
+    expected = []
+    code = _parse_args_then_run(list(argv), expected)
+    reference = (code, *capsys.readouterr())
+    namespaces = []
+    real = cli._parse_args
+
+    def parse_args(args):
+        namespace = real(args)
+        namespaces.append(vars(namespace))
+        return namespace
+
+    monkeypatch.setattr(cli, "_parse_args", parse_args)
+    assert run(list(argv), capsys) == reference
+    monkeypatch.setattr(sys, "argv", ["minmin", *argv])  # main() reads sys.argv
+    assert run(None, capsys) == reference
+    assert namespaces == expected * 2
 
 
 def test_exit_code_config_error(capsys):
@@ -788,11 +892,14 @@ def test_debug_log_names_the_smallest_slope_ratio(argv, label, monkeypatch, caps
     monkeypatch.setattr(curvature.SeparableChart, "slope_ratio", slope_ratio)
     monkeypatch.delenv("MINMIN_LOG", raising=False)
     quiet = run(argv, capsys)
+    monkeypatch.setenv("MINMIN_LOG", "info")
+    run(argv, capsys)
+    assert seen == []  # below debug no line prints the ratio, and none is computed
     monkeypatch.setenv("MINMIN_LOG", "debug")
     code, stdout, err = run(argv, capsys)
     assert (code, stdout) == quiet[:2] and quiet[2] == ""
     points = 2 * 30 if label == "oracle-compare" else 40
-    assert len(seen) == 2 * points and min(seen[:points]) == min(seen[points:])
+    assert len(seen) == points
     line = f"{label} smallest slope ratio min|f'|/max|f'|: {min(seen):.3e}\n"
     assert line in err
 
