@@ -31,6 +31,7 @@ from .norms import NormParams, signed_pow
 SLOPE_CAP = 1e6          # |f'| beyond this counts as blow-up
 STEP_RESIDUAL_CAP = 1e-6  # step-doubling disagreement that stops integration
 SLOPE_FLOOR = 1e-12       # |f'| below this counts as "y reached 0"
+GATE_BLOCK = 512          # full RK4 steps taken between two passes of the stop tests
 
 # why one direction of integrate_profile stopped, in the order they are tested
 STOP_REASONS = (
@@ -184,7 +185,7 @@ class ProfileCurve:
         if len(y) < 5:
             return math.nan
         d = (-y[4:] + 8 * y[3:-1] - 8 * y[1:-3] + y[:-4]) / (12 * h)
-        rhs = self.params.rhs(y[2:-2])
+        rhs = self.d2[2:-2]
         return float(np.max(np.abs(d - rhs) / (1.0 + np.abs(rhs))))
 
     def to_c3(self) -> "SampledProfile":
@@ -197,86 +198,110 @@ class ProfileCurve:
 
 def _integrate_direction(params: ProfileODEParams, direction: float):
     """Accepted f and y, in two lists, one way from u0, the reason it stopped,
-    and the number of rhs evaluations it made.
+    and the number of rhs evaluations a step-by-step loop makes.
 
     Each checked step is one classical RK4 step of (f, y)' = (y, rhs(y)) and,
     for the step-doubling gate, two RK4 half steps of y alone (the ODE is
-    autonomous and the gate reads only y).  The full step and the first half
-    step share their first stage, so a checked step evaluates rhs 11 times (4
-    when the full step is not finite).  rhs is written out on its constants
-    inside the loop, with the operand order of ProfileODEParams.rhs, so every
-    stage keeps the bits of a call to it.  The stage arithmetic is on floats
-    only: an int factor (k, the RK4 weight 2) is converted to the same double
-    on every multiply, so taking it as a float once changes no bit.
+    autonomous and the gate reads only y).  The full steps run a block of up
+    to GATE_BLOCK at a time, on Python floats, with no test inside; then one
+    array pass (_first_stop) takes every step's half steps and runs the stop
+    tests in STOP_REASONS order, and the steps the block took past the first
+    failing one are discarded, so at most one block is spent past a stop.
+    rhs is written out on its constants, with the operand order of
+    ProfileODEParams.rhs, so every stage keeps the bits of a call to it.  The
+    stage arithmetic is on floats only: an int factor (k, the RK4 weight 2) is
+    converted to the same double on every multiply, so taking it as a float
+    once changes no bit; a numpy c0 is taken as a float too, so the steps past
+    a stop overflow without a warning.  The count is of checked steps: 11
+    each (4 for the full step, 3 for the first half step, which shares its
+    first stage, and 4 for the second), 4 for a step that is not finite.
     """
     a, e, k = params.rhs_constants()
-    k = float(k)
+    a, k = float(a), float(k)
     h = direction * float(params.step)
-    half = h / 2
-    # the stage factors 0.5*h and h/6 of the full step and of the half steps
+    # the stage factors 0.5*h and h/6 of the full step
     h2, h6 = 0.5 * h, h / 6.0
-    q2, q6 = 0.5 * half, half / 6.0
     f, y = 0.0, float(params.y0)
-    positive = y > 0
     fs, ys = [], []
-    calls = 0
-    for _ in range(params.max_steps):
-        k1 = a * (abs(y) ** e + k * y * y)
-        y2 = y + h2 * k1
-        k2 = a * (abs(y2) ** e + k * y2 * y2)
-        y3 = y + h2 * k2
-        k3 = a * (abs(y3) ** e + k * y3 * y3)
-        y4 = y + h * k3
-        k4 = a * (abs(y4) ** e + k * y4 * y4)
-        f1 = f + h6 * (y + 2.0 * y2 + 2.0 * y3 + y4)
-        y1 = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        calls += 4
-        if not (math.isfinite(f1) and math.isfinite(y1)):
-            return fs, ys, "non_finite", calls
-        # first half step, from the full step's k1
-        y2 = y + q2 * k1
-        k2 = a * (abs(y2) ** e + k * y2 * y2)
-        y3 = y + q2 * k2
-        k3 = a * (abs(y3) ** e + k * y3 * y3)
-        y4 = y + half * k3
-        k4 = a * (abs(y4) ** e + k * y4 * y4)
-        ym = y + q6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # second half step
-        j1 = a * (abs(ym) ** e + k * ym * ym)
-        y2 = ym + q2 * j1
-        k2 = a * (abs(y2) ** e + k * y2 * y2)
-        y3 = ym + q2 * k2
-        k3 = a * (abs(y3) ** e + k * y3 * y3)
-        y4 = ym + half * k3
-        k4 = a * (abs(y4) ** e + k * y4 * y4)
-        yh = ym + q6 * (j1 + 2.0 * k2 + 2.0 * k3 + k4)
-        calls += 7
-        if abs(y1 - yh) > STEP_RESIDUAL_CAP * (1.0 + abs(y1)):
-            return fs, ys, "step_doubling", calls
-        if abs(y1) > SLOPE_CAP:
-            return fs, ys, "blowup", calls
-        if abs(y1) < SLOPE_FLOOR:
-            return fs, ys, "slope_floor", calls
-        if (y1 > 0) != positive:
-            return fs, ys, "sign_change", calls
-        f, y = f1, y1
-        fs.append(f)
-        ys.append(y)
-    return fs, ys, "max_steps", calls
+    left = params.max_steps
+    while left:
+        # the block's f and y after each step; y also holds its start slope
+        bf, by = [], [y]
+        put_f, put_y = bf.append, by.append
+        for _ in range(min(left, GATE_BLOCK)):
+            k1 = a * (abs(y) ** e + k * y * y)
+            y2 = y + h2 * k1
+            k2 = a * (abs(y2) ** e + k * y2 * y2)
+            y3 = y + h2 * k2
+            k3 = a * (abs(y3) ** e + k * y3 * y3)
+            y4 = y + h * k3
+            k4 = a * (abs(y4) ** e + k * y4 * y4)
+            f = f + h6 * (y + 2.0 * y2 + 2.0 * y3 + y4)
+            y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            put_f(f)
+            put_y(y)
+        stop, reason = _first_stop(params, h, bf, by)
+        fs += bf[:stop]
+        ys += by[1:stop + 1]
+        if reason:
+            return fs, ys, reason, 11 * len(ys) + (4 if reason == "non_finite" else 11)
+        left -= len(bf)
+    return fs, ys, "max_steps", 11 * len(ys)
+
+
+def _first_stop(params: ProfileODEParams, h: float, bf, by):
+    """(i, reason) of the first of a block's full steps of size h that fails
+    a stop test, the tests taken in STOP_REASONS order, or (len(bf), None).
+
+    bf and by[1:] are the f and y after each step, by[:-1] the slope it
+    started from.  The step-doubling gate takes two RK4 half steps of y from
+    every start at once, with the stage arithmetic of the full step and
+    ProfileODEParams.rhs for each stage; np.float_power is the C library's pow
+    on every element, as a float's ** is, so each lane has the bits of a
+    step-by-step loop.  Steps past a stop may overflow: no warning is raised.
+    """
+    rhs, half = params.rhs, h / 2
+    q2, q6 = 0.5 * half, half / 6.0
+    slopes = np.array(by)
+    y, y1 = slopes[:-1], slopes[1:]
+    with np.errstate(all="ignore"):
+        for _ in range(2):
+            k1 = rhs(y)
+            k2 = rhs(y + q2 * k1)
+            k3 = rhs(y + q2 * k2)
+            k4 = rhs(y + half * k3)
+            y = y + q6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        size = np.abs(y1)
+        # y1 > 0 is a change of sign where y0 < 0, and its negation where y0 > 0
+        crossed = y1 > 0
+        if params.y0 > 0:
+            crossed = ~crossed
+        tests = (~(np.isfinite(np.array(bf)) & np.isfinite(y1)),
+                 np.abs(y1 - y) > STEP_RESIDUAL_CAP * (1.0 + size),
+                 size > SLOPE_CAP,
+                 size < SLOPE_FLOOR,
+                 crossed)
+    failed = (tests[0] | tests[1] | tests[2] | tests[3] | tests[4]).nonzero()[0]
+    if not failed.size:
+        return len(bf), None
+    i = int(failed[0])
+    return i, next(reason for reason, test in zip(STOP_REASONS, tests) if test[i])
 
 
 def integrate_profile(params: ProfileODEParams, stats=None) -> ProfileCurve:
     """Integrate the profile ODE both ways from u0 with fixed-step classical RK4.
 
-    The state is (f, y = f'); f(u0) = 0.  It is advanced on Python floats, one
-    step at a time, by one fused loop per direction: the full step and the
-    first step-doubling half step share their first stage, and the half steps
-    advance only the slope y.  Each direction halts when a step is not finite,
-    the step-doubling check disagrees beyond the cap, |y| exceeds the blow-up
-    cap, y reaches zero or changes sign, or max_steps is exhausted; the curve
+    The state is (f, y = f'); f(u0) = 0.  Each direction advances it on Python
+    floats a block of GATE_BLOCK full steps at a time; after each block the
+    step-doubling half steps of y and the stop tests run as arrays over the
+    block, in STOP_REASONS order, and the steps past the first failing one are
+    discarded.  Each direction halts when a step is not finite, the
+    step-doubling check disagrees beyond the cap, |y| exceeds the blow-up cap,
+    y reaches zero or changes sign, or max_steps is exhausted; the curve
     records which (stop_reasons).  stats (a reporting.RunStats), if given,
-    counts the accepted steps and the stepper's rhs evaluations (11 per
-    checked step; MINMIN_LOG=debug prints both).
+    counts the accepted steps and the rhs evaluations of the checked steps
+    (11 per checked step, as a step-by-step loop makes them; MINMIN_LOG=debug
+    prints both).
     """
     f_bwd, y_bwd, stop_bwd, calls_bwd = _integrate_direction(params, -1.0)
     f_fwd, y_fwd, stop_fwd, calls_fwd = _integrate_direction(params, +1.0)

@@ -1,23 +1,34 @@
-"""The float stepper and array-evaluated profiles against a frozen copy of the
+"""The float stepper and array-evaluated profiles against frozen copies of the
 code they replaced.
 
-The reference below is the profile ODE integrator as it was when it advanced a
-two-element numpy state, evaluated the right-hand side through the scalar
-signed_pow, and filled f'' one sample at a time; with it the per-sample
-SampledProfile evaluation and the per-node residual grid and vertex loops.  It
-is kept here, unchanged, as the reference the new code must reproduce bit for
-bit: the arithmetic of every element is the same, only its container changed.
+The first reference below is the profile ODE integrator as it was when it
+advanced a two-element numpy state, evaluated the right-hand side through the
+scalar signed_pow, and filled f'' one sample at a time; with it the per-sample
+SampledProfile evaluation and the per-node residual grid and vertex loops.  The
+second is the fused float loop that tested every step as it took it, before the
+stop tests ran once per block of steps as arrays.  They are kept here,
+unchanged, as the references the new code must reproduce bit for bit: the
+arithmetic of every element is the same, only its container changed.
 """
+
+import math
 
 import numpy as np
 import pytest
 from conftest import STOP_CASES
 
 import minmin as mm
-from minmin import meshes
+from minmin import meshes, translation
 from minmin.errors import IntegrationError
 from minmin.norms import signed_pow
-from minmin.translation import SLOPE_CAP, SLOPE_FLOOR, STEP_RESIDUAL_CAP
+from minmin.translation import (
+    GATE_BLOCK,
+    SLOPE_CAP,
+    SLOPE_FLOOR,
+    STEP_RESIDUAL_CAP,
+    STOP_REASONS,
+    ProfileODEParams,
+)
 
 # ---------------------------------------------------------------------------
 # frozen reference
@@ -119,6 +130,76 @@ def _ref_vertices(ts, axes):
         for j, b in enumerate(u2):
             verts[i, j] = (a, b, float(sum(f(t) for f, t in zip(ts.profiles, (a, b)))))
     return verts
+
+
+def _ref_integrate_direction(params: ProfileODEParams, direction: float):
+    """Accepted f and y, in two lists, one way from u0, the reason it stopped,
+    and the number of rhs evaluations it made.
+
+    Each checked step is one classical RK4 step of (f, y)' = (y, rhs(y)) and,
+    for the step-doubling gate, two RK4 half steps of y alone (the ODE is
+    autonomous and the gate reads only y).  The full step and the first half
+    step share their first stage, so a checked step evaluates rhs 11 times (4
+    when the full step is not finite).  rhs is written out on its constants
+    inside the loop, with the operand order of ProfileODEParams.rhs, so every
+    stage keeps the bits of a call to it.  The stage arithmetic is on floats
+    only: an int factor (k, the RK4 weight 2) is converted to the same double
+    on every multiply, so taking it as a float once changes no bit.
+    """
+    a, e, k = params.rhs_constants()
+    k = float(k)
+    h = direction * float(params.step)
+    half = h / 2
+    # the stage factors 0.5*h and h/6 of the full step and of the half steps
+    h2, h6 = 0.5 * h, h / 6.0
+    q2, q6 = 0.5 * half, half / 6.0
+    f, y = 0.0, float(params.y0)
+    positive = y > 0
+    fs, ys = [], []
+    calls = 0
+    for _ in range(params.max_steps):
+        k1 = a * (abs(y) ** e + k * y * y)
+        y2 = y + h2 * k1
+        k2 = a * (abs(y2) ** e + k * y2 * y2)
+        y3 = y + h2 * k2
+        k3 = a * (abs(y3) ** e + k * y3 * y3)
+        y4 = y + h * k3
+        k4 = a * (abs(y4) ** e + k * y4 * y4)
+        f1 = f + h6 * (y + 2.0 * y2 + 2.0 * y3 + y4)
+        y1 = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        calls += 4
+        if not (math.isfinite(f1) and math.isfinite(y1)):
+            return fs, ys, "non_finite", calls
+        # first half step, from the full step's k1
+        y2 = y + q2 * k1
+        k2 = a * (abs(y2) ** e + k * y2 * y2)
+        y3 = y + q2 * k2
+        k3 = a * (abs(y3) ** e + k * y3 * y3)
+        y4 = y + half * k3
+        k4 = a * (abs(y4) ** e + k * y4 * y4)
+        ym = y + q6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # second half step
+        j1 = a * (abs(ym) ** e + k * ym * ym)
+        y2 = ym + q2 * j1
+        k2 = a * (abs(y2) ** e + k * y2 * y2)
+        y3 = ym + q2 * k2
+        k3 = a * (abs(y3) ** e + k * y3 * y3)
+        y4 = ym + half * k3
+        k4 = a * (abs(y4) ** e + k * y4 * y4)
+        yh = ym + q6 * (j1 + 2.0 * k2 + 2.0 * k3 + k4)
+        calls += 7
+        if abs(y1 - yh) > STEP_RESIDUAL_CAP * (1.0 + abs(y1)):
+            return fs, ys, "step_doubling", calls
+        if abs(y1) > SLOPE_CAP:
+            return fs, ys, "blowup", calls
+        if abs(y1) < SLOPE_FLOOR:
+            return fs, ys, "slope_floor", calls
+        if (y1 > 0) != positive:
+            return fs, ys, "sign_change", calls
+        f, y = f1, y1
+        fs.append(f)
+        ys.append(y)
+    return fs, ys, "max_steps", calls
 
 
 # ---------------------------------------------------------------------------
@@ -227,3 +308,96 @@ def test_translation_vertices_and_surface_match_per_node_loop_bitwise():
     assert ts.value(u) == verts[3, 5, 2]
     np.testing.assert_array_equal(ts.grad(verts[..., :2])[3, 5], ts.grad(u))
     np.testing.assert_array_equal(ts.grad(u), [f.d1(float(t)) for f, t in zip(ts.profiles, u)])
+
+
+# ---------------------------------------------------------------------------
+# block stepper against the fused loop
+# ---------------------------------------------------------------------------
+
+
+def _block_sweep():
+    """The seeded sweep of ODE parameters: every m = 1..6 and k = 1..4 at
+    every step and at step budgets on both sides of the block edges, with
+    random signs and sizes of c0 and y0, then every STOP_CASES entry."""
+    rng = np.random.default_rng(25)
+    caps = (1, GATE_BLOCK - 1, GATE_BLOCK, GATE_BLOCK + 1, 3 * GATE_BLOCK + 7)
+    sweep = []
+    for m in range(1, 7):
+        for k in range(1, 5):
+            for step in (1e-3, 2e-3, 0.05, 0.5):
+                for cap in caps:
+                    sc, sy = rng.choice((-1.0, 1.0), size=2)
+                    c0, y0, u0 = (float(v) for v in (sc * rng.uniform(0.2, 2.0),
+                                                     sy * 10 ** rng.uniform(-2.0, 1.0),
+                                                     rng.uniform(-0.5, 0.5)))
+                    sweep.append(ProfileODEParams(c0=c0, k=k, m=m, y0=y0, u0=u0,
+                                                  step=step, max_steps=cap))
+    return sweep + [ProfileODEParams(**kwargs) for kwargs, _ in STOP_CASES.values()]
+
+
+def _ref_audit(curve):
+    """ode_residual_max as it was computed, with rhs evaluated again."""
+    y = curve.d1
+    h = curve.params.step
+    if len(y) < 5:
+        return math.nan
+    d = (-y[4:] + 8 * y[3:-1] - 8 * y[1:-3] + y[:-4]) / (12 * h)
+    rhs = curve.params.rhs(y[2:-2])
+    return float(np.max(np.abs(d - rhs) / (1.0 + np.abs(rhs))))
+
+
+def _caps_tripped(params, direction, ys):
+    """The caps (blowup, slope_floor, sign_change) that the step after the
+    accepted slopes ys trips, by the numpy reference step."""
+
+    def rhs(state):
+        return np.array([state[1], _ref_rhs(params, state[1])])
+
+    y = ys[-1] if ys else params.y0
+    with np.errstate(all="ignore"):
+        y1 = _ref_rk4_step(rhs, np.array([0.0, y]), direction * params.step)[1]
+    return {name for name, hit in (("blowup", abs(y1) > SLOPE_CAP),
+                                   ("slope_floor", abs(y1) < SLOPE_FLOOR),
+                                   ("sign_change", (y1 > 0) != (params.y0 > 0)))
+            if hit}
+
+
+def test_block_stepper_matches_fused_loop_bitwise():
+    seen, gate_first = set(), []
+    for params in _block_sweep():
+        for direction in (-1.0, 1.0):
+            ref = _ref_integrate_direction(params, direction)
+            got = translation._integrate_direction(params, direction)
+            assert got[2:] == ref[2:], (params, direction)
+            for a, b in zip(got[:2], ref[:2]):
+                np.testing.assert_array_equal(np.array(a, dtype=float).view(np.uint64),
+                                              np.array(b, dtype=float).view(np.uint64))
+            seen.add(ref[2])
+            if ref[2] == "step_doubling" and _caps_tripped(params, direction, ref[1]):
+                gate_first.append((params, direction))
+        try:
+            curve = mm.integrate_profile(params)
+        except IntegrationError:
+            continue
+        np.testing.assert_array_equal(curve.ode_residual_max, _ref_audit(curve))
+    assert seen == set(STOP_REASONS)
+    # a step that fails the gate and a cap stops on the gate, the earlier test
+    assert gate_first
+
+
+def test_float_power_keeps_the_bits_of_python_pow():
+    # the stop pass evaluates rhs on arrays with np.float_power, the stepper
+    # on floats with **; both must be the C library's pow on every element.
+    # np.power is not: its SIMD loop differs in the last bit on some CPUs
+    rng = np.random.default_rng(11)
+    v = np.concatenate([rng.choice((-1.0, 1.0), 10_000) * 10 ** rng.uniform(-320, 308, 10_000),
+                        [0.0, 5e-324, 1e-300, 1.0, 1e300, np.inf, np.nan]])
+    for m in range(1, 11):
+        e = (2 * m - 2) / (2 * m - 1)
+        got = np.float_power(np.abs(v), e)
+        ref = np.array([abs(x) ** e for x in v.tolist()])
+        differ = np.flatnonzero(got.view(np.uint64) != ref.view(np.uint64))
+        assert differ.size == 0, (
+            f"np.float_power differs from float ** at m = {m} on {differ.size} "
+            f"values, first |y| = {abs(v[differ[0]])!r}: the block stop pass "
+            "no longer reproduces the float stepper")
