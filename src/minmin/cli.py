@@ -404,8 +404,8 @@ def cmd_oracle_compare(args) -> int:
         # Then, per n in ascending order, one stack of the configurations with
         # that n, ordered by m (stably, so in draw order within each m), whose
         # profiles are one table stacked by row (sampling.taylor_profiles).
-        # A batch's chart takes those rows whole, so it is at most one chunk
-        # of report_separable_batch, and it takes each m as one run of rows.
+        # A batch is at most one chunk of report_separable_batch, so no table
+        # holds more than a chunk's rows, and it takes each m as one run of rows.
         # Groups differ in dimension: the run's report has only the
         # comparison columns, scattered back to draw order.
         for n in (2, 3, 4) if args.n is None else (args.n,):

@@ -22,8 +22,8 @@ profiles are one table (functions.ProfileColumns): f, f' and f'' of all its
 columns in one call each, and f' at any stencil cells; a sequence of profiles
 is taken as the table that loops over them.  A batch's profiles may be
 stacked by row (TaylorColumns), so that each point has profiles of its own;
-such a batch has one row per point and at most _CHUNK_POINTS points, as every
-chunk's chart takes the rows whole.  A chart (SeparableChart) holds the base
+such a batch has one row per point, and each chunk takes its own rows of the
+table (ProfileColumns.rows).  A chart (SeparableChart) holds the base
 parameters t0 and the base gradient nu0, and says which coordinates each
 parameter moves: parameter j moves the point's coordinate c_j and its pivot
 k, and no other.  It is built once per chunk, by gathers from the base
@@ -59,8 +59,7 @@ from .errors import (
     OffSurfaceError,
     SingularConfigurationError,
 )
-# _columns stays importable from here, where the frozen reference tests take it
-from .functions import _columns, profile_columns  # noqa: F401
+from .functions import profile_columns
 from .norms import NormParams, _sum_last, birkhoff_normal_implicit, signed_pow
 
 _EPS = np.finfo(float).eps
@@ -552,10 +551,10 @@ def report_separable_batch(fs, points, p: NormParams, tol: float = 1e-6,
     """Closed-form vs oracle comparison at surface points (N, dim), one stack.
 
     fs is a profile table or a sequence of profiles (functions.profile_columns);
-    a table stacked by row (TaylorColumns) has one row per point and at most
-    _CHUNK_POINTS points, as every chunk's chart takes the rows whole.  Every
-    chunk of _report_chunks is one SeparableChart of its points, whose base
-    gradients feed the closed form and whose tangent planes carry the oracle.
+    a table stacked by row (TaylorColumns) has one row per point, and each
+    chunk takes its own rows of it (ProfileColumns.rows).  Every chunk of
+    _report_chunks is one SeparableChart of its points, whose base gradients
+    feed the closed form and whose tangent planes carry the oracle.
     A point's report does not depend on the other points of the batch.  ms
     (N,), when given, is each point's m in place of p.m (see _report_chunks).
     stats, when given, times the "analytic" and "oracle" stages (see
@@ -566,9 +565,10 @@ def report_separable_batch(fs, points, p: NormParams, tol: float = 1e-6,
 
     def chunk(rows):
         x = points[rows]
-        chart = SeparableChart(table, p, x)
+        part = table.rows(rows)
+        chart = SeparableChart(part, p, x)
         with np.errstate(over="ignore"):
-            d2 = table.d2(x)
+            d2 = part.d2(x)
         if not np.isfinite(d2).all():
             raise SingularConfigurationError("a profile's f'' overflows a float "
                                              "at a base point")

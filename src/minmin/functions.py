@@ -243,6 +243,10 @@ class ProfileColumns:
             out[mine] = f.d1(y[mine])
         return out
 
+    def rows(self, part) -> "ProfileColumns":
+        """The table of the base rows part (a slice): this one, shared by every row."""
+        return self
+
     def graph(self) -> "ProfileColumns":
         """The table of the translation graph x_{n+1} = sum f_i(x_i) as the
         separable surface f_1(x_1) + ... + f_n(x_n) - x_{n+1} = 0: these
@@ -335,6 +339,9 @@ class TaylorColumns(ProfileColumns):
 
     def slopes_at(self, y, col, row):
         return _horner(list(self._c1[:, row, col]), self.x0[row, col])(y)
+
+    def rows(self, part) -> "TaylorColumns":
+        return TaylorColumns(self.x0[part], self.coeffs[:, part])
 
     def graph(self) -> "TaylorColumns":
         """The graph's table: these columns and -x as the polynomial

@@ -44,13 +44,13 @@ class BirkhoffNormal:
     scale: float | np.ndarray
 
 
-def _check_dim(x: np.ndarray, expected: int, what: str = "vector"):
+def _check_dim(x: np.ndarray, expected: int):
     if x.shape != (expected,):
         raise DimensionMismatchError(
-            f"{what} has shape {x.shape}, expected ({expected},)"
+            f"vector has shape {x.shape}, expected ({expected},)"
         )
     if not np.isfinite(x).all():
-        raise DomainError(f"{what} has non-finite entries")
+        raise DomainError("vector has non-finite entries")
 
 
 def _check_stack(x: np.ndarray, expected: int, what: str):

@@ -340,13 +340,13 @@ class AdmissibleDomain:
     feasible: bool
 
 
-def admissible_domain(xs, tol: float = 1e-12) -> AdmissibleDomain:
+def admissible_domain(xs) -> AdmissibleDomain:
     """Intersect per-profile positivity with the zero-sum constraint.
 
     The free parameters are u_1..u_n; u_{n+1} = -(u_1 + ... + u_n) must land
     in the last profile's positivity interval, which is possible iff the open
     interval of achievable sums meets the reflected last interval.  Overlaps
-    below tol (relative) count as empty: the degenerate cases collapse to an
+    below 1e-12 (relative) count as empty: the degenerate cases collapse to an
     exactly empty open interval that float rounding may leave marginally open.
     """
     intervals = [x.positive_interval() for x in xs]
@@ -364,7 +364,7 @@ def admissible_domain(xs, tol: float = 1e-12) -> AdmissibleDomain:
     elif math.isinf(hi - lo):
         feasible = True
     else:
-        feasible = (hi - lo) > tol * max(1.0, abs(lo), abs(hi))
+        feasible = (hi - lo) > 1e-12 * max(1.0, abs(lo), abs(hi))
     return AdmissibleDomain(intervals=tuple(intervals), feasible=feasible)
 
 
@@ -523,11 +523,11 @@ def patch_from_xprofiles(xs, signs, axes, p: NormParams) -> SeparableMinimalPatc
     )
 
 
-def feasible_axes(xs, points_per_axis: int, span: float = 1.0,
-                  margin: float = 0.05):
-    """Per-axis sample ranges inside the admissible domain, shrunk until the
-    zero-sum image stays admissible.  Raises EmptyDomainError when there is
-    no room at all, and DomainError unless span is positive and finite."""
+def feasible_axes(xs, points_per_axis: int, span: float = 1.0):
+    """Per-axis sample ranges inside the admissible domain: 0.95 of each
+    interval, shrunk until the zero-sum image keeps 0.05 of its interval's
+    width from either end.  Raises EmptyDomainError when there is no room at
+    all, and DomainError unless span is positive and finite."""
     if not 0.0 < span < math.inf:
         raise DomainError(f"span must be positive and finite, got {span!r}")
     dom = admissible_domain(xs)
@@ -541,12 +541,12 @@ def feasible_axes(xs, points_per_axis: int, span: float = 1.0,
         if not lo < hi:
             raise EmptyDomainError("axis interval empty inside the working span")
         centers.append(0.5 * (lo + hi))
-        halves.append(0.5 * (hi - lo) * (1.0 - margin))
+        halves.append(0.5 * (hi - lo) * 0.95)
     lo_last, hi_last = dom.intervals[-1]
     # the dependent parameter stays padded away from its boundary too, since
     # the coordinate integrand can blow up (integrably) there
     width = min(hi_last - lo_last, 4.0 * span)
-    pad = margin * width
+    pad = 0.05 * width
     lo_pad, hi_pad = lo_last + pad, hi_last - pad
     center_last = -sum(centers)
     if not lo_pad < center_last < hi_pad:
@@ -627,36 +627,35 @@ class SeparableSurface:
         return report_separable_batch(self.fs, points, self.p, tol=tol, stats=stats)
 
 
-def _signed_draws(rng: np.random.Generator, low: float, high: float, shape):
-    """Magnitudes uniform in [low, high) with independent random signs."""
-    return rng.uniform(low, high, shape) * random_signs(rng, shape)
+def _signed_draws(rng: np.random.Generator, high: float, shape):
+    """Magnitudes uniform in [0.3, high) with independent random signs."""
+    return rng.uniform(0.3, high, shape) * random_signs(rng, shape)
 
 
-def _root_sampler(dim: int, last_root, low: float, high: float,
-                  floor: float, ceil: float):
+def _root_sampler(dim: int, last_root, floor: float):
     """Block sampler for a surface whose last coordinate has an explicit root.
 
     Each slice fixes the first dim - 1 coordinates at random signed
-    magnitudes in [low, high); last_root maps a block of them (B, dim - 1) to
+    magnitudes in [0.3, 1.5); last_root maps a block of them (B, dim - 1) to
     the magnitudes of the last coordinate, which takes a random sign.  Slices
-    whose root is not in [floor, ceil] (or is NaN) are rejected.
+    whose root is not in [floor, 20] (or is NaN) are rejected.
     """
 
     def draw_block(rng: np.random.Generator) -> np.ndarray:
-        vals = _signed_draws(rng, low, high, (_SAMPLE_BLOCK, dim - 1))
+        vals = _signed_draws(rng, 1.5, (_SAMPLE_BLOCK, dim - 1))
         sign = random_signs(rng, _SAMPLE_BLOCK)
         root = last_root(vals)
-        keep = (floor <= root) & (root <= ceil)
+        keep = (floor <= root) & (root <= 20.0)
         return np.column_stack([vals[keep], sign[keep] * root[keep]])
 
     return draw_block
 
 
-def _powersum_sampler(a, b, m: int, low: float = 0.3, high: float = 1.5,
-                      floor: float = 0.1, ceil: float = 20.0):
+def _powersum_sampler(a, b, m: int):
     """Block sampler for surfaces sum_i (a_i x_i^(2m) + b_i) = 0: the last
     coordinate is the root t = (-rest / a_last)^(1/(2m)) of
-    a_last t^(2m) + rest = 0, and a slice with -rest / a_last < 0 has none.
+    a_last t^(2m) + rest = 0, kept in [0.1, 20] (_root_sampler), and a slice
+    with -rest / a_last < 0 has none.
     Raises where rest overflows a float: the slopes there overflow too."""
     a = np.asarray(a, dtype=float)
     const = float(np.asarray(b, dtype=float).sum())
@@ -670,7 +669,7 @@ def _powersum_sampler(a, b, m: int, low: float = 0.3, high: float = 1.5,
                 f"a float at m = {m}")
         return np.float_power(np.maximum(-rest / a[-1], 0.0), 1.0 / (2 * m))
 
-    return _root_sampler(len(a), last_root, low, high, floor, ceil)
+    return _root_sampler(len(a), last_root, 0.1)
 
 
 def _powersum_surface(name: str, a, b, m: int) -> SeparableSurface:
@@ -786,14 +785,13 @@ def _zero_sum(t: np.ndarray) -> np.ndarray:
     return np.concatenate([t, -_sum_last(t)[..., None]], axis=-1)
 
 
-def _zero_sum_sampler(dim: int, low: float = 0.3, high: float = 1.2,
-                      floor: float = 0.25):
+def _zero_sum_sampler(dim: int):
     """Block sampler of zero-sum parameters u: u_1..u_{dim-1} are random signed
-    magnitudes in [low, high), and a slice with |u_dim| < floor is rejected."""
+    magnitudes in [0.3, 1.2), and a slice with |u_dim| < 0.25 is rejected."""
 
     def draw_block(rng: np.random.Generator) -> np.ndarray:
-        u = _zero_sum(_signed_draws(rng, low, high, (_SAMPLE_BLOCK, dim - 1)))
-        return u[np.abs(u[:, -1]) >= floor]
+        u = _zero_sum(_signed_draws(rng, 1.2, (_SAMPLE_BLOCK, dim - 1)))
+        return u[np.abs(u[:, -1]) >= 0.25]
 
     return draw_block
 
@@ -809,8 +807,9 @@ class QuadratureSurface(SeparableSurface):
     evaluates nor inverts a quadrature, and nothing solves for a coordinate.
     """
 
-    # the block loop of SeparableSurface.sample, which here keeps parameter rows u
-    sample_u = SeparableSurface.sample
+    def sample_u(self, rng: np.random.Generator, count: int, stats=None) -> np.ndarray:
+        """SeparableSurface.sample, whose blocks here are parameter rows u."""
+        return super().sample(rng, count, stats)
 
     @functools.cached_property
     def in_u(self) -> ProfileColumns:
@@ -820,12 +819,8 @@ class QuadratureSurface(SeparableSurface):
         return ProfileColumns(C3Function(f.x_of_u, f.d1_of_u, f.d2_of_u)
                               for f in self.fs)
 
-    def x_of_u(self, u: np.ndarray) -> np.ndarray:
-        """The points x (N, dim) of the parameter rows u (N, dim)."""
-        return self.in_u(u)
-
     def sample(self, rng: np.random.Generator, count: int, stats=None) -> np.ndarray:
-        return self.x_of_u(self.sample_u(rng, count, stats))
+        return self.in_u(self.sample_u(rng, count, stats))
 
     def chart(self, u: np.ndarray) -> SeparableChart:
         """The chart in u of the zero-sum parameter rows u (N, dim): parameters
@@ -861,7 +856,7 @@ def _ratio_surface(m: int) -> SeparableSurface:
 
     return SeparableSurface(
         name="ratio", fs=fs, p=NormParams(m=m, dim=4),
-        _draw_block=_root_sampler(4, last_root, 0.3, 1.5, 0.05, 20.0),
+        _draw_block=_root_sampler(4, last_root, 0.05),
     )
 
 
@@ -1048,17 +1043,19 @@ def sweep_quadratic_system(rng: np.random.Generator, restarts: int = 40,
             for t, res_t in zip(theta, res.tolist()) if res_t < 1e-10]
 
 
-def quadratic_case_verdict(p, q, r, tol: float = 1e-8):
+def quadratic_case_verdict(p, q, r):
     """Replay the two-branch elimination on a candidate solution.
 
     Returns (admissible, reason).  A candidate is admissible for the quadratic
     case only if some r_i is away from zero and q_j is nonzero wherever r_j
     vanishes; for exact solutions the elimination forces all r_i to zero and
-    then kills the required q_j, so admissible candidates cannot occur.
+    then kills the required q_j, so admissible candidates cannot occur.  A
+    value within 1e-8 of zero counts as zero.
     """
     p = np.asarray(p, float)
     q = np.asarray(q, float)
     r = np.asarray(r, float)
+    tol = 1e-8
     if np.max(np.abs(r)) <= tol:
         return False, "all r_i vanish: degenerates to the affine case"
     if abs(r[3]) <= tol:

@@ -69,18 +69,15 @@ class TranslationSurface:
         """(f_1'(u_1), ..., f_n'(u_n)) at a parameter vector or a stack of them."""
         return _columns([f.d1 for f in self.profiles], np.asarray(u, dtype=float))
 
-    def domain_axes(self, points_per_axis: int, margin: float = 1e-3,
-                    fallback: float = 1.0):
-        """Per-profile sample axes inside the covered domains.
-
-        Profiles with unbounded domains get [-fallback, fallback].
-        """
+    def domain_axes(self, points_per_axis: int):
+        """Per-profile sample axes inside the covered domains, padded by 1e-3
+        of each domain's width at both ends; an unbounded domain is [-1, 1]."""
         axes = []
         for f in self.profiles:
             lo, hi = getattr(f, "domain", (-np.inf, np.inf))
             if not np.isfinite(lo) or not np.isfinite(hi):
-                lo, hi = -fallback, fallback
-            pad = margin * (hi - lo)
+                lo, hi = -1.0, 1.0
+            pad = 1e-3 * (hi - lo)
             axes.append(np.linspace(lo + pad, hi - pad, points_per_axis))
         return axes
 
@@ -187,9 +184,6 @@ class ProfileCurve:
         d = (-y[4:] + 8 * y[3:-1] - 8 * y[1:-3] + y[:-4]) / (12 * h)
         rhs = self.d2[2:-2]
         return float(np.max(np.abs(d - rhs) / (1.0 + np.abs(rhs))))
-
-    def to_c3(self) -> "SampledProfile":
-        return SampledProfile(self)
 
     def write_csv(self, path):
         write_points_csv(path, ["u", "f", "f_prime", "f_double_prime"],
@@ -435,23 +429,22 @@ def assemble_separated_surface(
         )
         if params not in integrated:
             mirror = replace(params, c0=-params.c0)
-            integrated[params] = (
+            integrated[params] = SampledProfile(
                 _mirrored_profile(integrated[mirror].curve, params)
-                if mirror in integrated else integrate_profile(params, stats)
-            ).to_c3()
+                if mirror in integrated else integrate_profile(params, stats))
         profiles.append(integrated[params])
     return TranslationSurface(profiles=tuple(profiles), p=NormParams(m=m, dim=n + 1))
 
 
 def cylinder_over(
-    ts2: TranslationSurface, total_n: int, slopes=None, intercepts=None
+    ts2: TranslationSurface, total_n: int, slopes=None
 ) -> TranslationSurface:
     """Extend a minimal two-profile surface to n = total_n by linear profiles.
 
-    Appending linear profiles f_j = a_j u_j + b_j (a_j != 0) changes the
-    constant term of the residual through T = sum_j a_j^(2m/(2m-1)); rescaling
-    the base profiles by lambda = (1 + T)^((2m-1)/(2m)) restores minimality
-    identically, which is the homothetical change the construction needs.
+    Appending linear profiles f_j = a_j u_j (slopes a_j != 0, 0.5 by default)
+    changes the constant term of the residual through T = sum_j a_j^(2m/(2m-1));
+    rescaling the base profiles by lambda = (1 + T)^((2m-1)/(2m)) restores
+    minimality identically, which is the homothetical change the construction needs.
     """
     if ts2.n != 2:
         raise DimensionMismatchError("base surface must have two profiles")
@@ -461,16 +454,14 @@ def cylinder_over(
     extra = total_n - 2
     if slopes is None:
         slopes = [0.5] * extra
-    if intercepts is None:
-        intercepts = [0.0] * extra
-    if len(slopes) != extra or len(intercepts) != extra:
-        raise DimensionMismatchError(f"need {extra} slopes and intercepts")
+    if len(slopes) != extra:
+        raise DimensionMismatchError(f"need {extra} slopes")
     if any(a == 0.0 for a in slopes):
         raise DomainError("linear profile slopes must be nonzero (chart hypothesis)")
     T = sum(signed_pow(a, 2 * m, 2 * m - 1) for a in slopes)
     lam = (1.0 + T) ** ((2 * m - 1) / (2 * m))
     profiles = [f.scaled(lam) for f in ts2.profiles]
-    profiles += [C3Function.linear(a, b) for a, b in zip(slopes, intercepts)]
+    profiles += [C3Function.linear(a) for a in slopes]
     return TranslationSurface(
         profiles=tuple(profiles), p=NormParams(m=m, dim=total_n + 1)
     )

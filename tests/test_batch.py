@@ -368,7 +368,7 @@ def test_65_chart_tangents_are_the_derivatives_of_x():
     h = 1e-5
     for j in range(3):
         e = np.eye(3)[j] * h
-        x = [surface.x_of_u(_zero_sum(u + s * e)) for s in (1.0, -1.0)]
+        x = [surface.in_u(_zero_sum(u + s * e)) for s in (1.0, -1.0)]
         fd = (x[0] - x[1]) / (2 * h)
         assert np.max(np.abs(T[:, :, j] - fd)) <= 1e-8
     # the tangents are orthogonal to the defining gradient
@@ -563,3 +563,21 @@ def test_oracle_compare_builds_one_chart_per_kind_and_n(monkeypatch, capsys):
     # 2 kinds x n = 2, 3, 4, each chart over every m of its rows, its profiles
     # one table stacked by row
     assert len(charts) == 6 and sum(charts) == len(reports) == 80
+
+
+@pytest.mark.parametrize("kind", ("translation", "separable"))
+def test_row_stacked_batch_longer_than_a_chunk_is_its_chunks(kind):
+    # 5,000 rows of profiles of their own: each chunk takes its own rows of
+    # the table, so the batch is its 4,096- and 904-row batches end to end
+    draw, batch = ((random_translation_draws, mm.report_translation_batch)
+                   if kind == "translation"
+                   else (random_separable_draws, mm.report_separable_batch))
+    at, derivs = draw(counter_rng(23), 3, 5000)
+    p = mm.NormParams(2, 4)
+    whole = batch(taylor_profiles(at, derivs), at, p)
+    parts = [batch(taylor_profiles(at[s], derivs[:, s]), at[s], p)
+             for s in (slice(0, curvature._CHUNK_POINTS),
+                       slice(curvature._CHUNK_POINTS, None))]
+    for field in ("h_analytic", "h_oracle", "tangency_defect"):
+        assert np.array_equal(getattr(whole, field),
+                              np.concatenate([getattr(r, field) for r in parts]))

@@ -5,7 +5,7 @@ from conftest import fd_derivative_error
 from minmin.functions import C3Function, PowerColumns, TaylorColumns, profile_columns
 from minmin.sampling import taylor_profiles
 from minmin.separable import example_surface
-from minmin.translation import ProfileODEParams, integrate_profile
+from minmin.translation import ProfileODEParams, SampledProfile, integrate_profile
 
 
 def test_polynomial_derivatives():
@@ -132,7 +132,7 @@ def test_generic_columns_are_their_profiles_bit_for_bit():
     rng = np.random.default_rng(8)
     curve = integrate_profile(ProfileODEParams(c0=1.0, k=1, m=2, y0=1.0, u0=0.0,
                                                step=1e-2, max_steps=40))
-    fs = tuple(example_surface("6.6", 2).fs) + (curve.to_c3(),)
+    fs = tuple(example_surface("6.6", 2).fs) + (SampledProfile(curve),)
     table = profile_columns(fs)
     assert profile_columns(table) is table and list(table) == list(fs)
     x = np.column_stack([rng.uniform(0.3, 1.5, (6, 4)) * rng.choice([-1, 1], (6, 4)),

@@ -15,10 +15,10 @@ from minmin.cli import EXAMPLE_IDS
 from minmin.curvature import (
     ORACLE_STEP_FACTOR,
     SeparableChart,
-    _columns,
     mean_curvature_from_slopes,
     mean_curvature_oracle,
 )
+from minmin.functions import _columns
 from minmin.norms import NormParams, _sum_last, birkhoff_normal_implicit
 from minmin.sampling import counter_rng, random_separable_draws, taylor_profiles
 from minmin.separable import _zero_sum, example_surface

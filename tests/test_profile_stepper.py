@@ -28,6 +28,7 @@ from minmin.translation import (
     STEP_RESIDUAL_CAP,
     STOP_REASONS,
     ProfileODEParams,
+    SampledProfile,
 )
 
 # ---------------------------------------------------------------------------
@@ -260,7 +261,7 @@ def test_sampled_profile_array_matches_scalar_calls(m):
     params = mm.ProfileODEParams(c0=0.9, k=2, m=m, y0=0.6, u0=0.1,
                                  step=1e-3, max_steps=400)
     curve = mm.integrate_profile(params)
-    prof = curve.to_c3()
+    prof = SampledProfile(curve)
     lo, hi = prof.domain
     rng = np.random.default_rng(5)
     # random points, the nodes themselves and both ends of the domain
@@ -281,8 +282,8 @@ def test_sampled_profile_array_matches_scalar_calls(m):
 
 
 def test_sampled_profile_rejects_arrays_reaching_outside():
-    prof = mm.integrate_profile(mm.ProfileODEParams(
-        c0=0.9, k=1, m=1, y0=0.6, step=1e-3, max_steps=100)).to_c3()
+    prof = SampledProfile(mm.integrate_profile(mm.ProfileODEParams(
+        c0=0.9, k=1, m=1, y0=0.6, step=1e-3, max_steps=100)))
     lo, hi = prof.domain
     with pytest.raises(mm.errors.DomainError, match="outside"):
         prof.d1(np.array([lo, 0.5 * (lo + hi), hi + 0.5]))

@@ -605,6 +605,25 @@ def test_sampler_counts_slices_and_gives_up():
     assert len(blocks) * separable._SAMPLE_BLOCK >= 400
 
 
+def test_65_samples_go_through_the_base_block_loop(monkeypatch):
+    # 6.5 draws its u rows through SeparableSurface.sample looked up when
+    # called, so a wrapper patched onto it afterwards (as a tracer is) sees
+    # each draw once
+    seen = []
+    real = separable.SeparableSurface.sample
+
+    def counting(self, rng, count, stats=None):
+        seen.append(count)
+        return real(self, rng, count, stats)
+
+    monkeypatch.setattr(separable.SeparableSurface, "sample", counting)
+    s = mm.example_surface("6.5", 2)
+    s.report_sample(np.random.default_rng(64), 5)
+    assert seen == [5]
+    assert s.sample(np.random.default_rng(64), 7).shape == (7, 4)
+    assert seen == [5, 7]
+
+
 def test_example_surface_oracle_spot_checks():
     rng = np.random.default_rng(55)
     for ex in ("6.2", "6.5", "6.6"):

@@ -274,7 +274,7 @@ def test_n2_assembly_mirrors_the_plus_c0_profile_bitwise():
 def test_sampled_profile_interpolation_and_domain():
     params = mm.ProfileODEParams(c0=2.0, k=1, m=1, y0=float(np.tan(0.3)), u0=0.3,
                                  step=1e-3, max_steps=700)
-    prof = mm.integrate_profile(params).to_c3()
+    prof = SampledProfile(mm.integrate_profile(params))
     rng = np.random.default_rng(32)
     lo, hi = prof.domain
     for u in rng.uniform(max(lo, 0.05), min(hi, 1.0), 30):
@@ -402,7 +402,7 @@ def test_cylinder_rejects_zero_slopes():
 def test_sampled_profile_is_valid_c3():
     params = mm.ProfileODEParams(c0=1.0, k=2, m=2, y0=1.0, u0=0.0,
                                  step=1e-3, max_steps=400)
-    prof = mm.integrate_profile(params).to_c3()
+    prof = SampledProfile(mm.integrate_profile(params))
     assert isinstance(prof, SampledProfile)
     lo, hi = prof.domain
     pts = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 5)
