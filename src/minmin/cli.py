@@ -119,24 +119,41 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
         "perturb": "none" if args.perturb is None else args.perturb,
     }
+    return _write_report(args, config, results, stats, t0, h_tol=args.tol)
+
+
+def _write_report(args, config, results, stats, t0: float, h_tol=None) -> int:
+    """The tail of verify and oracle-compare: render the report of results
+    once, write it to --out and stdout and its points to --csv where the
+    command has one, log the stages and the wall time since t0, and return
+    the exit code."""
     with stats.stage("render"):
         report = reporting.VerificationReport(
-            command="verify", config=config, reports=results, h_tol=args.tol,
-        )
-        text = report.render()  # once, for --out and stdout
+            command=args.command, config=config, reports=results, h_tol=h_tol)
+        text = report.render()
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
-        if args.csv:
+        if getattr(args, "csv", None):
             report.write_points_csv(args.csv)
         sys.stdout.write(text)
-    stats.log(log, "verify")
-    log.info("verify wall time %.3fs", time.perf_counter() - t0)
+    stats.log(log, args.command)
+    log.info("%s wall time %.3fs", args.command, time.perf_counter() - t0)
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------
 # ode
 # ---------------------------------------------------------------------------
+
+
+def _assemble(args, n: int, stats):
+    """The n-profile surface of the ODE settings of args (ode and mesh share
+    their names), assembled in the integrate stage."""
+    with stats.stage("integrate"):
+        return assemble_separated_surface(
+            m=args.m, n=n, c0=args.c0, inits=[(args.y0, args.u0)] * n,
+            step=args.step, max_steps=args.max_steps, stats=stats,
+        )
 
 
 def _stop_text(curve) -> str:
@@ -169,12 +186,7 @@ def cmd_ode(args) -> int:
         return EXIT_CONFIG
     if args.n is not None:
         try:
-            with stats.stage("integrate"):
-                ts = assemble_separated_surface(
-                    m=args.m, n=args.n, c0=args.c0,
-                    inits=[(args.y0, args.u0)] * args.n,
-                    step=args.step, max_steps=args.max_steps, stats=stats,
-                )
+            ts = _assemble(args, args.n, stats)
         except IntegrationError as exc:
             print(f"integration failed: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
@@ -304,11 +316,7 @@ def cmd_mesh(args) -> int:
     try:
         if args.kind == "translation":
             stats = reporting.RunStats()
-            with stats.stage("integrate"):
-                ts = assemble_separated_surface(
-                    m=args.m, n=2, c0=args.c0, inits=[(args.y0, args.u0)] * 2,
-                    step=args.step, max_steps=args.max_steps, stats=stats,
-                )
+            ts = _assemble(args, 2, stats)
             with stats.stage("grid"):
                 verts = meshes.translation_vertices(ts, ts.domain_axes(grid))
             with stats.stage("write"):
@@ -435,17 +443,7 @@ def cmd_oracle_compare(args) -> int:
         "tol": args.tol,
         "seed": args.seed,
     }
-    with stats.stage("render"):
-        report = reporting.VerificationReport(
-            command="oracle-compare", config=config, reports=results,
-        )
-        text = report.render()
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        sys.stdout.write(text)
-    stats.log(log, "oracle-compare")
-    log.info("oracle-compare wall time %.3fs", time.perf_counter() - t0)
-    return EXIT_PASS if report.passed else EXIT_FAIL
+    return _write_report(args, config, results, stats, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def translation_vertices(ts, axes) -> np.ndarray:
     """(G1, G2, 3) vertex grid (u1, u2, f) of a two-profile translation graph.
 
     The graph is separable, so each profile evaluates once on its own axis,
-    and the heights add in the order of TranslationSurface.value."""
+    and a height adds up as Python's sum(f(u) for f in profiles) does."""
     if ts.n != 2:
         raise DomainError("OBJ export of a translation graph needs n = 2")
     u1, u2 = (np.asarray(a, dtype=float) for a in axes)

@@ -29,10 +29,17 @@ def random_signs(rng: np.random.Generator, shape) -> np.ndarray:
     return 2.0 * rng.integers(0, 2, shape) - 1.0
 
 
+def signed_uniform(rng: np.random.Generator, low: float, high: float,
+                   shape) -> np.ndarray:
+    """Magnitudes uniform in [low, high) times independent random signs, the
+    magnitudes drawn from rng first and then the signs (random_signs)."""
+    return rng.uniform(low, high, shape) * random_signs(rng, shape)
+
+
 def _taylor_draws(rng: np.random.Generator, shape, slope_low: float,
                   slope_high: float) -> np.ndarray:
     """f, f', f'', f''' of profiles at their points, a stack (4, *shape)."""
-    d1 = rng.uniform(slope_low, slope_high, shape) * random_signs(rng, shape)
+    d1 = signed_uniform(rng, slope_low, slope_high, shape)
     d2 = rng.uniform(-1.0, 1.0, shape)
     d3 = rng.uniform(-1.0, 1.0, shape)
     f0 = rng.uniform(-1.0, 1.0, shape)

@@ -43,7 +43,7 @@ from .errors import (
 from .functions import C3Function, PowerColumns, ProfileColumns, evaluate
 from .meshes import write_points_csv
 from .norms import NormParams, _sum_last
-from .sampling import random_signs
+from .sampling import random_signs, signed_uniform
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +372,6 @@ def admissible_domain(xs) -> AdmissibleDomain:
 # numpy call, so that peak memory does not grow with a patch grid.
 _CHUNK_POINTS = 4096
 _PATCH_PANELS = 256  # Simpson panels of a patch coordinate with no closed form
-_PROFILE_PANELS = 128  # Simpson panels of a 6.5 profile's x(u)
 
 
 @functools.lru_cache(maxsize=None)
@@ -486,7 +485,8 @@ def patch_from_xprofiles(xs, signs, axes, p: NormParams) -> SeparableMinimalPatc
     """Integrate the profile quadratures over a product grid of u-axes.
 
     axes is a sequence of n strictly-increasing 1-D arrays for u_1..u_n; the
-    last parameter is the negative sum.  Every node must keep all X_i positive.
+    last parameter is the negative sum.  Every node must keep all X_i positive,
+    and an X_i or a coordinate that overflows a float raises DomainError.
     """
     check_patch_profiles(xs, signs, p)
     n = p.n
@@ -496,6 +496,20 @@ def patch_from_xprofiles(xs, signs, axes, p: NormParams) -> SeparableMinimalPatc
     dom = admissible_domain(xs)
     if not dom.feasible:
         raise EmptyDomainError("admissible domain is empty")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            us, points = _patch_grid(xs, signs, axes, p)
+    except FloatingPointError as exc:
+        raise DomainError(f"an X_i or a coordinate of the patch overflows a float "
+                          f"({exc})") from None
+    return SeparableMinimalPatch(
+        xprofiles=tuple(xs), signs=tuple(signs), p=p, us=us, points=points
+    )
+
+
+def _patch_grid(xs, signs, axes, p: NormParams):
+    """The zero-sum parameters us and the points of patch_from_xprofiles."""
+    n = p.n
     for i, a in enumerate(axes):
         bad = a[xs[i].value(a) <= 0.0]
         if bad.size:
@@ -518,18 +532,19 @@ def patch_from_xprofiles(xs, signs, axes, p: NormParams) -> SeparableMinimalPatc
         xi = _x_coordinates(xs[i], signs[i], axes[i], float(axes[i][0]), p.m)
         points[..., i] = xi.reshape(along_i)
     points[..., n] = _x_coordinates(xs[n], signs[n], u_last, float(u_last.flat[0]), p.m)
-    return SeparableMinimalPatch(
-        xprofiles=tuple(xs), signs=tuple(signs), p=p, us=us, points=points
-    )
+    return us, points
 
 
 def feasible_axes(xs, points_per_axis: int, span: float = 1.0):
     """Per-axis sample ranges inside the admissible domain: 0.95 of each
     interval, shrunk until the zero-sum image keeps 0.05 of its interval's
     width from either end.  Raises EmptyDomainError when there is no room at
-    all, and DomainError unless span is positive and finite."""
+    all, and DomainError unless span is positive and 4 * span is finite."""
     if not 0.0 < span < math.inf:
         raise DomainError(f"span must be positive and finite, got {span!r}")
+    if 4.0 * span == math.inf:
+        raise DomainError(f"span {span!r} overflows a float: the dependent "
+                          "parameter's working width 4 * span is not finite")
     dom = admissible_domain(xs)
     if not dom.feasible:
         raise EmptyDomainError("admissible domain is empty")
@@ -627,11 +642,6 @@ class SeparableSurface:
         return report_separable_batch(self.fs, points, self.p, tol=tol, stats=stats)
 
 
-def _signed_draws(rng: np.random.Generator, high: float, shape):
-    """Magnitudes uniform in [0.3, high) with independent random signs."""
-    return rng.uniform(0.3, high, shape) * random_signs(rng, shape)
-
-
 def _root_sampler(dim: int, last_root, floor: float):
     """Block sampler for a surface whose last coordinate has an explicit root.
 
@@ -642,7 +652,7 @@ def _root_sampler(dim: int, last_root, floor: float):
     """
 
     def draw_block(rng: np.random.Generator) -> np.ndarray:
-        vals = _signed_draws(rng, 1.5, (_SAMPLE_BLOCK, dim - 1))
+        vals = signed_uniform(rng, 0.3, 1.5, (_SAMPLE_BLOCK, dim - 1))
         sign = random_signs(rng, _SAMPLE_BLOCK)
         root = last_root(vals)
         keep = (floor <= root) & (root <= 20.0)
@@ -709,14 +719,14 @@ class _QuadratureProfile(C3Function):
             raise DomainError(f"quadrature chart sign must be +1 or -1, got {sign}")
         self.xp = xp
         self.sign = float(sign)
+        self.m = m
         self._gamma = (2 * m - 1) / (2 * m)
         super().__init__(self.u_of_x, lambda x: self.d1_of_u(self.u_of_x(x)),
                          lambda x: self.d2_of_u(self.u_of_x(x)))
 
     def x_of_u(self, u):
-        """The coordinate quadrature; u may be an array of parameters."""
-        return self.sign * _simpson_batched(
-            lambda t: self.xp.value(t) ** (-self._gamma), 0.0, u, _PROFILE_PANELS)
+        """A patch's coordinate from 0 (_x_coordinates); u may be an array."""
+        return _x_coordinates(self.xp, self.sign, u, 0.0, self.m)
 
     def d1_of_u(self, u):
         """f' where the parameter is u: sign X(u)^gamma, the inverse of dx/du."""
@@ -790,7 +800,7 @@ def _zero_sum_sampler(dim: int):
     magnitudes in [0.3, 1.2), and a slice with |u_dim| < 0.25 is rejected."""
 
     def draw_block(rng: np.random.Generator) -> np.ndarray:
-        u = _zero_sum(_signed_draws(rng, 1.2, (_SAMPLE_BLOCK, dim - 1)))
+        u = _zero_sum(signed_uniform(rng, 0.3, 1.2, (_SAMPLE_BLOCK, dim - 1)))
         return u[np.abs(u[:, -1]) >= 0.25]
 
     return draw_block

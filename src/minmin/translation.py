@@ -24,7 +24,7 @@ from .errors import (
     DomainError,
     IntegrationError,
 )
-from .functions import C3Function, _columns
+from .functions import C3Function, profile_columns
 from .meshes import write_points_csv
 from .norms import NormParams, signed_pow
 
@@ -56,19 +56,6 @@ class TranslationSurface:
     def n(self) -> int:
         return self.p.n
 
-    def value(self, u):
-        """sum_i f_i(u_i) at a parameter vector (a float) or at every vector of
-        a stack (..., n), each profile evaluating its whole column at once."""
-        cols = _columns(self.profiles, np.asarray(u, dtype=float))
-        total = 0.0  # the start of Python's sum, so -0.0 terms still add to 0.0
-        for i in range(self.n):
-            total = total + cols[..., i]
-        return float(total) if total.ndim == 0 else total
-
-    def grad(self, u) -> np.ndarray:
-        """(f_1'(u_1), ..., f_n'(u_n)) at a parameter vector or a stack of them."""
-        return _columns([f.d1 for f in self.profiles], np.asarray(u, dtype=float))
-
     def domain_axes(self, points_per_axis: int):
         """Per-profile sample axes inside the covered domains, padded by 1e-3
         of each domain's width at both ends; an unbounded domain is [-1, 1]."""
@@ -92,8 +79,8 @@ def minimality_residual(ts: TranslationSurface, u):
     u = np.asarray(u, dtype=float)
     if u.ndim == 0 or u.shape[-1] != ts.n:
         raise DimensionMismatchError(f"expected {ts.n} parameters")
-    return translation_residual_sum(_columns([f.d1 for f in ts.profiles], u),
-                                    _columns([f.d2 for f in ts.profiles], u), ts.p.m)
+    table = profile_columns(ts.profiles)
+    return translation_residual_sum(table.d1(u), table.d2(u), ts.p.m)
 
 
 def residual_grid(ts: TranslationSurface, axes) -> np.ndarray:

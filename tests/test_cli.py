@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -1056,6 +1057,25 @@ def test_invalid_mesh_settings_are_config_errors(argv, tmp_path, monkeypatch, ca
     assert stdout == ""
     assert err.startswith("error: ")
     assert not (tmp_path / "never.obj").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    # 6.6's X_4 = e^u + 0 e^-u overflows on the dependent axis (u_4 = -sum u)
+    ["--example", "6.6", "--m", "2", "--span", "700"],
+    ["--example", "6.6", "--m", "1", "--span", "500"],
+    # 4 * span, the working width of the dependent parameter, overflows
+    ["--example", "6.1", "--m", "1", "--span", "1e308"],
+    ["--example", "6.5", "--m", "1", "--span", "4.5e307"],
+])
+def test_mesh_refuses_a_patch_that_overflows(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(["mesh", "--grid", "3", "--out", "b.csv"] + argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflows a float" in err
+    assert not (tmp_path / "b.csv").exists()
 
 
 @pytest.mark.parametrize("value, legal", [

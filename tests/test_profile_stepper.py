@@ -305,10 +305,6 @@ def test_translation_vertices_and_surface_match_per_node_loop_bitwise():
     axes = ts.domain_axes(9)
     verts = meshes.translation_vertices(ts, axes)
     np.testing.assert_array_equal(verts, _ref_vertices(ts, axes))
-    u = verts[3, 5, :2]
-    assert ts.value(u) == verts[3, 5, 2]
-    np.testing.assert_array_equal(ts.grad(verts[..., :2])[3, 5], ts.grad(u))
-    np.testing.assert_array_equal(ts.grad(u), [f.d1(float(t)) for f, t in zip(ts.profiles, u)])
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from minmin.reporting import RunStats
 from minmin.separable import (
     _QuadratureProfile,
     _x_antiderivative,
+    _x_coordinates,
     composite_simpson,
     perturbed_example_surface,
     quadratic_case_verdict,
@@ -452,6 +453,17 @@ def test_patch_empty_domain_raises():
                                 mm.NormParams(1, 4))
 
 
+def test_patch_coordinate_that_overflows_is_domain_error():
+    # X_1(0) = 1e-320 is positive, but its X^-gamma at m = 100 overflows, and
+    # so does the quadrature of x_1 over the axis
+    xs = [mm.XProfile.quadratic(1e-320, 1.0, 1.0)] + [mm.XProfile.affine(1.0, 0.0)] * 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="coordinate of the patch overflows a float"):
+            mm.patch_from_xprofiles(xs, (1, 1, 1, 1), [np.array([0.0, 0.5])] * 3,
+                                    mm.NormParams(100, 4))
+
+
 @pytest.mark.parametrize("signs", ((2, 0, 1, 1), (1, -1, 1, 0.5)))
 def test_patch_refuses_signs_other_than_plus_minus_one(signs):
     xs, _ = mm.example_xprofiles("6.1")
@@ -803,6 +815,18 @@ def test_quadrature_x_of_u_matches_fine_reference(m):
     for u in np.linspace(-3.6, 3.6, 25):
         ref = composite_simpson(lambda t: (2.0 * np.cosh(t)) ** (-g), 0.0, u, 4096)
         assert abs(f.x_of_u(u) - ref) <= 1e-10
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_quadrature_x_of_u_is_the_patch_coordinate(m, sign):
+    # a 6.5 profile's x(u) and a patch's coordinate from u0 = 0 share one rule
+    xp = mm.XProfile.exponential(1.0, 1.0)
+    f = _QuadratureProfile(xp, sign, m)
+    us = np.linspace(-3.6, 3.6, 25)
+    assert np.array_equal(f.x_of_u(us), _x_coordinates(xp, sign, us, 0.0, m))
+    for u in (-3.6, -0.3, 0.0, 1.7):
+        assert f.x_of_u(u) == _x_coordinates(xp, sign, u, 0.0, m)
 
 
 def test_quadrature_u_of_x_independent_of_call_history():
