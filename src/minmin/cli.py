@@ -322,7 +322,7 @@ def cmd_mesh(args) -> int:
             with stats.stage("write"):
                 if args.out.endswith(".csv"):
                     meshes.write_points_csv(
-                        args.out, ["u1", "u2", "x3"], verts.reshape(-1, 3)
+                        args.out, ["u1", "u2", "x3"], list(verts.reshape(-1, 3).T)
                     )
                 else:
                     meshes.write_obj(args.out, verts)

@@ -469,8 +469,8 @@ class SeparableMinimalPatch:
         k = self.us.shape[-1]
         header = ([f"u{i + 1}" for i in range(k)]
                   + [f"x{i + 1}" for i in range(self.points.shape[-1])])
-        write_points_csv(path, header, np.concatenate(
-            [self.us.reshape(-1, k), self.flat_points()], axis=1))
+        write_points_csv(path, header, [*self.us.reshape(-1, k).T,
+                                        *self.flat_points().T])
 
 
 def check_patch_profiles(xs, signs, p: NormParams) -> None:
@@ -539,7 +539,8 @@ def feasible_axes(xs, points_per_axis: int, span: float = 1.0):
     """Per-axis sample ranges inside the admissible domain: 0.95 of each
     interval, shrunk until the zero-sum image keeps 0.05 of its interval's
     width from either end.  Raises EmptyDomainError when there is no room at
-    all, and DomainError unless span is positive and 4 * span is finite."""
+    all, and DomainError unless span is positive and both 4 * span and the
+    sum of the axis centers are finite."""
     if not 0.0 < span < math.inf:
         raise DomainError(f"span must be positive and finite, got {span!r}")
     if 4.0 * span == math.inf:
@@ -564,6 +565,9 @@ def feasible_axes(xs, points_per_axis: int, span: float = 1.0):
     pad = 0.05 * width
     lo_pad, hi_pad = lo_last + pad, hi_last - pad
     center_last = -sum(centers)
+    if not math.isfinite(center_last):
+        raise DomainError(f"span {span!r} overflows a float: the sum of the "
+                          f"{n} axis centers is not finite")
     if not lo_pad < center_last < hi_pad:
         # slide the centers toward a feasible sum
         target = 0.5 * (max(lo_pad, -span) + min(hi_pad, span))

@@ -174,7 +174,7 @@ class ProfileCurve:
 
     def write_csv(self, path):
         write_points_csv(path, ["u", "f", "f_prime", "f_double_prime"],
-                         np.column_stack([self.u, self.f, self.d1, self.d2]))
+                         [self.u, self.f, self.d1, self.d2])
 
 
 def _integrate_direction(params: ProfileODEParams, direction: float):

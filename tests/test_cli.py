@@ -1078,6 +1078,25 @@ def test_mesh_refuses_a_patch_that_overflows(argv, tmp_path, monkeypatch, capsys
     assert not (tmp_path / "b.csv").exists()
 
 
+def test_mesh_refuses_axis_centers_whose_sum_overflows(tmp_path, monkeypatch, capsys):
+    # nine free axes centered near span / 2: 4 * span is finite, their sum is not
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ten.json").write_text(json.dumps(
+        {"kind": "affine", "p": [1] * 10, "q": [1] * 9 + [-1]}))
+    argv = ["mesh", "--kind", "patch", "--params-file", "ten.json", "--grid", "2",
+            "--out", "x.csv"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(argv + ["--span", "4.4e307"], capsys)
+    assert code == 2 and stdout == ""
+    assert err == ("error: span 4.4e+307 overflows a float: the sum of the 9 axis "
+                   "centers is not finite\n")
+    assert not (tmp_path / "x.csv").exists()
+    code, stdout, err = run(argv + ["--span", "1e307"], capsys)
+    assert code == 0 and stdout == "wrote 512 points to x.csv\n" and err == ""
+    assert len((tmp_path / "x.csv").read_text().splitlines()) == 513
+
+
 @pytest.mark.parametrize("value, legal", [
     ("nan", False), ("inf", False), ("-1e-9", False), ("0", True),
 ])

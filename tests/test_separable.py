@@ -435,11 +435,11 @@ def test_points_csv_formats_special_values_like_one_value_at_a_time(tmp_path):
     rows = np.array([[-0.0, np.inf, np.nan], [3.0, 5e-324, -1e300],
                      [0.1, -2.5e-17, 123456789.125]])
     out = tmp_path / "p.csv"
-    write_points_csv(out, ["a", "b", "c"], rows)
+    write_points_csv(out, ["a", "b", "c"], list(rows.T))
     want = "a,b,c\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n"
                                 for row in rows)
     assert out.read_text() == want
-    write_points_csv(out, ["a"], np.empty((0, 1)))
+    write_points_csv(out, ["a"], [np.empty(0)])
     assert out.read_text() == "a\n"
 
 
