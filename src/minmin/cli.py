@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import curvature, meshes, reporting, sampling
+from . import curvature, errors, meshes, reporting, sampling
 # report_separable is no longer called here, but stays a name of this module:
 # perfbench/test_smoke.py checks that the tracer patches it in minmin.cli
 from .curvature import (  # noqa: F401
@@ -146,9 +146,19 @@ def _write_report(args, config, results, stats, t0: float, h_tol=None) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _check_grid(grid: int, axes: int):
+    """errors.check_array_size of a grid of grid nodes on each of axes axes with
+    axes + 1 values a node, taken before any of it is built."""
+    # a grid of 2 or more nodes passes numpy's index range within 64 factors
+    errors.check_array_size(grid ** min(axes, 64) * (axes + 1),
+                            f"a grid of {grid} nodes on each of {axes} axes")
+
+
 def _assemble(args, n: int, stats):
-    """The n-profile surface of the ODE settings of args (ode and mesh share
-    their names), assembled in the integrate stage."""
+    """The n-profile surface of the ODE settings of args (_ode_settings),
+    assembled in the integrate stage once its args.grid grid is known to fit
+    numpy's index range."""
+    _check_grid(args.grid, n)
     with stats.stage("integrate"):
         return assemble_separated_surface(
             m=args.m, n=n, c0=args.c0, inits=[(args.y0, args.u0)] * n,
@@ -164,9 +174,6 @@ def cmd_ode(args) -> int:
     stats = reporting.RunStats()
     k = 1 if args.k is None else args.k
     if args.n is not None:
-        if args.n < 2:
-            print("--n must be at least 2", file=sys.stderr)
-            return EXIT_CONFIG
         if args.k is not None and args.k != args.n - 1:
             print(
                 f"--k {args.k} conflicts with --n {args.n} (assembly uses k = n-1)",
@@ -275,7 +282,7 @@ def _load_params(path) -> _Params:
 def cmd_ansatz(args) -> int:
     try:
         data = _load_params(args.params_file)
-        kind = args.kind or data.get("kind")
+        kind = data.get("kind")
         if kind == "affine":
             n = int(data.get("n", len(data["p"]) - 1))
             system = extract_affine_system(n, data["p"], data["q"])
@@ -304,21 +311,13 @@ def cmd_ansatz(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_int_list(text, what):
-    try:
-        return [int(v) for v in text.split(",")]
-    except ValueError:
-        raise MinminError(f"cannot parse {what} {text!r}")
-
-
 def cmd_mesh(args) -> int:
-    grid = args.grid
     try:
         if args.kind == "translation":
             stats = reporting.RunStats()
             ts = _assemble(args, 2, stats)
             with stats.stage("grid"):
-                verts = meshes.translation_vertices(ts, ts.domain_axes(grid))
+                verts = meshes.translation_vertices(ts, ts.domain_axes(args.grid))
             with stats.stage("write"):
                 if args.out.endswith(".csv"):
                     meshes.write_points_csv(
@@ -347,10 +346,11 @@ def cmd_mesh(args) -> int:
             xs, signs = example_xprofiles(args.example)
         p = NormParams(m=args.m, dim=len(xs))
         check_patch_profiles(xs, signs, p)  # before the domain, which may be empty
+        _check_grid(args.grid, len(xs) - 1)
         stats = reporting.RunStats()
         with stats.stage("grid"):
             try:
-                axes = feasible_axes(xs, grid, span=args.span)
+                axes = feasible_axes(xs, args.grid, span=args.span)
             except EmptyDomainError:
                 print("empty admissible domain: no patch to mesh")
                 return EXIT_PASS
@@ -360,16 +360,7 @@ def cmd_mesh(args) -> int:
                 patch.write_csv(args.out)
                 print(f"wrote {patch.flat_points().shape[0]} points to {args.out}")
             else:
-                slice_axes = (
-                    tuple(_parse_int_list(args.slice, "--slice")) if args.slice else None
-                )
-                project = (
-                    tuple(_parse_int_list(args.project, "--project"))
-                    if args.project
-                    else (0, 1, 2)
-                )
-                verts = meshes.patch_vertices(patch, slice_axes=slice_axes,
-                                              project=project)
+                verts = meshes.patch_vertices(patch, args.slice, args.project)
                 meshes.write_obj(args.out, verts)
                 print(f"wrote {verts.shape[0] * verts.shape[1]} vertices to {args.out}")
         stats.log(log, "mesh")
@@ -388,12 +379,11 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_oracle_compare(args) -> int:
-    if args.n is not None:
-        try:
-            NormParams(m=1, dim=args.n + 1)
-        except DomainError as exc:
-            print(f"invalid --n: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    # the largest arrays are the (4, points, n + 1) draws of separable surfaces
+    n_max = 4 if args.n is None else args.n
+    errors.check_array_size(4 * args.points * (n_max + 1),
+                            f"the draws of --points {args.points}, each of up to "
+                            f"{n_max} parameters,")
     t0 = time.perf_counter()
     stats = reporting.RunStats()
     kinds = ("translation", "separable") if args.kind == "both" else (args.kind,)
@@ -463,7 +453,27 @@ def _int_type(low: int, high: float, expected: str):
 
 _positive_int = _int_type(1, float("inf"), "a positive integer")  # a count
 _mesh_grid = _int_type(2, float("inf"), "a positive integer >= 2")  # one node: no face
+_parameter_count = _int_type(2, float("inf"), "an integer >= 2")  # --n
 _seed = _int_type(0, 2**128, "a seed in [0, 2**128)")  # the Philox key
+
+
+def _int_tuple(count: int, expected: str):
+    """argparse type of count comma-separated integers, described as expected."""
+    def integers(text: str) -> tuple:  # argparse names it in "invalid integers value"
+        values = tuple(int(v) for v in text.split(","))
+        if len(values) != count:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return values
+    return integers
+
+
+def _ode_settings(parser):
+    """The profile ODE settings that ode and mesh --kind translation share."""
+    parser.add_argument("--c0", type=float, default=1.0)
+    parser.add_argument("--y0", type=float, default=1.0)
+    parser.add_argument("--u0", type=float, default=0.0)
+    parser.add_argument("--step", type=float, default=1e-3)
+    parser.add_argument("--max-steps", type=int, default=5000)
 
 
 def _tolerance(text: str) -> float:
@@ -511,12 +521,8 @@ def _parsers() -> tuple:
     po.add_argument("--m", type=int, default=1)
     po.add_argument("--k", type=int, default=None,
                     help="quadratic-term coefficient (default 1)")
-    po.add_argument("--c0", type=float, default=1.0)
-    po.add_argument("--y0", type=float, default=1.0)
-    po.add_argument("--u0", type=float, default=0.0)
-    po.add_argument("--step", type=float, default=1e-3)
-    po.add_argument("--max-steps", type=int, default=5000)
-    po.add_argument("--n", type=int, default=None,
+    _ode_settings(po)
+    po.add_argument("--n", type=_parameter_count, default=None,
                     help="assemble an n-profile surface (k = n-1) and report "
                     "its grid residual")
     po.add_argument("--grid", type=_positive_int, default=12)
@@ -524,8 +530,6 @@ def _parsers() -> tuple:
     po.set_defaults(fn=cmd_ode)
 
     pa = sub.add_parser("ansatz", help="extract an identity coefficient system")
-    pa.add_argument("--kind", choices=("affine", "quadratic", "exponential"),
-                    default=None)
     pa.add_argument("--params-file", required=True, help="JSON with p/q/r arrays")
     pa.add_argument("--tol", type=_tolerance, default=1e-10)
     pa.set_defaults(fn=cmd_ansatz)
@@ -536,17 +540,13 @@ def _parsers() -> tuple:
     pm.add_argument("--params-file", default=None,
                     help="JSON X-profile data instead of --example")
     pm.add_argument("--m", type=int, default=1)
-    pm.add_argument("--c0", type=float, default=1.0)
-    pm.add_argument("--y0", type=float, default=1.0)
-    pm.add_argument("--u0", type=float, default=0.0)
-    pm.add_argument("--step", type=float, default=1e-3)
-    pm.add_argument("--max-steps", type=int, default=5000)
+    _ode_settings(pm)
     pm.add_argument("--grid", type=_mesh_grid, default=20)
     pm.add_argument("--span", type=float, default=1.0,
                     help="working half-width of the u-axes")
-    pm.add_argument("--slice", default=None,
+    pm.add_argument("--slice", type=_int_tuple(2, "two comma-separated integers"),
                     help="two varying parameter axes for OBJ, e.g. 0,1")
-    pm.add_argument("--project", default=None,
+    pm.add_argument("--project", type=_int_tuple(3, "three comma-separated integers"),
                     help="three ambient coordinates for OBJ, e.g. 0,1,3")
     pm.add_argument("--out", required=True, help=".obj or .csv output")
     pm.set_defaults(fn=cmd_mesh)
@@ -557,7 +557,7 @@ def _parsers() -> tuple:
     pc.add_argument("--kind", choices=("translation", "separable", "both"),
                     default="both")
     pc.add_argument("--points", type=_positive_int, default=100)
-    pc.add_argument("--n", type=int, default=None,
+    pc.add_argument("--n", type=_parameter_count, default=None,
                     help="fix the parameter count (default: random 2..4)")
     pc.add_argument("--tol", type=_tolerance, default=1e-6)
     pc.add_argument("--seed", type=_seed, default=20250101)

@@ -577,11 +577,10 @@ def report_separable_batch(fs, points, p: NormParams, tol: float = 1e-6,
     return _report_chunks(len(points), chunk, p, tol, stats, ms)
 
 
-def report_separable(fs, x, p: NormParams, tol: float = 1e-6,
-                     stats=None) -> CurvatureReport:
+def report_separable(fs, x, p: NormParams, tol: float = 1e-6) -> CurvatureReport:
     """Closed-form vs oracle comparison at one separable-surface point: a
     report_separable_batch of one."""
-    return report_separable_batch(fs, _one_point(x, p.dim), p, tol=tol, stats=stats)[0]
+    return report_separable_batch(fs, _one_point(x, p.dim), p, tol=tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -647,9 +646,7 @@ def report_translation_batch(fs, U, p: NormParams, tol: float = 1e-6,
     return replace(rep, h_analytic=-rep.h_analytic, h_oracle=-rep.h_oracle)
 
 
-def report_translation(fs, u, p: NormParams, tol: float = 1e-6,
-                       stats=None) -> CurvatureReport:
+def report_translation(fs, u, p: NormParams, tol: float = 1e-6) -> CurvatureReport:
     """Closed-form vs oracle comparison at one translation-graph point: a
     report_translation_batch of one."""
-    return report_translation_batch(fs, _one_point(u, p.n), p, tol=tol,
-                                    stats=stats)[0]
+    return report_translation_batch(fs, _one_point(u, p.n), p, tol=tol)[0]

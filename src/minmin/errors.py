@@ -1,4 +1,7 @@
-"""Exception types raised by the minmin library."""
+"""Exception types raised by the minmin library, and the size check that
+turns an array past numpy's index range into a MemoryError."""
+
+import sys
 
 
 class MinminError(Exception):
@@ -40,3 +43,11 @@ class EmptyDomainError(MinminError, ValueError):
 
 class IntegrationError(MinminError, RuntimeError):
     """Profile ODE integration failed (immediate blow-up or unusable step)."""
+
+
+def check_array_size(values: int, what: str) -> None:
+    """Raise MemoryError where what needs more float64 values than numpy can
+    index (8 * values > sys.maxsize, taken on Python ints): numpy would refuse
+    such a size with a ValueError or an OverflowError, and no memory holds it."""
+    if 8 * values > sys.maxsize:
+        raise MemoryError(f"{what} is past numpy's index range")

@@ -114,17 +114,11 @@ class C3Function:
     def d2(self, x):
         return evaluate(self._d2, x)
 
-    def scaled(self, lam: float, mu: float = 1.0) -> "C3Function":
-        """The rescaled profile x -> lam * f(mu * x)."""
+    def scaled(self, lam: float) -> "C3Function":
+        """The rescaled profile x -> lam * f(x), on the same domain."""
         f = self.f
-        lo, hi = self.domain
-        dom = tuple(sorted((lo / mu, hi / mu))) if mu != 0 else (-np.inf, np.inf)
-        return C3Function(
-            lambda x: lam * f(mu * x),
-            lambda x: lam * mu * self.d1(mu * x),
-            lambda x: lam * mu * mu * self.d2(mu * x),
-            dom,
-        )
+        return C3Function(lambda x: lam * f(x), lambda x: lam * self.d1(x),
+                          lambda x: lam * self.d2(x), self.domain)
 
     def shifted(self, c: float) -> "C3Function":
         """The profile x -> f(x) + c, with the same derivative callables."""
@@ -153,9 +147,9 @@ class C3Function:
         return cls.polynomial(_taylor_coefficients(derivs), x0)
 
     @classmethod
-    def linear(cls, a: float, b: float = 0.0) -> "C3Function":
-        """a*x + b."""
-        return cls.polynomial([b, a])
+    def linear(cls, a: float) -> "C3Function":
+        """a*x."""
+        return cls.polynomial([0.0, a])
 
     @classmethod
     def power_even(cls, coeff: float, m: int) -> "C3Function":
@@ -169,13 +163,9 @@ class C3Function:
         )
 
     @classmethod
-    def neg_log_cos(cls, sign: float = 1.0) -> "C3Function":
-        """sign * (-log cos x): slope sign*tan x, the classical saddle profile."""
-        return cls(
-            lambda x: -sign * np.log(np.cos(x)),
-            lambda x: sign * np.tan(x),
-            lambda x: sign / np.cos(x) ** 2,
-        )
+    def neg_log_cos(cls) -> "C3Function":
+        """-log cos x: slope tan x, the classical saddle profile."""
+        return cls(lambda x: -np.log(np.cos(x)), np.tan, lambda x: 1.0 / np.cos(x) ** 2)
 
     @classmethod
     def log_abs(cls, coeff: float, inner: float = 1.0) -> "C3Function":

@@ -39,6 +39,7 @@ from .errors import (
     EmptyDomainError,
     NonpositiveProfileError,
     SingularConfigurationError,
+    check_array_size,
 )
 from .functions import C3Function, PowerColumns, ProfileColumns, evaluate
 from .meshes import write_points_csv
@@ -407,16 +408,16 @@ def composite_simpson(fn, a, b, panels: int = 256):
     return float(total) if scalar else total
 
 
-def _simpson_batched(fn, a: float, bs, panels: int) -> np.ndarray:
-    """composite_simpson from a to every element of bs, in chunks of about
-    _CHUNK_POINTS nodes per call."""
+def _simpson_batched(fn, a: float, bs) -> np.ndarray:
+    """composite_simpson with _PATCH_PANELS panels from a to every element of
+    bs, in chunks of about _CHUNK_POINTS nodes per call."""
     bs = np.asarray(bs, dtype=float)
     out = np.empty(bs.shape)
     flat_b, flat_out = bs.reshape(-1), out.reshape(-1)
-    per_call = max(1, _CHUNK_POINTS // (panels + 1))
+    per_call = _CHUNK_POINTS // (_PATCH_PANELS + 1)
     for start in range(0, flat_b.size, per_call):
         stop = start + per_call
-        flat_out[start:stop] = composite_simpson(fn, a, flat_b[start:stop], panels)
+        flat_out[start:stop] = composite_simpson(fn, a, flat_b[start:stop], _PATCH_PANELS)
     return out
 
 
@@ -445,7 +446,7 @@ def _x_coordinates(xp: XProfile, sign: float, us, u0: float, m: int) -> np.ndarr
     if exact is not None:
         return sign * exact
     g = (2 * m - 1) / (2 * m)
-    return sign * _simpson_batched(lambda t: xp.value(t) ** (-g), u0, us, _PATCH_PANELS)
+    return sign * _simpson_batched(lambda t: xp.value(t) ** (-g), u0, us)
 
 
 @dataclass
@@ -911,9 +912,12 @@ def _powersum_coefficients(example_id: str, m: int, r: int):
     """(a, lead): the coefficients a_i of the power sum sum a_i x_i^2m of 6.1-6.4
     and the size of its leading block, or None for any other id.  6.2 and 6.4
     pair two blocks of r coordinates, so they need r >= 2.  Raises DomainError
-    where a coefficient overflows a float."""
-    if example_id in ("6.2", "6.4") and r < 2:
-        raise DomainError(f"{example_id} needs r >= 2")
+    where a coefficient overflows a float, and MemoryError where 2r + 1
+    coordinates are past numpy's index range."""
+    if example_id in ("6.2", "6.4"):
+        if r < 2:
+            raise DomainError(f"{example_id} needs r >= 2")
+        check_array_size(2 * r + 1, f"example {example_id} at r = {r}")
     if example_id == "6.1":
         return [1.0, -1.0, -1.0, 1.0], 1
     if example_id == "6.2":

@@ -58,12 +58,16 @@ class TranslationSurface:
 
     def domain_axes(self, points_per_axis: int):
         """Per-profile sample axes inside the covered domains, padded by 1e-3
-        of each domain's width at both ends; an unbounded domain is [-1, 1]."""
+        of each domain's width at both ends; an unbounded domain is [-1, 1].
+        Raises DomainError where a domain's width overflows a float."""
         axes = []
         for f in self.profiles:
             lo, hi = getattr(f, "domain", (-np.inf, np.inf))
             if not np.isfinite(lo) or not np.isfinite(hi):
                 lo, hi = -1.0, 1.0
+            if hi - lo == math.inf:
+                raise DomainError(f"profile domain [{lo:.12g}, {hi:.12g}] overflows a "
+                                  "float: its width hi - lo is not finite")
             pad = 1e-3 * (hi - lo)
             axes.append(np.linspace(lo + pad, hi - pad, points_per_axis))
         return axes
@@ -303,8 +307,15 @@ def integrate_profile(params: ProfileODEParams, stats=None) -> ProfileCurve:
 def _profile_curve(params: ProfileODEParams, origin: int, f, d1,
                    stop_reasons) -> ProfileCurve:
     """The ProfileCurve of the samples f, f' at u0 + i h for
-    i = -origin, ..., len(f) - 1 - origin, with f'' from the ODE."""
+    i = -origin, ..., len(f) - 1 - origin, with f'' from the ODE.  Raises
+    IntegrationError where an end of that u grid, and so the grid, overflows
+    a float."""
     h, u0 = params.step, params.u0
+    # the grid's ends, with the operations and so the bits numpy takes for them
+    lo, hi = u0 - origin * h, u0 + (len(f) - 1 - origin) * h
+    if not math.isfinite(lo) or not math.isfinite(hi):
+        raise IntegrationError(f"the sample grid overflows a float: u runs from "
+                               f"{lo:.12g} to {hi:.12g}")
     u = np.concatenate([
         u0 - np.arange(origin, 0, -1) * h,
         [u0],

@@ -522,7 +522,7 @@ def _shared_profile_points(kind, n, count, rng):
     x = at[:n] + rng.uniform(-0.05, 0.05, (count, n))
     rest = sum(f(x[:, i]) for i, f in enumerate(fs))
     last = at[n] + (-rest - f0) / slope
-    fs += (C3Function.linear(slope, f0 - slope * at[n]),)
+    fs += (C3Function.polynomial([f0 - slope * at[n], slope]),)
     return mm.report_separable_batch, fs, np.column_stack([x, last])
 
 

@@ -747,7 +747,7 @@ _VERIFY = ["verify", "--example", "6.1", "--points", "3"]
     ["verify"], ["mesh", "--grid", "3"],
     ["verify", "--example", "6.1", "--points", "x"],
     ["verify", "--example", "6.1", "--points", "0"],
-    ["ansatz", "--kind", "cubic", "--params-file", "affine.json"],
+    ["oracle-compare", "--kind", "cubic"],
     ["verify", "--example", "6.1", "--p", "3"],
     [*_VERIFY, "--bogus", "1"],
     # no command, an unknown one, a leading --, unrecognized trailing arguments
@@ -969,7 +969,8 @@ def test_oracle_compare_too_few_parameters_is_a_config_error(capsys):
     code, stdout, err = run(["oracle-compare", "--n", "1"], capsys)
     assert code == 2
     assert stdout == ""
-    assert "invalid --n" in err and "numerical failure" not in err
+    assert err.endswith("minmin oracle-compare: error: argument --n: expected an "
+                        "integer >= 2, got '1'\n")
 
 
 def test_mesh_requires_out(capsys):
@@ -1002,6 +1003,10 @@ def test_nonpositive_counts_are_config_errors(argv, tmp_path, monkeypatch, capsy
     (["mesh", "--grid", "1", "--out", "never.obj"], "a positive integer >= 2"),
     (["mesh", "--kind", "translation", "--grid", "1", "--out", "never.obj"],
      "a positive integer >= 2"),
+    # an assembly, or a surface, of fewer than two parameters
+    (["ode", "--n", "1"], "an integer >= 2"),
+    (["ode", "--n", "0", "--k", "0"], "an integer >= 2"),
+    (["oracle-compare", "--n", "0"], "an integer >= 2"),
 ])
 def test_out_of_range_integers_are_config_errors(argv, expected, tmp_path,
                                                  monkeypatch, capsys):
@@ -1047,7 +1052,6 @@ def test_invalid_ode_settings_are_config_errors(flag, assembly, capsys):
     ["--span", "0"], ["--span=-1"], ["--span", "nan"], ["--span", "inf"],
     # three distinct ambient coordinates in 0..dim-1
     ["--project=-1,0,1"], ["--project", "0,0,1"], ["--project", "0,1,4"],
-    ["--project", "0,1"],
 ])
 def test_invalid_mesh_settings_are_config_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -1057,6 +1061,102 @@ def test_invalid_mesh_settings_are_config_errors(argv, tmp_path, monkeypatch, ca
     assert stdout == ""
     assert err.startswith("error: ")
     assert not (tmp_path / "never.obj").exists()
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["--project", "0,1"], "never.obj"),
+    (["--project", "0,1,2,3"], "never.obj"),
+    (["--slice", "0,1,2"], "never.obj"),
+    (["--slice", "0"], "never.obj"),
+    (["--slice", "a,b"], "never.obj"),
+    # CSV output takes no slice, but a malformed one is refused all the same
+    (["--slice", "0,1,2"], "never.csv"),
+    (["--project", "0,x,1"], "never.csv"),
+])
+def test_slice_and_project_take_their_count_of_integers(argv, out, tmp_path,
+                                                        monkeypatch, capsys):
+    # a usage error: argparse's usage, then its one error line; no traceback
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(["mesh", "--example", "6.3", "--grid", "3", "--out", out]
+                            + argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("usage: minmin mesh ")
+    last = err.splitlines()[-1]
+    assert last.startswith(f"minmin mesh: error: argument {argv[0]}: ")
+    assert err.count("error") == 1 and not list(tmp_path.iterdir())
+
+
+_ODE_GRID_PAST_A_FLOAT = ["--u0", "1.7e308", "--step", "1e307", "--max-steps", "5",
+                          "--c0", "1e-320"]
+_ODE_WIDTH_PAST_A_FLOAT = ["--u0", "0", "--step", "1e305", "--max-steps", "1500",
+                           "--c0", "1e-320", "--y0", "1e-10", "--grid", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["ode", "--out", "never.csv"],
+    ["ode", "--n", "2", "--out", "never.csv"],
+    ["ode", "--n", "3"],
+    ["mesh", "--kind", "translation", "--out", "never.obj"],
+])
+def test_a_sample_grid_that_overflows_is_an_integration_failure(argv, tmp_path,
+                                                               monkeypatch, capsys):
+    # u0 + 5 steps of 1e307 passes the float limit: one typed line, no warning
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(argv + _ODE_GRID_PAST_A_FLOAT, capsys)
+    assert code == 3 and stdout == ""
+    assert err == ("integration failed: the sample grid overflows a float: u runs "
+                   "from 1.2e+308 to inf\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    (["ode", "--n", "2"], 3, "numerical failure: "),
+    (["mesh", "--kind", "translation", "--out", "never.obj"], 2, "error: "),
+])
+def test_a_profile_domain_whose_width_overflows_is_refused(argv, code, prefix,
+                                                          tmp_path, monkeypatch,
+                                                          capsys):
+    # both ends are finite, hi - lo is not: np.linspace would warn and give nan
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, stdout, err = run(argv + _ODE_WIDTH_PAST_A_FLOAT, capsys)
+    assert (got, stdout) == (code, "")
+    assert err == (f"{prefix}profile domain [-1.5e+308, 1.5e+308] overflows a float: "
+                   "its width hi - lo is not finite\n")
+    assert not list(tmp_path.iterdir())
+    # one profile's finite samples are a curve as any other
+    got, stdout, err = run(["ode"] + _ODE_WIDTH_PAST_A_FLOAT, capsys)
+    assert got == 0 and err == ""
+    assert "domain: [-1.5e+308, 1.5e+308]\nsamples: 3001\n" in stdout
+
+
+_HUGE = str(10**20)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mesh", "--grid", _HUGE, "--out", "never.csv"],
+    ["mesh", "--example", "6.1", "--grid", "3000000", "--out", "never.csv"],
+    ["mesh", "--kind", "translation", "--grid", _HUGE, "--max-steps", "3",
+     "--out", "never.obj"],
+    ["ode", "--n", "2", "--grid", _HUGE, "--max-steps", "3"],
+    ["ode", "--n", _HUGE, "--max-steps", "3"],
+    ["oracle-compare", "--points", _HUGE],
+    ["oracle-compare", "--n", _HUGE, "--points", "1"],
+    ["verify", "--example", "6.2", "--r", _HUGE, "--points", "1"],
+    ["verify", "--example", "6.4", "--r", _HUGE, "--points", "1"],
+])
+def test_counts_past_numpys_index_range_are_out_of_memory(argv, tmp_path, monkeypatch,
+                                                         capsys):
+    # refused from the counts, before anything of that size is built
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("out of memory: ") and err.count("\n") == 1
+    assert err.endswith(" is past numpy's index range\n")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

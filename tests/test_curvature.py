@@ -77,7 +77,7 @@ def test_cubic_profiles_trace_identity():
 
 def test_mean_curvature_scherk_vanishes():
     p = mm.NormParams(1, 3)
-    fs = (C3Function.neg_log_cos(+1.0), C3Function.neg_log_cos(-1.0))
+    fs = (C3Function.neg_log_cos(), C3Function.neg_log_cos().scaled(-1.0))
     for u in ([0.3, 0.4], [0.0, 0.0], [-1.1, 0.9]):
         assert abs(mm.mean_curvature_translation(fs, u, p)) <= 1e-10
 

@@ -33,7 +33,7 @@ def test_residual_zero_for_hyperplane():
 
 def test_residual_zero_for_scherk():
     ts = mm.TranslationSurface(
-        profiles=(C3Function.neg_log_cos(+1.0), C3Function.neg_log_cos(-1.0)),
+        profiles=(C3Function.neg_log_cos(), C3Function.neg_log_cos().scaled(-1.0)),
         p=mm.NormParams(1, 3),
     )
     assert abs(mm.minimality_residual(ts, [0.2, -0.3])) <= 1e-9
@@ -224,6 +224,28 @@ def test_stop_reason_step_doubling_and_unusable_step():
                                                  max_steps=10), stats)
     # one checked step each way, 11 rhs calls each
     assert stats.counts == {"accepted RK4 steps": 0, "RK4 rhs evaluations": 22}
+
+
+@pytest.mark.parametrize("u0, ends", [(1.7e308, "1.2e+308 to inf"),
+                                      (-1.7e308, "-inf to -1.2e+308")])
+def test_a_sample_grid_past_a_float_is_an_integration_error(u0, ends):
+    # five finite steps of 1e307 each way; u0 + 5 h is not a float
+    params = mm.ProfileODEParams(c0=1e-320 if u0 > 0 else -1e-320, k=1, m=1, y0=1.0,
+                                 u0=u0, step=1e307, max_steps=5)
+    with pytest.raises(IntegrationError) as exc:
+        mm.integrate_profile(params)
+    assert str(exc.value) == f"the sample grid overflows a float: u runs from {ends}"
+
+
+def test_domain_axes_refuse_a_domain_whose_width_overflows():
+    wide = C3Function.linear(1.0)
+    wide.domain = (-1.5e308, 1.5e308)
+    ts = mm.TranslationSurface(profiles=(C3Function.linear(2.0), wide),
+                               p=mm.NormParams(1, 3))
+    with pytest.raises(DomainError, match=r"width hi - lo is not finite"):
+        ts.domain_axes(3)
+    wide.domain = (-0.8e308, 0.8e308)
+    assert ts.domain_axes(3)[1].tolist() == [-0.7984e308, 0.0, 0.7984e308]
 
 
 def test_assembly_integrates_equal_profiles_once(monkeypatch):

@@ -18,6 +18,7 @@ import pytest
 import minmin as mm
 from minmin import cli, meshes, reporting
 from minmin.curvature import CurvatureReport, failed_checks
+from minmin.errors import DomainError
 from minmin.reporting import VerificationReport
 from minmin.separable import xprofiles_of
 
@@ -379,6 +380,19 @@ def test_obj_vertex_rows_match_the_percent_formatter(tmp_path, grid):
     vertices = meshes.patch_vertices(_patch("6.5", grid // 2))
     meshes.write_obj(tmp_path / "p.obj", vertices)
     assert _obj_vertex_lines(tmp_path / "p.obj") == _ref_obj_vertices(vertices)
+
+
+@pytest.mark.parametrize("slice_axes", [(0, 1, 2), (0,), (), (1, 1), (0, 3), (-1, 0)])
+def test_patch_vertices_refuse_slice_axes_that_are_not_two_of_the_parameters(
+        slice_axes):
+    with pytest.raises(DomainError, match="invalid slice axes"):
+        meshes.patch_vertices(_patch("6.5", 3), slice_axes)
+
+
+def test_patch_vertices_default_to_the_first_two_axes_and_coordinates():
+    patch = _patch("6.5", 3)
+    assert np.array_equal(meshes.patch_vertices(patch),
+                          meshes.patch_vertices(patch, (0, 1), (0, 1, 2)))
 
 
 def test_blocks_that_cross_65536_rows(tmp_path):
