@@ -106,6 +106,10 @@ def cmd_verify(args) -> int:
         except DomainError as exc:
             print(f"invalid example settings: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        # every sampler keeps (points, dim) coordinates; refused before a draw
+        errors.check_array_size(args.points * surface.p.dim,
+                                f"a sample of --points {args.points} in "
+                                f"{surface.p.dim} coordinates")
         rng = sampling.counter_rng(args.seed)
     results = surface.report_sample(rng, args.points, tol=args.oracle_tol, stats=stats)
     config = {
@@ -198,7 +202,12 @@ def cmd_ode(args) -> int:
             print(f"integration failed: {exc}", file=sys.stderr)
             return EXIT_NUMERIC
         with stats.stage("grid"):
-            grid = residual_grid(ts, ts.domain_axes(args.grid))
+            try:
+                axes = ts.domain_axes(args.grid)
+            except DomainError as exc:  # a domain too wide for a float, as in cmd_mesh
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_CONFIG
+            grid = residual_grid(ts, axes)
         with stats.stage("write"):
             print(f"assembled {args.n}-profile surface, m={args.m}, c0={args.c0:.12g}")
             for i, f in enumerate(ts.profiles):

@@ -221,6 +221,10 @@ class ProfileColumns:
     def d2(self, x):
         return _columns([f.d2 for f in self.profiles], x)
 
+    def derivatives(self, x):
+        """(d1(x), d2(x)); a table that takes both from one lookup overrides it."""
+        return self.d1(x), self.d2(x)
+
     def slopes_at(self, y, col, row):
         """f' at the cells y: cell e takes the profile of column col[e] (of
         row row[e], for a table stacked by row); col and row broadcast against

@@ -12,6 +12,9 @@ a stack of configurations, which evaluates all its rows and columns at once.
 The random_*_config functions are both steps for one configuration.
 """
 
+# the annotations stay strings, so importing this module loads no numpy.random
+from __future__ import annotations
+
 import numpy as np
 
 from .functions import C3Function, TaylorColumns

@@ -13,6 +13,7 @@ and the only way out is a cylinder over a two-profile surface, after a
 homothetical rescaling of the base profiles.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -24,7 +25,7 @@ from .errors import (
     DomainError,
     IntegrationError,
 )
-from .functions import C3Function, profile_columns
+from .functions import C3Function, ProfileColumns, profile_columns
 from .meshes import write_points_csv
 from .norms import NormParams, signed_pow
 
@@ -56,6 +57,14 @@ class TranslationSurface:
     def n(self) -> int:
         return self.p.n
 
+    @functools.cached_property
+    def columns(self) -> ProfileColumns:
+        """The profiles as one table: SampledColumns where every profile is a
+        SampledProfile, else the table that loops over its columns."""
+        if all(isinstance(f, SampledProfile) for f in self.profiles):
+            return SampledColumns(self.profiles)
+        return profile_columns(self.profiles)
+
     def domain_axes(self, points_per_axis: int):
         """Per-profile sample axes inside the covered domains, padded by 1e-3
         of each domain's width at both ends; an unbounded domain is [-1, 1].
@@ -83,8 +92,7 @@ def minimality_residual(ts: TranslationSurface, u):
     u = np.asarray(u, dtype=float)
     if u.ndim == 0 or u.shape[-1] != ts.n:
         raise DimensionMismatchError(f"expected {ts.n} parameters")
-    table = profile_columns(ts.profiles)
-    return translation_residual_sum(table.d1(u), table.d2(u), ts.p.m)
+    return translation_residual_sum(*ts.columns.derivatives(u), ts.p.m)
 
 
 def residual_grid(ts: TranslationSurface, axes) -> np.ndarray:
@@ -135,9 +143,12 @@ class ProfileODEParams:
 
         The power's numerator is even, so |y| needs no sign; one np.float_power
         (the C library's pow) serves a float and every element of an array, so
-        both give the same bits.
+        both give the same bits.  At m = 1 the exponent is 0.0, and the power,
+        1.0 for every y, is not taken.
         """
         a, e, k = self.rhs_constants()
+        if e == 0.0:  # |y| ** 0.0 is 1.0 for every y, NaN and infinities too
+            return a * (1.0 + k * y * y)
         return a * (np.float_power(np.abs(y), e) + k * y * y)
 
 
@@ -182,7 +193,7 @@ class ProfileCurve:
 
 
 def _integrate_direction(params: ProfileODEParams, direction: float):
-    """Accepted f and y, in two lists, one way from u0, the reason it stopped,
+    """Accepted f and y, as two arrays, one way from u0, the reason it stopped,
     and the number of rhs evaluations a step-by-step loop makes.
 
     Each checked step is one classical RK4 step of (f, y)' = (y, rhs(y)) and,
@@ -193,13 +204,16 @@ def _integrate_direction(params: ProfileODEParams, direction: float):
     tests in STOP_REASONS order, and the steps the block took past the first
     failing one are discarded, so at most one block is spent past a stop.
     rhs is written out on its constants, with the operand order of
-    ProfileODEParams.rhs, so every stage keeps the bits of a call to it.  The
-    stage arithmetic is on floats only: an int factor (k, the RK4 weight 2) is
-    converted to the same double on every multiply, so taking it as a float
-    once changes no bit; a numpy c0 is taken as a float too, so the steps past
-    a stop overflow without a warning.  The count is of checked steps: 11
-    each (4 for the full step, 3 for the first half step, which shares its
-    first stage, and 4 for the second), 4 for a step that is not finite.
+    ProfileODEParams.rhs, so every stage keeps the bits of a call to it: at
+    m = 1 without the power |y| ** 0.0, which is 1.0 for every y, and else
+    with |y| taken as y or -y, which is abs(y) for every y but NaN, whose
+    step the stop tests discard.  The stage arithmetic is on floats only: an
+    int factor (k, the RK4 weight 2) is converted to the same double on every
+    multiply, so taking it as a float once changes no bit; a numpy c0 is
+    taken as a float too, so the steps past a stop overflow without a
+    warning.  The count is of checked steps: 11 each (4 for the full step, 3
+    for the first half step, which shares its first stage, and 4 for the
+    second), 4 for a step that is not finite.
     """
     a, e, k = params.rhs_constants()
     a, k = float(a), float(k)
@@ -213,30 +227,48 @@ def _integrate_direction(params: ProfileODEParams, direction: float):
         # the block's f and y after each step; y also holds its start slope
         bf, by = [], [y]
         put_f, put_y = bf.append, by.append
-        for _ in range(min(left, GATE_BLOCK)):
-            k1 = a * (abs(y) ** e + k * y * y)
-            y2 = y + h2 * k1
-            k2 = a * (abs(y2) ** e + k * y2 * y2)
-            y3 = y + h2 * k2
-            k3 = a * (abs(y3) ** e + k * y3 * y3)
-            y4 = y + h * k3
-            k4 = a * (abs(y4) ** e + k * y4 * y4)
-            f = f + h6 * (y + 2.0 * y2 + 2.0 * y3 + y4)
-            y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            put_f(f)
-            put_y(y)
-        stop, reason = _first_stop(params, h, bf, by)
-        fs += bf[:stop]
-        ys += by[1:stop + 1]
+        if e == 0.0:
+            for _ in range(min(left, GATE_BLOCK)):
+                k1 = a * (1.0 + k * y * y)
+                y2 = y + h2 * k1
+                k2 = a * (1.0 + k * y2 * y2)
+                y3 = y + h2 * k2
+                k3 = a * (1.0 + k * y3 * y3)
+                y4 = y + h * k3
+                k4 = a * (1.0 + k * y4 * y4)
+                f = f + h6 * (y + 2.0 * y2 + 2.0 * y3 + y4)
+                y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                put_f(f)
+                put_y(y)
+        else:
+            for _ in range(min(left, GATE_BLOCK)):
+                k1 = a * ((y if y >= 0.0 else -y) ** e + k * y * y)
+                y2 = y + h2 * k1
+                k2 = a * ((y2 if y2 >= 0.0 else -y2) ** e + k * y2 * y2)
+                y3 = y + h2 * k2
+                k3 = a * ((y3 if y3 >= 0.0 else -y3) ** e + k * y3 * y3)
+                y4 = y + h * k3
+                k4 = a * ((y4 if y4 >= 0.0 else -y4) ** e + k * y4 * y4)
+                f = f + h6 * (y + 2.0 * y2 + 2.0 * y3 + y4)
+                y = y + h6 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                put_f(f)
+                put_y(y)
+        stop, reason, block_f, block_y = _first_stop(params, h, bf, by)
+        fs.append(block_f[:stop])
+        ys.append(block_y[1:stop + 1])
         if reason:
-            return fs, ys, reason, 11 * len(ys) + (4 if reason == "non_finite" else 11)
+            break
         left -= len(bf)
-    return fs, ys, "max_steps", 11 * len(ys)
+    fs, ys = np.concatenate(fs), np.concatenate(ys)
+    if not reason:
+        return fs, ys, "max_steps", 11 * len(ys)
+    return fs, ys, reason, 11 * len(ys) + (4 if reason == "non_finite" else 11)
 
 
 def _first_stop(params: ProfileODEParams, h: float, bf, by):
-    """(i, reason) of the first of a block's full steps of size h that fails
-    a stop test, the tests taken in STOP_REASONS order, or (len(bf), None).
+    """(i, reason, f, y) of a block of full steps of size h: i is the first
+    step that fails a stop test, the tests taken in STOP_REASONS order, or
+    len(bf) with reason None, and f and y are the arrays of bf and by.
 
     bf and by[1:] are the f and y after each step, by[:-1] the slope it
     started from.  The step-doubling gate takes two RK4 half steps of y from
@@ -247,7 +279,7 @@ def _first_stop(params: ProfileODEParams, h: float, bf, by):
     """
     rhs, half = params.rhs, h / 2
     q2, q6 = 0.5 * half, half / 6.0
-    slopes = np.array(by)
+    values, slopes = np.array(bf), np.array(by)
     y, y1 = slopes[:-1], slopes[1:]
     with np.errstate(all="ignore"):
         for _ in range(2):
@@ -261,16 +293,17 @@ def _first_stop(params: ProfileODEParams, h: float, bf, by):
         crossed = y1 > 0
         if params.y0 > 0:
             crossed = ~crossed
-        tests = (~(np.isfinite(np.array(bf)) & np.isfinite(y1)),
+        tests = (~(np.isfinite(values) & np.isfinite(y1)),
                  np.abs(y1 - y) > STEP_RESIDUAL_CAP * (1.0 + size),
                  size > SLOPE_CAP,
                  size < SLOPE_FLOOR,
                  crossed)
     failed = (tests[0] | tests[1] | tests[2] | tests[3] | tests[4]).nonzero()[0]
     if not failed.size:
-        return len(bf), None
+        return len(bf), None, values, slopes
     i = int(failed[0])
-    return i, next(reason for reason, test in zip(STOP_REASONS, tests) if test[i])
+    reason = next(reason for reason, test in zip(STOP_REASONS, tests) if test[i])
+    return i, reason, values, slopes
 
 
 def integrate_profile(params: ProfileODEParams, stats=None) -> ProfileCurve:
@@ -280,7 +313,8 @@ def integrate_profile(params: ProfileODEParams, stats=None) -> ProfileCurve:
     floats a block of GATE_BLOCK full steps at a time; after each block the
     step-doubling half steps of y and the stop tests run as arrays over the
     block, in STOP_REASONS order, and the steps past the first failing one are
-    discarded.  Each direction halts when a step is not finite, the
+    discarded; the arrays of that pass hold the steps kept, and the curve's f
+    and f' join them.  Each direction halts when a step is not finite, the
     step-doubling check disagrees beyond the cap, |y| exceeds the blow-up cap,
     y reaches zero or changes sign, or max_steps is exhausted; the curve
     records which (stop_reasons).  stats (a reporting.RunStats), if given,
@@ -293,14 +327,14 @@ def integrate_profile(params: ProfileODEParams, stats=None) -> ProfileCurve:
     if stats is not None:
         stats.count("accepted RK4 steps", len(y_bwd) + len(y_fwd))
         stats.count("RK4 rhs evaluations", calls_bwd + calls_fwd)
-    if not y_fwd and not y_bwd:
+    if not y_fwd.size and not y_bwd.size:
         raise IntegrationError(
             "no admissible step: immediate blow-up or step too large "
             f"(backward: {stop_bwd}, forward: {stop_fwd})"
         )
     return _profile_curve(params, len(y_bwd),
-                          np.array(f_bwd[::-1] + [0.0] + f_fwd),
-                          np.array(y_bwd[::-1] + [float(params.y0)] + y_fwd),
+                          np.concatenate([f_bwd[::-1], [0.0], f_fwd]),
+                          np.concatenate([y_bwd[::-1], [float(params.y0)], y_fwd]),
                           {"backward": stop_bwd, "forward": stop_fwd})
 
 
@@ -343,7 +377,8 @@ def _mirrored_profile(curve: ProfileCurve, params: ProfileODEParams) -> ProfileC
 
 
 class SampledProfile(C3Function):
-    """C3 view of a ProfileCurve: cubic Hermite between nodes, ODE for f''."""
+    """C3 view of a ProfileCurve: cubic Hermite between nodes, ODE for f''.
+    Several of them are one table, SampledColumns."""
 
     def __init__(self, curve: ProfileCurve):
         self.curve = curve
@@ -387,6 +422,48 @@ class SampledProfile(C3Function):
 
     def _d2_eval(self, x):
         return self.curve.params.rhs(self._d1_eval(x))
+
+
+class SampledColumns(ProfileColumns):
+    """The table of SampledProfiles: every curve's u, f' and f'' concatenated,
+    with each column's offset, u[0], last interval, step and rhs constants.
+
+    d1 locates the arguments of all columns and evaluates their cubic Hermite
+    f' in one pass, with the steps of SampledProfile._d1_eval, and
+    derivatives takes f'' as the rhs of that f' (ProfileODEParams.rhs), so
+    each element has the bits of its column's profile.  Where an argument is
+    outside its column's domain, the per-column path raises its DomainError.
+    """
+
+    def __init__(self, fs):
+        super().__init__(fs)
+        curves = [f.curve for f in self.profiles]
+        sizes = np.array([len(c.u) for c in curves])
+        self._start = np.cumsum(sizes) - sizes
+        self._last = sizes - 2  # the last node an interval starts at
+        self._u, self._d1, self._d2 = (np.concatenate([getattr(c, name) for c in curves])
+                                       for name in ("u", "d1", "d2"))
+        self._lo = self._u[self._start]
+        self._hi = self._u[self._start + sizes - 1]
+        self._h = np.array([c.params.step for c in curves])
+        a, e, k = zip(*(c.params.rhs_constants() for c in curves))
+        self._a, self._e, self._k = np.array(a), np.array(e), np.array(k, dtype=float)
+
+    def d1(self, x):
+        x = np.asarray(x, dtype=float)
+        if not ((x >= self._lo - 1e-12) & (x <= self._hi + 1e-12)).all():
+            return super().d1(x)
+        h = self._h
+        i = np.clip(np.floor((x - self._lo) / h), 0, self._last).astype(int) + self._start
+        t = (x - self._u[i]) / h
+        d1, d2 = self._d1, self._d2
+        return SampledProfile._hermite(t, d1[i], d1[i + 1], d2[i], d2[i + 1], h)
+
+    def derivatives(self, x):
+        y = self.d1(x)
+        if not self._e.any():  # every column at m = 1, as in ProfileODEParams.rhs
+            return y, self._a * (1.0 + self._k * y * y)
+        return y, self._a * (np.float_power(np.abs(y), self._e) + self._k * y * y)
 
 
 # ---------------------------------------------------------------------------

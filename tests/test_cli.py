@@ -606,6 +606,43 @@ def test_ode_stage_log_keeps_output_byte_identical(tmp_path, argv, stages):
     assert f"{argv[0]} RK4 rhs evaluations: " in runs["debug"][2]
 
 
+# the command in a fresh process: whether numpy.random was loaded after
+# importing minmin.cli and after the command ran, and its exit code
+_FRESH = ("import sys, minmin.cli\n"
+          "loaded = 'numpy.random' in sys.modules\n"
+          "code = minmin.cli.main(sys.argv[1:])\n"
+          "print(loaded, 'numpy.random' in sys.modules, code)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["ode", "--m", "2", "--max-steps", "50", "--out", "p.csv"],
+    ["ode", "--n", "3", "--max-steps", "50", "--grid", "3"],
+    ["mesh", "--kind", "translation", "--max-steps", "50", "--grid", "3", "--out", "t.obj"],
+    ["ansatz", "--params-file", "affine.json"],
+])
+def test_commands_that_draw_nothing_leave_numpy_random_unloaded(tmp_path, argv):
+    (tmp_path / "affine.json").write_text(
+        '{"kind": "affine", "p": [1, 1, 1, 1], "q": [1, -1, -1, 1]}')
+    argv = [str(tmp_path / a) if a.endswith((".csv", ".obj", ".json")) else a
+            for a in argv]
+    proc = subprocess.run([sys.executable, "-c", _FRESH, *argv],
+                          capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "False False 0", proc.stderr
+
+
+def test_verify_in_a_fresh_process_draws_the_same_points(tmp_path, capsys):
+    # verify loads numpy.random when it draws, and its points are those of a
+    # process that had it loaded before
+    argv = ["verify", "--example", "6.5", "--m", "2", "--points", "7", "--seed", "3",
+            "--csv"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH, *argv, str(tmp_path / "fresh.csv")],
+        capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "False True 0", proc.stderr
+    assert run(argv + [str(tmp_path / "here.csv")], capsys)[0] == 0
+    assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+
+
 @pytest.mark.parametrize("out", ["patch.obj", "patch.csv"])
 def test_patch_mesh_logs_its_stages(tmp_path, monkeypatch, capsys, out):
     # MINMIN_LOG=info adds the grid and write stages to stderr and changes
@@ -1111,8 +1148,9 @@ def test_a_sample_grid_that_overflows_is_an_integration_failure(argv, tmp_path,
     assert not list(tmp_path.iterdir())
 
 
+# one refusal: ode --n and mesh --kind translation print the same line and exit 2
 @pytest.mark.parametrize("argv, code, prefix", [
-    (["ode", "--n", "2"], 3, "numerical failure: "),
+    (["ode", "--n", "2"], 2, "error: "),
     (["mesh", "--kind", "translation", "--out", "never.obj"], 2, "error: "),
 ])
 def test_a_profile_domain_whose_width_overflows_is_refused(argv, code, prefix,
@@ -1147,6 +1185,8 @@ _HUGE = str(10**20)
     ["oracle-compare", "--n", _HUGE, "--points", "1"],
     ["verify", "--example", "6.2", "--r", _HUGE, "--points", "1"],
     ["verify", "--example", "6.4", "--r", _HUGE, "--points", "1"],
+    ["verify", "--example", "6.1", "--points", _HUGE],
+    ["verify", "--example", "6.5", "--m", "2", "--points", _HUGE],
 ])
 def test_counts_past_numpys_index_range_are_out_of_memory(argv, tmp_path, monkeypatch,
                                                          capsys):

@@ -19,7 +19,8 @@ from conftest import STOP_CASES
 
 import minmin as mm
 from minmin import meshes, translation
-from minmin.errors import IntegrationError
+from minmin.errors import DomainError, IntegrationError
+from minmin.functions import ProfileColumns
 from minmin.norms import signed_pow
 from minmin.translation import (
     GATE_BLOCK,
@@ -28,6 +29,7 @@ from minmin.translation import (
     STEP_RESIDUAL_CAP,
     STOP_REASONS,
     ProfileODEParams,
+    SampledColumns,
     SampledProfile,
 )
 
@@ -398,3 +400,112 @@ def test_float_power_keeps_the_bits_of_python_pow():
             f"np.float_power differs from float ** at m = {m} on {differ.size} "
             f"values, first |y| = {abs(v[differ[0]])!r}: the block stop pass "
             "no longer reproduces the float stepper")
+
+
+def test_zero_powers_are_one_exactly():
+    # at m = 1 the exponent (2m - 2)/(2m - 1) is 0.0, and the stepper, the
+    # stop pass, rhs and SampledColumns leave |y| ** 0.0 out as 1.0: pow must
+    # give exactly 1.0 for every y, or they stop reproducing the power
+    assert (2 * 1 - 2) / (2 * 1 - 1) == 0.0
+    v = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0, -3.5, 1e308,
+         math.inf, -math.inf, math.nan, -math.nan]
+    for x in v:
+        assert x ** 0.0 == 1.0 and abs(x) ** 0.0 == 1.0, x
+    got = np.float_power(np.abs(np.array(v)), 0.0)
+    assert got.tobytes() == np.ones(len(v)).tobytes(), got
+
+
+def test_negation_keeps_the_bits_of_abs_under_pow():
+    # the float stepper takes |y| as y or -y; for every y but NaN that is
+    # abs(y), whose power it must keep bit for bit (signed zeros, subnormals
+    # and infinities included)
+    rng = np.random.default_rng(12)
+    v = np.concatenate([rng.choice((-1.0, 1.0), 2_000) * 10 ** rng.uniform(-320, 308, 2_000),
+                        [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf]]).tolist()
+    for m in range(2, 8):
+        e = (2 * m - 2) / (2 * m - 1)
+        got = np.array([(x if x >= 0.0 else -x) ** e for x in v])
+        ref = np.array([abs(x) ** e for x in v])
+        assert got.tobytes() == ref.tobytes(), m
+
+
+# ---------------------------------------------------------------------------
+# SampledColumns against per-profile evaluation
+# ---------------------------------------------------------------------------
+
+
+def _inside(profiles, rng, count):
+    """count random points (count, n) inside every column's domain, then the
+    nodes and ends of each column."""
+    cols = [rng.uniform(*f.domain, count) for f in profiles]
+    nodes = [np.resize(f.curve.u[::7], count) for f in profiles]
+    ends = [np.resize(f.domain, count) for f in profiles]
+    return np.concatenate([np.stack(c, axis=-1) for c in (cols, nodes, ends)])
+
+
+def _assert_table_is_its_profiles(table, x):
+    loop = ProfileColumns(table.profiles)
+    for got, ref in zip(table.derivatives(x), (loop.d1(x), loop.d2(x))):
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sampled_columns_are_their_profiles_bitwise(n, m):
+    # n = 2: a profile and its mirror image; n = 3: one curve in every column
+    ts = mm.assemble_separated_surface(m=m, n=n, c0=0.9, inits=[(0.6, 0.05)] * n,
+                                       step=1e-3, max_steps=400)
+    assert isinstance(ts.columns, SampledColumns)
+    if n == 3:
+        assert len({id(f.curve) for f in ts.profiles}) == 1
+    x = _inside(ts.profiles, np.random.default_rng(n + 10 * m), 2000)
+    _assert_table_is_its_profiles(ts.columns, x)
+    _assert_table_is_its_profiles(ts.columns, x[:1200].reshape(30, 40, n))
+    axes = ts.domain_axes(9 if n == 2 else 5)
+    np.testing.assert_array_equal(mm.residual_grid(ts, axes), _ref_residual_grid(ts, axes))
+
+
+def test_sampled_columns_of_different_lengths_steps_and_m():
+    # columns of 3 to 1201 nodes, three steps, and m = 1 next to m = 2 and 3
+    curves = [mm.integrate_profile(ProfileODEParams(c0=c0, k=k, m=m, y0=y0, u0=u0,
+                                                    step=step, max_steps=cap))
+              for c0, k, m, y0, u0, step, cap in (
+                  (0.9, 1, 1, 0.6, 0.1, 1e-3, 600), (-0.4, 2, 2, -1.3, -0.3, 2e-3, 1),
+                  (1.5, 3, 3, 0.8, 0.25, 5e-3, 50), (0.3, 1, 2, 0.5, 0.0, 1e-3, 300))]
+    assert len({len(c.u) for c in curves}) == 4
+    table = SampledColumns([SampledProfile(c) for c in curves])
+    x = _inside(table.profiles, np.random.default_rng(3), 3000)
+    _assert_table_is_its_profiles(table, x)
+    _assert_table_is_its_profiles(table, x[0])
+
+
+def test_sampled_columns_raise_the_per_column_domain_error():
+    ts = mm.assemble_separated_surface(m=2, n=3, c0=0.9, inits=[(0.6, 0.05)] * 3,
+                                       step=1e-3, max_steps=100)
+    lo, hi = ts.profiles[0].domain
+    loop = ProfileColumns(ts.profiles)
+    for bad in ([lo, 0.5 * (lo + hi), hi + 0.5], [lo, np.nan, hi],
+                [[lo, lo, lo], [lo - 1.0, hi, hi]]):
+        x = np.array(bad)
+        with pytest.raises(DomainError, match="outside") as ref:
+            loop.d1(x)
+        for call in (ts.columns.d1, ts.columns.derivatives,
+                     lambda x: mm.minimality_residual(ts, x)):
+            with pytest.raises(DomainError) as got:
+                call(x)
+            assert str(got.value) == str(ref.value)
+
+
+def test_a_surface_with_other_profiles_keeps_the_per_column_table():
+    base = mm.assemble_separated_surface(m=1, n=2, c0=1.0, inits=[(0.7, 0.0)] * 2,
+                                         step=1e-3, max_steps=200)
+    ts = mm.cylinder_over(base, 3)
+    assert type(ts.columns) is ProfileColumns
+    x = np.stack([np.linspace(*base.profiles[i].domain, 11) for i in (0, 1)]
+                 + [np.linspace(-1.0, 1.0, 11)], axis=-1)
+    d1, d2 = ts.columns.derivatives(x)
+    np.testing.assert_array_equal(d1, np.stack([f.d1(x[:, i]) for i, f in
+                                                enumerate(ts.profiles)], axis=-1))
+    np.testing.assert_array_equal(d2, np.stack([f.d2(x[:, i]) for i, f in
+                                                enumerate(ts.profiles)], axis=-1))
