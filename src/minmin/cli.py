@@ -106,10 +106,6 @@ def cmd_verify(args) -> int:
         except DomainError as exc:
             print(f"invalid example settings: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        # every sampler keeps (points, dim) coordinates; refused before a draw
-        errors.check_array_size(args.points * surface.p.dim,
-                                f"a sample of --points {args.points} in "
-                                f"{surface.p.dim} coordinates")
         rng = sampling.counter_rng(args.seed)
     results = surface.report_sample(rng, args.points, tol=args.oracle_tol, stats=stats)
     config = {

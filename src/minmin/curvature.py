@@ -195,35 +195,35 @@ def mean_curvature_from_slopes(d1, d2, p: NormParams, runs=None) -> np.ndarray:
     """Closed-form H (N,) of sum f_i(x_i) = 0 from the slopes d1 = f_i'(x_i),
     d2 = f_i''(x_i) (N, dim): A^(-(2m+1)/(2m)) / (n (2m-1)) sum_j G_j (A - X_j),
     terms as in closed_form_from_slopes.  runs, when given, is _runs(p, ms, N)
-    for a column ms (N,) of each row's m in place of p.m: only the powers are
-    taken once per run of equal m, on a slice of the rows.  Raises where the
-    chart slope f_{n+1}' vanishes, where m >= 2 needs the negative power of a
-    vanishing slope and where that power overflows a float."""
+    for each row's m, ms (N,), in place of p.m: only the powers are taken once
+    per run of equal m.  Raises where the chart slope f_{n+1}' vanishes, where
+    m >= 2 needs the negative power of a vanishing slope and where it overflows."""
+    return _closed_form_terms(d1, d2, p, runs or [(p.m, slice(None))])[3]
+
+
+def _closed_form_terms(d1, d2, p: NormParams, runs):
+    """X, A, G (_slope_terms) and H of mean_curvature_from_slopes, one pass."""
     if (d1[:, -1] == 0.0).any():
         raise SingularConfigurationError("chart slope f_{n+1}' vanishes")
-    runs = runs or [(p.m, slice(None))]
-    _, A, _, total = _slope_terms(d1, d2, runs, "separable mean curvature")
-    return _by_run(runs, lambda m, rows: np.float_power(A[rows], -(2 * m + 1) / (2 * m))
-                   / (p.n * (2 * m - 1))) * total
+    X, A, G, total = _slope_terms(d1, d2, runs, "separable mean curvature")
+    return X, A, G, _by_run(runs, lambda m, rows: np.float_power(
+        A[rows], -(2 * m + 1) / (2 * m)) / (p.n * (2 * m - 1))) * total
 
 
 def closed_form_from_slopes(d1, d2, p: NormParams):
     """mean_curvature_from_slopes, with the Weingarten matrices and Birkhoff
-    normals of the same slopes.
+    normals of the same slopes, all from one pass of _closed_form_terms.
 
-    Returns H with shape (N,), the Weingarten entries with shape (N, n, n), in
-    the chart that solves the last coordinate in terms of the others, and the
-    normals eta with shape (N, dim), aligned with (f_1', ..., f_{n+1}').
+    Returns H (N,), the Weingarten entries (N, n, n) in the chart that solves
+    the last coordinate, and the normals eta (N, dim) along (f_1', ..., f_{n+1}').
 
     Diagonal:  eta_j^j = A^(-(2m+1)/(2m))/(2m-1) (X_j G_{n+1} + G_j (A - X_j))
     Off-diag:  eta_j^k = A^(-(2m+1)/(2m))/(2m-1) (f_k')^(1/(2m-1))
                          (f_j' G_{n+1} - (f_j')^(1/(2m-1)) f_j'')
-    with X_j = (f_j')^(2m/(2m-1)), A = sum X and
-    G_j = (f_j')^(-(2m-2)/(2m-1)) f_j''.
+    with X_j = (f_j')^(2m/(2m-1)), A = sum X, G_j = (f_j')^(-(2m-2)/(2m-1)) f_j''.
     """
     m, n = p.m, p.n
-    H = mean_curvature_from_slopes(d1, d2, p)
-    X, A, G, _ = _slope_terms(d1, d2, [(m, slice(None))], "Weingarten matrix")
+    X, A, G, H = _closed_form_terms(d1, d2, p, [(m, slice(None))])
     pref = (np.float_power(A, -(2 * m + 1) / (2 * m)) / (2 * m - 1))[:, None, None]
     root = signed_pow(d1, 1, 2 * m - 1)[:, :n]
     g_last = G[:, n, None, None]

@@ -7,11 +7,12 @@ higher.  C3Function bundles a value callable with its analytic d1 and d2.
 A separable surface has one profile per coordinate, and ProfileColumns is
 their table: f, f' or f'' of every column of an array (..., dim) in one call,
 and f' at any stencil cells from each cell's column (and row).  Any sequence
-of profiles is a table that loops over its columns; the two families with one
-formula and per-column coefficients evaluate every column in one numpy pass:
-PowerColumns (a_i x^(2m) + b_i) and TaylorColumns (stacks of Taylor
-polynomials, one per row and column).  Each table gives the bits its
-per-column C3Functions give, and is a sequence of them.
+of profiles is a table that loops over its columns.  A table of one formula
+with per-column data evaluates every column in one numpy pass: PowerColumns
+(a_i x^(2m) + b_i), TaylorColumns (Taylor polynomials, one per row and
+column) and translation.SampledColumns (cubic Hermites over ODE nodes).  It
+holds its formula once: its profile i is a view that evaluates the one-column
+table column(i) (on_column), and so has the table's bits by construction.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+from .errors import DimensionMismatchError
 
 
 def evaluate(fn, x):
@@ -37,10 +40,8 @@ def evaluate(fn, x):
 
 def _horner(c: list, x0):
     """x -> sum_k c[k] (x - x0)^k by Horner's rule, the steps of numpy's
-    polyval without its per-call set-up, on scalars and arrays.
-
-    Coefficients and x0 of shape (N,) give N polynomials stacked by row: an x
-    of shape (..., N) is evaluated row by row along its last axis."""
+    polyval without its per-call set-up, on scalars and arrays; array
+    coefficients and x0 (a table's, see TaylorColumns) broadcast against x."""
     shift = np.ndim(x0) > 0 or x0 != 0.0
 
     def value(x):
@@ -55,15 +56,12 @@ def _horner(c: list, x0):
 
 def _horner_chain(coeffs, x0=0.0) -> list:
     """Horner evaluators of sum_k coeffs[k] (x - x0)^k and its first two
-    derivatives; the derivative coefficients k c_k are those of numpy's polyder.
-
-    coeffs of shape (K,) are kept as Python floats; coeffs of shape (K, N)
-    with x0 a float or of shape (N,) stack N polynomials by row."""
+    derivatives, coefficients (K,) kept as Python floats; the derivative
+    coefficients k c_k are those of numpy's polyder."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim == 1:
-        c, x0 = [float(v) for v in coeffs], float(x0)
-    else:
-        c, x0 = list(coeffs), np.asarray(x0, dtype=float)
+    if coeffs.ndim != 1:
+        raise DimensionMismatchError(f"expected coefficients (K,), got {coeffs.shape}")
+    c, x0 = [float(v) for v in coeffs], float(x0)
     fns = []
     for _ in range(3):
         fns.append(_horner(c, x0))
@@ -94,9 +92,7 @@ class C3Function:
     """A function of one variable with its analytic derivatives d1 and d2.
 
     Its callables take a float or a whole numpy array, and every evaluation
-    returns a float or an array of the argument's shape (see evaluate).  N
-    profiles stacked by row (see taylor) take arrays whose last axis has N
-    elements, one per row.
+    returns a float or an array of the argument's shape (see evaluate).
     """
 
     def __init__(self, f, d1, d2, domain=None):
@@ -120,18 +116,11 @@ class C3Function:
         return C3Function(lambda x: lam * f(x), lambda x: lam * self.d1(x),
                           lambda x: lam * self.d2(x), self.domain)
 
-    def shifted(self, c: float) -> "C3Function":
-        """The profile x -> f(x) + c, with the same derivative callables."""
-        f = self.f
-        return C3Function(lambda x: f(x) + c, self._d1, self._d2, self.domain)
-
     # ---- constructors ----------------------------------------------------
 
     @classmethod
     def polynomial(cls, coeffs, x0=0.0) -> "C3Function":
-        """Polynomial sum_k coeffs[k] * (x - x0)^k with analytic derivatives;
-        coeffs of shape (K, N) with x0 a float or of shape (N,) stack N
-        polynomials by row (see _horner_chain)."""
+        """Polynomial sum_k coeffs[k] * (x - x0)^k with analytic derivatives."""
         return cls(*_horner_chain(coeffs, x0))
 
     @classmethod
@@ -140,9 +129,6 @@ class C3Function:
 
         derivs = (f(x0), f'(x0), f''(x0), ...); the result is the Taylor
         polynomial around x0, so its derivatives at x0 are exactly derivs.
-        With x0 of shape (N,) and derivs of shape (K, N) it is N polynomials
-        stacked by row: at x of shape (..., N), row i takes the same Horner
-        steps, and so the same bits, as the profile of x0[i] and derivs[:, i].
         """
         return cls.polynomial(_taylor_coefficients(derivs), x0)
 
@@ -150,17 +136,6 @@ class C3Function:
     def linear(cls, a: float) -> "C3Function":
         """a*x."""
         return cls.polynomial([0.0, a])
-
-    @classmethod
-    def power_even(cls, coeff: float, m: int) -> "C3Function":
-        """coeff * x^(2m), the separable building block; its powers are
-        products of x (see _int_power)."""
-        k = 2 * m
-        return cls(
-            lambda x: coeff * _int_power(x, k),
-            lambda x: coeff * k * _int_power(x, k - 1),
-            lambda x: coeff * k * (k - 1) * _int_power(x, k - 2),
-        )
 
     @classmethod
     def neg_log_cos(cls) -> "C3Function":
@@ -175,6 +150,20 @@ class C3Function:
             lambda x: coeff / x,
             lambda x: -coeff / x**2,
         )
+
+
+def on_column(fn, x):
+    """fn of a one-column table at x, a float or an array: fn evaluates
+    x[..., None], and the result's column [..., 0] is returned in x's shape."""
+    x = np.asarray(x, dtype=float)
+    return fn(x[..., None])[..., 0].reshape(x.shape)
+
+
+def _column_view(table) -> C3Function:
+    """The profile of the one-column table table: its f, f' and f'' are the
+    table's, read through on_column, so the profile has the table's bits."""
+    return C3Function(*(functools.partial(on_column, fn)
+                        for fn in (table, table.d1, table.d2)))
 
 
 def _columns(fns, x: np.ndarray) -> np.ndarray:
@@ -197,11 +186,18 @@ class ProfileColumns:
     array shaped like x, and slopes_at gives f' at stencil cells.  It is a
     sequence of its per-column profiles (profiles), and gives the bits they
     give.  This class is the table of any sequence of profiles, one call per
-    column; PowerColumns and TaylorColumns evaluate all columns at once.
+    column; a table of one formula evaluates all columns at once, and its
+    profiles are views of its one-column tables.
     """
 
     def __init__(self, fs):
         self.profiles = tuple(fs)
+
+    @functools.cached_property
+    def profiles(self) -> tuple:
+        """The profiles of a table of one formula: profile i is the view of
+        its one-column table column(i) (_column_view)."""
+        return tuple(_column_view(self.column(i)) for i in range(len(self)))
 
     def __len__(self) -> int:
         return len(self.profiles)
@@ -257,9 +253,8 @@ class PowerColumns(ProfileColumns):
     """The power sums f_i(x) = a_i x^(2m) + b_i, coefficient rows a, b (dim,).
 
     With k = 2m, f = a x^k + b, f' = (a k) x^(k-1) and f'' = ((a k)(k-1))
-    x^(k-2), the steps of C3Function.power_even(a_i, m).shifted(b_i), whose
-    powers are products of x (_int_power); f'' at m = 1 is a constant
-    broadcast to the argument's shape.
+    x^(k-2), whose powers are products of x (_int_power); f'' at m = 1 is a
+    constant broadcast to the argument's shape.
     """
 
     def __init__(self, a, b, m: int):
@@ -272,10 +267,8 @@ class PowerColumns(ProfileColumns):
     def __len__(self) -> int:
         return len(self.a)
 
-    @functools.cached_property
-    def profiles(self) -> tuple:
-        return tuple(C3Function.power_even(a, self.m).shifted(b)
-                     for a, b in zip(self.a, self.b))
+    def column(self, i: int) -> "PowerColumns":
+        return PowerColumns(self.a[i:i + 1], self.b[i:i + 1], self.m)
 
     def __call__(self, x):
         return self.a * _int_power(x, 2 * self.m) + self.b
@@ -297,8 +290,7 @@ class TaylorColumns(ProfileColumns):
     column i is sum_k coeffs[k, r, i] (x - x0[r, i])^k, coeffs (K, N, dim)
     with K >= 3 about x0 (N, dim).  Its arrays are (..., N, dim), and each
     element takes the Horner steps, and so the bits, of C3Function.polynomial
-    of its row and column (column i of the sequence is the polynomial of
-    coeffs[:, :, i] stacked by row, built when first asked for)."""
+    of its row and column; profile i takes arrays (..., N), one row each."""
 
     def __init__(self, x0, coeffs):
         self.x0 = np.asarray(x0, dtype=float)
@@ -310,17 +302,15 @@ class TaylorColumns(ProfileColumns):
     @classmethod
     def taylor(cls, x0, derivs) -> "TaylorColumns":
         """The Taylor polynomials of derivs (K, N, dim), f and its
-        derivatives at x0 (N, dim): those of C3Function.taylor, column by
-        column."""
+        derivatives at x0 (N, dim): those of C3Function.taylor, row by row
+        and column by column."""
         return cls(x0, _taylor_coefficients(derivs))
 
     def __len__(self) -> int:
         return self.x0.shape[-1]
 
-    @functools.cached_property
-    def profiles(self) -> tuple:
-        return tuple(C3Function.polynomial(self.coeffs[..., i], self.x0[:, i])
-                     for i in range(self.x0.shape[-1]))
+    def column(self, i: int) -> "TaylorColumns":
+        return TaylorColumns(self.x0[:, i:i + 1], self.coeffs[..., i:i + 1])
 
     def __call__(self, x):
         return _horner(list(self.coeffs), self.x0)(x)

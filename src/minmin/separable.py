@@ -373,6 +373,7 @@ def admissible_domain(xs) -> AdmissibleDomain:
 # numpy call, so that peak memory does not grow with a patch grid.
 _CHUNK_POINTS = 4096
 _PATCH_PANELS = 256  # Simpson panels of a patch coordinate with no closed form
+_SWEEP_STARTS, _SWEEP_ITERS = 40, 80  # sweep_quadratic_system: starts, steps per start
 
 
 @functools.lru_cache(maxsize=None)
@@ -619,8 +620,11 @@ class SeparableSurface:
         """count on-surface points with all coordinates bounded away from zero.
 
         Blocks are drawn until count points are kept.  stats, when given,
-        counts the slices drawn and rejected (see reporting.RunStats).
+        counts the slices drawn and rejected (see reporting.RunStats).  A
+        count past numpy's index range is refused before the first block.
         """
+        check_array_size(count * self.p.dim, f"a sample of {count} points in "
+                         f"{self.p.dim} coordinates")
         blocks, got, drawn = [], 0, 0
         while got < count:
             if drawn >= _MAX_SLICES_PER_POINT * count:
@@ -1022,8 +1026,7 @@ def _residuals_and_jacobian(theta: np.ndarray):
     return c[:, 0], np.swapaxes(c[:, 1:13] - c[:, 13:], 1, 2) / 2.0
 
 
-def sweep_quadratic_system(rng: np.random.Generator, restarts: int = 40,
-                           iters: int = 80) -> list:
+def sweep_quadratic_system(rng: np.random.Generator) -> list:
     """Randomized Gauss-Newton sweep for solutions of the quadratic system.
 
     Returns the converged candidates (p, q, r, residual-norm).  Admissible
@@ -1034,9 +1037,9 @@ def sweep_quadratic_system(rng: np.random.Generator, restarts: int = 40,
     _residuals_and_jacobian.  A restart stops once its residual norm is below
     1e-13, or when 20 halvings of its step find no smaller norm.
     """
-    theta = rng.uniform(-2.0, 2.0, (restarts, 12))
-    active = np.arange(restarts)
-    for _ in range(iters):
+    theta = rng.uniform(-2.0, 2.0, (_SWEEP_STARTS, 12))
+    active = np.arange(_SWEEP_STARTS)
+    for _ in range(_SWEEP_ITERS):
         if not active.size:
             break
         f, jac = _residuals_and_jacobian(theta[active])

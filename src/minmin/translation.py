@@ -25,7 +25,7 @@ from .errors import (
     DomainError,
     IntegrationError,
 )
-from .functions import C3Function, ProfileColumns, profile_columns
+from .functions import C3Function, ProfileColumns, on_column, profile_columns
 from .meshes import write_points_csv
 from .norms import NormParams, signed_pow
 
@@ -62,7 +62,7 @@ class TranslationSurface:
         """The profiles as one table: SampledColumns where every profile is a
         SampledProfile, else the table that loops over its columns."""
         if all(isinstance(f, SampledProfile) for f in self.profiles):
-            return SampledColumns(self.profiles)
+            return SampledColumns(f.curve for f in self.profiles)
         return profile_columns(self.profiles)
 
     def domain_axes(self, points_per_axis: int):
@@ -377,87 +377,91 @@ def _mirrored_profile(curve: ProfileCurve, params: ProfileODEParams) -> ProfileC
 
 
 class SampledProfile(C3Function):
-    """C3 view of a ProfileCurve: cubic Hermite between nodes, ODE for f''.
-    Several of them are one table, SampledColumns."""
+    """C3 view of a ProfileCurve: f, f' and f'' are those of the one-column
+    SampledColumns of the curve, built when first evaluated."""
 
     def __init__(self, curve: ProfileCurve):
         self.curve = curve
         super().__init__(self._eval, self._d1_eval, self._d2_eval, curve.domain)
 
-    def _locate(self, x):
-        """Node index i and offset t in [0, 1] of x (a float or an array)."""
-        c = self.curve
-        x = np.asarray(x, dtype=float)
-        inside = (x >= c.u[0] - 1e-12) & (x <= c.u[-1] + 1e-12)
-        if not np.all(inside):
-            raise DomainError(
-                f"u = {x[~inside][0]} outside covered profile domain "
-                f"[{c.u[0]}, {c.u[-1]}]"
-            )
-        h = c.params.step
-        i = np.clip(np.floor((x - c.u[0]) / h), 0, len(c.u) - 2).astype(int)
-        t = (x - c.u[i]) / h
-        return i, t, h
-
-    @staticmethod
-    def _hermite(t, v0, v1, s0, s1, h):
-        # cubic Hermite basis on [0, 1] with slopes scaled by the step; the
-        # square is the C library's pow, as a float's ** 2 takes it
-        sq = np.float_power(1 - t, 2)
-        h00 = (1 + 2 * t) * sq
-        h10 = t * sq
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        return h00 * v0 + h10 * h * s0 + h01 * v1 + h11 * h * s1
+    @functools.cached_property
+    def _table(self) -> "SampledColumns":
+        return SampledColumns((self.curve,))
 
     def _eval(self, x):
-        i, t, h = self._locate(x)
-        c = self.curve
-        return self._hermite(t, c.f[i], c.f[i + 1], c.d1[i], c.d1[i + 1], h)
+        return on_column(self._table, x)
 
     def _d1_eval(self, x):
-        i, t, h = self._locate(x)
-        c = self.curve
-        return self._hermite(t, c.d1[i], c.d1[i + 1], c.d2[i], c.d2[i + 1], h)
+        return on_column(self._table.d1, x)
 
     def _d2_eval(self, x):
-        return self.curve.params.rhs(self._d1_eval(x))
+        return on_column(self._table.d2, x)
+
+
+def _hermite(t, v, s, i, h):
+    """Cubic Hermite of values v and slopes s (scaled by the step h) on interval i at
+    t in [0, 1]; the square is the C library's pow, as a float's ** 2 takes it."""
+    sq = np.float_power(1 - t, 2)
+    h00 = (1 + 2 * t) * sq
+    h10 = t * sq
+    h01 = t * t * (3 - 2 * t)
+    h11 = t * t * (t - 1)
+    return h00 * v[i] + h10 * h * s[i] + h01 * v[i + 1] + h11 * h * s[i + 1]
 
 
 class SampledColumns(ProfileColumns):
-    """The table of SampledProfiles: every curve's u, f' and f'' concatenated,
-    with each column's offset, u[0], last interval, step and rhs constants.
-
-    d1 locates the arguments of all columns and evaluates their cubic Hermite
-    f' in one pass, with the steps of SampledProfile._d1_eval, and
-    derivatives takes f'' as the rhs of that f' (ProfileODEParams.rhs), so
-    each element has the bits of its column's profile.  Where an argument is
-    outside its column's domain, the per-column path raises its DomainError.
+    """The table of ProfileCurves, column i SampledProfile(curves[i]): every
+    curve's u, f, f' and f'' concatenated, with each column's offset, u[0],
+    last interval, step and rhs constants.  f and f' are cubic Hermites over
+    (f, f') and (f', f'') (_hermite), f'' is the rhs of f' (ProfileODEParams.rhs),
+    and each element has the bits of its column alone; an argument outside its
+    column's domain raises the DomainError of the first such column alone.
     """
 
-    def __init__(self, fs):
-        super().__init__(fs)
-        curves = [f.curve for f in self.profiles]
+    def __init__(self, curves):
+        self.curves = curves = tuple(curves)
         sizes = np.array([len(c.u) for c in curves])
         self._start = np.cumsum(sizes) - sizes
         self._last = sizes - 2  # the last node an interval starts at
-        self._u, self._d1, self._d2 = (np.concatenate([getattr(c, name) for c in curves])
-                                       for name in ("u", "d1", "d2"))
+        self._u, self._f, self._d1, self._d2 = map(
+            np.concatenate, zip(*((c.u, c.f, c.d1, c.d2) for c in curves)))
         self._lo = self._u[self._start]
         self._hi = self._u[self._start + sizes - 1]
         self._h = np.array([c.params.step for c in curves])
         a, e, k = zip(*(c.params.rhs_constants() for c in curves))
         self._a, self._e, self._k = np.array(a), np.array(e), np.array(k, dtype=float)
 
-    def d1(self, x):
+    def __len__(self) -> int:
+        return len(self.curves)
+
+    @functools.cached_property
+    def profiles(self) -> tuple:
+        return tuple(SampledProfile(c) for c in self.curves)
+
+    def _locate(self, x):
+        """Node index i (into the concatenated arrays) and offset t of x (..., dim)."""
         x = np.asarray(x, dtype=float)
-        if not ((x >= self._lo - 1e-12) & (x <= self._hi + 1e-12)).all():
-            return super().d1(x)
+        inside = (x >= self._lo - 1e-12) & (x <= self._hi + 1e-12)
+        if not inside.all():
+            j = int(np.argmin(inside.reshape(-1, len(self)).all(axis=0)))
+            raise DomainError(
+                f"u = {x[..., j][~inside[..., j]][0]} outside covered profile domain "
+                f"[{self._lo[j]}, {self._hi[j]}]"
+            )
         h = self._h
         i = np.clip(np.floor((x - self._lo) / h), 0, self._last).astype(int) + self._start
-        t = (x - self._u[i]) / h
-        d1, d2 = self._d1, self._d2
-        return SampledProfile._hermite(t, d1[i], d1[i + 1], d2[i], d2[i + 1], h)
+        return i, (x - self._u[i]) / h
+
+    def __call__(self, x):
+        i, t = self._locate(x)
+        return _hermite(t, self._f, self._d1, i, self._h)
+
+    def d1(self, x):
+        i, t = self._locate(x)
+        return _hermite(t, self._d1, self._d2, i, self._h)
+
+    def d2(self, x):
+        return self.derivatives(x)[1]
 
     def derivatives(self, x):
         y = self.d1(x)

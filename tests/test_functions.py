@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 from conftest import fd_derivative_error
 
+from minmin.errors import DimensionMismatchError, DomainError
 from minmin.functions import C3Function, PowerColumns, TaylorColumns, profile_columns
 from minmin.sampling import taylor_profiles
 from minmin.separable import example_surface
-from minmin.translation import ProfileODEParams, SampledProfile, integrate_profile
+from minmin.translation import (
+    ProfileODEParams,
+    SampledColumns,
+    SampledProfile,
+    integrate_profile,
+)
 
 
 def test_polynomial_derivatives():
@@ -28,24 +34,28 @@ def test_taylor_pins_derivatives():
 
 
 def test_taylor_rows_are_the_scalar_profiles_bit_for_bit():
+    # every row and column of a table, and of its column profiles, is the
+    # scalar C3Function.taylor of its point and derivatives
     rng = np.random.default_rng(5)
-    N = 7
-    x0 = rng.uniform(-1, 1, N)
+    N, dim = 7, 3
+    x0 = rng.uniform(-1, 1, (N, dim))
     x0[3] = 0.0  # the scalar profile skips the shift by x0 = 0
-    d = rng.uniform(-2, 2, (4, N))
-    stacked = C3Function.taylor(x0, d)
-    rows = [C3Function.taylor(float(x0[i]), d[:, i]) for i in range(N)]
-    # a float x0 with one column of derivatives is a batch of one
-    one = C3Function.taylor(float(x0[0]), d[:, :1])
-    # the points themselves and the oracle's stencil shape (2n, N), n = 3
-    for x in (x0, x0 + rng.uniform(-0.1, 0.1, (6, N))):
+    d = rng.uniform(-2, 2, (4, N, dim))
+    table = TaylorColumns.taylor(x0, d)
+    # the points themselves and the oracle's stencil shape (2n, N, dim), n = 3
+    for x in (x0, x0 + rng.uniform(-0.1, 0.1, (6, N, dim))):
         for name in ("__call__", "d1", "d2"):
-            got = getattr(stacked, name)(x)
+            got = getattr(table, name)(x)
             assert got.shape == x.shape
-            for i, row in enumerate(rows):
-                assert got[..., i].tobytes() == getattr(row, name)(x[..., i]).tobytes()
-            got = getattr(one, name)(x[..., :1])
-            assert got.tobytes() == getattr(rows[0], name)(x[..., :1]).tobytes()
+            for i in range(dim):
+                column = getattr(table[i], name)(x[..., i])
+                assert column.tobytes() == got[..., i].tobytes()
+                for r in range(N):
+                    row = getattr(C3Function.taylor(float(x0[r, i]), d[:, r, i]), name)
+                    assert got[..., r, i].tobytes() == row(x[..., r, i]).tobytes()
+    # a C3Function is one polynomial: coefficients stacked by row are refused
+    with pytest.raises(DimensionMismatchError):
+        C3Function.taylor(0.0, d[:, :1, 0])
 
 
 def _cells(rng, x, spread):
@@ -84,16 +94,27 @@ def _assert_table_is_its_profiles(table, x, cells, stacked):
         assert got[cell].tobytes() == np.float64(want).tobytes()
 
 
+def _products(x, k):
+    """x^k as k - 1 products of x, 1.0 for k = 0."""
+    y = 1.0 if k == 0 else x
+    for _ in range(k - 1):
+        y = y * x
+    return y
+
+
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_power_columns_are_their_profiles_bit_for_bit(m):
     rng = np.random.default_rng(40 + m)
     a, b = rng.uniform(-2, 2, 4), np.array([0.5, -1.5, 2.0, -1.0])
     table = PowerColumns(a, b, m)
+    k = 2 * m
     for f, ai, bi in zip(table, a, b):
-        ref = C3Function.power_even(ai, m).shifted(bi)
         x = rng.uniform(-1.5, 1.5, 6)
-        for name in ("__call__", "d1", "d2"):
-            assert getattr(f, name)(x).tobytes() == getattr(ref, name)(x).tobytes()
+        # a x^k + b, (a k) x^(k-1) and ((a k)(k-1)) x^(k-2), powers by products
+        want = (ai * _products(x, k) + bi, (ai * k) * _products(x, k - 1),
+                np.broadcast_to((ai * k) * (k - 1) * _products(x, k - 2), x.shape))
+        for name, ref in zip(("__call__", "d1", "d2"), want):
+            assert getattr(f, name)(x).tobytes() == ref.tobytes()
     x = rng.uniform(-1.5, 1.5, (5, 4))
     _assert_table_is_its_profiles(table, x, _cells(rng, x, 0.1), stacked=False)
 
@@ -107,10 +128,12 @@ def test_taylor_columns_are_their_profiles_bit_for_bit():
     table = taylor_profiles(at, derivs)
     assert isinstance(table, TaylorColumns)
     for i, f in enumerate(table):
-        ref = C3Function.taylor(at[:, i], derivs[:, :, i])
         x = at[:, i] + rng.uniform(-0.1, 0.1, (3, N))
         for name in ("__call__", "d1", "d2"):
-            assert getattr(f, name)(x).tobytes() == getattr(ref, name)(x).tobytes()
+            got = getattr(f, name)(x)
+            for r in range(N):
+                ref = getattr(C3Function.taylor(at[r, i], derivs[:, r, i]), name)(x[:, r])
+                assert got[:, r].tobytes() == ref.tobytes()
     x = np.column_stack([at, rng.uniform(-2, 2, N)])
     graph = table.graph()
     _assert_table_is_its_profiles(graph, x, _cells(rng, x, 0.1), stacked=True)
@@ -164,9 +187,14 @@ def test_neg_log_cos():
     assert fd_derivative_error(f, [0.1, -0.7, 1.1]) <= 1e-5
 
 
+def _power_profile(coeff, m):
+    """coeff x^(2m), the column profile of a one-column power-sum table."""
+    return PowerColumns([coeff], [0.0], m)[0]
+
+
 def test_power_even_and_log_abs():
     for m in (1, 2, 3):
-        f = C3Function.power_even(-1.5, m)
+        f = _power_profile(-1.5, m)
         x = 0.8
         assert f(x) == pytest.approx(-1.5 * x ** (2 * m), rel=1e-15)
         assert fd_derivative_error(f, [0.5, -1.2]) <= 1e-6
@@ -181,7 +209,7 @@ def test_power_even_products_match_pow(m):
     # the integer powers are products of x: within a few ulps of pow, on
     # negative and positive bases alike
     x = np.linspace(-1.7, 1.9, 37)
-    f = C3Function.power_even(-1.5, m)
+    f = _power_profile(-1.5, m)
     k = 2 * m
     for got, want in ((f(x), -1.5 * x**k), (f.d1(x), -1.5 * k * x ** (k - 1)),
                       (f.d2(x), -1.5 * k * (k - 1) * x ** (k - 2))):
@@ -192,13 +220,95 @@ def test_power_even_products_match_pow(m):
 def test_power_even_m1_second_derivative_is_constant():
     # at m = 1, f'' = 2 coeff x^0: the 0th power is the constant 1, for a
     # float and for every element of an array (x = 0 included), never x
-    f = C3Function.power_even(-1.5, 1)
+    f = _power_profile(-1.5, 1)
     assert f.d2(0.7) == f.d2(0.0) == f.d2(-3.0) == -3.0
     x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
     assert f.d2(x).tolist() == [-3.0] * 5
     assert f.d2(x.reshape(1, 5)).shape == (1, 5)
     assert f.d1(x).tolist() == (-3.0 * x).tolist()
     assert f(x).tolist() == (-1.5 * x * x).tolist()
+    table = PowerColumns([-1.5, 2.0], [0.0, 1.0], 1)
+    assert table.d2(np.zeros((3, 2))).tolist() == [[-3.0, 4.0]] * 3
+
+
+# ---------------------------------------------------------------------------
+# column views: a table's profile i reads its one-column table
+# ---------------------------------------------------------------------------
+
+
+def _assert_view_takes_floats_and_any_shape(f, x):
+    """f, f' and f'' of the column profile f: a float at the float x, and an
+    array of that shape, with the float's bits, at x repeated in any shape."""
+    for name in ("__call__", "d1", "d2"):
+        want = getattr(f, name)(x)
+        assert type(want) is float
+        for shape in ((), (1,), (4,), (2, 1, 3)):
+            got = getattr(f, name)(np.full(shape, x))
+            assert isinstance(got, np.ndarray) and got.shape == shape
+            assert got.tobytes() == np.full(shape, want).tobytes()
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_power_column_views_take_floats_and_arrays_of_any_shape(m):
+    table = PowerColumns([-1.5, 0.5, 2.0], [0.25, 0.0, -1.0], m)
+    for i, (f, x) in enumerate(zip(table, (-0.7, 0.0, 1.3))):
+        _assert_view_takes_floats_and_any_shape(f, x)
+        assert f(x) == table(np.full((1, 3), x))[0, i]
+
+
+def test_taylor_column_views_take_floats_and_arrays_of_any_shape():
+    # one row: any argument; N rows: any array whose last axis holds the rows
+    rng = np.random.default_rng(9)
+    one = TaylorColumns.taylor(rng.uniform(-1, 1, (1, 3)),
+                               rng.uniform(-2, 2, (4, 1, 3)))
+    for f in one:
+        _assert_view_takes_floats_and_any_shape(f, 0.3)
+    N = 4
+    table = TaylorColumns.taylor(rng.uniform(-1, 1, (N, 2)),
+                                 rng.uniform(-2, 2, (4, N, 2)))
+    for i, f in enumerate(table):
+        for shape in ((N,), (1, N), (2, 3, N)):
+            x = rng.uniform(-1, 1, shape)
+            for name in ("__call__", "d1", "d2"):
+                got = getattr(f, name)(x)
+                assert got.shape == shape
+                stacked = np.stack([x, x], axis=-1)
+                assert got.tobytes() == getattr(table, name)(stacked)[..., i].tobytes()
+
+
+def _curves():
+    """Three ODE curves of different lengths, steps, m and domains."""
+    return [integrate_profile(ProfileODEParams(c0=c0, k=k, m=m, y0=y0, u0=u0,
+                                               step=step, max_steps=cap))
+            for c0, k, m, y0, u0, step, cap in (
+                (0.9, 1, 1, 0.6, 0.1, 1e-3, 60), (-0.4, 2, 2, -1.3, -0.3, 2e-3, 20),
+                (1.5, 1, 3, 0.8, 0.25, 5e-3, 9))]
+
+
+def test_sampled_column_views_take_floats_and_arrays_of_any_shape():
+    table = SampledColumns(_curves())
+    for f in table:
+        assert isinstance(f, SampledProfile)
+        lo, hi = f.domain
+        for x in (lo, 0.3 * lo + 0.7 * hi, hi):
+            _assert_view_takes_floats_and_any_shape(f, float(x))
+
+
+def test_sampled_columns_raise_the_failing_columns_domain_error():
+    # columns 1 and 2 are both outside their domains: the table raises the
+    # error of column 1 alone, for its first element outside
+    curves = _curves()
+    table = SampledColumns(curves)
+    (lo0, hi0), (lo1, hi1), (lo2, hi2) = (c.domain for c in curves)
+    x = np.array([[lo0, lo1, hi2 + 1.0], [hi0, hi1 + 0.5, lo2], [hi0, lo1 - 2.0, lo2]])
+    with pytest.raises(DomainError) as alone:
+        SampledColumns(curves[1:2]).d1(x[:, 1:2])
+    assert str(alone.value) == (f"u = {x[1, 1]} outside covered profile domain "
+                                f"[{lo1}, {hi1}]")
+    for call in (table, table.d1, table.d2, table.derivatives):
+        with pytest.raises(DomainError) as got:
+            call(x)
+        assert str(got.value) == str(alone.value)
 
 
 def test_linear():

@@ -474,7 +474,7 @@ def test_sampled_columns_of_different_lengths_steps_and_m():
                   (0.9, 1, 1, 0.6, 0.1, 1e-3, 600), (-0.4, 2, 2, -1.3, -0.3, 2e-3, 1),
                   (1.5, 3, 3, 0.8, 0.25, 5e-3, 50), (0.3, 1, 2, 0.5, 0.0, 1e-3, 300))]
     assert len({len(c.u) for c in curves}) == 4
-    table = SampledColumns([SampledProfile(c) for c in curves])
+    table = SampledColumns(curves)
     x = _inside(table.profiles, np.random.default_rng(3), 3000)
     _assert_table_is_its_profiles(table, x)
     _assert_table_is_its_profiles(table, x[0])
