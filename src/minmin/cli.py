@@ -38,6 +38,7 @@ from .separable import (
     extract_quadratic_system,
     feasible_axes,
     patch_from_xprofiles,
+    patch_slice,
     perturbed_example_surface,
     xprofiles_of,
 )
@@ -359,13 +360,15 @@ def cmd_mesh(args) -> int:
             except EmptyDomainError:
                 print("empty admissible domain: no patch to mesh")
                 return EXIT_PASS
-            patch = patch_from_xprofiles(xs, signs, axes, p)
+            if args.out.endswith(".csv"):
+                patch = patch_from_xprofiles(xs, signs, axes, p)
+            else:  # --slice and --project are checked before any patch work
+                verts = patch_slice(xs, signs, axes, p, args.slice, args.project)
         with stats.stage("write"):
             if args.out.endswith(".csv"):
                 patch.write_csv(args.out)
                 print(f"wrote {patch.flat_points().shape[0]} points to {args.out}")
             else:
-                verts = meshes.patch_vertices(patch, args.slice, args.project)
                 meshes.write_obj(args.out, verts)
                 print(f"wrote {verts.shape[0] * verts.shape[1]} vertices to {args.out}")
         stats.log(log, "mesh")

@@ -138,11 +138,6 @@ class C3Function:
         return cls.polynomial([0.0, a])
 
     @classmethod
-    def neg_log_cos(cls) -> "C3Function":
-        """-log cos x: slope tan x, the classical saddle profile."""
-        return cls(lambda x: -np.log(np.cos(x)), np.tan, lambda x: 1.0 / np.cos(x) ** 2)
-
-    @classmethod
     def log_abs(cls, coeff: float, inner: float = 1.0) -> "C3Function":
         """coeff * log(inner * |x|), defined away from x = 0."""
         return cls(

@@ -276,29 +276,26 @@ def translation_vertices(ts, axes) -> np.ndarray:
                      (0.0 + f1[:, None]) + f2], axis=-1)
 
 
-def patch_vertices(patch, slice_axes=None, project=None) -> np.ndarray:
-    """(G1, G2, 3) vertex grid from a separable patch.
-
-    For patches with more than two parameters, slice_axes picks the two
-    distinct varying parameter axes, each in 0..n-1 (None: 0 and 1), and every
-    other axis is fixed at its middle grid index.  project selects the three
-    distinct ambient coordinates, each in 0..dim-1, written to the OBJ (None:
-    0, 1 and 2).
-    """
-    pts = patch.points
-    n = pts.ndim - 1
-    if n < 2:
-        raise DomainError("patch must have at least two parameters")
+def patch_view(grid, dim: int, slice_axes=None, project=None):
+    """(index, swap, project) of the OBJ view of a patch grid of shape grid
+    in dim coordinates, or DomainError: index keeps every node of the two
+    distinct varying axes a, b = slice_axes (None: 0, 1) and the middle node
+    of any other axis, swap is a > b, and project holds three distinct
+    coordinates (None: 0, 1, 2)."""
+    n = len(grid)
     slice_axes = (0, 1) if slice_axes is None else tuple(slice_axes)
     if len(slice_axes) != 2 or len(set(slice_axes) & set(range(n))) != 2:
         raise DomainError(f"invalid slice axes {slice_axes} for {n} parameters")
-    a, b = slice_axes
-    index = tuple(slice(None) if i in (a, b) else pts.shape[i] // 2 for i in range(n))
-    sliced = pts[index]
-    if a > b:
-        sliced = np.swapaxes(sliced, 0, 1)
     project = (0, 1, 2) if project is None else tuple(project)
-    dim = pts.shape[-1]
     if len(project) != 3 or len(set(project) & set(range(dim))) != 3:
         raise DomainError(f"projection {project} invalid for dim {dim}")
-    return sliced[..., project]
+    index = tuple(slice(None) if i in slice_axes else g // 2 for i, g in enumerate(grid))
+    return index, slice_axes[0] > slice_axes[1], project
+
+
+def patch_vertices(patch, slice_axes=None, project=None) -> np.ndarray:
+    """(G1, G2, 3) vertex grid of the view (patch_view) of a whole patch."""
+    pts = patch.points
+    index, swap, project = patch_view(pts.shape[:-1], pts.shape[-1], slice_axes, project)
+    sliced = pts[index][..., project]
+    return np.swapaxes(sliced, 0, 1) if swap else sliced

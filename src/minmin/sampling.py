@@ -82,27 +82,15 @@ def taylor_profiles(at, derivs):
     return tuple(C3Function.taylor(at[i], derivs[:, i]) for i in range(len(at)))
 
 
-def random_translation_config(
-    rng: np.random.Generator,
-    m: int,
-    n: int,
-    slope_low: float = 0.3,
-    slope_high: float = 1.5,
-):
+def random_translation_config(rng: np.random.Generator, m: int, n: int,
+                              slope_low: float = 0.3, slope_high: float = 1.5):
     """(profiles, point, params) for a random translation graph."""
-    u, derivs = random_translation_draws(rng, n, slope_low=slope_low,
-                                         slope_high=slope_high)
+    u, derivs = random_translation_draws(rng, n, slope_low=slope_low, slope_high=slope_high)
     return taylor_profiles(u, derivs), u, NormParams(m=m, dim=n + 1)
 
 
-def random_separable_config(
-    rng: np.random.Generator,
-    m: int,
-    n: int,
-    slope_low: float = 0.3,
-    slope_high: float = 1.5,
-):
+def random_separable_config(rng: np.random.Generator, m: int, n: int,
+                            slope_low: float = 0.3, slope_high: float = 1.5):
     """(profiles, on-surface point, params) for a random separable surface."""
-    x, derivs = random_separable_draws(rng, n, slope_low=slope_low,
-                                       slope_high=slope_high)
+    x, derivs = random_separable_draws(rng, n, slope_low=slope_low, slope_high=slope_high)
     return taylor_profiles(x, derivs), x, NormParams(m=m, dim=n + 1)

@@ -42,7 +42,7 @@ from .errors import (
     check_array_size,
 )
 from .functions import C3Function, PowerColumns, ProfileColumns, evaluate
-from .meshes import write_points_csv
+from .meshes import patch_view, write_points_csv
 from .norms import NormParams, _sum_last
 from .sampling import random_signs, signed_uniform
 
@@ -409,19 +409,6 @@ def composite_simpson(fn, a, b, panels: int = 256):
     return float(total) if scalar else total
 
 
-def _simpson_batched(fn, a: float, bs) -> np.ndarray:
-    """composite_simpson with _PATCH_PANELS panels from a to every element of
-    bs, in chunks of about _CHUNK_POINTS nodes per call."""
-    bs = np.asarray(bs, dtype=float)
-    out = np.empty(bs.shape)
-    flat_b, flat_out = bs.reshape(-1), out.reshape(-1)
-    per_call = _CHUNK_POINTS // (_PATCH_PANELS + 1)
-    for start in range(0, flat_b.size, per_call):
-        stop = start + per_call
-        flat_out[start:stop] = composite_simpson(fn, a, flat_b[start:stop], _PATCH_PANELS)
-    return out
-
-
 def _x_antiderivative(xp: XProfile, u, m: int):
     """Canonical antiderivative of X^(-(2m-1)/(2m)) at u (or an array of u)
     where a closed form exists."""
@@ -442,12 +429,19 @@ def _x_antiderivative(xp: XProfile, u, m: int):
 
 def _x_coordinates(xp: XProfile, sign: float, us, u0: float, m: int) -> np.ndarray:
     """sign * x(u) at every element of us: the closed-form antiderivative where
-    there is one, else the quadrature of X^(-(2m-1)/(2m)) from u0."""
+    there is one, else composite_simpson of X^(-(2m-1)/(2m)) from u0 with
+    _PATCH_PANELS panels, once per distinct value of us (an integral's bits
+    do not depend on the others), about _CHUNK_POINTS nodes per call."""
     exact = _x_antiderivative(xp, us, m)
     if exact is not None:
         return sign * exact
     g = (2 * m - 1) / (2 * m)
-    return sign * _simpson_batched(lambda t: xp.value(t) ** (-g), u0, us)
+    bs, inverse = np.unique(us, return_inverse=True)
+    out, per_call = np.empty(bs.shape), _CHUNK_POINTS // (_PATCH_PANELS + 1)
+    for start in range(0, bs.size, per_call):
+        out[start:start + per_call] = composite_simpson(
+            lambda t: xp.value(t) ** (-g), u0, bs[start:start + per_call], _PATCH_PANELS)
+    return sign * out[inverse].reshape(np.shape(us))
 
 
 @dataclass
@@ -489,52 +483,53 @@ def patch_from_xprofiles(xs, signs, axes, p: NormParams) -> SeparableMinimalPatc
     axes is a sequence of n strictly-increasing 1-D arrays for u_1..u_n; the
     last parameter is the negative sum.  Every node must keep all X_i positive,
     and an X_i or a coordinate that overflows a float raises DomainError.
+    x_{n+1} is integrated once per distinct value of u_{n+1} (_x_coordinates).
     """
+    mesh, u_last, points = _patch(xs, signs, axes, p, (), range(p.dim))
+    return SeparableMinimalPatch(xprofiles=tuple(xs), signs=tuple(signs), p=p,
+                                 us=np.stack([*mesh, u_last], axis=-1), points=points)
+
+
+def patch_slice(xs, signs, axes, p: NormParams, slice_axes=None, project=None):
+    """meshes.patch_vertices(patch_from_xprofiles(xs, signs, axes, p),
+    slice_axes, project), computing only its three coordinates at the grid x
+    grid nodes of its slice once the view is checked (meshes.patch_view).
+    Only the X_{n+1} positivity check still covers the whole grid."""
+    index, swap, project = patch_view([len(a) for a in axes], p.dim, slice_axes, project)
+    verts = _patch(xs, signs, axes, p, index, project)[2]
+    return np.swapaxes(verts, 0, 1) if swap else verts
+
+
+def _patch(xs, signs, axes, p: NormParams, index, coords):
+    """The mesh of the axes (views), u_{n+1} at every node, and the
+    coordinates coords (..., len(coords)) at the nodes grid[index]."""
     check_patch_profiles(xs, signs, p)
-    n = p.n
-    axes = [np.asarray(a, dtype=float) for a in axes]
+    n, axes = p.n, [np.asarray(a, dtype=float) for a in axes]
     if len(axes) != n or any(a.size == 0 for a in axes):
         raise EmptyDomainError("grid must provide a non-empty axis per parameter")
-    dom = admissible_domain(xs)
-    if not dom.feasible:
+    if not admissible_domain(xs).feasible:
         raise EmptyDomainError("admissible domain is empty")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            us, points = _patch_grid(xs, signs, axes, p)
+            for i, a in enumerate(axes):
+                bad = a[xs[i].value(a) <= 0.0]
+                if bad.size:
+                    raise NonpositiveProfileError(
+                        f"X_{i + 1} not positive at axis values {bad[:3].tolist()}")
+            mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+            u_last = -sum(mesh)
+            if np.any(xs[n].value(u_last) <= 0.0):
+                raise NonpositiveProfileError("X_{n+1} not positive over the grid")
+            columns = [
+                _x_coordinates(xs[n], signs[n], u_last[index], float(u_last.flat[0]), p.m)
+                if c == n else np.broadcast_to(
+                    _x_coordinates(xs[c], signs[c], axes[c], float(axes[c][0]), p.m)
+                    .reshape([-1 if j == c else 1 for j in range(n)]), u_last.shape)[index]
+                for c in coords]
     except FloatingPointError as exc:
         raise DomainError(f"an X_i or a coordinate of the patch overflows a float "
                           f"({exc})") from None
-    return SeparableMinimalPatch(
-        xprofiles=tuple(xs), signs=tuple(signs), p=p, us=us, points=points
-    )
-
-
-def _patch_grid(xs, signs, axes, p: NormParams):
-    """The zero-sum parameters us and the points of patch_from_xprofiles."""
-    n = p.n
-    for i, a in enumerate(axes):
-        bad = a[xs[i].value(a) <= 0.0]
-        if bad.size:
-            raise NonpositiveProfileError(
-                f"X_{i + 1} not positive at axis values {bad[:3].tolist()}"
-            )
-    mesh = np.meshgrid(*axes, indexing="ij")
-    u_last = -sum(mesh)
-    if np.any(xs[n].value(u_last) <= 0.0):
-        raise NonpositiveProfileError("X_{n+1} not positive over the grid")
-    shape = u_last.shape
-    us = np.empty(shape + (n + 1,))
-    for i in range(n):
-        us[..., i] = mesh[i]
-    us[..., n] = u_last
-
-    points = np.empty(shape + (p.dim,))
-    for i in range(n):
-        along_i = [-1 if j == i else 1 for j in range(n)]
-        xi = _x_coordinates(xs[i], signs[i], axes[i], float(axes[i][0]), p.m)
-        points[..., i] = xi.reshape(along_i)
-    points[..., n] = _x_coordinates(xs[n], signs[n], u_last, float(u_last.flat[0]), p.m)
-    return us, points
+    return mesh, u_last, np.stack(columns, axis=-1)
 
 
 def feasible_axes(xs, points_per_axis: int, span: float = 1.0):
@@ -715,36 +710,63 @@ def _powersum_surface(name: str, a, b, m: int) -> SeparableSurface:
 _NEWTON_ITERS = 80
 
 
+class QuadratureColumns(ProfileColumns):
+    """The quadrature profiles of X-profiles xs of one kind as functions of u:
+    column i gives x_i(u_i) (_x_coordinates, a column at a time) and, in one
+    pass over every column of the XProfile whose coefficients are rows (dim,),
+    f_i' = sign_i X_i^gamma and f_i'' = gamma X_i' X_i^(2 gamma - 1) where
+    the parameter is u_i, gamma = (2m-1)/(2m)."""
+
+    def __init__(self, xs, signs, m: int):
+        self.xs, self.signs, self.m = tuple(xs), np.array(signs, dtype=float), m
+        self._gamma = (2 * m - 1) / (2 * m)
+        (kind,) = {x.kind for x in self.xs}  # ValueError for mixed kinds
+        self._xp = getattr(XProfile, kind)(*np.array([x.params for x in self.xs], float).T)
+
+    def __len__(self) -> int:
+        return len(self.xs)
+
+    def column(self, i: int) -> "QuadratureColumns":
+        return QuadratureColumns(self.xs[i:i + 1], self.signs[i:i + 1], self.m)
+
+    def __call__(self, u):
+        return np.stack([_x_coordinates(x, s, u[..., i], 0.0, self.m) for i, (x, s)
+                         in enumerate(zip(self.xs, self.signs.tolist()))], axis=-1)
+
+    def d1(self, u):
+        return self.signs * self._xp.value(u) ** self._gamma
+
+    def d2(self, u):
+        g = self._gamma
+        return g * self._xp.deriv(u) * self._xp.value(u) ** (2 * g - 1.0)
+
+    def slopes_at(self, y, col, row):
+        xp = getattr(XProfile, self._xp.kind)(*(c[col] for c in self._xp.params))
+        return self.signs[col] * xp.value(y) ** self._gamma
+
+
 class _QuadratureProfile(C3Function):
     """f(x) = u(x) for x(u) = sign * integral of X^(-(2m-1)/(2m)) from 0.
 
-    x_of_u, d1_of_u and d2_of_u take the parameter u (scalars or arrays) and
-    invert nothing.  f(x) and its derivatives at x recover u (u_of_x) by
+    in_u, built on first use, is the profile in u: the view of its one-column
+    QuadratureColumns.  f(x) and its derivatives at x recover u (u_of_x) by
     safeguarded Newton iteration inside a doubling-search bracket.
     """
 
     def __init__(self, xp: XProfile, sign: float, m: int):
         if sign not in (1, -1):
             raise DomainError(f"quadrature chart sign must be +1 or -1, got {sign}")
-        self.xp = xp
-        self.sign = float(sign)
-        self.m = m
-        self._gamma = (2 * m - 1) / (2 * m)
-        super().__init__(self.u_of_x, lambda x: self.d1_of_u(self.u_of_x(x)),
-                         lambda x: self.d2_of_u(self.u_of_x(x)))
+        self.xp, self.sign, self.m = xp, float(sign), m
+        super().__init__(self.u_of_x, lambda x: self.in_u.d1(self.u_of_x(x)),
+                         lambda x: self.in_u.d2(self.u_of_x(x)))
+
+    @functools.cached_property
+    def in_u(self) -> C3Function:
+        return QuadratureColumns((self.xp,), (self.sign,), self.m)[0]
 
     def x_of_u(self, u):
         """A patch's coordinate from 0 (_x_coordinates); u may be an array."""
         return _x_coordinates(self.xp, self.sign, u, 0.0, self.m)
-
-    def d1_of_u(self, u):
-        """f' where the parameter is u: sign X(u)^gamma, the inverse of dx/du."""
-        return self.sign * self.xp.value(u) ** self._gamma
-
-    def d2_of_u(self, u):
-        """f'' where the parameter is u: gamma X'(u) X(u)^(2 gamma - 1)."""
-        g = self._gamma
-        return g * self.xp.deriv(u) * self.xp.value(u) ** (2 * g - 1.0)
 
     def u_of_x(self, x):
         """Safeguarded Newton inversion of the (monotone) coordinate quadrature
@@ -777,7 +799,7 @@ class _QuadratureProfile(C3Function):
             above = res * self.sign > 0
             hi = np.where(above, u, hi)
             lo = np.where(above, lo, u)
-            u_new = u - res * self.d1_of_u(u)
+            u_new = u - res * self.in_u.d1(u)
             tol = 1e-15 * (1.0 + np.abs(u_new))
             # an element stops at u_new where the step is below tol (u_new = u
             # where res = 0), else at u where the bracket has closed to rounding
@@ -818,12 +840,11 @@ def _zero_sum_sampler(dim: int):
 @dataclass(frozen=True)
 class QuadratureSurface(SeparableSurface):
     """The separable surface sum u_i = 0 in the coordinates x_i = x_i(u_i) of
-    its quadrature profiles fs (see _QuadratureProfile).
-
-    Its blocks draw zero-sum parameter rows u, which sample() maps to x.
-    report_sample() stays in u: the closed form takes its slopes from X at u
-    and the oracle runs on the rows' chart in u (see chart), so it neither
-    evaluates nor inverts a quadrature, and nothing solves for a coordinate.
+    its quadrature profiles fs (see _QuadratureProfile), whose profiles in u
+    are the one table in_u.  Its blocks draw zero-sum parameter rows u, which
+    sample() maps to x.  report_sample() stays in u: the closed form and the
+    oracle's chart (see chart) read slopes of X at u from in_u, one pass per
+    array, and nothing evaluates, inverts or solves for a coordinate.
     """
 
     def sample_u(self, rng: np.random.Generator, count: int, stats=None) -> np.ndarray:
@@ -831,12 +852,8 @@ class QuadratureSurface(SeparableSurface):
         return super().sample(rng, count, stats)
 
     @functools.cached_property
-    def in_u(self) -> ProfileColumns:
-        """The profiles as functions of their parameters u, as a table: its
-        columns take u_i and give x_i(u_i) as the value, and f_i' and f_i''
-        where the parameter is u_i as the derivatives."""
-        return ProfileColumns(C3Function(f.x_of_u, f.d1_of_u, f.d2_of_u)
-                              for f in self.fs)
+    def in_u(self) -> QuadratureColumns:
+        return QuadratureColumns(*zip(*((f.xp, f.sign) for f in self.fs)), self.p.m)
 
     def sample(self, rng: np.random.Generator, count: int, stats=None) -> np.ndarray:
         return self.in_u(self.sample_u(rng, count, stats))

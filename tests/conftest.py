@@ -24,6 +24,11 @@ STOP_CASES = {
 }
 
 
+def neg_log_cos() -> C3Function:
+    """-log cos x: slope tan x, the profile of Scherk's minimal translation surface."""
+    return C3Function(lambda x: -np.log(np.cos(x)), np.tan, lambda x: 1.0 / np.cos(x) ** 2)
+
+
 def fd_derivative_error(f, points) -> float:
     """Largest deviation of f.d1 and f.d2 from 5-point central differences of
     f (steps eps^(1/5) and eps^(1/6), times 1 + |x|) over the points, each

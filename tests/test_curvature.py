@@ -4,6 +4,7 @@ from conftest import (
     classical_graph_mean_curvature,
     fd_derivative_error,
     fd_weingarten,
+    neg_log_cos,
     translation_chart,
 )
 
@@ -77,7 +78,7 @@ def test_cubic_profiles_trace_identity():
 
 def test_mean_curvature_scherk_vanishes():
     p = mm.NormParams(1, 3)
-    fs = (C3Function.neg_log_cos(), C3Function.neg_log_cos().scaled(-1.0))
+    fs = (neg_log_cos(), neg_log_cos().scaled(-1.0))
     for u in ([0.3, 0.4], [0.0, 0.0], [-1.1, 0.9]):
         assert abs(mm.mean_curvature_translation(fs, u, p)) <= 1e-10
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import fd_derivative_error
+from conftest import fd_derivative_error, neg_log_cos
 
 from minmin.errors import DimensionMismatchError, DomainError
 from minmin.functions import C3Function, PowerColumns, TaylorColumns, profile_columns
@@ -180,7 +180,7 @@ def test_scaled_domain():
 
 
 def test_neg_log_cos():
-    f = C3Function.neg_log_cos()
+    f = neg_log_cos()
     x = 0.45
     assert f.d1(x) == pytest.approx(np.tan(x), rel=1e-15)
     assert f.d2(x) == pytest.approx(1 + np.tan(x) ** 2, rel=1e-14)

@@ -53,7 +53,7 @@ class _RefSeparableChart:
 
 class _RefQuadratureChart:
     def __init__(self, fs, u):
-        self._d1 = [f.d1_of_u for f in fs]
+        self._d1 = [f.in_u.d1 for f in fs]
         self.t0 = u[:, :-1]
         self.nu0 = nu0 = _columns(self._d1, u)
         n = u.shape[-1] - 1
@@ -112,7 +112,7 @@ def test_quadrature_chart_meets_the_dense_expansion(m):
     u = surface.sample_u(counter_rng(5), 30)
     chart = surface.chart(u)
     H = mean_curvature_from_slopes(
-        chart.nu0, _columns([f.d2_of_u for f in surface.fs], u), surface.p)
+        chart.nu0, _columns([f.in_u.d2 for f in surface.fs], u), surface.p)
     _assert_meets_reference(chart, _RefQuadratureChart(surface.fs, u), H, surface.p)
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import STOP_CASES, fd_derivative_error
+from conftest import STOP_CASES, fd_derivative_error, neg_log_cos
 
 import minmin as mm
 from minmin import translation
@@ -33,7 +33,7 @@ def test_residual_zero_for_hyperplane():
 
 def test_residual_zero_for_scherk():
     ts = mm.TranslationSurface(
-        profiles=(C3Function.neg_log_cos(), C3Function.neg_log_cos().scaled(-1.0)),
+        profiles=(neg_log_cos(), neg_log_cos().scaled(-1.0)),
         p=mm.NormParams(1, 3),
     )
     assert abs(mm.minimality_residual(ts, [0.2, -0.3])) <= 1e-9
